@@ -12,9 +12,8 @@ from fiberplan import (
     path_loss,
     received_power,
     required_input_power,
-    ring_order,
+    ring_spans,
     span_loss,
-    spans_along,
 )
 from fiberplan.data import sleman_path
 
@@ -32,8 +31,7 @@ def main() -> None:
             f"+ splices {b.splice_total:.2f} + margin {b.margin:.2f} = {b.total:.2f} dB"
         )
 
-    spans = spans_along(net, ring_order(net))
-    ring = path_loss(spans, net.losses)
+    ring = path_loss(ring_spans(net), net.losses)
     print(f"\nWhole ring with the margin applied once: {ring.total:.2f} dB")
 
     # The ring must deliver enough power that the distribution leg still

@@ -5,7 +5,7 @@ power over the same losses and gains; the BER model maps received power to a
 Q factor against a single receiver noise sigma.
 """
 
-from fiberplan import estimate_ber, load_network, propagate, received_power, ring_order, route_chain
+from fiberplan import estimate_ber, load_network, propagate, received_power, ring_spans, route_chain
 from fiberplan.data import sleman_path
 from fiberplan.signal_chain import Amplifier, element_gain
 
@@ -14,7 +14,7 @@ def main() -> None:
     doc = load_network(sleman_path())
     net = doc.network
 
-    chain = route_chain(net, ring_order(net))
+    chain = route_chain(net, ring_spans(net))
     trace = propagate(net.transceiver.tx_power, chain, net.losses)
 
     print("Ring trace (amplifier points highlighted):")

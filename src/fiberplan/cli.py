@@ -9,6 +9,7 @@ one on stderr so stdout stays byte-comparable.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from datetime import datetime, timezone
 from typing import Any, Mapping
@@ -137,6 +138,8 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "trace":
+        if args.power is not None and not math.isfinite(args.power):
+            raise DomainError(f"--power must be a finite dBm value, got {args.power!r}")
         trace, ber = run_trace(args.network, args.path, input_power=args.power, with_ber=args.ber)
         if args.format == "json":
             _emit(to_json(trace_to_dict(trace, ber)), args.out)

@@ -10,7 +10,7 @@ violations as data instead of raising.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -165,16 +165,18 @@ class Network:
     losses: ComponentLosses
     transceiver: TransceiverProfile
     head: str | None = None
+    _names: dict[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "spans", tuple(self.spans))
+        names: dict[str, str] = {}
+        for node in self.nodes:
+            names.setdefault(node.id, node.name)  # the first listing of a duplicated id wins
+        object.__setattr__(self, "_names", names)
 
     def node_name(self, node_id: str) -> str:
-        for node in self.nodes:
-            if node.id == node_id:
-                return node.name
-        return node_id
+        return self._names.get(node_id, node_id)
 
     @property
     def head_node(self) -> str | None:
@@ -206,8 +208,6 @@ def resolved_splices(span: Span) -> int:
     """The span's explicit splice count, or the automatic drum-based count."""
     if span.splices is not None:
         return span.splices
-    if span.fiber is None:
-        raise ConfigurationError(f"span {span.id!r}: no fiber profile to resolve splices from")
     return splice_count(span.length, span.fiber.drum_length)
 
 
@@ -304,42 +304,68 @@ def validate_network(net: Network) -> list[Violation]:
     return violations
 
 
-def ring_order(net: Network) -> list[str]:
-    """Node ids walking the full cycle, first node repeated at the end.
+def ring_spans(net: Network) -> tuple[Span, ...]:
+    """Spans walking the full cycle from the first node, closing span last.
 
-    A 7-node ring yields 8 ids covering all 7 spans. Raises
-    ConfigurationError if the network does not validate as a ring.
+    At the first node the walk leaves by a span listed from that node, lowest
+    span id first; after that each node has one unused span left. A 7-node
+    ring yields its 7 spans; a 2-node ring of parallel spans yields both.
+    Structure is not re-validated here: a network whose spans do not form a
+    single closed cycle through every node raises ConfigurationError.
     """
     if net.topology is not Topology.RING:
         raise ConfigurationError("ring traversal requested on a non-ring network")
-    problems = validate_network(net)
-    if problems:
-        raise ConfigurationError(f"network is not a valid ring: {problems[0].message}")
-
     incident: dict[str, list[Span]] = {n.id: [] for n in net.nodes}
+    known = len(incident)  # below the node count when node ids repeat
     for span in net.spans:
-        incident[span.from_node].append(span)
-        incident[span.to_node].append(span)
+        incident.setdefault(span.from_node, []).append(span)
+        incident.setdefault(span.to_node, []).append(span)
+    not_a_cycle = "network is not a valid ring: spans do not form a single closed cycle"
+    if not known or len(net.nodes) != known or len(incident) != known or len(net.spans) != known:
+        raise ConfigurationError(not_a_cycle)
 
-    start = net.nodes[0].id
-    order = [start]
-    used: set[str] = set()
-    current = start
-    for _ in range(len(net.spans) - 1):
-        options = sorted(
-            (s for s in incident[current] if s.id not in used),
-            key=lambda s: (0 if s.from_node == current else 1, s.id),
-        )
-        span = options[0]
-        used.add(span.id)
+    start = current = net.nodes[0].id
+    visited = {start}
+    used: set[int] = set()
+    walk: list[Span] = []
+    for _ in net.spans:
+        options = [s for s in incident[current] if id(s) not in used]
+        if not options:
+            raise ConfigurationError(not_a_cycle)
+        span = min(options, key=lambda s: (s.from_node != current, s.id))
+        used.add(id(span))
+        walk.append(span)
         current = span.to_node if span.from_node == current else span.from_node
-        order.append(current)
-    order.append(start)
+        visited.add(current)
+    if current != start or len(visited) != len(incident):
+        raise ConfigurationError(not_a_cycle)
+    return tuple(walk)
+
+
+def nodes_along(start: str, spans: Sequence[Span]) -> list[str]:
+    """Node ids visited walking ``spans`` in order from ``start``."""
+    order = [start]
+    for span in spans:
+        order.append(span.to_node if span.from_node == order[-1] else span.from_node)
     return order
 
 
+def ring_order(net: Network) -> list[str]:
+    """Node ids walking the full cycle, first node repeated at the end.
+
+    A 7-node ring yields 8 ids covering all 7 spans, in :func:`ring_spans`
+    order. Raises ConfigurationError if the spans do not form a ring.
+    """
+    spans = ring_spans(net)
+    return nodes_along(net.nodes[0].id, spans)
+
+
 def spans_along(net: Network, node_ids: Sequence[str]) -> list[Span]:
-    """Spans joining each consecutive node pair, in path order."""
+    """Spans joining each consecutive node pair, in path order.
+
+    Where parallel spans join a pair, the lowest span id is taken; use
+    :func:`ring_spans` to walk a ring through every span.
+    """
     ids = list(node_ids)
     if len(ids) < 2:
         raise ConfigurationError("a path needs at least two nodes")
@@ -348,13 +374,17 @@ def spans_along(net: Network, node_ids: Sequence[str]) -> list[Span]:
         if node_id not in known:
             raise ConfigurationError(f"path references unknown node {node_id!r}")
 
+    joining: dict[frozenset[str], Span] = {}
+    for span in net.spans:
+        key = frozenset((span.from_node, span.to_node))
+        best = joining.get(key)
+        if best is None or span.id < best.id:
+            joining[key] = span
+
     path: list[Span] = []
     for a, b in zip(ids, ids[1:]):
-        matches = sorted(
-            (s for s in net.spans if {s.from_node, s.to_node} == {a, b}),
-            key=lambda s: s.id,
-        )
-        if not matches:
+        span = joining.get(frozenset((a, b)))
+        if span is None:
             raise ConfigurationError(f"no span joins {a!r} and {b!r}")
-        path.append(matches[0])
+        path.append(span)
     return path

@@ -18,9 +18,11 @@ from typing import Any, Mapping
 from .model import (
     ConfigurationError,
     Network,
+    Span,
     Violation,
+    nodes_along,
     resolved_splices,
-    ring_order,
+    ring_spans,
     spans_along,
     validate_network,
 )
@@ -29,8 +31,8 @@ from .power_budget import (
     AmplifierPlan,
     LossBreakdown,
     amplifier_requirement,
+    combine_span_losses,
     max_allowed_loss,
-    path_loss,
     received_power,
     required_input_power,
     span_loss,
@@ -85,14 +87,16 @@ class PlanReport:
             raise ValueError("overall_pass must mirror the contained verdicts")
 
 
-def _resolve_path_nodes(network: Network, path_spec: str) -> list[str]:
+def _resolve_path(network: Network, path_spec: str) -> tuple[list[str], tuple[Span, ...]]:
+    """Node ids and spans, in path order, of ``"ring"`` or comma-separated node ids."""
     spec = path_spec.strip()
     if spec.lower() == "ring":
-        return ring_order(network)
+        spans = ring_spans(network)
+        return nodes_along(network.nodes[0].id, spans), spans
     nodes = [part.strip() for part in spec.split(",") if part.strip()]
     if len(nodes) < 2:
         raise ConfigurationError(f"path spec {path_spec!r} needs 'ring' or at least two node ids")
-    return nodes
+    return nodes, tuple(spans_along(network, nodes))
 
 
 def _load_valid(network_file: str | Path) -> NetworkDocument:
@@ -120,15 +124,14 @@ def run_plan(
     network = doc.network
     profile = resolve_standard(standard, doc.standards)
 
-    nodes = _resolve_path_nodes(network, path_spec)
-    spans = spans_along(network, nodes)
+    nodes, spans = _resolve_path(network, path_spec)
 
-    seen: set[str] = set()
+    loss_by_id: dict[str, LossBreakdown] = {}
     rows = []
     for span in spans:
-        if span.id in seen:
+        if span.id in loss_by_id:
             continue
-        seen.add(span.id)
+        loss = loss_by_id[span.id] = span_loss(span, network.losses)
         link = f"{network.node_name(span.from_node)} - {network.node_name(span.to_node)}"
         rows.append(
             SpanResult(
@@ -136,13 +139,13 @@ def run_plan(
                 link=link,
                 length=span.length,
                 splices=resolved_splices(span),
-                loss=span_loss(span, network.losses),
+                loss=loss,
                 rise=span_risetime_report(span, network.transceiver, profile),
             )
         )
     rows.sort(key=lambda r: r.span_id)
 
-    path = path_loss(spans, network.losses)
+    path = combine_span_losses([loss_by_id[span.id] for span in spans], network.losses.system_margin)
     planning_floor = required_input_power(network.transceiver.rx_sensitivity, doc.distribution_loss)
     budget = max_allowed_loss(network.transceiver.tx_power, planning_floor)
     plan = amplifier_requirement(path.total, budget, doc.edfa_gain)
@@ -199,8 +202,8 @@ def run_trace(
     """
     doc = _load_valid(network_file)
     network = doc.network
-    nodes = _resolve_path_nodes(network, path_spec)
-    chain = route_chain(network, nodes)
+    _, spans = _resolve_path(network, path_spec)
+    chain = route_chain(network, spans)
     power = network.transceiver.tx_power if input_power is None else input_power
     trace = propagate(power, chain, network.losses)
     ber = None

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .model import ComponentLosses, ConfigurationError, DomainError, Span, resolved_splices
+from .model import ComponentLosses, DomainError, Span, resolved_splices
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,6 @@ def span_loss(span: Span, losses: ComponentLosses) -> LossBreakdown:
     + splitter insertion losses + the system margin. The splice count comes
     from the span, or from the drum length when the span says auto.
     """
-    if span.fiber is None:
-        raise ConfigurationError(f"span {span.id!r}: fiber profile is not resolved")
     return LossBreakdown.build(
         connector_total=losses.connector_loss * span.connectors,
         fiber_total=span.fiber.attenuation * span.length,
@@ -107,13 +105,22 @@ def path_loss(spans: Sequence[Span], losses: ComponentLosses) -> LossBreakdown:
     Equals the sum of the standalone span totals minus (spans - 1) duplicated
     margins.
     """
-    parts = [span_loss(span, losses) for span in spans]
+    return combine_span_losses([span_loss(span, losses) for span in spans], losses.system_margin)
+
+
+def combine_span_losses(parts: Sequence[LossBreakdown], system_margin: float) -> LossBreakdown:
+    """Path breakdown from the standalone breakdowns of its spans, in path order.
+
+    Each mechanism is summed exactly; the margin is applied once (none for an
+    empty path). Lets a caller that already holds per-span breakdowns total a
+    path without recomputing them.
+    """
     return LossBreakdown.build(
         connector_total=math.fsum(p.connector_total for p in parts),
         fiber_total=math.fsum(p.fiber_total for p in parts),
         splice_total=math.fsum(p.splice_total for p in parts),
         splitter_total=math.fsum(p.splitter_total for p in parts),
-        margin=losses.system_margin if parts else 0.0,
+        margin=system_margin if parts else 0.0,
     )
 
 

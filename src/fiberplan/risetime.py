@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .model import ConfigurationError, DomainError, LineCode, Span, TransceiverProfile
+from .model import DomainError, LineCode, Span, TransceiverProfile
 
 if TYPE_CHECKING:
     from .standards import StandardProfile
@@ -66,8 +66,6 @@ def span_risetime_report(
     span: Span, transceiver: TransceiverProfile, profile: "StandardProfile"
 ) -> RiseTimeReport:
     """Full rise-time budget for one span under one compliance profile."""
-    if span.fiber is None:
-        raise ConfigurationError(f"span {span.id!r}: fiber profile is not resolved")
     dispersion_component = dispersion_risetime(
         span.fiber.dispersion, transceiver.spectral_width, span.length
     )

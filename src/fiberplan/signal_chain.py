@@ -23,9 +23,9 @@ from .model import (
     DomainError,
     FiberProfile,
     Network,
+    Span,
     Splitter,
     resolved_splices,
-    spans_along,
 )
 from .power_budget import splitter_loss
 from .units import dbm_to_watts
@@ -132,21 +132,50 @@ def _label(element: ChainElement) -> str:
     return f"margin {element.loss:g} dB"
 
 
+def _add_exact(partials: list[float], x: float) -> None:
+    """Add ``x`` to a list of non-overlapping partials, keeping their sum exact.
+
+    Shewchuk's algorithm (1997), the one inside ``math.fsum``: afterwards the
+    partials sum exactly to the old sum plus ``x``, so ``math.fsum(partials)``
+    is the correctly rounded running total. The list stays a few floats long.
+    """
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
+
+
 def propagate(
     input_power: float, chain: Sequence[ChainElement], losses: ComponentLosses
 ) -> PowerTrace:
     """Fold the chain left to right into a power trace.
 
     The first point is the injected power; every element appends one point.
-    Each point is the exactly-accumulated sum of the injected power and all
-    element effects so far, so the final point equals received_power over the
-    same losses and gains regardless of element order.
+    Each point is the correctly rounded exact sum of the injected power and
+    all element effects so far (bit-identical to ``math.fsum`` over that
+    prefix), so the final point equals received_power over the same losses
+    and gains regardless of element order. The running sum is kept as exact
+    partials, so the fold is linear in the chain length. Raises DomainError
+    on a non-finite input power or element effect.
     """
-    deltas = [input_power]
+    if not math.isfinite(input_power):
+        raise DomainError(f"input power must be a finite dBm value, got {input_power!r}")
+    partials = [input_power]
     points = [TracePoint("input", input_power)]
     for element in chain:
-        deltas.append(element_gain(element, losses))
-        points.append(TracePoint(_label(element), math.fsum(deltas)))
+        delta = element_gain(element, losses)
+        label = _label(element)
+        if not math.isfinite(delta):
+            raise DomainError(f"chain element {label!r} has a non-finite effect ({delta!r} dB)")
+        _add_exact(partials, delta)
+        points.append(TracePoint(label, math.fsum(partials)))
     return PowerTrace(points=tuple(points))
 
 
@@ -175,15 +204,17 @@ def estimate_ber(
     return BerEstimate(q_factor=q, ber=ber_from_q(q))
 
 
-def route_chain(network: Network, node_ids: Sequence[str]) -> list[ChainElement]:
-    """Chain elements for a node path through the network, margin pad last.
+def route_chain(network: Network, spans: Sequence[Span]) -> list[ChainElement]:
+    """Chain elements along a resolved span path, margin pad last.
 
+    ``spans`` is the path in order, as given by :func:`fiberplan.model.spans_along`
+    for a node path or :func:`fiberplan.model.ring_spans` for the whole ring.
     Per span: one entry connector, the fiber run, its splices, any splitters
     and amplifiers, then the remaining connectors at the exit. The system
     margin is a single pad at the end of the whole path.
     """
     elements: list[ChainElement] = []
-    for span in spans_along(network, node_ids):
+    for span in spans:
         entry = min(span.connectors, 1)
         elements.extend([Connector()] * entry)
         elements.append(FiberSegment(length=span.length, fiber=span.fiber))

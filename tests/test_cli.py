@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args: str):
     return subprocess.run(
@@ -134,6 +136,15 @@ def test_trace_power_override_json(sleman_file):
     payload = json.loads(result.stdout)
     assert payload["points"][0]["power"] == 0
     assert payload["final_power"] == payload["points"][-1]["power"]
+
+
+@pytest.mark.parametrize("power", ["inf", "nan"])
+def test_non_finite_power_exits_two_naming_the_flag(sleman_file, power):
+    result = run_cli("trace", "--network", str(sleman_file), "--power", power, "--ber")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and "--power" in lines[0]
 
 
 def test_out_file_matches_stdout(sleman_file, tmp_path):

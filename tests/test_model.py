@@ -16,6 +16,7 @@ from fiberplan.model import (
     TransceiverProfile,
     resolved_splices,
     ring_order,
+    ring_spans,
     spans_along,
     splice_count,
     validate_network,
@@ -235,6 +236,56 @@ class TestPathResolution:
         )
         with pytest.raises(ConfigurationError):
             ring_order(tree_like)
+
+    def test_ring_spans_walk_every_span_once_in_ring_order(self, sleman_doc):
+        net = sleman_doc.network
+        spans = ring_spans(net)
+        assert sorted(s.id for s in spans) == sorted(s.id for s in net.spans)
+        order = ring_order(net)
+        for span, a, b in zip(spans, order, order[1:]):
+            assert {span.from_node, span.to_node} == {a, b}
+
+    def test_ring_walk_does_not_revalidate(self, sleman_doc, monkeypatch):
+        import fiberplan.model
+
+        def fail(net):
+            raise AssertionError("validate_network called")
+
+        monkeypatch.setattr(fiberplan.model, "validate_network", fail)
+        assert len(ring_spans(sleman_doc.network)) == 7
+        assert len(ring_order(sleman_doc.network)) == 8
+
+    @pytest.mark.parametrize(
+        "nodes, spans",
+        [
+            (["a", "b", "c"], [("ab", "a", "b"), ("bc", "b", "c")]),  # open chain
+            (["a", "b", "c", "d"], [("ab", "a", "b"), ("ba", "b", "a"), ("cd", "c", "d"), ("dc", "d", "c")]),  # two cycles
+            (["a", "b", "c"], [("ab", "a", "b"), ("bc", "b", "c"), ("cx", "c", "x")]),  # dangling end
+            ([], []),  # no nodes
+            (["a", "a", "b"], [("ab", "a", "b"), ("bc", "b", "c"), ("ca", "c", "a")]),  # duplicate id, unknown c
+        ],
+    )
+    def test_ring_walk_rejects_what_is_not_one_cycle(self, nodes, spans):
+        net = Network(
+            nodes=tuple(Node(n, n) for n in nodes),
+            spans=tuple(make_span(i, a, b) for i, a, b in spans),
+            topology=Topology.RING,
+            losses=LOSSES,
+            transceiver=TRANSCEIVER,
+        )
+        with pytest.raises(ConfigurationError):
+            ring_spans(net)
+        with pytest.raises(ConfigurationError):
+            ring_order(net)
+
+    def test_node_name_lookup(self):
+        net = Network(
+            nodes=(Node("a", "Alpha"), Node("b", "Beta"), Node("a", "Again")),
+            spans=(), topology=Topology.TREE, losses=LOSSES, transceiver=TRANSCEIVER,
+        )
+        assert net.node_name("a") == "Alpha"  # the first listing of a duplicated id
+        assert net.node_name("b") == "Beta"
+        assert net.node_name("zz") == "zz"
 
     def test_full_ring_path_includes_closing_span(self, sleman_doc):
         net = sleman_doc.network

@@ -2,8 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from fiberplan.model import ConfigurationError
-from fiberplan.netfile import NetworkFileError
+from fiberplan.model import ConfigurationError, ring_spans
+from fiberplan.netfile import NetworkFileError, load_network
 from fiberplan.planning import (
     ValidationFailure,
     plan_to_dict,
@@ -21,6 +21,15 @@ from fiberplan.traffic import TrafficInput
 def strip_amplifiers(doc):
     for span in doc["spans"]:
         span.pop("amplifiers", None)
+
+
+def parallel_ring(doc):
+    """A valid 2-node ring whose two spans both join west and east."""
+    doc["nodes"] = [{"id": "west", "name": "West"}, {"id": "east", "name": "East"}]
+    doc["spans"] = [
+        {"id": "s1", "from": "west", "to": "east", "length": 10.0, "fiber": "g652-backbone", "splices": "auto"},
+        {"id": "s2", "from": "east", "to": "west", "length": 50.0, "fiber": "g652-backbone", "splices": "auto"},
+    ]
 
 
 class TestRunPlan:
@@ -91,6 +100,22 @@ class TestRunPlan:
         report = run_plan(sleman_file, "gpon-onu-endpoint")
         ids = [row.span_id for row in report.spans]
         assert len(ids) == len(set(ids)) == 7
+
+
+class TestParallelSpans:
+    def test_ring_plan_counts_both_spans(self, write_network):
+        net_file = write_network(parallel_ring)
+        assert [s.id for s in ring_spans(load_network(net_file).network)] == ["s1", "s2"]
+        report = run_plan(net_file, "gpon-onu-endpoint")
+        assert report.path_nodes == ("west", "east", "west")
+        assert [row.span_id for row in report.spans] == ["s1", "s2"]
+        assert report.path.fiber_total == pytest.approx(18.0)  # (10 + 50) km x 0.3 dB/km
+        assert "+ fiber 18.00 +" in render_plan_text(report)
+
+    def test_ring_trace_crosses_both_spans(self, write_network):
+        trace, _ = run_trace(write_network(parallel_ring), "ring")
+        fibers = [p.label for p in trace.points if p.label.startswith("fiber")]
+        assert fibers == ["fiber 10 km (g652-backbone)", "fiber 50 km (g652-backbone)"]
 
 
 class TestRunTrace:

@@ -61,14 +61,6 @@ class TestSpanLoss:
         span = make_span("auto", "a", "b", length=8.4)  # drum 3 km -> 5 splices
         assert span_loss(span, losses).splice_total == pytest.approx(5.0)
 
-    def test_unresolved_fiber_is_a_configuration_error(self):
-        from fiberplan.model import ConfigurationError
-
-        bare = Span(id="bare", from_node="a", to_node="b", length=5.0, fiber=None)  # type: ignore[arg-type]
-        losses = ComponentLosses(connector_loss=0.3, splice_loss=0.05, system_margin=3.0)
-        with pytest.raises(ConfigurationError):
-            span_loss(bare, losses)
-
     def test_breakdown_identity_enforced(self):
         with pytest.raises(DomainError):
             LossBreakdown(

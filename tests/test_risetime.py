@@ -101,13 +101,6 @@ class TestSpanReport:
         assert report.total == pytest.approx(77.78, abs=0.01)
         assert not report.passed
 
-    def test_unresolved_fiber_is_a_configuration_error(self):
-        from fiberplan.model import ConfigurationError
-
-        bare = Span(id="bare", from_node="a", to_node="b", length=5.0, fiber=None)  # type: ignore[arg-type]
-        with pytest.raises(ConfigurationError):
-            span_risetime_report(bare, TRANSCEIVER, self.PROFILE)
-
     @given(
         short=st.floats(min_value=0.1, max_value=100.0),
         stretch=st.floats(min_value=0.1, max_value=100.0),

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from fiberplan.model import Amplifier, ComponentLosses, DomainError, FiberProfile, Splitter
+from fiberplan.model import Amplifier, ComponentLosses, DomainError, FiberProfile, Splitter, ring_spans, spans_along
 from fiberplan.power_budget import received_power, splitter_loss
 from fiberplan.signal_chain import (
     BerEstimate,
@@ -23,7 +23,7 @@ from fiberplan.signal_chain import (
 )
 from fiberplan.units import watts_to_dbm
 
-from conftest import LOSSES
+from conftest import LOSSES, make_ring
 
 DIST_FIBER = FiberProfile(name="dist", attenuation=0.2, dispersion=16.75, drum_length=3.0)
 
@@ -97,6 +97,79 @@ class TestPropagate:
     def test_rejects_foreign_elements(self):
         with pytest.raises(DomainError):
             propagate(0.0, ["not-an-element"], LOSSES)  # type: ignore[list-item]
+
+    @pytest.mark.parametrize("power", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_input_power(self, power):
+        with pytest.raises(DomainError, match="input power"):
+            propagate(power, [Connector()], LOSSES)
+
+    @pytest.mark.parametrize(
+        "element",
+        [Amplifier(math.inf), MarginPad(math.nan), FiberSegment(length=math.inf, fiber=DIST_FIBER)],
+    )
+    def test_rejects_non_finite_element_effects(self, element):
+        with pytest.raises(DomainError, match="non-finite"):
+            propagate(0.0, [Connector(), element], LOSSES)
+
+
+def prefix_fsum_fold(input_power, chain, losses):
+    """Reference fold: math.fsum over the whole prefix at every element (quadratic)."""
+    deltas = [input_power]
+    powers = [input_power]
+    for element in chain:
+        deltas.append(element_gain(element, losses))
+        powers.append(math.fsum(deltas))
+    return powers
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestPropagateMatchesPrefixFsum:
+    """The linear fold equals the prefix-fsum fold point for point, to the bit."""
+
+    @staticmethod
+    def random_case(rng):
+        def magnitude():
+            return 10.0 ** rng.uniform(-12.0, 4.0)
+
+        losses = ComponentLosses(
+            connector_loss=rng.choice([0.0, magnitude()]),
+            splice_loss=magnitude(),
+            system_margin=0.0,
+            splitter_excess_loss=rng.choice([0.0, magnitude()]),
+        )
+        fiber = FiberProfile(name="f", attenuation=magnitude(), dispersion=3.5, drum_length=3.0)
+        makers = [
+            Connector,
+            Splice,
+            lambda: Splitter(2 ** rng.randint(1, 6)),
+            lambda: FiberSegment(length=10.0 ** rng.uniform(-4.0, 3.0), fiber=fiber),
+            lambda: Amplifier(magnitude()),
+            lambda: MarginPad(rng.choice([0.0, magnitude()])),
+        ]
+        chain = [rng.choice(makers)() for _ in range(rng.randint(0, 120))]
+        power = rng.choice([0.0, -magnitude(), magnitude()])
+        return power, chain, losses
+
+    def test_random_chains(self):
+        rng = random.Random(1997)
+        for _ in range(300):
+            power, chain, losses = self.random_case(rng)
+            trace = propagate(power, chain, losses)
+            assert bits(p.power for p in trace.points) == bits(prefix_fsum_fold(power, chain, losses))
+
+    def test_thousand_node_ring(self):
+        rng = random.Random(3)
+        nodes = [f"n{i:04d}" for i in range(1000)]
+        net = make_ring(nodes, [rng.uniform(0.5, 3.0) for _ in nodes])
+        chain = route_chain(net, ring_spans(net))
+        assert len(chain) > 5000
+        trace = propagate(net.transceiver.tx_power, chain, net.losses)
+        assert bits(p.power for p in trace.points) == bits(
+            prefix_fsum_fold(net.transceiver.tx_power, chain, net.losses)
+        )
 
 
 class TestElementGain:
@@ -173,7 +246,7 @@ class TestBer:
 class TestRouteChain:
     def test_ring_span_composition(self, sleman_doc):
         net = sleman_doc.network
-        chain = route_chain(net, ["seyegan", "tempel"])
+        chain = route_chain(net, spans_along(net, ["seyegan", "tempel"]))
         kinds = [type(e).__name__ for e in chain]
         # 2 connectors, the fiber run, 6 drum splices, the path margin pad
         assert kinds.count("Connector") == 2
@@ -182,12 +255,10 @@ class TestRouteChain:
         assert kinds[-1] == "MarginPad"
 
     def test_full_ring_final_power_matches_budget_arithmetic(self, sleman_doc):
-        from fiberplan.model import ring_order
         from fiberplan.power_budget import path_loss
 
         net = sleman_doc.network
-        nodes = ring_order(net)
-        trace = propagate(net.transceiver.tx_power, route_chain(net, nodes), net.losses)
+        trace = propagate(net.transceiver.tx_power, route_chain(net, ring_spans(net)), net.losses)
         expected = received_power(
             net.transceiver.tx_power,
             [path_loss([s for s in net.spans], net.losses).total],
@@ -208,5 +279,5 @@ class TestRouteChain:
             nodes=net.nodes, spans=net.spans, topology=net.topology,
             losses=no_margin, transceiver=net.transceiver,
         )
-        chain = route_chain(stripped, ["seyegan", "tempel"])
+        chain = route_chain(stripped, spans_along(stripped, ["seyegan", "tempel"]))
         assert not any(isinstance(e, MarginPad) for e in chain)
