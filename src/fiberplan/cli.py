@@ -85,8 +85,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigurationError(f"--out {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 

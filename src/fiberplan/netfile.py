@@ -10,15 +10,19 @@ Units are fixed by the format: lengths in km, powers in dBm, losses and gains
 in dB, rise times in ps, dispersion in ps/(nm km). A span's ``splices`` key
 accepts an integer or the string ``"auto"`` to derive the count from the
 fiber's drum length. Unknown keys and unknown profile names are load-time
-errors, not defaults: silent fallbacks hide unit mistakes.
+errors, not defaults: silent fallbacks hide unit mistakes. Every number must
+be finite: NaN and +-Infinity (which Python's JSON reader accepts) are
+load-time errors naming the field, as are wrong types, including ``true`` for
+a number and ``2.5`` for a count.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import inf, isfinite
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from .model import (
     Amplifier,
@@ -56,50 +60,100 @@ class NetworkDocument:
     edfa_gain: float = DEFAULT_EDFA_GAIN
 
 
-def _require(obj: Mapping[str, Any], key: str, where: str) -> Any:
-    if key not in obj:
-        raise NetworkFileError(f"{where}: missing required key {key!r}")
-    return obj[key]
+_MISSING: Any = object()  # default of the field readers: the key is required
+
+_TOP_KEYS = frozenset({
+    "nodes", "spans", "topology", "fiber_profiles", "transceiver", "losses",
+    "standards", "traffic", "distribution_loss", "edfa_gain", "head", "notes",
+})
+_NODE_KEYS = frozenset({"id", "name"})
+_FIBER_KEYS = frozenset({"attenuation", "dispersion", "drum_length"})
+# Read in this order, so a file missing several names the first of them.
+_TRANSCEIVER_FIELDS = ("responsivity", "rx_rise_time", "rx_sensitivity", "spectral_width", "tx_power", "tx_rise_time")
+_TRANSCEIVER_KEYS = frozenset(_TRANSCEIVER_FIELDS)
+_LOSS_KEYS = frozenset({"connector_loss", "splice_loss", "system_margin", "splitter_excess_loss"})
+_SPAN_KEYS = frozenset({"id", "from", "to", "length", "fiber", "connectors", "splices", "amplifiers", "splitters"})
+_AMPLIFIER_KEYS = frozenset({"gain", "kind"})
+_STANDARD_KEYS = frozenset({"bit_rate", "line_code", "rx_sensitivity", "notes"})
+
+# Each field reader does the lookup, the default, the type check and (for
+# numbers) the finiteness check in one call. The object being read is named by
+# a ``where`` template and its ``at`` arguments, e.g. ("span {!r}", (span_id,)),
+# formatted only when a check fails; ``where=""`` is the top level.
 
 
-def _reject_unknown(obj: Mapping[str, Any], allowed: set[str], where: str) -> None:
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise NetworkFileError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+def _field_error(where: str, at: tuple[Any, ...], key: str, expected: str, value: Any) -> NetworkFileError:
+    place = where.format(*at)
+    if value is _MISSING:
+        return NetworkFileError(f"{place or 'top level'}: missing required key {key!r}")
+    return NetworkFileError(f"{f'{place}.{key}' if place else key}: expected {expected}, got {value!r}")
 
 
-def _number(value: Any, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise NetworkFileError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+def _reject_unknown(obj: Mapping[str, Any], allowed: frozenset[str], where: str, at: tuple[Any, ...] = ()) -> None:
+    if allowed.issuperset(obj):
+        return
+    unknown = sorted(obj.keys() - allowed)
+    raise NetworkFileError(f"{where.format(*at)}: unknown key(s) {', '.join(map(repr, unknown))}")
 
 
-def _count(value: Any, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise NetworkFileError(f"{where}: expected an integer, got {value!r}")
+def _require(doc: Mapping[str, Any], key: str) -> Any:
+    """A required top-level value of any type."""
+    value = doc.get(key, _MISSING)
+    if value is _MISSING:
+        raise NetworkFileError(f"top level: missing required key {key!r}")
     return value
 
 
-def _text(value: Any, where: str) -> str:
-    if not isinstance(value, str):
-        raise NetworkFileError(f"{where}: expected a string, got {value!r}")
-    return value
+def _number(obj: Mapping[str, Any], key: str, where: str, at: tuple[Any, ...] = (), default: Any = _MISSING) -> float:
+    value = obj.get(key, default)
+    if isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool)):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = inf
+        if isfinite(number):
+            return number
+        raise _field_error(where, at, key, "a finite number", value)
+    raise _field_error(where, at, key, "a number", value)
+
+
+def _count(obj: Mapping[str, Any], key: str, where: str, at: tuple[Any, ...] = (), default: Any = _MISSING) -> int:
+    value = obj.get(key, default)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise _field_error(where, at, key, "an integer", value)
+
+
+def _text(obj: Mapping[str, Any], key: str, where: str, at: tuple[Any, ...] = (), default: Any = _MISSING) -> str:
+    value = obj.get(key, default)
+    if isinstance(value, str):
+        return value
+    raise _field_error(where, at, key, "a string", value)
+
+
+def _list(obj: Mapping[str, Any], key: str, where: str, at: tuple[Any, ...] = ()) -> Sequence[Any]:
+    """An optional list; absent means empty."""
+    value = obj.get(key, ())
+    if isinstance(value, (list, tuple)):
+        return value
+    raise _field_error(where, at, key, "a list", value)
 
 
 def _fiber_profiles(raw: Any) -> dict[str, FiberProfile]:
     if not isinstance(raw, dict):
         raise NetworkFileError("'fiber_profiles' must map profile names to objects")
     profiles: dict[str, FiberProfile] = {}
+    where = "fiber_profiles[{!r}]"
     for name, body in raw.items():
-        where = f"fiber_profiles[{name!r}]"
+        at = (name,)
         if not isinstance(body, dict):
-            raise NetworkFileError(f"{where}: expected an object")
-        _reject_unknown(body, {"attenuation", "dispersion", "drum_length"}, where)
+            raise NetworkFileError(f"{where.format(*at)}: expected an object")
+        _reject_unknown(body, _FIBER_KEYS, where, at)
         profiles[name] = FiberProfile(
             name=name,
-            attenuation=_number(_require(body, "attenuation", where), f"{where}.attenuation"),
-            dispersion=_number(_require(body, "dispersion", where), f"{where}.dispersion"),
-            drum_length=_number(_require(body, "drum_length", where), f"{where}.drum_length"),
+            attenuation=_number(body, "attenuation", where, at),
+            dispersion=_number(body, "dispersion", where, at),
+            drum_length=_number(body, "drum_length", where, at),
         )
     return profiles
 
@@ -108,98 +162,112 @@ def _transceiver(raw: Any) -> TransceiverProfile:
     where = "transceiver"
     if not isinstance(raw, dict):
         raise NetworkFileError(f"{where}: expected an object")
-    keys = {"tx_power", "spectral_width", "tx_rise_time", "rx_rise_time", "rx_sensitivity", "responsivity"}
-    _reject_unknown(raw, keys, where)
-    return TransceiverProfile(
-        **{key: _number(_require(raw, key, where), f"{where}.{key}") for key in sorted(keys)}
-    )
+    _reject_unknown(raw, _TRANSCEIVER_KEYS, where)
+    return TransceiverProfile(**{key: _number(raw, key, where) for key in _TRANSCEIVER_FIELDS})
 
 
 def _losses(raw: Any) -> ComponentLosses:
     where = "losses"
     if not isinstance(raw, dict):
         raise NetworkFileError(f"{where}: expected an object")
-    _reject_unknown(raw, {"connector_loss", "splice_loss", "system_margin", "splitter_excess_loss"}, where)
+    _reject_unknown(raw, _LOSS_KEYS, where)
     return ComponentLosses(
-        connector_loss=_number(_require(raw, "connector_loss", where), f"{where}.connector_loss"),
-        splice_loss=_number(_require(raw, "splice_loss", where), f"{where}.splice_loss"),
-        system_margin=_number(_require(raw, "system_margin", where), f"{where}.system_margin"),
-        splitter_excess_loss=_number(raw.get("splitter_excess_loss", 0.0), f"{where}.splitter_excess_loss"),
+        connector_loss=_number(raw, "connector_loss", where),
+        splice_loss=_number(raw, "splice_loss", where),
+        system_margin=_number(raw, "system_margin", where),
+        splitter_excess_loss=_number(raw, "splitter_excess_loss", where, (), 0.0),
     )
+
+
+def _amplifiers(raw: Sequence[Any], span_id: str) -> tuple[Amplifier, ...]:
+    where = "span {!r}.amplifiers[{}]"
+    out = []
+    for i, amp in enumerate(raw):
+        at = (span_id, i)
+        if not isinstance(amp, dict):
+            raise NetworkFileError(f"{where.format(*at)}: expected an object")
+        _reject_unknown(amp, _AMPLIFIER_KEYS, where, at)
+        kind_raw = amp.get("kind", "edfa")
+        try:
+            kind = AmplifierKind(kind_raw)
+        except ValueError:
+            raise NetworkFileError(f"{where.format(*at)}: unknown amplifier kind {kind_raw!r}") from None
+        out.append(Amplifier(gain=_number(amp, "gain", where, at), kind=kind))
+    return tuple(out)
+
+
+def _splitters(raw: Sequence[Any], span_id: str) -> tuple[Splitter, ...]:
+    out = []
+    for i, ratio in enumerate(raw):
+        if isinstance(ratio, bool) or not isinstance(ratio, int):
+            raise NetworkFileError(f"span {span_id!r}.splitters[{i}]: expected an integer, got {ratio!r}")
+        out.append(Splitter(ratio=ratio))
+    return tuple(out)
 
 
 def _span(raw: Any, profiles: Mapping[str, FiberProfile]) -> Span:
     if not isinstance(raw, dict):
         raise NetworkFileError("spans: each entry must be an object")
-    span_id = _text(_require(raw, "id", "span"), "span.id")
-    where = f"span {span_id!r}"
-    _reject_unknown(
-        raw, {"id", "from", "to", "length", "fiber", "connectors", "splices", "amplifiers", "splitters"}, where
-    )
+    span_id = _text(raw, "id", "span")
+    where, at = "span {!r}", (span_id,)
+    _reject_unknown(raw, _SPAN_KEYS, where, at)
 
-    fiber_name = _text(_require(raw, "fiber", where), f"{where}.fiber")
-    if fiber_name not in profiles:
-        raise NetworkFileError(f"{where}: unknown fiber profile {fiber_name!r}")
+    fiber_name = _text(raw, "fiber", where, at)
+    fiber = profiles.get(fiber_name)
+    if fiber is None:
+        raise NetworkFileError(f"span {span_id!r}: unknown fiber profile {fiber_name!r}")
 
-    splices_raw = raw.get("splices", "auto")
-    if splices_raw == "auto":
-        splices = None
-    else:
-        splices = _count(splices_raw, f"{where}.splices")
+    splices = None if raw.get("splices", "auto") == "auto" else _count(raw, "splices", where, at)
+    # Most spans list neither amplifiers nor splitters; skip the loops for them.
+    listed = _list(raw, "amplifiers", where, at)
+    amplifiers = _amplifiers(listed, span_id) if listed else ()
+    listed = _list(raw, "splitters", where, at)
+    splitters = _splitters(listed, span_id) if listed else ()
 
-    amplifiers = []
-    for i, amp in enumerate(raw.get("amplifiers", [])):
-        amp_where = f"{where}.amplifiers[{i}]"
-        if not isinstance(amp, dict):
-            raise NetworkFileError(f"{amp_where}: expected an object")
-        _reject_unknown(amp, {"gain", "kind"}, amp_where)
-        kind_raw = amp.get("kind", "edfa")
-        try:
-            kind = AmplifierKind(kind_raw)
-        except ValueError:
-            raise NetworkFileError(f"{amp_where}: unknown amplifier kind {kind_raw!r}") from None
-        amplifiers.append(Amplifier(gain=_number(_require(amp, "gain", amp_where), f"{amp_where}.gain"), kind=kind))
-
-    splitters = [
-        Splitter(ratio=_count(ratio, f"{where}.splitters[{i}]"))
-        for i, ratio in enumerate(raw.get("splitters", []))
-    ]
-
-    return Span(
-        id=span_id,
-        from_node=_text(_require(raw, "from", where), f"{where}.from"),
-        to_node=_text(_require(raw, "to", where), f"{where}.to"),
-        length=_number(_require(raw, "length", where), f"{where}.length"),
-        fiber=profiles[fiber_name],
-        connectors=_count(raw.get("connectors", 2), f"{where}.connectors"),
-        splices=splices,
-        amplifiers=tuple(amplifiers),
-        splitters=tuple(splitters),
-    )
+    from_node = _text(raw, "from", where, at)
+    to_node = _text(raw, "to", where, at)
+    length = _number(raw, "length", where, at)
+    connectors = _count(raw, "connectors", where, at, 2)
+    # Positional, in field order: binding nine keywords made reading a span about 20% slower.
+    return Span(span_id, from_node, to_node, length, fiber, connectors, splices, amplifiers, splitters)
 
 
 def _standards(raw: Any) -> dict[str, StandardProfile]:
     if not isinstance(raw, dict):
         raise NetworkFileError("'standards' must map profile names to objects")
     out: dict[str, StandardProfile] = {}
+    where = "standards[{!r}]"
     for name, body in raw.items():
-        where = f"standards[{name!r}]"
+        at = (name,)
         if not isinstance(body, dict):
-            raise NetworkFileError(f"{where}: expected an object")
-        _reject_unknown(body, {"bit_rate", "line_code", "rx_sensitivity", "notes"}, where)
-        code = _text(_require(body, "line_code", where), f"{where}.line_code")
+            raise NetworkFileError(f"{where.format(*at)}: expected an object")
+        _reject_unknown(body, _STANDARD_KEYS, where, at)
+        code = _text(body, "line_code", where, at)
         try:
             line_code = LineCode(code)
         except ValueError:
-            raise NetworkFileError(f"{where}: line_code must be 'nrz' or 'rz', got {code!r}") from None
+            raise NetworkFileError(f"{where.format(*at)}: line_code must be 'nrz' or 'rz', got {code!r}") from None
         out[name] = StandardProfile(
             name=name,
-            bit_rate=_number(_require(body, "bit_rate", where), f"{where}.bit_rate"),
+            bit_rate=_number(body, "bit_rate", where, at),
             line_code=line_code,
-            rx_sensitivity=_number(_require(body, "rx_sensitivity", where), f"{where}.rx_sensitivity"),
-            notes=_text(body.get("notes", ""), f"{where}.notes"),
+            rx_sensitivity=_number(body, "rx_sensitivity", where, at),
+            notes=_text(body, "notes", where, at, ""),
         )
     return out
+
+
+def _nodes(raw: list[Any]) -> tuple[Node, ...]:
+    where = "nodes[{}]"
+    out = []
+    for i, body in enumerate(raw):
+        if not isinstance(body, dict):
+            raise NetworkFileError(f"nodes[{i}]: expected an object")
+        at = (i,)
+        _reject_unknown(body, _NODE_KEYS, where, at)
+        node_id = _text(body, "id", where, at)
+        out.append(Node(node_id, _text(body, "name", where, at, node_id)))
+    return tuple(out)
 
 
 def parse_network(doc: Mapping[str, Any]) -> NetworkDocument:
@@ -210,49 +278,39 @@ def parse_network(doc: Mapping[str, Any]) -> NetworkDocument:
     """
     if not isinstance(doc, dict):
         raise NetworkFileError("top level: expected a JSON object")
-    allowed = {
-        "nodes", "spans", "topology", "fiber_profiles", "transceiver", "losses",
-        "standards", "traffic", "distribution_loss", "edfa_gain", "head", "notes",
-    }
-    _reject_unknown(doc, allowed, "top level")
+    _reject_unknown(doc, _TOP_KEYS, "top level")
 
-    topology_raw = _text(_require(doc, "topology", "top level"), "topology")
+    topology_raw = _text(doc, "topology", "")
     try:
         topology = Topology(topology_raw)
     except ValueError:
         raise NetworkFileError(f"topology must be 'ring' or 'tree', got {topology_raw!r}") from None
 
-    nodes_raw = _require(doc, "nodes", "top level")
+    nodes_raw = _require(doc, "nodes")
     if not isinstance(nodes_raw, list):
         raise NetworkFileError("'nodes' must be a list")
-    nodes = []
-    for i, body in enumerate(nodes_raw):
-        if not isinstance(body, dict):
-            raise NetworkFileError(f"nodes[{i}]: expected an object")
-        _reject_unknown(body, {"id", "name"}, f"nodes[{i}]")
-        node_id = _text(_require(body, "id", f"nodes[{i}]"), f"nodes[{i}].id")
-        nodes.append(Node(id=node_id, name=_text(body.get("name", node_id), f"nodes[{i}].name")))
+    nodes = _nodes(nodes_raw)
 
     head = doc.get("head")
     if head is not None:
-        head = _text(head, "head")
+        head = _text(doc, "head", "")
 
     traffic = doc.get("traffic")
     if traffic is not None and not isinstance(traffic, dict):
         raise NetworkFileError("'traffic' must be an object")
 
-    spans_raw = _require(doc, "spans", "top level")
+    spans_raw = _require(doc, "spans")
     if not isinstance(spans_raw, list):
         raise NetworkFileError("'spans' must be a list")
 
     try:
-        profiles = _fiber_profiles(_require(doc, "fiber_profiles", "top level"))
+        profiles = _fiber_profiles(_require(doc, "fiber_profiles"))
         network = Network(
-            nodes=tuple(nodes),
-            spans=tuple(_span(raw, profiles) for raw in spans_raw),
+            nodes=nodes,
+            spans=tuple([_span(raw, profiles) for raw in spans_raw]),
             topology=topology,
-            losses=_losses(_require(doc, "losses", "top level")),
-            transceiver=_transceiver(_require(doc, "transceiver", "top level")),
+            losses=_losses(_require(doc, "losses")),
+            transceiver=_transceiver(_require(doc, "transceiver")),
             head=head,
         )
     except DomainError as exc:
@@ -263,8 +321,8 @@ def parse_network(doc: Mapping[str, Any]) -> NetworkDocument:
         fiber_profiles=profiles,
         standards=_standards(doc.get("standards", {})),
         traffic=traffic,
-        distribution_loss=_number(doc.get("distribution_loss", 0.0), "distribution_loss"),
-        edfa_gain=_number(doc.get("edfa_gain", DEFAULT_EDFA_GAIN), "edfa_gain"),
+        distribution_loss=_number(doc, "distribution_loss", "", (), 0.0),
+        edfa_gain=_number(doc, "edfa_gain", "", (), DEFAULT_EDFA_GAIN),
     )
 
 
@@ -279,8 +337,14 @@ def load_network(path: str | Path) -> NetworkDocument:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise NetworkFileError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise NetworkFileError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise NetworkFileError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise NetworkFileError(f"{path}: JSON nested too deeply") from exc
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise NetworkFileError(f"{path}: {exc}") from exc
     return parse_network(doc)

@@ -26,7 +26,7 @@ from .model import (
     spans_along,
     validate_network,
 )
-from .netfile import NetworkDocument, NetworkFileError, load_network
+from .netfile import NetworkDocument, _count, _number, _reject_unknown, load_network
 from .power_budget import (
     AmplifierPlan,
     LossBreakdown,
@@ -215,29 +215,27 @@ def run_trace(
     return trace, ber
 
 
+_TRAFFIC_KEYS = frozenset({
+    "population", "cellular_penetration", "operator_share",
+    "lte_penetration", "annual_growth", "horizon",
+})
+
+
 def traffic_input_from_mapping(raw: Mapping[str, Any]) -> TrafficInput:
-    """Build forecast inputs from a network file's ``traffic`` object."""
-    allowed = {
-        "population", "cellular_penetration", "operator_share",
-        "lte_penetration", "annual_growth", "horizon",
-    }
-    unknown = sorted(set(raw) - allowed)
-    if unknown:
-        raise NetworkFileError(f"traffic: unknown key(s) {', '.join(map(repr, unknown))}")
-    missing = sorted(allowed - set(raw))
-    if missing:
-        raise NetworkFileError(f"traffic: missing key(s) {', '.join(map(repr, missing))}")
-    try:
-        return TrafficInput(
-            population=int(raw["population"]),
-            cellular_penetration=float(raw["cellular_penetration"]),
-            operator_share=float(raw["operator_share"]),
-            lte_penetration=float(raw["lte_penetration"]),
-            annual_growth=float(raw["annual_growth"]),
-            horizon=int(raw["horizon"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise NetworkFileError(f"traffic: {exc}") from exc
+    """Build forecast inputs from a network file's ``traffic`` object.
+
+    Counts must be integers and rates finite numbers; nothing is coerced.
+    """
+    where = "traffic"
+    _reject_unknown(raw, _TRAFFIC_KEYS, where)
+    return TrafficInput(
+        population=_count(raw, "population", where),
+        cellular_penetration=_number(raw, "cellular_penetration", where),
+        operator_share=_number(raw, "operator_share", where),
+        lte_penetration=_number(raw, "lte_penetration", where),
+        annual_growth=_number(raw, "annual_growth", where),
+        horizon=_count(raw, "horizon", where),
+    )
 
 
 # --- rendering -------------------------------------------------------------

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from fiberplan.cli import main
+
 
 def run_cli(*args: str):
     return subprocess.run(
@@ -168,3 +170,73 @@ def test_stamp_stays_out_of_the_report(sleman_file):
 def test_missing_required_flag_exits_two():
     result = run_cli("plan", "--standard", "gpon-onu-endpoint")
     assert result.returncode == 2
+
+
+# --- input errors end in exit 2 with one "error:" line (run in-process) ---
+
+STANDARD = ("--standard", "gpon-onu-endpoint")
+LAB = {"bit_rate": float("nan"), "line_code": "nrz", "rx_sensitivity": -30.0}
+
+
+def _set(path, value):
+    def mutate(doc):
+        target = doc
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+
+    return mutate
+
+
+def assert_one_error_line(capsys, argv, *fragments):
+    rc = main(list(argv))
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    for fragment in fragments:
+        assert fragment in lines[0]
+
+
+@pytest.mark.parametrize(
+    "mutate, command, fragment",
+    [
+        (_set(("spans", 2, "length"), float("nan")), ("plan", *STANDARD),
+         "span '03-pakem-ngemplak'.length: expected a finite number, got nan"),
+        (_set(("fiber_profiles", "g652-backbone", "attenuation"), float("inf")), ("plan", *STANDARD),
+         "fiber_profiles['g652-backbone'].attenuation: expected a finite number, got inf"),
+        (_set(("edfa_gain",), float("nan")), ("plan", *STANDARD), "edfa_gain: expected a finite number"),
+        (_set(("transceiver", "tx_power"), float("nan")), ("trace", "--ber"), "transceiver.tx_power"),
+        (_set(("standards",), {"lab": LAB}), ("plan", "--standard", "lab"), "standards['lab'].bit_rate"),
+        (_set(("spans", 1, "amplifiers"), 5), ("validate",),
+         "span '02-tempel-pakem'.amplifiers: expected a list, got 5"),
+        (_set(("spans", 0, "splitters"), 3), ("validate",),
+         "span '01-seyegan-tempel'.splitters: expected a list, got 3"),
+        (_set(("traffic", "population"), 850221.9), ("forecast",),
+         "traffic.population: expected an integer, got 850221.9"),
+        (_set(("traffic", "horizon"), True), ("forecast",), "traffic.horizon: expected an integer, got True"),
+    ],
+)
+def test_malformed_values_exit_two(capsys, write_network, mutate, command, fragment):
+    path = write_network(mutate)
+    assert_one_error_line(capsys, (command[0], "--network", str(path), *command[1:]), fragment)
+
+
+def test_non_utf8_file_exits_two(capsys, tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"notes": "Sléman"}'.encode("latin-1"))
+    assert_one_error_line(capsys, ("validate", "--network", str(bad)), str(bad), "not UTF-8")
+
+
+def test_deeply_nested_json_exits_two(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"notes": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+    assert_one_error_line(capsys, ("validate", "--network", str(deep)), str(deep), "nested too deeply")
+
+
+def test_out_into_a_missing_directory_exits_two(capsys, sleman_file, tmp_path):
+    target = tmp_path / "no-such-dir" / "report.txt"
+    argv = ("plan", "--network", str(sleman_file), *STANDARD, "--out", str(target))
+    assert_one_error_line(capsys, argv, f"--out {target}: No such file or directory")
+

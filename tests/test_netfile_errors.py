@@ -1,0 +1,421 @@
+"""Exact error messages of the plant-file parser, and its behaviour on junk.
+
+``CASES`` pins every ``NetworkFileError`` (and the one ``DomainError``) that
+``parse_network`` raised before its field readers were rewritten: one or more
+edits to the bundled Sleman document, then the exception type and message
+byte for byte. Cases with several faults pin which check fires first.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fiberplan.data import sleman_path
+from fiberplan.model import ConfigurationError, DomainError
+from fiberplan.netfile import NetworkFileError, load_network, parse_network
+from fiberplan.planning import traffic_input_from_mapping
+
+SLEMAN = json.loads(sleman_path().read_text(encoding="utf-8"))
+DROP = object()  # edit value: delete the key instead of setting it
+
+
+def edited(edits) -> object:
+    """A deep copy of the Sleman document with ``(path, value)`` edits applied."""
+    doc = copy.deepcopy(SLEMAN)
+    for path, value in edits:
+        if path == ():
+            return value
+        target = doc
+        for step in path[:-1]:
+            target = target[step]
+        if value is DROP:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+    return doc
+
+
+CASES = [
+    ([((), [])], NetworkFileError,
+     'top level: expected a JSON object'),
+    ([(('fiber_profile',), {})], NetworkFileError,
+     "top level: unknown key(s) 'fiber_profile'"),
+    ([(('zeta',), 1), (('alpha',), 2)], NetworkFileError,
+     "top level: unknown key(s) 'alpha', 'zeta'"),
+    ([(('topology',), DROP)], NetworkFileError,
+     "top level: missing required key 'topology'"),
+    ([(('topology',), 5)], NetworkFileError,
+     'topology: expected a string, got 5'),
+    ([(('topology',), 'mesh')], NetworkFileError,
+     "topology must be 'ring' or 'tree', got 'mesh'"),
+    ([(('extra',), 1), (('topology',), DROP)], NetworkFileError,
+     "top level: unknown key(s) 'extra'"),
+    ([(('nodes',), DROP)], NetworkFileError,
+     "top level: missing required key 'nodes'"),
+    ([(('nodes',), {})], NetworkFileError,
+     "'nodes' must be a list"),
+    ([(('nodes', 2), 'x')], NetworkFileError,
+     'nodes[2]: expected an object'),
+    ([(('nodes', 1, 'label'), 'L')], NetworkFileError,
+     "nodes[1]: unknown key(s) 'label'"),
+    ([(('nodes', 0, 'id'), DROP)], NetworkFileError,
+     "nodes[0]: missing required key 'id'"),
+    ([(('nodes', 3, 'id'), 7)], NetworkFileError,
+     'nodes[3].id: expected a string, got 7'),
+    ([(('nodes', 4, 'name'), None)], NetworkFileError,
+     'nodes[4].name: expected a string, got None'),
+    ([(('head',), 3)], NetworkFileError,
+     'head: expected a string, got 3'),
+    ([(('traffic',), [])], NetworkFileError,
+     "'traffic' must be an object"),
+    ([(('spans',), DROP)], NetworkFileError,
+     "top level: missing required key 'spans'"),
+    ([(('spans',), 'x')], NetworkFileError,
+     "'spans' must be a list"),
+    ([(('fiber_profiles',), DROP)], NetworkFileError,
+     "top level: missing required key 'fiber_profiles'"),
+    ([(('fiber_profiles',), [])], NetworkFileError,
+     "'fiber_profiles' must map profile names to objects"),
+    ([(('fiber_profiles', 'g652-backbone'), 1)], NetworkFileError,
+     "fiber_profiles['g652-backbone']: expected an object"),
+    ([(('fiber_profiles', 'g652-backbone', 'loss'), 1)], NetworkFileError,
+     "fiber_profiles['g652-backbone']: unknown key(s) 'loss'"),
+    ([(('fiber_profiles', 'g652-backbone', 'attenuation'), DROP)], NetworkFileError,
+     "fiber_profiles['g652-backbone']: missing required key 'attenuation'"),
+    ([(('fiber_profiles', 'g652-backbone', 'attenuation'), '0.3')], NetworkFileError,
+     "fiber_profiles['g652-backbone'].attenuation: expected a number, got '0.3'"),
+    ([(('fiber_profiles', 'g652-backbone', 'attenuation'), 0)], NetworkFileError,
+     "fiber 'g652-backbone': attenuation must be > 0 dB/km"),
+    ([(('fiber_profiles', 'g984-distribution', 'dispersion'), -1)], NetworkFileError,
+     "fiber 'g984-distribution': dispersion must be >= 0"),
+    ([(('fiber_profiles', 'g652-backbone', 'drum_length'), DROP)], NetworkFileError,
+     "fiber_profiles['g652-backbone']: missing required key 'drum_length'"),
+    ([(('spans', 0), 3)], NetworkFileError,
+     'spans: each entry must be an object'),
+    ([(('spans', 0, 'id'), DROP)], NetworkFileError,
+     "span: missing required key 'id'"),
+    ([(('spans', 0, 'id'), 12)], NetworkFileError,
+     'span.id: expected a string, got 12'),
+    ([(('spans', 1, 'lenght'), 9.0)], NetworkFileError,
+     "span '02-tempel-pakem': unknown key(s) 'lenght'"),
+    ([(('spans', 1, 'b'), 1), (('spans', 1, 'a'), 2)], NetworkFileError,
+     "span '02-tempel-pakem': unknown key(s) 'a', 'b'"),
+    ([(('spans', 0, 'fiber'), DROP)], NetworkFileError,
+     "span '01-seyegan-tempel': missing required key 'fiber'"),
+    ([(('spans', 0, 'fiber'), 3)], NetworkFileError,
+     "span '01-seyegan-tempel'.fiber: expected a string, got 3"),
+    ([(('spans', 0, 'fiber'), 'mystery')], NetworkFileError,
+     "span '01-seyegan-tempel': unknown fiber profile 'mystery'"),
+    ([(('spans', 0, 'splices'), 'some')], NetworkFileError,
+     "span '01-seyegan-tempel'.splices: expected an integer, got 'some'"),
+    ([(('spans', 0, 'splices'), 2.5)], NetworkFileError,
+     "span '01-seyegan-tempel'.splices: expected an integer, got 2.5"),
+    ([(('spans', 0, 'splices'), True)], NetworkFileError,
+     "span '01-seyegan-tempel'.splices: expected an integer, got True"),
+    ([(('spans', 0, 'splices'), -1)], NetworkFileError,
+     "span '01-seyegan-tempel': splice count must be >= 0"),
+    ([(('spans', 1, 'amplifiers'), [5])], NetworkFileError,
+     "span '02-tempel-pakem'.amplifiers[0]: expected an object"),
+    ([(('spans', 1, 'amplifiers', 0, 'colour'), 'red')], NetworkFileError,
+     "span '02-tempel-pakem'.amplifiers[0]: unknown key(s) 'colour'"),
+    ([(('spans', 1, 'amplifiers', 0, 'kind'), 'raman')], NetworkFileError,
+     "span '02-tempel-pakem'.amplifiers[0]: unknown amplifier kind 'raman'"),
+    ([(('spans', 1, 'amplifiers', 0, 'kind'), [])], NetworkFileError,
+     "span '02-tempel-pakem'.amplifiers[0]: unknown amplifier kind []"),
+    ([(('spans', 1, 'amplifiers', 0, 'gain'), DROP)], NetworkFileError,
+     "span '02-tempel-pakem'.amplifiers[0]: missing required key 'gain'"),
+    ([(('spans', 1, 'amplifiers', 0, 'gain'), '20')], NetworkFileError,
+     "span '02-tempel-pakem'.amplifiers[0].gain: expected a number, got '20'"),
+    ([(('spans', 1, 'amplifiers', 0, 'gain'), 0)], NetworkFileError,
+     'amplifier gain must be > 0 dB'),
+    ([(('spans', 0, 'splitters'), [8, 3])], NetworkFileError,
+     'splitter ratio must be a power of two >= 2, got 3'),
+    ([(('spans', 0, 'splitters'), ['8'])], NetworkFileError,
+     "span '01-seyegan-tempel'.splitters[0]: expected an integer, got '8'"),
+    ([(('spans', 0, 'splitters'), [True])], NetworkFileError,
+     "span '01-seyegan-tempel'.splitters[0]: expected an integer, got True"),
+    ([(('spans', 0, 'from'), DROP)], NetworkFileError,
+     "span '01-seyegan-tempel': missing required key 'from'"),
+    ([(('spans', 0, 'from'), 1)], NetworkFileError,
+     "span '01-seyegan-tempel'.from: expected a string, got 1"),
+    ([(('spans', 0, 'to'), DROP)], NetworkFileError,
+     "span '01-seyegan-tempel': missing required key 'to'"),
+    ([(('spans', 0, 'to'), None)], NetworkFileError,
+     "span '01-seyegan-tempel'.to: expected a string, got None"),
+    ([(('spans', 0, 'length'), DROP)], NetworkFileError,
+     "span '01-seyegan-tempel': missing required key 'length'"),
+    ([(('spans', 0, 'length'), '10')], NetworkFileError,
+     "span '01-seyegan-tempel'.length: expected a number, got '10'"),
+    ([(('spans', 0, 'length'), -2.0)], NetworkFileError,
+     "span '01-seyegan-tempel': length must be > 0 km"),
+    ([(('spans', 0, 'length'), 0)], NetworkFileError,
+     "span '01-seyegan-tempel': length must be > 0 km"),
+    ([(('spans', 0, 'connectors'), 1.5)], NetworkFileError,
+     "span '01-seyegan-tempel'.connectors: expected an integer, got 1.5"),
+    ([(('spans', 0, 'connectors'), -1)], NetworkFileError,
+     "span '01-seyegan-tempel': connector count must be >= 0"),
+    ([(('spans', 0, 'to'), 'seyegan')], NetworkFileError,
+     "span '01-seyegan-tempel': from_node and to_node must differ"),
+    ([(('spans', 0, 'x'), 1), (('spans', 0, 'fiber'), DROP)], NetworkFileError,
+     "span '01-seyegan-tempel': unknown key(s) 'x'"),
+    ([(('spans', 0, 'fiber'), 'mystery'), (('spans', 0, 'splices'), 'some')], NetworkFileError,
+     "span '01-seyegan-tempel': unknown fiber profile 'mystery'"),
+    ([(('spans', 0, 'splices'), 'some'), (('spans', 0, 'amplifiers'), [5])], NetworkFileError,
+     "span '01-seyegan-tempel'.splices: expected an integer, got 'some'"),
+    ([(('spans', 0, 'amplifiers'), [5]), (('spans', 0, 'splitters'), ['8'])], NetworkFileError,
+     "span '01-seyegan-tempel'.amplifiers[0]: expected an object"),
+    ([(('spans', 0, 'splitters'), [3, '8'])], NetworkFileError,
+     'splitter ratio must be a power of two >= 2, got 3'),
+    ([(('spans', 0, 'splitters'), ['8']), (('spans', 0, 'from'), 1)], NetworkFileError,
+     "span '01-seyegan-tempel'.splitters[0]: expected an integer, got '8'"),
+    ([(('spans', 0, 'from'), 1), (('spans', 0, 'to'), 2)], NetworkFileError,
+     "span '01-seyegan-tempel'.from: expected a string, got 1"),
+    ([(('spans', 0, 'to'), 2), (('spans', 0, 'length'), 'x')], NetworkFileError,
+     "span '01-seyegan-tempel'.to: expected a string, got 2"),
+    ([(('spans', 0, 'length'), 'x'), (('spans', 0, 'connectors'), 'x')], NetworkFileError,
+     "span '01-seyegan-tempel'.length: expected a number, got 'x'"),
+    ([(('spans', 0, 'length'), -1), (('spans', 0, 'connectors'), -1)], NetworkFileError,
+     "span '01-seyegan-tempel': length must be > 0 km"),
+    ([(('spans', 1, 'amplifiers', 0, 'gain'), '20'), (('spans', 1, 'amplifiers', 0, 'kind'), 'raman')], NetworkFileError,
+     "span '02-tempel-pakem'.amplifiers[0]: unknown amplifier kind 'raman'"),
+    ([(('spans', 3, 'length'), -1), (('spans', 2, 'fiber'), 'mystery')], NetworkFileError,
+     "span '03-pakem-ngemplak': unknown fiber profile 'mystery'"),
+    ([(('losses',), DROP)], NetworkFileError,
+     "top level: missing required key 'losses'"),
+    ([(('losses',), 5)], NetworkFileError,
+     'losses: expected an object'),
+    ([(('losses', 'bend_loss'), 0.1)], NetworkFileError,
+     "losses: unknown key(s) 'bend_loss'"),
+    ([(('losses', 'connector_loss'), DROP)], NetworkFileError,
+     "losses: missing required key 'connector_loss'"),
+    ([(('losses', 'splice_loss'), 'x')], NetworkFileError,
+     "losses.splice_loss: expected a number, got 'x'"),
+    ([(('losses', 'splitter_excess_loss'), None)], NetworkFileError,
+     'losses.splitter_excess_loss: expected a number, got None'),
+    ([(('losses', 'system_margin'), -1)], NetworkFileError,
+     'losses: system_margin must be >= 0 dB'),
+    ([(('transceiver',), DROP)], NetworkFileError,
+     "top level: missing required key 'transceiver'"),
+    ([(('transceiver',), [])], NetworkFileError,
+     'transceiver: expected an object'),
+    ([(('transceiver', 'power'), 1)], NetworkFileError,
+     "transceiver: unknown key(s) 'power'"),
+    ([(('transceiver', 'tx_power'), DROP)], NetworkFileError,
+     "transceiver: missing required key 'tx_power'"),
+    ([(('transceiver', 'tx_power'), DROP), (('transceiver', 'responsivity'), DROP)], NetworkFileError,
+     "transceiver: missing required key 'responsivity'"),
+    ([(('transceiver', 'tx_power'), '9')], NetworkFileError,
+     "transceiver.tx_power: expected a number, got '9'"),
+    ([(('transceiver', 'tx_power'), True)], NetworkFileError,
+     'transceiver.tx_power: expected a number, got True'),
+    ([(('transceiver', 'responsivity'), 0)], NetworkFileError,
+     'transceiver: responsivity must be > 0 A/W'),
+    ([(('transceiver', 'tx_rise_time'), -1)], NetworkFileError,
+     'transceiver: rise times must be > 0 ps'),
+    ([(('losses', 'splice_loss'), 'x'), (('spans', 0, 'length'), 'x')], NetworkFileError,
+     "span '01-seyegan-tempel'.length: expected a number, got 'x'"),
+    ([(('transceiver', 'tx_power'), 'x'), (('losses', 'splice_loss'), 'x')], NetworkFileError,
+     "losses.splice_loss: expected a number, got 'x'"),
+    ([(('spans',), 'x'), (('fiber_profiles',), [])], NetworkFileError,
+     "'spans' must be a list"),
+    ([(('nodes', 0, 'id'), 1), (('head',), 3)], NetworkFileError,
+     'nodes[0].id: expected a string, got 1'),
+    ([(('traffic',), []), (('spans',), 'x')], NetworkFileError,
+     "'traffic' must be an object"),
+    ([(('topology',), 'mesh'), (('nodes',), {})], NetworkFileError,
+     "topology must be 'ring' or 'tree', got 'mesh'"),
+    ([(('standards',), []), (('edfa_gain',), 'x')], NetworkFileError,
+     "'standards' must map profile names to objects"),
+    ([(('distribution_loss',), 'x'), (('edfa_gain',), 'x')], NetworkFileError,
+     "distribution_loss: expected a number, got 'x'"),
+    ([(('standards',), [])], NetworkFileError,
+     "'standards' must map profile names to objects"),
+    ([(('standards',), {'x': 1})], NetworkFileError,
+     "standards['x']: expected an object"),
+    ([(('standards',), {'x': {'bit_rate': 1000000000.0, 'line_code': 'nrz', 'rx_sensitivity': -30.0, 'rate': 1}})], NetworkFileError,
+     "standards['x']: unknown key(s) 'rate'"),
+    ([(('standards',), {'x': {'bit_rate': 1000000000.0, 'rx_sensitivity': -30.0}})], NetworkFileError,
+     "standards['x']: missing required key 'line_code'"),
+    ([(('standards',), {'x': {'bit_rate': 1000000000.0, 'line_code': 3, 'rx_sensitivity': -30.0}})], NetworkFileError,
+     "standards['x'].line_code: expected a string, got 3"),
+    ([(('standards',), {'x': {'bit_rate': 1000000000.0, 'line_code': 'manchester', 'rx_sensitivity': -30.0}})], NetworkFileError,
+     "standards['x']: line_code must be 'nrz' or 'rz', got 'manchester'"),
+    ([(('standards',), {'x': {'line_code': 'nrz', 'rx_sensitivity': -30.0}})], NetworkFileError,
+     "standards['x']: missing required key 'bit_rate'"),
+    ([(('standards',), {'x': {'bit_rate': '1e9', 'line_code': 'nrz', 'rx_sensitivity': -30.0}})], NetworkFileError,
+     "standards['x'].bit_rate: expected a number, got '1e9'"),
+    ([(('standards',), {'x': {'bit_rate': 0, 'line_code': 'nrz', 'rx_sensitivity': -30.0}})], DomainError,
+     "standard 'x': bit_rate must be > 0"),
+    ([(('standards',), {'x': {'bit_rate': 1000000000.0, 'line_code': 'nrz'}})], NetworkFileError,
+     "standards['x']: missing required key 'rx_sensitivity'"),
+    ([(('standards',), {'x': {'bit_rate': 1000000000.0, 'line_code': 'nrz', 'rx_sensitivity': -30.0, 'notes': 5}})], NetworkFileError,
+     "standards['x'].notes: expected a string, got 5"),
+    ([(('distribution_loss',), '16')], NetworkFileError,
+     "distribution_loss: expected a number, got '16'"),
+    ([(('edfa_gain',), None)], NetworkFileError,
+     'edfa_gain: expected a number, got None'),
+]
+
+
+@pytest.mark.parametrize("edits, error, message", CASES)
+def test_error_message_is_unchanged(edits, error, message):
+    with pytest.raises(error) as info:
+        parse_network(edited(edits))
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+S0, S1 = ("spans", 0), ("spans", 1)
+AMP = ("spans", 1, "amplifiers", 0)
+LAB = {"bit_rate": 1e9, "line_code": "nrz", "rx_sensitivity": -30.0}
+
+NEW_REJECTIONS = [
+    # non-finite numbers, wherever a number is read
+    ([(S0 + ("length",), math.nan)], "span '01-seyegan-tempel'.length: expected a finite number, got nan"),
+    ([(S0 + ("length",), math.inf)], "span '01-seyegan-tempel'.length: expected a finite number, got inf"),
+    ([(S0 + ("length",), 10**400)], f"span '01-seyegan-tempel'.length: expected a finite number, got {10**400}"),
+    ([(("fiber_profiles", "g652-backbone", "attenuation"), math.inf)],
+     "fiber_profiles['g652-backbone'].attenuation: expected a finite number, got inf"),
+    ([(AMP + ("gain",), -math.inf)], "span '02-tempel-pakem'.amplifiers[0].gain: expected a finite number, got -inf"),
+    ([(("transceiver", "tx_power"), math.nan)], "transceiver.tx_power: expected a finite number, got nan"),
+    ([(("losses", "splitter_excess_loss"), math.nan)],
+     "losses.splitter_excess_loss: expected a finite number, got nan"),
+    ([(("standards",), {"lab": {**LAB, "bit_rate": math.nan}})],
+     "standards['lab'].bit_rate: expected a finite number, got nan"),
+    ([(("distribution_loss",), -math.inf)], "distribution_loss: expected a finite number, got -inf"),
+    ([(("edfa_gain",), math.nan)], "edfa_gain: expected a finite number, got nan"),
+    # wrong container types
+    ([(S1 + ("amplifiers",), 5)], "span '02-tempel-pakem'.amplifiers: expected a list, got 5"),
+    ([(S1 + ("amplifiers",), {})], "span '02-tempel-pakem'.amplifiers: expected a list, got {}"),
+    ([(S0 + ("splitters",), 3)], "span '01-seyegan-tempel'.splitters: expected a list, got 3"),
+    ([(S0 + ("splitters",), None)], "span '01-seyegan-tempel'.splitters: expected a list, got None"),
+]
+
+
+@pytest.mark.parametrize("edits, message", NEW_REJECTIONS)
+def test_non_finite_numbers_and_wrong_containers_are_file_errors(edits, message):
+    with pytest.raises(NetworkFileError) as info:
+        parse_network(edited(edits))
+    assert str(info.value) == message
+
+
+def test_integral_numbers_still_read_as_floats():
+    doc = parse_network(edited([(S0 + ("length",), 10), (("edfa_gain",), 17)]))
+    assert doc.network.spans[0].length == 10.0 and type(doc.network.spans[0].length) is float
+    assert doc.edfa_gain == 17.0
+
+
+def test_non_utf8_file_is_a_file_error(tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"notes": "Sléman"}'.encode("latin-1"))
+    with pytest.raises(NetworkFileError, match=r"latin1\.json: not UTF-8 text: invalid continuation byte at byte 13"):
+        load_network(bad)
+
+
+def test_deeply_nested_json_is_a_file_error(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"notes": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+    with pytest.raises(NetworkFileError, match=r"deep\.json: JSON nested too deeply"):
+        load_network(deep)
+
+
+def test_overlong_integer_literal_is_a_file_error(tmp_path):
+    big = tmp_path / "big.json"
+    big.write_text('{"edfa_gain": ' + "1" * 5000 + "}", encoding="utf-8")
+    with pytest.raises(NetworkFileError, match=r"big\.json: Exceeds the limit"):
+        load_network(big)
+
+
+class TestTrafficBlock:
+    def test_fractional_population_is_rejected(self):
+        traffic = {**SLEMAN["traffic"], "population": 850221.9}
+        with pytest.raises(NetworkFileError, match=r"^traffic\.population: expected an integer, got 850221\.9$"):
+            traffic_input_from_mapping(traffic)
+
+    def test_boolean_horizon_is_rejected(self):
+        traffic = {**SLEMAN["traffic"], "horizon": True}
+        with pytest.raises(NetworkFileError, match=r"^traffic\.horizon: expected an integer, got True$"):
+            traffic_input_from_mapping(traffic)
+
+    def test_numeric_strings_are_not_coerced(self):
+        traffic = {**SLEMAN["traffic"], "annual_growth": "0.051"}
+        with pytest.raises(NetworkFileError, match=r"^traffic\.annual_growth: expected a number, got '0\.051'$"):
+            traffic_input_from_mapping(traffic)
+
+    def test_non_finite_rate_is_rejected(self):
+        traffic = {**SLEMAN["traffic"], "operator_share": math.nan}
+        with pytest.raises(NetworkFileError, match=r"^traffic\.operator_share: expected a finite number, got nan$"):
+            traffic_input_from_mapping(traffic)
+
+    def test_first_missing_key_is_named(self):
+        traffic = {k: v for k, v in SLEMAN["traffic"].items() if k not in ("operator_share", "horizon")}
+        with pytest.raises(NetworkFileError, match=r"^traffic: missing required key 'operator_share'$"):
+            traffic_input_from_mapping(traffic)
+
+    def test_integral_rates_are_accepted(self):
+        inputs = traffic_input_from_mapping({**SLEMAN["traffic"], "cellular_penetration": 1})
+        assert inputs.cellular_penetration == 1.0
+
+
+# --- property: junk anywhere in the document is an input error, never a crash
+
+def _paths(node, prefix=()):
+    """Every path into the document: dict keys and list indices."""
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, prefix + (i,))
+
+
+PATHS = list(_paths(SLEMAN))[1:]
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["", "auto", "edfa", "nrz", "ring", "tree", "seyegan", "g652-backbone"]),
+    st.text(max_size=4),
+)
+JSON_VALUES = st.one_of(
+    JSON_SCALARS,
+    st.just([]),
+    st.just({}),
+    st.lists(JSON_SCALARS, max_size=3),
+    st.dictionaries(st.sampled_from(["id", "gain", "kind", "x"]), JSON_SCALARS, max_size=2),
+)
+EDIT = st.tuples(st.sampled_from(PATHS), st.one_of(JSON_VALUES, st.just(DROP)))
+
+
+def _apply_loosely(edits):
+    """Apply edits, skipping those whose path an earlier edit removed or retyped."""
+    doc = copy.deepcopy(SLEMAN)
+    for path, value in edits:
+        target = doc
+        try:
+            for step in path[:-1]:
+                target = target[step]
+            if value is DROP:
+                del target[path[-1]]
+            else:
+                target[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            continue
+    return doc
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.lists(EDIT, min_size=1, max_size=3))
+def test_junk_is_an_input_error_never_a_crash(edits):
+    try:
+        parse_network(_apply_loosely(edits))
+    except (ConfigurationError, DomainError):
+        pass
