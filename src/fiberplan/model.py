@@ -10,9 +10,9 @@ violations as data instead of raising.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from operator import attrgetter
+from typing import Any, Sequence, TypeVar
 
 
 class DomainError(ValueError):
@@ -21,6 +21,73 @@ class DomainError(ValueError):
 
 class ConfigurationError(ValueError):
     """A reference or configuration value cannot be resolved."""
+
+
+class FrozenInstanceError(AttributeError):
+    """An attempt to assign or delete an attribute of a frozen value."""
+
+
+_C = TypeVar("_C", bound=type)
+
+
+def frozen(cls: _C) -> _C:
+    """Make ``cls`` an immutable value class over its annotated fields.
+
+    The fields are the class's own annotations, in order; a class attribute of
+    the same name is the field's default. The generated ``__init__`` takes the
+    fields positionally or by keyword, stores them in the instance ``__dict__``
+    and then calls ``__post_init__`` if the class has one; that method checks
+    the values and may normalize a field with ``object.__setattr__``. Instances
+    compare (only with their own class), hash and print by their fields, as a
+    frozen dataclass does; assigning or deleting any attribute raises
+    :class:`FrozenInstanceError`.
+    """
+    names = tuple(vars(cls).get("__annotations__", ()))
+    params = "".join(f", {n}=_defaults[{n!r}]" if n in vars(cls) else f", {n}" for n in names)
+    body = ["    _d = self.__dict__", *(f"    _d[{n!r}] = {n}" for n in names)] if names else []
+    if hasattr(cls, "__post_init__"):
+        body.append("    self.__post_init__()")
+    namespace: dict[str, Any] = {"_defaults": vars(cls), "__name__": cls.__module__}
+    exec(f"def __init__(self{params}):\n" + "\n".join(body or ["    pass"]), namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    members = {
+        "__init__": init,
+        "_fields": names,
+        # attrgetter yields the bare value for one name and a tuple for several.
+        "_values": attrgetter(*names) if names else staticmethod(lambda obj: ()),
+        "__eq__": _frozen_eq,
+        "__hash__": _frozen_hash,
+        "__repr__": _frozen_repr,
+        "__setattr__": _frozen_setattr,
+        "__delattr__": _frozen_delattr,
+    }
+    for name, member in members.items():
+        setattr(cls, name, member)
+    return cls
+
+
+def _frozen_eq(self: Any, other: Any) -> Any:
+    if other.__class__ is self.__class__:
+        return self._values(self) == self._values(other)
+    return NotImplemented
+
+
+def _frozen_hash(self: Any) -> int:
+    return hash(self._values(self))
+
+
+def _frozen_repr(self: Any) -> str:
+    fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+    return f"{self.__class__.__qualname__}({fields})"
+
+
+def _frozen_setattr(self: Any, name: str, value: Any) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self: Any, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 class Topology(str, Enum):
@@ -37,7 +104,7 @@ class AmplifierKind(str, Enum):
     EDFA = "edfa"
 
 
-@dataclass(frozen=True)
+@frozen
 class FiberProfile:
     """Per-km properties of a named fiber standard."""
 
@@ -47,15 +114,15 @@ class FiberProfile:
     drum_length: float  # km of fiber per cable drum
 
     def __post_init__(self) -> None:
-        if self.attenuation <= 0:
+        if not self.attenuation > 0:
             raise DomainError(f"fiber {self.name!r}: attenuation must be > 0 dB/km")
-        if self.dispersion < 0:
+        if not self.dispersion >= 0:
             raise DomainError(f"fiber {self.name!r}: dispersion must be >= 0")
-        if self.drum_length <= 0:
+        if not self.drum_length > 0:
             raise DomainError(f"fiber {self.name!r}: drum_length must be > 0 km")
 
 
-@dataclass(frozen=True)
+@frozen
 class TransceiverProfile:
     """Transmitter/receiver pair terminating a path."""
 
@@ -67,15 +134,15 @@ class TransceiverProfile:
     responsivity: float  # A/W
 
     def __post_init__(self) -> None:
-        if self.spectral_width <= 0:
+        if not self.spectral_width > 0:
             raise DomainError("transceiver: spectral_width must be > 0 nm")
-        if self.tx_rise_time <= 0 or self.rx_rise_time <= 0:
+        if not (self.tx_rise_time > 0 and self.rx_rise_time > 0):
             raise DomainError("transceiver: rise times must be > 0 ps")
-        if self.responsivity <= 0:
+        if not self.responsivity > 0:
             raise DomainError("transceiver: responsivity must be > 0 A/W")
 
 
-@dataclass(frozen=True)
+@frozen
 class ComponentLosses:
     """Fixed per-component losses and the path-level system margin."""
 
@@ -86,11 +153,11 @@ class ComponentLosses:
 
     def __post_init__(self) -> None:
         for name in ("connector_loss", "splice_loss", "system_margin", "splitter_excess_loss"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise DomainError(f"losses: {name} must be >= 0 dB")
 
 
-@dataclass(frozen=True)
+@frozen
 class Amplifier:
     """Fixed-gain optical amplifier."""
 
@@ -98,11 +165,11 @@ class Amplifier:
     kind: AmplifierKind = AmplifierKind.EDFA
 
     def __post_init__(self) -> None:
-        if self.gain <= 0:
+        if not self.gain > 0:
             raise DomainError("amplifier gain must be > 0 dB")
 
 
-@dataclass(frozen=True)
+@frozen
 class Splitter:
     """Passive 1xN splitter; N must be a power of two."""
 
@@ -114,7 +181,7 @@ class Splitter:
             raise DomainError(f"splitter ratio must be a power of two >= 2, got {n}")
 
 
-@dataclass(frozen=True)
+@frozen
 class Span:
     """A fiber run between two nodes with its joint and device inventory.
 
@@ -135,23 +202,23 @@ class Span:
     def __post_init__(self) -> None:
         object.__setattr__(self, "amplifiers", tuple(self.amplifiers))
         object.__setattr__(self, "splitters", tuple(self.splitters))
-        if self.length <= 0:
+        if not self.length > 0:
             raise DomainError(f"span {self.id!r}: length must be > 0 km")
-        if self.connectors < 0:
+        if not self.connectors >= 0:
             raise DomainError(f"span {self.id!r}: connector count must be >= 0")
-        if self.splices is not None and self.splices < 0:
+        if self.splices is not None and not self.splices >= 0:
             raise DomainError(f"span {self.id!r}: splice count must be >= 0")
         if self.from_node == self.to_node:
             raise DomainError(f"span {self.id!r}: from_node and to_node must differ")
 
 
-@dataclass(frozen=True)
+@frozen
 class Node:
     id: str
     name: str
 
 
-@dataclass(frozen=True)
+@frozen
 class Network:
     """A plant: nodes, spans, topology kind, and the shared equipment figures.
 
@@ -165,7 +232,6 @@ class Network:
     losses: ComponentLosses
     transceiver: TransceiverProfile
     head: str | None = None
-    _names: dict[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(self.nodes))
@@ -173,6 +239,7 @@ class Network:
         names: dict[str, str] = {}
         for node in self.nodes:
             names.setdefault(node.id, node.name)  # the first listing of a duplicated id wins
+        # Not a field: left out of repr, equality and hashing.
         object.__setattr__(self, "_names", names)
 
     def node_name(self, node_id: str) -> str:
@@ -185,7 +252,7 @@ class Network:
         return self.nodes[0].id if self.nodes else None
 
 
-@dataclass(frozen=True)
+@frozen
 class Violation:
     """One broken structural rule, attached to the offending element."""
 

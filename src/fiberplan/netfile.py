@@ -19,7 +19,6 @@ a number and ``2.5`` for a count.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from math import inf, isfinite
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -38,6 +37,7 @@ from .model import (
     Splitter,
     Topology,
     TransceiverProfile,
+    frozen,
 )
 from .standards import StandardProfile
 
@@ -48,16 +48,20 @@ class NetworkFileError(ConfigurationError):
     """The document cannot be parsed or does not satisfy the schema."""
 
 
-@dataclass(frozen=True)
+@frozen
 class NetworkDocument:
     """Everything a network file carries beyond the Network itself."""
 
     network: Network
     fiber_profiles: dict[str, FiberProfile]
-    standards: dict[str, StandardProfile] = field(default_factory=dict)
+    standards: dict[str, StandardProfile] = None  # None (no custom profiles) becomes {}
     traffic: Mapping[str, Any] | None = None
     distribution_loss: float = 0.0
     edfa_gain: float = DEFAULT_EDFA_GAIN
+
+    def __post_init__(self) -> None:
+        if self.standards is None:
+            object.__setattr__(self, "standards", {})
 
 
 _MISSING: Any = object()  # default of the field readers: the key is required
@@ -120,6 +124,10 @@ def _number(obj: Mapping[str, Any], key: str, where: str, at: tuple[Any, ...] = 
 def _count(obj: Mapping[str, Any], key: str, where: str, at: tuple[Any, ...] = (), default: Any = _MISSING) -> int:
     value = obj.get(key, default)
     if isinstance(value, int) and not isinstance(value, bool):
+        try:
+            float(value)  # counts multiply float losses
+        except OverflowError:
+            raise _field_error(where, at, key, "an integer within the float range", value) from None
         return value
     raise _field_error(where, at, key, "an integer", value)
 
@@ -316,12 +324,16 @@ def parse_network(doc: Mapping[str, Any]) -> NetworkDocument:
     except DomainError as exc:
         raise NetworkFileError(str(exc)) from exc
 
+    standards = _standards(doc.get("standards", {}))
+    distribution_loss = _number(doc, "distribution_loss", "", (), 0.0)
+    if distribution_loss < 0:
+        raise _field_error("", (), "distribution_loss", "a number >= 0", doc["distribution_loss"])
     return NetworkDocument(
         network=network,
         fiber_profiles=profiles,
-        standards=_standards(doc.get("standards", {})),
+        standards=standards,
         traffic=traffic,
-        distribution_loss=_number(doc, "distribution_loss", "", (), 0.0),
+        distribution_loss=distribution_loss,
         edfa_gain=_number(doc, "edfa_gain", "", (), DEFAULT_EDFA_GAIN),
     )
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -20,6 +19,7 @@ from .model import (
     Network,
     Span,
     Violation,
+    frozen,
     nodes_along,
     resolved_splices,
     ring_spans,
@@ -51,7 +51,7 @@ class ValidationFailure(ConfigurationError):
         super().__init__(f"network failed validation with {len(violations)} violation(s)")
 
 
-@dataclass(frozen=True)
+@frozen
 class SpanResult:
     """One span's loss and rise-time budgets inside a plan."""
 
@@ -63,7 +63,7 @@ class SpanResult:
     rise: RiseTimeReport
 
 
-@dataclass(frozen=True)
+@frozen
 class PlanReport:
     """Everything the plan command reports for one path under one standard."""
 

@@ -9,13 +9,12 @@ summing standalone span budgets over a multi-span path double-counts it; use
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .model import ComponentLosses, DomainError, Span, resolved_splices
+from .model import ComponentLosses, DomainError, Span, frozen, resolved_splices
 
 
-@dataclass(frozen=True)
+@frozen
 class LossBreakdown:
     """Per-mechanism dB totals for a span or path and their sum."""
 
@@ -28,7 +27,7 @@ class LossBreakdown:
 
     def __post_init__(self) -> None:
         for name in ("connector_total", "fiber_total", "splice_total", "splitter_total", "margin"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise DomainError(f"loss breakdown: {name} must be >= 0 dB")
         expected = self.connector_total + self.fiber_total + self.splice_total + self.splitter_total + self.margin
         if self.total != expected:
@@ -53,7 +52,7 @@ class LossBreakdown:
         )
 
 
-@dataclass(frozen=True)
+@frozen
 class AmplifierPlan:
     """How much gain a path is short by and how many units cover it."""
 
@@ -63,7 +62,7 @@ class AmplifierPlan:
     total_gain: float  # dB installed by the plan
 
     def __post_init__(self) -> None:
-        if self.unit_gain <= 0:
+        if not self.unit_gain > 0:
             raise DomainError("amplifier plan: unit_gain must be > 0 dB")
         expected = math.ceil(self.gain_deficit / self.unit_gain) if self.gain_deficit > 0 else 0
         if self.edfa_count != expected:

@@ -9,10 +9,9 @@ amplifier contributions are omitted: this models single-mode plant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .model import DomainError, LineCode, Span, TransceiverProfile
+from .model import DomainError, LineCode, Span, TransceiverProfile, frozen
 
 if TYPE_CHECKING:
     from .standards import StandardProfile
@@ -22,7 +21,7 @@ PS_PER_SECOND = 1e12
 _CEILING_FRACTION = {LineCode.NRZ: 0.7, LineCode.RZ: 0.35}
 
 
-@dataclass(frozen=True)
+@frozen
 class RiseTimeReport:
     """One span's rise-time budget against the system ceiling."""
 

@@ -14,7 +14,6 @@ end-of-line powers around -25 to -27 dBm land in the 1e-3..1e-5 BER range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .model import (
@@ -25,6 +24,7 @@ from .model import (
     Network,
     Span,
     Splitter,
+    frozen,
     resolved_splices,
 )
 from .power_budget import splitter_loss
@@ -33,7 +33,7 @@ from .units import dbm_to_watts
 DEFAULT_NOISE_SIGMA = 7e-7  # A; receiver noise current of the Gaussian model
 
 
-@dataclass(frozen=True)
+@frozen
 class FiberSegment:
     """A run of fiber inside a chain."""
 
@@ -41,41 +41,41 @@ class FiberSegment:
     fiber: FiberProfile
 
     def __post_init__(self) -> None:
-        if self.length <= 0:
+        if not self.length > 0:
             raise DomainError("fiber segment length must be > 0 km")
 
 
-@dataclass(frozen=True)
+@frozen
 class Connector:
     """One demountable joint; loss comes from the shared ComponentLosses."""
 
 
-@dataclass(frozen=True)
+@frozen
 class Splice:
     """One permanent joint; loss comes from the shared ComponentLosses."""
 
 
-@dataclass(frozen=True)
+@frozen
 class MarginPad:
     """A fixed dB allowance inserted as if it were a lossy element."""
 
     loss: float  # dB
 
     def __post_init__(self) -> None:
-        if self.loss < 0:
+        if not self.loss >= 0:
             raise DomainError("margin pad loss must be >= 0 dB")
 
 
 ChainElement = Union[FiberSegment, Connector, Splice, Splitter, Amplifier, MarginPad]
 
 
-@dataclass(frozen=True)
+@frozen
 class TracePoint:
     label: str
     power: float  # dBm
 
 
-@dataclass(frozen=True)
+@frozen
 class PowerTrace:
     """Ordered power readouts: the injected level, then one point per element."""
 
@@ -89,7 +89,7 @@ class PowerTrace:
         return self.points[-1].power
 
 
-@dataclass(frozen=True)
+@frozen
 class BerEstimate:
     """Q factor and the Gaussian-model bit error rate it implies."""
 

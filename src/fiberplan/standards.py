@@ -10,14 +10,13 @@ rise time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Literal, Mapping
 
-from .model import ConfigurationError, DomainError, LineCode
+from .model import ConfigurationError, DomainError, LineCode, frozen
 from .risetime import max_system_risetime
 
 
-@dataclass(frozen=True)
+@frozen
 class StandardProfile:
     """Compliance targets for one link segment class."""
 
@@ -28,13 +27,13 @@ class StandardProfile:
     notes: str = ""
 
     def __post_init__(self) -> None:
-        if self.bit_rate <= 0:
+        if not self.bit_rate > 0:
             raise DomainError(f"standard {self.name!r}: bit_rate must be > 0")
         if not math.isfinite(self.rx_sensitivity):
             raise DomainError(f"standard {self.name!r}: rx_sensitivity must be finite")
 
 
-@dataclass(frozen=True)
+@frozen
 class Verdict:
     """One measured quantity judged against one threshold.
 

@@ -9,9 +9,8 @@ compounds annually on the final (LTE) stage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .model import DomainError
+from .model import DomainError, frozen
 
 
 def round_half_toward_zero(x: float) -> int:
@@ -21,7 +20,7 @@ def round_half_toward_zero(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-@dataclass(frozen=True)
+@frozen
 class TrafficInput:
     """Inputs of the subscriber derivation chain."""
 
@@ -33,16 +32,16 @@ class TrafficInput:
     horizon: int  # years projected beyond the base year
 
     def __post_init__(self) -> None:
-        if self.population < 0:
+        if not self.population >= 0:
             raise DomainError("population must be >= 0")
         for name in ("cellular_penetration", "operator_share", "lte_penetration", "annual_growth"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise DomainError(f"{name} must be >= 0")
-        if self.horizon < 0:
+        if not self.horizon >= 0:
             raise DomainError("horizon must be >= 0 years")
 
 
-@dataclass(frozen=True)
+@frozen
 class TrafficForecast:
     """The derivation chain's stages, all in whole subscribers."""
 

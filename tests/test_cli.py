@@ -216,6 +216,9 @@ def assert_one_error_line(capsys, argv, *fragments):
         (_set(("traffic", "population"), 850221.9), ("forecast",),
          "traffic.population: expected an integer, got 850221.9"),
         (_set(("traffic", "horizon"), True), ("forecast",), "traffic.horizon: expected an integer, got True"),
+        (_set(("distribution_loss",), -5), ("plan", *STANDARD), "distribution_loss: expected a number >= 0, got -5"),
+        (_set(("spans", 0, "connectors"), 10**400), ("plan", *STANDARD),
+         "span '01-seyegan-tempel'.connectors: expected an integer within the float range"),
     ],
 )
 def test_malformed_values_exit_two(capsys, write_network, mutate, command, fragment):

@@ -1,0 +1,163 @@
+"""The ``frozen`` value classes: construction, equality, hashing, repr, immutability.
+
+Every value class of the package is checked against a frozen dataclass built
+from the same fields, the behaviour these classes had before they stopped
+using ``dataclasses``.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import subprocess
+import sys
+from importlib import import_module
+
+import pytest
+
+from fiberplan.data import sleman_path
+from fiberplan.model import Amplifier, AmplifierKind, ComponentLosses, Network, Span, Splitter, Violation
+from fiberplan.netfile import DEFAULT_EDFA_GAIN, NetworkDocument, load_network
+from fiberplan.planning import run_plan, run_trace, traffic_input_from_mapping
+from fiberplan.signal_chain import TracePoint, route_chain
+from fiberplan.standards import StandardProfile
+from fiberplan.traffic import forecast_subscribers
+
+from conftest import BACKBONE_FIBER, make_span
+
+MODULES = ("model", "netfile", "planning", "power_budget", "risetime", "signal_chain", "standards", "traffic")
+
+VALUE_CLASSES = sorted(
+    (
+        obj
+        for name in MODULES
+        for obj in vars(import_module(f"fiberplan.{name}")).values()
+        if isinstance(obj, type) and obj.__module__ == f"fiberplan.{name}" and "_fields" in vars(obj)
+    ),
+    key=lambda cls: (cls.__module__, cls.__qualname__),
+)
+
+DEFAULTS = {
+    ComponentLosses: {"splitter_excess_loss": 0.0},
+    Amplifier: {"kind": AmplifierKind.EDFA},
+    Span: {"connectors": 2, "splices": None, "amplifiers": (), "splitters": ()},
+    Network: {"head": None},
+    StandardProfile: {"notes": ""},
+    NetworkDocument: {"standards": {}, "traffic": None, "distribution_loss": 0.0, "edfa_gain": DEFAULT_EDFA_GAIN},
+}
+
+
+def _harvest() -> dict[type, object]:
+    """One instance of every value class, taken from real results on the Sleman ring."""
+    doc = load_network(sleman_path())
+    report = run_plan(sleman_path(), "gpon-onu-endpoint")
+    trace, ber = run_trace(sleman_path(), with_ber=True)
+    inputs = traffic_input_from_mapping(doc.traffic)
+    roots = [
+        doc, report, trace, ber, inputs, forecast_subscribers(inputs),
+        route_chain(doc.network, doc.network.spans), Splitter(4),
+        Violation("network", "no-nodes", "network has no nodes"),
+    ]
+    found: dict[type, object] = {}
+
+    def walk(value: object) -> None:
+        if isinstance(value, (list, tuple)):
+            for item in value:
+                walk(item)
+        elif isinstance(value, dict):
+            for item in value.values():
+                walk(item)
+        elif "_fields" in vars(type(value)) and type(value) not in found:
+            found[type(value)] = value
+            for name in type(value)._fields:
+                walk(getattr(value, name))
+
+    walk(roots)
+    return found
+
+
+SAMPLES = _harvest()
+
+
+def test_every_value_class_is_frozen_and_sampled():
+    assert len(VALUE_CLASSES) == 26
+    assert set(SAMPLES) == set(VALUE_CLASSES)
+
+
+def _reference(cls: type, values: list[object]) -> object:
+    """The frozen dataclass these values would have made."""
+    ref_cls = dataclasses.make_dataclass(cls.__name__, list(cls._fields), frozen=True)
+    ref_cls.__qualname__ = cls.__qualname__
+    return ref_cls(*values)
+
+
+def _hash_or_error(value: object) -> object:
+    try:
+        return hash(value)
+    except TypeError:
+        return TypeError
+
+
+@pytest.mark.parametrize("cls", VALUE_CLASSES, ids=lambda cls: cls.__qualname__)
+def test_value_class_behaves_like_a_frozen_dataclass(cls):
+    obj = SAMPLES[cls]
+    names = cls._fields
+    values = [getattr(obj, name) for name in names]
+    assert names == tuple(vars(cls).get("__annotations__", ()))
+
+    by_position = cls(*values)
+    by_keyword = cls(**dict(zip(names, values)))
+    for made in (by_position, by_keyword):
+        assert made == obj and not made != obj
+        assert [getattr(made, name) for name in names] == values
+
+    assert obj != object() and obj.__eq__(object()) is NotImplemented
+    assert repr(obj) == repr(_reference(cls, values))
+    hashed = _hash_or_error(obj)
+    assert (hashed is TypeError) == (_hash_or_error(_reference(cls, values)) is TypeError)
+    if hashed is not TypeError:
+        assert hash(by_position) == hashed
+
+    defaults = DEFAULTS.get(cls, {})
+    required = {name: getattr(obj, name) for name in names if name not in defaults}
+    bare = cls(**required)
+    assert {name: getattr(bare, name) for name in defaults} == defaults
+    if required:
+        with pytest.raises(TypeError):
+            cls(*list(required.values())[:-1])
+
+    for name in (*names[:1], "extra"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(obj, name)
+    assert [getattr(obj, name) for name in names] == values
+
+
+def test_values_differing_in_one_field_are_unequal():
+    span = make_span("s1", "a", "b", length=5.0)
+    assert span == make_span("s1", "a", "b", length=5.0)
+    assert span != make_span("s1", "a", "b", length=6.0)
+    assert TracePoint("input", 1.0) != TracePoint("input", 2.0)
+
+
+def test_post_init_can_normalize_a_field():
+    span = Span("s1", "a", "b", 5.0, BACKBONE_FIBER, 2, None, [], [])
+    assert span.amplifiers == () and span.splitters == ()
+
+
+def test_network_names_stay_out_of_repr_and_equality(sleman_doc):
+    network = sleman_doc.network
+    assert network.node_name("seyegan") == "Seyegan"
+    assert "_names" not in repr(network)
+    twin = Network(*(getattr(network, name) for name in Network._fields))
+    assert twin == network and hash(twin) == hash(network)
+
+
+def test_importing_the_cli_loads_no_code_generation_modules():
+    """Start-up guard: dataclasses (and the inspect/ast it pulls in) cost more than the CLI's own work."""
+    code = (
+        "import sys; before = set(sys.modules); import fiberplan.cli; "
+        "print(' '.join(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == ""

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,8 +11,10 @@ from fiberplan.model import (
     ConfigurationError,
     DomainError,
     FiberProfile,
+    LineCode,
     Network,
     Node,
+    Span,
     Splitter,
     Topology,
     TransceiverProfile,
@@ -21,8 +25,12 @@ from fiberplan.model import (
     splice_count,
     validate_network,
 )
+from fiberplan.power_budget import AmplifierPlan, LossBreakdown
+from fiberplan.signal_chain import BerEstimate, FiberSegment, MarginPad
+from fiberplan.standards import StandardProfile
+from fiberplan.traffic import TrafficInput
 
-from conftest import LOSSES, TRANSCEIVER, make_ring, make_span
+from conftest import BACKBONE_FIBER, LOSSES, TRANSCEIVER, make_ring, make_span
 
 
 class TestInvariants:
@@ -75,6 +83,57 @@ class TestInvariants:
             make_span("s", "a", "b", connectors=-1)
         with pytest.raises(DomainError):
             make_span("s", "a", "b", splices=-1)
+
+
+# Valid arguments of every value class whose __post_init__ checks a numeric domain.
+VALID = {
+    FiberProfile: dict(name="f", attenuation=0.3, dispersion=3.5, drum_length=3.0),
+    TransceiverProfile: dict(
+        tx_power=9.0, spectral_width=0.1, tx_rise_time=60.0,
+        rx_rise_time=35.0, rx_sensitivity=-21.0, responsivity=0.9,
+    ),
+    ComponentLosses: dict(connector_loss=0.3, splice_loss=0.05, system_margin=3.0, splitter_excess_loss=0.5),
+    Amplifier: dict(gain=20.0),
+    Span: dict(id="s", from_node="a", to_node="b", length=5.0, fiber=BACKBONE_FIBER, connectors=2, splices=4),
+    LossBreakdown: dict(
+        connector_total=0.6, fiber_total=3.0, splice_total=0.25, splitter_total=0.0, margin=3.0, total=6.85,
+    ),
+    AmplifierPlan: dict(gain_deficit=5.0, unit_gain=20.0, edfa_count=1, total_gain=20.0),
+    StandardProfile: dict(name="lab", bit_rate=1e9, line_code=LineCode.NRZ, rx_sensitivity=-30.0),
+    TrafficInput: dict(
+        population=1000, cellular_penetration=1.5, operator_share=0.4,
+        lte_penetration=0.2, annual_growth=0.05, horizon=5,
+    ),
+    FiberSegment: dict(length=5.0, fiber=BACKBONE_FIBER),
+    MarginPad: dict(loss=3.0),
+    BerEstimate: dict(q_factor=6.0, ber=1e-9),
+}
+CHECKED = [
+    (FiberProfile, "attenuation"), (FiberProfile, "dispersion"), (FiberProfile, "drum_length"),
+    (TransceiverProfile, "spectral_width"), (TransceiverProfile, "tx_rise_time"),
+    (TransceiverProfile, "rx_rise_time"), (TransceiverProfile, "responsivity"),
+    (ComponentLosses, "connector_loss"), (ComponentLosses, "splice_loss"),
+    (ComponentLosses, "system_margin"), (ComponentLosses, "splitter_excess_loss"),
+    (Amplifier, "gain"),
+    (Span, "length"), (Span, "connectors"), (Span, "splices"),
+    (LossBreakdown, "connector_total"), (LossBreakdown, "margin"), (LossBreakdown, "total"),
+    (AmplifierPlan, "unit_gain"),
+    (StandardProfile, "bit_rate"), (StandardProfile, "rx_sensitivity"),
+    (TrafficInput, "population"), (TrafficInput, "cellular_penetration"), (TrafficInput, "operator_share"),
+    (TrafficInput, "lte_penetration"), (TrafficInput, "annual_growth"), (TrafficInput, "horizon"),
+    (FiberSegment, "length"), (MarginPad, "loss"), (BerEstimate, "ber"),
+]
+
+
+@pytest.mark.parametrize("cls", VALID, ids=lambda cls: cls.__name__)
+def test_valid_arguments_construct(cls):
+    cls(**VALID[cls])
+
+
+@pytest.mark.parametrize("cls, field", CHECKED, ids=[f"{c.__name__}.{f}" for c, f in CHECKED])
+def test_nan_fails_the_domain_check(cls, field):
+    with pytest.raises(DomainError):
+        cls(**{**VALID[cls], field: math.nan})
 
 
 class TestSpliceCount:

@@ -1,9 +1,10 @@
 """Exact error messages of the plant-file parser, and its behaviour on junk.
 
 ``CASES`` pins every ``NetworkFileError`` (and the one ``DomainError``) that
-``parse_network`` raised before its field readers were rewritten: one or more
-edits to the bundled Sleman document, then the exception type and message
-byte for byte. Cases with several faults pin which check fires first.
+``parse_network`` raised before its field readers were rewritten, plus the
+rejections added since at the end: one or more edits to the bundled Sleman
+document, then the exception type and message byte for byte. Cases with
+several faults pin which check fires first.
 """
 
 from __future__ import annotations
@@ -260,6 +261,8 @@ CASES = [
      "distribution_loss: expected a number, got '16'"),
     ([(('edfa_gain',), None)], NetworkFileError,
      'edfa_gain: expected a number, got None'),
+    ([(('distribution_loss',), -5)], NetworkFileError,
+     'distribution_loss: expected a number >= 0, got -5'),
 ]
 
 
@@ -295,6 +298,11 @@ NEW_REJECTIONS = [
     ([(S1 + ("amplifiers",), {})], "span '02-tempel-pakem'.amplifiers: expected a list, got {}"),
     ([(S0 + ("splitters",), 3)], "span '01-seyegan-tempel'.splitters: expected a list, got 3"),
     ([(S0 + ("splitters",), None)], "span '01-seyegan-tempel'.splitters: expected a list, got None"),
+    # counts that cannot multiply a float loss
+    ([(S0 + ("connectors",), 10**400)],
+     f"span '01-seyegan-tempel'.connectors: expected an integer within the float range, got {10**400}"),
+    ([(S1 + ("splices",), -(10**400))],
+     f"span '02-tempel-pakem'.splices: expected an integer within the float range, got {-(10**400)}"),
 ]
 
 

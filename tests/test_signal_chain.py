@@ -105,7 +105,7 @@ class TestPropagate:
 
     @pytest.mark.parametrize(
         "element",
-        [Amplifier(math.inf), MarginPad(math.nan), FiberSegment(length=math.inf, fiber=DIST_FIBER)],
+        [Amplifier(math.inf), MarginPad(math.inf), FiberSegment(length=math.inf, fiber=DIST_FIBER)],
     )
     def test_rejects_non_finite_element_effects(self, element):
         with pytest.raises(DomainError, match="non-finite"):
