@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from datetime import datetime, timezone
 from typing import Any, Mapping
 
 from .model import ConfigurationError, DomainError, validate_network
@@ -24,7 +23,6 @@ from .planning import (
     render_plan_text,
     render_trace_text,
     render_violations_text,
-    run_forecast,
     run_plan,
     run_trace,
     to_json,
@@ -32,7 +30,7 @@ from .planning import (
     traffic_input_from_mapping,
     violations_to_dict,
 )
-from .traffic import TrafficInput
+from .traffic import TrafficInput, forecast_subscribers
 
 _FORECAST_FLAGS = (
     ("population", int),
@@ -124,7 +122,7 @@ def _run(args: argparse.Namespace) -> int:
         return 0 if not violations else 1
 
     if args.command == "plan":
-        report = run_plan(args.network, args.standard, args.path, as_built=args.as_built)
+        report = run_plan(load_network(args.network), args.standard, args.path, as_built=args.as_built)
         if args.format == "json":
             _emit(to_json(plan_to_dict(report)), args.out)
         else:
@@ -133,7 +131,7 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.command == "forecast":
         inputs = _forecast_inputs(args)
-        forecast = run_forecast(inputs)
+        forecast = forecast_subscribers(inputs)
         if args.format == "json":
             _emit(to_json(forecast_to_dict(inputs, forecast)), args.out)
         else:
@@ -143,7 +141,7 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "trace":
         if args.power is not None and not math.isfinite(args.power):
             raise DomainError(f"--power must be a finite dBm value, got {args.power!r}")
-        trace, ber = run_trace(args.network, args.path, input_power=args.power, with_ber=args.ber)
+        trace, ber = run_trace(load_network(args.network), args.path, input_power=args.power, with_ber=args.ber)
         if args.format == "json":
             _emit(to_json(trace_to_dict(trace, ber)), args.out)
         else:
@@ -156,6 +154,8 @@ def _run(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.stamp:
+        from datetime import datetime, timezone  # only --stamp needs it; it costs about 3 ms to import
+
         print(f"generated {datetime.now(timezone.utc).isoformat()}", file=sys.stderr)
     try:
         return _run(args)

@@ -417,16 +417,6 @@ def nodes_along(start: str, spans: Sequence[Span]) -> list[str]:
     return order
 
 
-def ring_order(net: Network) -> list[str]:
-    """Node ids walking the full cycle, first node repeated at the end.
-
-    A 7-node ring yields 8 ids covering all 7 spans, in :func:`ring_spans`
-    order. Raises ConfigurationError if the spans do not form a ring.
-    """
-    spans = ring_spans(net)
-    return nodes_along(net.nodes[0].id, spans)
-
-
 def spans_along(net: Network, node_ids: Sequence[str]) -> list[Span]:
     """Spans joining each consecutive node pair, in path order.
 

@@ -328,13 +328,16 @@ def parse_network(doc: Mapping[str, Any]) -> NetworkDocument:
     distribution_loss = _number(doc, "distribution_loss", "", (), 0.0)
     if distribution_loss < 0:
         raise _field_error("", (), "distribution_loss", "a number >= 0", doc["distribution_loss"])
+    edfa_gain = _number(doc, "edfa_gain", "", (), DEFAULT_EDFA_GAIN)
+    if not edfa_gain > 0:
+        raise _field_error("", (), "edfa_gain", "a number > 0", doc["edfa_gain"])
     return NetworkDocument(
         network=network,
         fiber_profiles=profiles,
         standards=standards,
         traffic=traffic,
         distribution_loss=distribution_loss,
-        edfa_gain=_number(doc, "edfa_gain", "", (), DEFAULT_EDFA_GAIN),
+        edfa_gain=edfa_gain,
     )
 
 

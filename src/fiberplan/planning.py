@@ -1,4 +1,4 @@
-"""Plan assembly: load a network file, evaluate a path, judge it, report it.
+"""Plan assembly: evaluate a path of a parsed network document, judge it, report it.
 
 A plan couples the power side (itemized path loss, loss budget derived from
 the plant's own receiver sensitivity plus the distribution leg, amplifier
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from pathlib import Path
 from typing import Any, Mapping
 
 from .model import (
@@ -26,7 +25,7 @@ from .model import (
     spans_along,
     validate_network,
 )
-from .netfile import NetworkDocument, _count, _number, _reject_unknown, load_network
+from .netfile import NetworkDocument, _count, _number, _reject_unknown
 from .power_budget import (
     AmplifierPlan,
     LossBreakdown,
@@ -40,7 +39,7 @@ from .power_budget import (
 from .risetime import RiseTimeReport, max_system_risetime, span_risetime_report
 from .signal_chain import BerEstimate, PowerTrace, estimate_ber, propagate, route_chain
 from .standards import StandardProfile, Verdict, power_verdict, resolve_standard, risetime_verdict
-from .traffic import TrafficForecast, TrafficInput, forecast_subscribers
+from .traffic import TrafficForecast, TrafficInput
 
 
 class ValidationFailure(ConfigurationError):
@@ -80,11 +79,10 @@ class PlanReport:
     as_built_power: float  # dBm with inventory amplifiers only
     received: float  # dBm with applied_gain
     verdicts: tuple[Verdict, ...]
-    overall_pass: bool
 
-    def __post_init__(self) -> None:
-        if self.overall_pass != all(v.passed for v in self.verdicts):
-            raise ValueError("overall_pass must mirror the contained verdicts")
+    @property
+    def overall_pass(self) -> bool:
+        return all(v.passed for v in self.verdicts)
 
 
 def _resolve_path(network: Network, path_spec: str) -> tuple[list[str], tuple[Span, ...]]:
@@ -99,29 +97,28 @@ def _resolve_path(network: Network, path_spec: str) -> tuple[list[str], tuple[Sp
     return nodes, tuple(spans_along(network, nodes))
 
 
-def _load_valid(network_file: str | Path) -> NetworkDocument:
-    doc = load_network(network_file)
-    violations = validate_network(doc.network)
+def _check_valid(network: Network) -> None:
+    violations = validate_network(network)
     if violations:
         raise ValidationFailure(violations)
-    return doc
 
 
 def run_plan(
-    network_file: str | Path,
+    doc: NetworkDocument,
     standard: str,
     path_spec: str = "ring",
     as_built: bool = False,
 ) -> PlanReport:
-    """Evaluate one path of a network file against a named standard.
+    """Evaluate one path of a parsed network document against a named standard.
 
     Amplifier sizing always follows from the path loss against the plant's
     own loss budget. By default the sized gain is assumed installed when the
     inventory falls short of it; ``as_built=True`` restricts the verdict to
-    amplifiers actually present in the span inventory.
+    amplifiers actually present in the span inventory. Raises
+    ValidationFailure if the network breaks a structural rule.
     """
-    doc = _load_valid(network_file)
     network = doc.network
+    _check_valid(network)
     profile = resolve_standard(standard, doc.standards)
 
     nodes, spans = _resolve_path(network, path_spec)
@@ -178,30 +175,25 @@ def run_plan(
         as_built_power=as_built_power,
         received=received,
         verdicts=tuple(verdicts),
-        overall_pass=all(v.passed for v in verdicts),
     )
 
 
-def run_forecast(inputs: TrafficInput) -> TrafficForecast:
-    """Forecast subscribers for already-assembled inputs."""
-    return forecast_subscribers(inputs)
-
-
 def run_trace(
-    network_file: str | Path,
+    doc: NetworkDocument,
     path_spec: str = "ring",
     input_power: float | None = None,
     with_ber: bool = False,
     noise_sigma: float | None = None,
 ) -> tuple[PowerTrace, BerEstimate | None]:
-    """Propagate power along a path of a network file.
+    """Propagate power along a path of a parsed network document.
 
     ``input_power`` defaults to the plant transceiver's transmit power. With
     ``with_ber`` the Gaussian-model BER at the final point is appended, using
-    the transceiver's responsivity.
+    the transceiver's responsivity. Raises ValidationFailure if the network
+    breaks a structural rule.
     """
-    doc = _load_valid(network_file)
     network = doc.network
+    _check_valid(network)
     _, spans = _resolve_path(network, path_spec)
     chain = route_chain(network, spans)
     power = network.transceiver.tx_power if input_power is None else input_power

@@ -11,45 +11,27 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .model import ComponentLosses, DomainError, Span, frozen, resolved_splices
+from .model import ComponentLosses, DomainError, Span, Splitter, frozen, resolved_splices
 
 
 @frozen
 class LossBreakdown:
-    """Per-mechanism dB totals for a span or path and their sum."""
+    """Per-mechanism dB totals for a span or path; ``total`` is their sum."""
 
     connector_total: float
     fiber_total: float
     splice_total: float
     splitter_total: float
     margin: float
-    total: float
 
     def __post_init__(self) -> None:
         for name in ("connector_total", "fiber_total", "splice_total", "splitter_total", "margin"):
-            if not getattr(self, name) >= 0:
-                raise DomainError(f"loss breakdown: {name} must be >= 0 dB")
-        expected = self.connector_total + self.fiber_total + self.splice_total + self.splitter_total + self.margin
-        if self.total != expected:
-            raise DomainError("loss breakdown: total must equal the sum of its components")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise DomainError(f"loss breakdown: {name} must be a finite number >= 0 dB")
 
-    @classmethod
-    def build(
-        cls,
-        connector_total: float,
-        fiber_total: float,
-        splice_total: float,
-        splitter_total: float,
-        margin: float,
-    ) -> "LossBreakdown":
-        return cls(
-            connector_total=connector_total,
-            fiber_total=fiber_total,
-            splice_total=splice_total,
-            splitter_total=splitter_total,
-            margin=margin,
-            total=connector_total + fiber_total + splice_total + splitter_total + margin,
-        )
+    @property
+    def total(self) -> float:
+        return self.connector_total + self.fiber_total + self.splice_total + self.splitter_total + self.margin
 
 
 @frozen
@@ -58,26 +40,31 @@ class AmplifierPlan:
 
     gain_deficit: float  # dB still uncovered by the loss budget
     unit_gain: float  # dB per amplifier
-    edfa_count: int
-    total_gain: float  # dB installed by the plan
 
     def __post_init__(self) -> None:
         if not self.unit_gain > 0:
-            raise DomainError("amplifier plan: unit_gain must be > 0 dB")
-        expected = math.ceil(self.gain_deficit / self.unit_gain) if self.gain_deficit > 0 else 0
-        if self.edfa_count != expected:
-            raise DomainError("amplifier plan: edfa_count must cover the deficit with whole units")
-        if self.total_gain != self.edfa_count * self.unit_gain:
-            raise DomainError("amplifier plan: total_gain must equal edfa_count * unit_gain")
+            raise DomainError("amplifier unit gain must be > 0 dB")
+        if not math.isfinite(self.gain_deficit / self.unit_gain):
+            raise DomainError(
+                f"amplifier plan: covering a {self.gain_deficit:g} dB deficit"
+                f" with edfa_gain {self.unit_gain:g} dB units is beyond the float range"
+            )
+
+    @property
+    def edfa_count(self) -> int:
+        return math.ceil(self.gain_deficit / self.unit_gain) if self.gain_deficit > 0 else 0
+
+    @property
+    def total_gain(self) -> float:
+        """dB installed by the plan."""
+        return self.edfa_count * self.unit_gain
 
 
-def splitter_loss(ratio: int, excess: float = 0.0) -> float:
+def splitter_loss(splitter: Splitter, excess: float = 0.0) -> float:
     """Insertion loss of an ideal 1xN split, 10 log10(N), plus excess dB."""
-    if ratio < 2 or (ratio & (ratio - 1)) != 0:
-        raise DomainError(f"splitter ratio must be a power of two >= 2, got {ratio}")
     if excess < 0:
         raise DomainError("splitter excess loss must be >= 0 dB")
-    return 10.0 * math.log10(ratio) + excess
+    return 10.0 * math.log10(splitter.ratio) + excess
 
 
 def span_loss(span: Span, losses: ComponentLosses) -> LossBreakdown:
@@ -87,12 +74,12 @@ def span_loss(span: Span, losses: ComponentLosses) -> LossBreakdown:
     + splitter insertion losses + the system margin. The splice count comes
     from the span, or from the drum length when the span says auto.
     """
-    return LossBreakdown.build(
+    return LossBreakdown(
         connector_total=losses.connector_loss * span.connectors,
         fiber_total=span.fiber.attenuation * span.length,
         splice_total=losses.splice_loss * resolved_splices(span),
         splitter_total=math.fsum(
-            splitter_loss(s.ratio, losses.splitter_excess_loss) for s in span.splitters
+            splitter_loss(s, losses.splitter_excess_loss) for s in span.splitters
         ),
         margin=losses.system_margin,
     )
@@ -114,13 +101,16 @@ def combine_span_losses(parts: Sequence[LossBreakdown], system_margin: float) ->
     empty path). Lets a caller that already holds per-span breakdowns total a
     path without recomputing them.
     """
-    return LossBreakdown.build(
-        connector_total=math.fsum(p.connector_total for p in parts),
-        fiber_total=math.fsum(p.fiber_total for p in parts),
-        splice_total=math.fsum(p.splice_total for p in parts),
-        splitter_total=math.fsum(p.splitter_total for p in parts),
-        margin=system_margin if parts else 0.0,
-    )
+    try:
+        return LossBreakdown(
+            connector_total=math.fsum(p.connector_total for p in parts),
+            fiber_total=math.fsum(p.fiber_total for p in parts),
+            splice_total=math.fsum(p.splice_total for p in parts),
+            splitter_total=math.fsum(p.splitter_total for p in parts),
+            margin=system_margin if parts else 0.0,
+        )
+    except OverflowError:  # fsum of finite parts beyond the float range
+        raise DomainError("path loss beyond the float range") from None
 
 
 def max_allowed_loss(input_power: float, rx_sensitivity: float) -> float:
@@ -140,16 +130,7 @@ def amplifier_requirement(actual_loss: float, max_loss: float, unit_gain: float)
     The deficit is actual_loss - max_loss, floored at zero; whole units of
     ``unit_gain`` dB are installed until the deficit is covered.
     """
-    if unit_gain <= 0:
-        raise DomainError("amplifier unit gain must be > 0 dB")
-    deficit = max(0.0, actual_loss - max_loss)
-    count = math.ceil(deficit / unit_gain) if deficit > 0 else 0
-    return AmplifierPlan(
-        gain_deficit=deficit,
-        unit_gain=unit_gain,
-        edfa_count=count,
-        total_gain=count * unit_gain,
-    )
+    return AmplifierPlan(gain_deficit=max(0.0, actual_loss - max_loss), unit_gain=unit_gain)
 
 
 def received_power(tx_power: float, losses: Iterable[float], gains: Iterable[float] = ()) -> float:

@@ -29,15 +29,15 @@ class RiseTimeReport:
     dispersion_component: float  # ps
     tx_component: float  # ps
     rx_component: float  # ps
-    total: float  # ps, root-sum-square of the three components
-    passed: bool
 
-    def __post_init__(self) -> None:
-        expected_sq = self.tx_component**2 + self.rx_component**2 + self.dispersion_component**2
-        if not math.isclose(self.total**2, expected_sq, rel_tol=1e-9, abs_tol=1e-30):
-            raise DomainError("rise-time report: total must be the root-sum-square of its components")
-        if self.passed != (self.total <= self.ceiling):
-            raise DomainError("rise-time report: pass flag contradicts total vs ceiling")
+    @property
+    def total(self) -> float:
+        """ps, root-sum-square of the three components."""
+        return total_risetime(self.tx_component, self.rx_component, self.dispersion_component)
+
+    @property
+    def passed(self) -> bool:
+        return self.total <= self.ceiling
 
 
 def max_system_risetime(bit_rate: float, line_code: LineCode) -> float:
@@ -57,24 +57,36 @@ def dispersion_risetime(dispersion: float, spectral_width: float, length: float)
 
 
 def total_risetime(tx_rise: float, rx_rise: float, dispersion_rise: float) -> float:
-    """Root-sum-square combination of the three rise-time contributions (ps)."""
-    return math.sqrt(tx_rise**2 + rx_rise**2 + dispersion_rise**2)
+    """Root-sum-square combination of the three rise-time contributions (ps).
+
+    Raises DomainError when the result is beyond the float range.
+    """
+    try:
+        total = math.sqrt(tx_rise**2 + rx_rise**2 + dispersion_rise**2)
+    except OverflowError:
+        total = math.inf
+    if total == math.inf:
+        raise DomainError(
+            f"rise time beyond the float range: tx {tx_rise:g} ps, rx {rx_rise:g} ps, dispersion {dispersion_rise:g} ps"
+        )
+    return total
 
 
 def span_risetime_report(
     span: Span, transceiver: TransceiverProfile, profile: "StandardProfile"
 ) -> RiseTimeReport:
-    """Full rise-time budget for one span under one compliance profile."""
-    dispersion_component = dispersion_risetime(
-        span.fiber.dispersion, transceiver.spectral_width, span.length
-    )
-    total = total_risetime(transceiver.tx_rise_time, transceiver.rx_rise_time, dispersion_component)
-    ceiling = max_system_risetime(profile.bit_rate, profile.line_code)
-    return RiseTimeReport(
-        ceiling=ceiling,
-        dispersion_component=dispersion_component,
+    """Full rise-time budget for one span under one compliance profile.
+
+    Raises DomainError naming the span when its total is beyond the float range.
+    """
+    report = RiseTimeReport(
+        ceiling=max_system_risetime(profile.bit_rate, profile.line_code),
+        dispersion_component=dispersion_risetime(span.fiber.dispersion, transceiver.spectral_width, span.length),
         tx_component=transceiver.tx_rise_time,
         rx_component=transceiver.rx_rise_time,
-        total=total,
-        passed=total <= ceiling,
     )
+    try:
+        report.total
+    except DomainError as exc:
+        raise DomainError(f"span {span.id!r} (length {span.length:g} km): {exc}") from None
+    return report

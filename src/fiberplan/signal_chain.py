@@ -14,6 +14,7 @@ end-of-line powers around -25 to -27 dBm land in the 1e-3..1e-5 BER range.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Sequence, Union
 
 from .model import (
@@ -110,7 +111,7 @@ def element_gain(element: ChainElement, losses: ComponentLosses) -> float:
     if isinstance(element, Splice):
         return -losses.splice_loss
     if isinstance(element, Splitter):
-        return -splitter_loss(element.ratio, losses.splitter_excess_loss)
+        return -splitter_loss(element, losses.splitter_excess_loss)
     if isinstance(element, Amplifier):
         return element.gain
     if isinstance(element, MarginPad):
@@ -163,7 +164,7 @@ def propagate(
     prefix), so the final point equals received_power over the same losses
     and gains regardless of element order. The running sum is kept as exact
     partials, so the fold is linear in the chain length. Raises DomainError
-    on a non-finite input power or element effect.
+    on a non-finite input power, element effect or running sum.
     """
     if not math.isfinite(input_power):
         raise DomainError(f"input power must be a finite dBm value, got {input_power!r}")
@@ -175,7 +176,11 @@ def propagate(
         if not math.isfinite(delta):
             raise DomainError(f"chain element {label!r} has a non-finite effect ({delta!r} dB)")
         _add_exact(partials, delta)
-        points.append(TracePoint(label, math.fsum(partials)))
+        try:
+            power = math.fsum(partials)
+        except (OverflowError, ValueError):  # the running sum left the float range
+            raise DomainError(f"power after {label!r} is beyond the float range") from None
+        points.append(TracePoint(label, power))
     return PowerTrace(points=tuple(points))
 
 
@@ -211,14 +216,21 @@ def route_chain(network: Network, spans: Sequence[Span]) -> list[ChainElement]:
     for a node path or :func:`fiberplan.model.ring_spans` for the whole ring.
     Per span: one entry connector, the fiber run, its splices, any splitters
     and amplifiers, then the remaining connectors at the exit. The system
-    margin is a single pad at the end of the whole path.
+    margin is a single pad at the end of the whole path. Raises DomainError
+    for a span with more joints than a list can hold.
     """
     elements: list[ChainElement] = []
     for span in spans:
+        splices = resolved_splices(span)
+        if splices > sys.maxsize or span.connectors > sys.maxsize:
+            raise DomainError(
+                f"span {span.id!r}: too many joints to trace: {splices:.3g} splices"
+                f" (length {span.length:g} km), {span.connectors:.3g} connectors"
+            )
         entry = min(span.connectors, 1)
         elements.extend([Connector()] * entry)
         elements.append(FiberSegment(length=span.length, fiber=span.fiber))
-        elements.extend([Splice()] * resolved_splices(span))
+        elements.extend([Splice()] * splices)
         elements.extend(span.splitters)
         elements.extend(span.amplifiers)
         elements.extend([Connector()] * (span.connectors - entry))

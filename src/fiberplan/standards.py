@@ -48,21 +48,25 @@ class Verdict:
     threshold: float
     unit: str
     direction: Literal["min", "max"]
-    passed: bool
-    margin: float
+
+    @property
+    def passed(self) -> bool:
+        # Compared directly, not by the sign of the margin: inf - inf is NaN.
+        if self.direction == "min":
+            return self.value >= self.threshold
+        return self.value <= self.threshold
+
+    @property
+    def margin(self) -> float:
+        if self.direction == "min":
+            return self.value - self.threshold
+        return self.threshold - self.value
 
 
 def power_verdict(received: float, profile: StandardProfile) -> Verdict:
     """Judge a received power (dBm) against the profile's sensitivity floor."""
-    margin = received - profile.rx_sensitivity
     return Verdict(
-        quantity="received power",
-        value=received,
-        threshold=profile.rx_sensitivity,
-        unit="dBm",
-        direction="min",
-        passed=received >= profile.rx_sensitivity,
-        margin=margin,
+        quantity="received power", value=received, threshold=profile.rx_sensitivity, unit="dBm", direction="min"
     )
 
 
@@ -73,15 +77,7 @@ def risetime_verdict(total_rise: float, profile: StandardProfile, quantity: str 
     10 Gbps NRZ system it is 70 ps.
     """
     ceiling = max_system_risetime(profile.bit_rate, profile.line_code)
-    return Verdict(
-        quantity=quantity,
-        value=total_rise,
-        threshold=ceiling,
-        unit="ps",
-        direction="max",
-        passed=total_rise <= ceiling,
-        margin=ceiling - total_rise,
-    )
+    return Verdict(quantity=quantity, value=total_rise, threshold=ceiling, unit="ps", direction="max")
 
 
 def builtin_profiles() -> dict[str, StandardProfile]:

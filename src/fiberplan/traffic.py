@@ -51,12 +51,24 @@ class TrafficForecast:
     projected_subscribers: int
 
 
+def _subscribers(x: float, what: str) -> int:
+    """``x`` rounded to whole subscribers; DomainError naming ``what`` if it overflowed."""
+    if x == math.inf:
+        raise DomainError(f"{what} beyond the float range")
+    return round_half_toward_zero(x)
+
+
 def project_growth(base: int, rate: float, years: int) -> int:
     """Compound ``base`` by ``rate`` annually for ``years`` years and round.
 
-    Expects base >= 0, years >= 0.
+    Expects base >= 0, years >= 0. Raises DomainError when the projection is
+    beyond the float range.
     """
-    return round_half_toward_zero(base * (1.0 + rate) ** years)
+    try:
+        grown = base * (1.0 + rate) ** years
+    except OverflowError:
+        grown = math.inf
+    return _subscribers(grown, f"projected subscribers (annual_growth {rate:g}, horizon {years} years)")
 
 
 def forecast_subscribers(inputs: TrafficInput) -> TrafficForecast:
@@ -64,11 +76,14 @@ def forecast_subscribers(inputs: TrafficInput) -> TrafficForecast:
 
     population -> mobile subscribers -> operator subscribers -> LTE
     subscribers, each stage rounded before feeding the next; the projection
-    compounds annual growth on the LTE stage.
+    compounds annual growth on the LTE stage. Raises DomainError naming the
+    inputs of a stage that is beyond the float range.
     """
-    mobile = round_half_toward_zero(inputs.population * inputs.cellular_penetration)
-    operator = round_half_toward_zero(mobile * inputs.operator_share)
-    lte = round_half_toward_zero(operator * inputs.lte_penetration)
+    mobile = _subscribers(
+        inputs.population * inputs.cellular_penetration, "mobile subscribers (population x cellular_penetration)"
+    )
+    operator = _subscribers(mobile * inputs.operator_share, "operator subscribers (x operator_share)")
+    lte = _subscribers(operator * inputs.lte_penetration, "lte subscribers (x lte_penetration)")
     projected = project_growth(lte, inputs.annual_growth, inputs.horizon)
     return TrafficForecast(
         mobile_subscribers=mobile,

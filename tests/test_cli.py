@@ -219,6 +219,24 @@ def assert_one_error_line(capsys, argv, *fragments):
         (_set(("distribution_loss",), -5), ("plan", *STANDARD), "distribution_loss: expected a number >= 0, got -5"),
         (_set(("spans", 0, "connectors"), 10**400), ("plan", *STANDARD),
          "span '01-seyegan-tempel'.connectors: expected an integer within the float range"),
+        (_set(("edfa_gain",), 0), ("plan", *STANDARD), "edfa_gain: expected a number > 0, got 0"),
+        # Values whose results are beyond the float range.
+        (None, ("forecast", "--horizon", "100000"),
+         "projected subscribers (annual_growth 0.051, horizon 100000 years) beyond the float range"),
+        (None, ("forecast", "--annual-growth", "1e308"), "projected subscribers (annual_growth 1e+308, horizon 5"),
+        (None, ("forecast", "--population", "9" * 300, "--cellular-penetration", "1e10"),
+         "mobile subscribers (population x cellular_penetration) beyond the float range"),
+        (None, ("trace", "--power", "1e308", "--ber"), "power 1e+308 dBm is beyond the float range in watts"),
+        (_set(("spans", 0, "length"), 1e308), ("plan", *STANDARD),
+         "span '01-seyegan-tempel' (length 1e+308 km): rise time beyond the float range"),
+        (_set(("spans", 0, "length"), 1e308), ("trace",),
+         "span '01-seyegan-tempel': too many joints to trace: 3.33e+307 splices (length 1e+308 km)"),
+        (_set(("edfa_gain",), 1e-320), ("plan", *STANDARD), "with edfa_gain 9.99989e-321 dB units is beyond the float range"),
+        (_set(("fiber_profiles", "g652-backbone", "attenuation"), 5e306), ("plan", *STANDARD),
+         "path loss beyond the float range"),
+        (_set(("losses", "connector_loss"), 1e308), ("plan", *STANDARD),
+         "loss breakdown: connector_total must be a finite number >= 0 dB"),
+        (_set(("losses", "connector_loss"), 1e308), ("trace",), "power after 'connector' is beyond the float range"),
     ],
 )
 def test_malformed_values_exit_two(capsys, write_network, mutate, command, fragment):

@@ -49,8 +49,8 @@ DEFAULTS = {
 def _harvest() -> dict[type, object]:
     """One instance of every value class, taken from real results on the Sleman ring."""
     doc = load_network(sleman_path())
-    report = run_plan(sleman_path(), "gpon-onu-endpoint")
-    trace, ber = run_trace(sleman_path(), with_ber=True)
+    report = run_plan(doc, "gpon-onu-endpoint")
+    trace, ber = run_trace(doc, with_ber=True)
     inputs = traffic_input_from_mapping(doc.traffic)
     roots = [
         doc, report, trace, ber, inputs, forecast_subscribers(inputs),
@@ -154,10 +154,11 @@ def test_network_names_stay_out_of_repr_and_equality(sleman_doc):
 
 
 def test_importing_the_cli_loads_no_code_generation_modules():
-    """Start-up guard: dataclasses (and the inspect/ast it pulls in) cost more than the CLI's own work."""
+    """Start-up guard: dataclasses (and the inspect/ast it pulls in) cost more than the CLI's own work,
+    and datetime, which only ``--stamp`` uses, costs about 3 ms."""
     code = (
         "import sys; before = set(sys.modules); import fiberplan.cli; "
-        "print(' '.join(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))))"
+        "print(' '.join(sorted({'dataclasses', 'inspect', 'datetime'} & (set(sys.modules) - before))))"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert result.stdout.strip() == ""

@@ -18,8 +18,8 @@ from fiberplan.model import (
     Splitter,
     Topology,
     TransceiverProfile,
+    nodes_along,
     resolved_splices,
-    ring_order,
     ring_spans,
     spans_along,
     splice_count,
@@ -95,10 +95,8 @@ VALID = {
     ComponentLosses: dict(connector_loss=0.3, splice_loss=0.05, system_margin=3.0, splitter_excess_loss=0.5),
     Amplifier: dict(gain=20.0),
     Span: dict(id="s", from_node="a", to_node="b", length=5.0, fiber=BACKBONE_FIBER, connectors=2, splices=4),
-    LossBreakdown: dict(
-        connector_total=0.6, fiber_total=3.0, splice_total=0.25, splitter_total=0.0, margin=3.0, total=6.85,
-    ),
-    AmplifierPlan: dict(gain_deficit=5.0, unit_gain=20.0, edfa_count=1, total_gain=20.0),
+    LossBreakdown: dict(connector_total=0.6, fiber_total=3.0, splice_total=0.25, splitter_total=0.0, margin=3.0),
+    AmplifierPlan: dict(gain_deficit=5.0, unit_gain=20.0),
     StandardProfile: dict(name="lab", bit_rate=1e9, line_code=LineCode.NRZ, rx_sensitivity=-30.0),
     TrafficInput: dict(
         population=1000, cellular_penetration=1.5, operator_share=0.4,
@@ -116,7 +114,7 @@ CHECKED = [
     (ComponentLosses, "system_margin"), (ComponentLosses, "splitter_excess_loss"),
     (Amplifier, "gain"),
     (Span, "length"), (Span, "connectors"), (Span, "splices"),
-    (LossBreakdown, "connector_total"), (LossBreakdown, "margin"), (LossBreakdown, "total"),
+    (LossBreakdown, "connector_total"), (LossBreakdown, "margin"),
     (AmplifierPlan, "unit_gain"),
     (StandardProfile, "bit_rate"), (StandardProfile, "rx_sensitivity"),
     (TrafficInput, "population"), (TrafficInput, "cellular_penetration"), (TrafficInput, "operator_share"),
@@ -283,7 +281,9 @@ class TestValidateNetwork:
 
 class TestPathResolution:
     def test_ring_order_walks_the_cycle_and_closes_it(self, sleman_doc):
-        order = ring_order(sleman_doc.network)
+        net = sleman_doc.network
+        order = nodes_along(net.nodes[0].id, ring_spans(net))
+        assert len(order) == 8
         assert order[0] == order[-1] == "seyegan"
         assert sorted(order[:-1]) == sorted(n.id for n in sleman_doc.network.nodes)
 
@@ -294,13 +294,13 @@ class TestPathResolution:
             losses=LOSSES, transceiver=TRANSCEIVER,
         )
         with pytest.raises(ConfigurationError):
-            ring_order(tree_like)
+            ring_spans(tree_like)
 
     def test_ring_spans_walk_every_span_once_in_ring_order(self, sleman_doc):
         net = sleman_doc.network
         spans = ring_spans(net)
         assert sorted(s.id for s in spans) == sorted(s.id for s in net.spans)
-        order = ring_order(net)
+        order = nodes_along(net.nodes[0].id, spans)
         for span, a, b in zip(spans, order, order[1:]):
             assert {span.from_node, span.to_node} == {a, b}
 
@@ -312,7 +312,6 @@ class TestPathResolution:
 
         monkeypatch.setattr(fiberplan.model, "validate_network", fail)
         assert len(ring_spans(sleman_doc.network)) == 7
-        assert len(ring_order(sleman_doc.network)) == 8
 
     @pytest.mark.parametrize(
         "nodes, spans",
@@ -334,8 +333,6 @@ class TestPathResolution:
         )
         with pytest.raises(ConfigurationError):
             ring_spans(net)
-        with pytest.raises(ConfigurationError):
-            ring_order(net)
 
     def test_node_name_lookup(self):
         net = Network(
@@ -348,7 +345,7 @@ class TestPathResolution:
 
     def test_full_ring_path_includes_closing_span(self, sleman_doc):
         net = sleman_doc.network
-        spans = spans_along(net, ring_order(net))
+        spans = spans_along(net, nodes_along(net.nodes[0].id, ring_spans(net)))
         assert len(spans) == 7
         assert sorted(s.id for s in spans) == sorted(s.id for s in net.spans)
 

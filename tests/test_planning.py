@@ -10,12 +10,11 @@ from fiberplan.planning import (
     render_forecast_text,
     render_plan_text,
     render_trace_text,
-    run_forecast,
     run_plan,
     run_trace,
     traffic_input_from_mapping,
 )
-from fiberplan.traffic import TrafficInput
+from fiberplan.traffic import TrafficInput, forecast_subscribers
 
 
 def strip_amplifiers(doc):
@@ -33,8 +32,8 @@ def parallel_ring(doc):
 
 
 class TestRunPlan:
-    def test_bundled_ring_passes(self, sleman_file):
-        report = run_plan(sleman_file, "gpon-onu-endpoint")
+    def test_bundled_ring_passes(self, sleman_doc):
+        report = run_plan(sleman_doc, "gpon-onu-endpoint")
         assert report.overall_pass
         assert report.amplifier_plan.edfa_count == 2
         assert report.amplifier_plan.total_gain == pytest.approx(40.0)
@@ -51,13 +50,13 @@ class TestRunPlan:
         assert sum(row.splices for row in report.spans) == 46
 
     def test_planned_gain_covers_missing_inventory(self, write_network):
-        report = run_plan(write_network(strip_amplifiers), "gpon-onu-endpoint")
+        report = run_plan(load_network(write_network(strip_amplifiers)), "gpon-onu-endpoint")
         assert report.inventory_gain == 0.0
         assert report.applied_gain == pytest.approx(40.0)
         assert report.overall_pass
 
     def test_as_built_without_amplifiers_fails_the_power_verdict(self, write_network):
-        report = run_plan(write_network(strip_amplifiers), "gpon-onu-endpoint", as_built=True)
+        report = run_plan(load_network(write_network(strip_amplifiers)), "gpon-onu-endpoint", as_built=True)
         assert not report.overall_pass
         assert report.received == pytest.approx(-42.64, abs=0.1)
         power = [v for v in report.verdicts if v.quantity == "received power"][0]
@@ -70,14 +69,14 @@ class TestRunPlan:
             doc["spans"] = []
 
         with pytest.raises(ValidationFailure):
-            run_plan(write_network(empty), "gpon-onu-endpoint")
+            run_plan(load_network(write_network(empty)), "gpon-onu-endpoint")
 
-    def test_unknown_standard(self, sleman_file):
+    def test_unknown_standard(self, sleman_doc):
         with pytest.raises(ConfigurationError, match="unknown standard"):
-            run_plan(sleman_file, "itu-nonexistent")
+            run_plan(sleman_doc, "itu-nonexistent")
 
-    def test_partial_path(self, sleman_file):
-        report = run_plan(sleman_file, "gpon-onu-endpoint", path_spec="seyegan,tempel,pakem")
+    def test_partial_path(self, sleman_doc):
+        report = run_plan(sleman_doc, "gpon-onu-endpoint", path_spec="seyegan,tempel,pakem")
         assert [row.span_id for row in report.spans] == ["01-seyegan-tempel", "02-tempel-pakem"]
         assert report.path_nodes == ("seyegan", "tempel", "pakem")
 
@@ -87,17 +86,17 @@ class TestRunPlan:
                 "strict": {"bit_rate": 10e9, "line_code": "nrz", "rx_sensitivity": -1.0}
             }
 
-        report = run_plan(write_network(add_custom), "strict")
+        report = run_plan(load_network(write_network(add_custom)), "strict")
         assert not report.overall_pass  # -2.6 dBm cannot reach a -1 dBm floor
 
-    def test_deterministic_rendering(self, sleman_file):
-        first = run_plan(sleman_file, "gpon-onu-endpoint")
-        second = run_plan(sleman_file, "gpon-onu-endpoint")
+    def test_deterministic_rendering(self, sleman_doc):
+        first = run_plan(sleman_doc, "gpon-onu-endpoint")
+        second = run_plan(sleman_doc, "gpon-onu-endpoint")
         assert render_plan_text(first) == render_plan_text(second)
         assert plan_to_dict(first) == plan_to_dict(second)
 
-    def test_report_mentions_each_span_once(self, sleman_file):
-        report = run_plan(sleman_file, "gpon-onu-endpoint")
+    def test_report_mentions_each_span_once(self, sleman_doc):
+        report = run_plan(sleman_doc, "gpon-onu-endpoint")
         ids = [row.span_id for row in report.spans]
         assert len(ids) == len(set(ids)) == 7
 
@@ -106,54 +105,54 @@ class TestParallelSpans:
     def test_ring_plan_counts_both_spans(self, write_network):
         net_file = write_network(parallel_ring)
         assert [s.id for s in ring_spans(load_network(net_file).network)] == ["s1", "s2"]
-        report = run_plan(net_file, "gpon-onu-endpoint")
+        report = run_plan(load_network(net_file), "gpon-onu-endpoint")
         assert report.path_nodes == ("west", "east", "west")
         assert [row.span_id for row in report.spans] == ["s1", "s2"]
         assert report.path.fiber_total == pytest.approx(18.0)  # (10 + 50) km x 0.3 dB/km
         assert "+ fiber 18.00 +" in render_plan_text(report)
 
     def test_ring_trace_crosses_both_spans(self, write_network):
-        trace, _ = run_trace(write_network(parallel_ring), "ring")
+        trace, _ = run_trace(load_network(write_network(parallel_ring)), "ring")
         fibers = [p.label for p in trace.points if p.label.startswith("fiber")]
         assert fibers == ["fiber 10 km (g652-backbone)", "fiber 50 km (g652-backbone)"]
 
 
 class TestRunTrace:
-    def test_defaults_to_transmit_power(self, sleman_file):
-        trace, ber = run_trace(sleman_file, "seyegan,tempel")
+    def test_defaults_to_transmit_power(self, sleman_doc):
+        trace, ber = run_trace(sleman_doc, "seyegan,tempel")
         assert trace.points[0].power == 9.0
         assert ber is None
 
-    def test_explicit_power_and_ber(self, sleman_file):
-        trace, ber = run_trace(sleman_file, "seyegan,tempel", input_power=-20.0, with_ber=True)
+    def test_explicit_power_and_ber(self, sleman_doc):
+        trace, ber = run_trace(sleman_doc, "seyegan,tempel", input_power=-20.0, with_ber=True)
         assert trace.points[0].power == -20.0
         assert ber is not None
         assert 0.0 <= ber.ber <= 0.5
 
-    def test_ring_trace_ends_at_plan_power(self, sleman_file):
-        report = run_plan(sleman_file, "gpon-onu-endpoint", as_built=True)
-        trace, _ = run_trace(sleman_file, "ring")
+    def test_ring_trace_ends_at_plan_power(self, sleman_doc):
+        report = run_plan(sleman_doc, "gpon-onu-endpoint", as_built=True)
+        trace, _ = run_trace(sleman_doc, "ring")
         # the trace has no distribution leg, so add it back
         assert trace.final_power - report.distribution_loss == pytest.approx(
             report.as_built_power, abs=1e-9
         )
 
-    def test_render_trace(self, sleman_file):
-        trace, ber = run_trace(sleman_file, "seyegan,tempel", with_ber=True)
+    def test_render_trace(self, sleman_doc):
+        trace, ber = run_trace(sleman_doc, "seyegan,tempel", with_ber=True)
         text = render_trace_text(trace, ber)
         assert text.startswith("input")
         assert "BER estimate" in text
 
 
 class TestForecastHelpers:
-    def test_run_forecast_delegates(self):
+    def test_forecast_from_assembled_inputs(self):
         inputs = TrafficInput(850221, 1.5, 0.42, 0.2, 0.051, 5)
-        assert run_forecast(inputs).projected_subscribers == 137378
+        assert forecast_subscribers(inputs).projected_subscribers == 137378
 
     def test_mapping_roundtrip(self, sleman_doc):
         inputs = traffic_input_from_mapping(sleman_doc.traffic)
         assert inputs.population == 850221
-        assert run_forecast(inputs).lte_subscribers == 107128
+        assert forecast_subscribers(inputs).lte_subscribers == 107128
 
     def test_mapping_rejects_unknown_keys(self):
         with pytest.raises(NetworkFileError, match="growth_rate"):
@@ -165,6 +164,6 @@ class TestForecastHelpers:
 
     def test_render_forecast(self):
         inputs = TrafficInput(850221, 1.5, 0.42, 0.2, 0.051, 5)
-        text = render_forecast_text(inputs, run_forecast(inputs))
+        text = render_forecast_text(inputs, forecast_subscribers(inputs))
         assert "137,378" in text
         assert "850,221" in text

@@ -62,11 +62,10 @@ class TestSpanLoss:
         assert span_loss(span, losses).splice_total == pytest.approx(5.0)
 
     def test_breakdown_identity_enforced(self):
-        with pytest.raises(DomainError):
-            LossBreakdown(
-                connector_total=1.0, fiber_total=1.0, splice_total=1.0,
-                splitter_total=0.0, margin=1.0, total=5.0,
-            )
+        parts = dict(connector_total=1.0, fiber_total=1.0, splice_total=1.0, splitter_total=0.0, margin=1.0)
+        assert LossBreakdown(**parts).total == 4.0
+        with pytest.raises(TypeError):  # the total is derived, so a contradicting one cannot be given
+            LossBreakdown(**parts, total=5.0)
 
     @given(ratios=st.lists(st.sampled_from([2, 4, 8, 16]), min_size=0, max_size=6))
     def test_splitter_order_does_not_change_the_total(self, ratios):
@@ -78,20 +77,20 @@ class TestSpanLoss:
 
 class TestSplitterLoss:
     def test_ideal_split_values(self):
-        assert splitter_loss(2) == pytest.approx(3.0103, abs=1e-4)
-        assert splitter_loss(4) == pytest.approx(6.0206, abs=1e-4)
+        assert splitter_loss(Splitter(2)) == pytest.approx(3.0103, abs=1e-4)
+        assert splitter_loss(Splitter(4)) == pytest.approx(6.0206, abs=1e-4)
 
     def test_excess_is_additive(self):
-        assert splitter_loss(2, excess=1.0) == pytest.approx(splitter_loss(2) + 1.0)
+        assert splitter_loss(Splitter(2), excess=1.0) == pytest.approx(splitter_loss(Splitter(2)) + 1.0)
 
     @pytest.mark.parametrize("ratio", [1, 3, 5, 0, -2])
     def test_invalid_ratio(self, ratio):
         with pytest.raises(DomainError):
-            splitter_loss(ratio)
+            splitter_loss(Splitter(ratio))
 
     def test_negative_excess(self):
         with pytest.raises(DomainError):
-            splitter_loss(2, excess=-0.5)
+            splitter_loss(Splitter(2), excess=-0.5)
 
 
 class TestBudgetChain:
@@ -133,10 +132,17 @@ class TestAmplifierRequirement:
             amplifier_requirement(30.0, 10.0, 0.0)
 
     def test_plan_invariants_enforced(self):
-        with pytest.raises(DomainError):
+        plan = AmplifierPlan(gain_deficit=21.64, unit_gain=20.0)
+        assert (plan.edfa_count, plan.total_gain) == (2, 40.0)
+        with pytest.raises(TypeError):  # count and gain are derived, so contradicting ones cannot be given
             AmplifierPlan(gain_deficit=21.64, unit_gain=20.0, edfa_count=1, total_gain=20.0)
-        with pytest.raises(DomainError):
-            AmplifierPlan(gain_deficit=21.64, unit_gain=20.0, edfa_count=2, total_gain=42.0)
+        with pytest.raises(DomainError, match="amplifier unit gain must be > 0 dB"):
+            AmplifierPlan(gain_deficit=21.64, unit_gain=0.0)
+
+    def test_unit_gain_too_small_to_count_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="edfa_gain"):
+            amplifier_requirement(34.97, 13.33, 1e-320)
+        assert amplifier_requirement(10.0, 13.33, 1e-320).edfa_count == 0  # nothing to cover
 
     @given(
         actual=st.floats(min_value=0.0, max_value=120.0),

@@ -115,15 +115,21 @@ class TestSpanReport:
 
 class TestReportInvariants:
     def test_total_must_be_root_sum_square(self):
-        with pytest.raises(DomainError):
-            RiseTimeReport(
-                ceiling=70.0, dispersion_component=5.0, tx_component=60.0,
-                rx_component=35.0, total=100.0, passed=False,
-            )
+        report = RiseTimeReport(ceiling=70.0, dispersion_component=5.0, tx_component=60.0, rx_component=35.0)
+        assert report.total == math.sqrt(60.0**2 + 35.0**2 + 5.0**2)
+        with pytest.raises(TypeError):  # the total is derived, so a contradicting one cannot be given
+            RiseTimeReport(70.0, 5.0, 60.0, 35.0, total=100.0, passed=False)
 
     def test_pass_flag_must_match_comparison(self):
-        with pytest.raises(DomainError):
-            RiseTimeReport(
-                ceiling=70.0, dispersion_component=0.0, tx_component=60.0,
-                rx_component=35.0, total=DISPERSION_FREE_FLOOR, passed=False,
-            )
+        at_ceiling = RiseTimeReport(
+            ceiling=DISPERSION_FREE_FLOOR, dispersion_component=0.0, tx_component=60.0, rx_component=35.0,
+        )
+        assert at_ceiling.total == DISPERSION_FREE_FLOOR and at_ceiling.passed
+        assert not RiseTimeReport(69.0, 0.0, 60.0, 35.0).passed
+
+    def test_total_beyond_the_float_range_names_the_span(self):
+        far = make_span("far", "a", "b", length=1e308)
+        with pytest.raises(DomainError, match=r"span 'far' \(length 1e\+308 km\): rise time beyond the float range"):
+            span_risetime_report(far, TRANSCEIVER, builtin_profiles()["gpon-onu-endpoint"])
+        with pytest.raises(DomainError, match="rise time beyond the float range"):
+            total_risetime(1e200, 35.0, 0.0)

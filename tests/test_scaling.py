@@ -68,7 +68,7 @@ def best_of_three(fn, *args) -> float:
 
 @pytest.mark.parametrize(
     "run",
-    [lambda f: run_plan(f, "gpon-onu-endpoint"), lambda f: run_trace(f, "ring")],
+    [lambda f: run_plan(load_network(f), "gpon-onu-endpoint"), lambda f: run_trace(load_network(f), "ring")],
     ids=["run_plan", "run_trace"],
 )
 def test_ring_commands_scale_linearly(tmp_path, run):

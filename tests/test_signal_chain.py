@@ -178,7 +178,7 @@ class TestElementGain:
                                  splitter_excess_loss=0.5)
         assert element_gain(Connector(), losses) == -0.7
         assert element_gain(Splice(), losses) == -0.11
-        assert element_gain(Splitter(2), losses) == -splitter_loss(2, 0.5)
+        assert element_gain(Splitter(2), losses) == -splitter_loss(Splitter(2), 0.5)
         assert element_gain(Amplifier(17.0), losses) == 17.0
         assert element_gain(FiberSegment(length=10.0, fiber=DIST_FIBER), losses) == pytest.approx(-2.0)
 

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
 from fiberplan.model import ConfigurationError, DomainError, LineCode
 from fiberplan.standards import (
     StandardProfile,
+    Verdict,
     builtin_profiles,
     power_verdict,
     resolve_standard,
@@ -83,6 +86,13 @@ def test_verdict_is_self_consistent(value):
             recomputed = verdict.value <= verdict.threshold
         assert verdict.passed == recomputed
         assert (verdict.margin >= 0) == verdict.passed
+
+
+@pytest.mark.parametrize("direction", ["min", "max"])
+def test_verdict_at_an_infinite_threshold_compares_the_values(direction):
+    verdict = Verdict("quantity", math.inf, math.inf, "unit", direction)
+    assert math.isnan(verdict.margin)  # inf - inf
+    assert verdict.passed  # equality passes
 
 
 class TestResolution:
