@@ -17,18 +17,17 @@ from .model import ConfigurationError, DomainError, validate_network
 from .netfile import load_network
 from .planning import (
     ValidationFailure,
-    forecast_to_dict,
-    plan_to_dict,
+    render_forecast_json,
     render_forecast_text,
+    render_plan_json,
     render_plan_text,
+    render_trace_json,
     render_trace_text,
+    render_violations_json,
     render_violations_text,
     run_plan,
     run_trace,
-    to_json,
-    trace_to_dict,
     traffic_input_from_mapping,
-    violations_to_dict,
 )
 from .traffic import TrafficInput, forecast_subscribers
 
@@ -116,7 +115,7 @@ def _run(args: argparse.Namespace) -> int:
         doc = load_network(args.network)
         violations = validate_network(doc.network)
         if args.format == "json":
-            _emit(to_json(violations_to_dict(violations)), args.out)
+            _emit(render_violations_json(violations), args.out)
         else:
             _emit(render_violations_text(violations), args.out)
         return 0 if not violations else 1
@@ -124,7 +123,7 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "plan":
         report = run_plan(load_network(args.network), args.standard, args.path, as_built=args.as_built)
         if args.format == "json":
-            _emit(to_json(plan_to_dict(report)), args.out)
+            _emit(render_plan_json(report), args.out)
         else:
             _emit(render_plan_text(report), args.out)
         return 0 if report.overall_pass else 1
@@ -133,7 +132,7 @@ def _run(args: argparse.Namespace) -> int:
         inputs = _forecast_inputs(args)
         forecast = forecast_subscribers(inputs)
         if args.format == "json":
-            _emit(to_json(forecast_to_dict(inputs, forecast)), args.out)
+            _emit(render_forecast_json(inputs, forecast), args.out)
         else:
             _emit(render_forecast_text(inputs, forecast), args.out)
         return 0
@@ -143,7 +142,7 @@ def _run(args: argparse.Namespace) -> int:
             raise DomainError(f"--power must be a finite dBm value, got {args.power!r}")
         trace, ber = run_trace(load_network(args.network), args.path, input_power=args.power, with_ber=args.ber)
         if args.format == "json":
-            _emit(to_json(trace_to_dict(trace, ber)), args.out)
+            _emit(render_trace_json(trace, ber), args.out)
         else:
             _emit(render_trace_text(trace, ber), args.out)
         return 0

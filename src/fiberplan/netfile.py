@@ -39,6 +39,7 @@ from .model import (
     TransceiverProfile,
     frozen,
 )
+from .risetime import max_system_risetime
 from .standards import StandardProfile
 
 DEFAULT_EDFA_GAIN = 20.0  # dB per unit when the file does not say otherwise
@@ -255,9 +256,13 @@ def _standards(raw: Any) -> dict[str, StandardProfile]:
             line_code = LineCode(code)
         except ValueError:
             raise NetworkFileError(f"{where.format(*at)}: line_code must be 'nrz' or 'rz', got {code!r}") from None
+        bit_rate = _number(body, "bit_rate", where, at)
+        if bit_rate > 0 and not isfinite(max_system_risetime(bit_rate, line_code)):  # 0.7e12 / 1e-320 is inf
+            raise _field_error(where, at, "bit_rate", "a number whose rise-time ceiling is within the float range",
+                               body["bit_rate"])
         out[name] = StandardProfile(
             name=name,
-            bit_rate=_number(body, "bit_rate", where, at),
+            bit_rate=bit_rate,
             line_code=line_code,
             rx_sensitivity=_number(body, "rx_sensitivity", where, at),
             notes=_text(body, "notes", where, at, ""),

@@ -9,8 +9,8 @@ timestamps, so identical inputs produce identical bytes.
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Any, Mapping
 
 from .model import (
@@ -233,6 +233,10 @@ def traffic_input_from_mapping(raw: Mapping[str, Any]) -> TrafficInput:
 # --- rendering -------------------------------------------------------------
 # dB and dBm print with two decimals, rise times with three, counts as
 # integers; the same precision is applied to JSON payloads.
+#
+# JSON is formatted into fixed %-templates, laid out byte for byte as
+# json.dumps(payload, indent=2) lays out the same values. That call would run
+# CPython's pure-Python encoder (any indent does), slower than building the plan.
 
 
 def _db(x: float) -> float:
@@ -253,28 +257,73 @@ def _fmt_verdict(v: Verdict) -> str:
     )
 
 
-def _verdict_dict(v: Verdict) -> dict[str, Any]:
+def _num(x: float) -> str:
+    """A JSON number spelled as json.dumps spells it, non-finite values included."""
+    if x - x == 0:
+        return repr(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def _nums(values: tuple[float, ...]) -> tuple[Any, ...]:
+    """Numbers for ``%s`` slots: ``%s`` writes a finite float or an int as json.dumps
+    does; if any value is not finite (so neither is the sum), all go through :func:`_num`."""
+    total = sum(values)
+    return values if total - total == 0 else tuple(map(_num, values))
+
+
+_BOOL = ("false", "true")
+
+
+def _template(fields: tuple[Any, ...], depth: int = 0) -> str:
+    """An indent-2 JSON object at nesting ``depth`` with one ``%s`` slot per field.
+
+    A field is a key, or a ``(key, fields)`` pair for a nested object.
+    """
+    pad = "  " * (depth + 1)
+    lines = []
+    for field in fields:
+        if isinstance(field, tuple):
+            lines.append(f'{pad}"{field[0]}": {_template(field[1], depth + 1)}')
+        else:
+            lines.append(f'{pad}"{field}": %s')
+    return "{\n" + ",\n".join(lines) + "\n" + "  " * depth + "}"
+
+
+def _array(items: list[str]) -> str:
+    """Encoded items, each indented two levels, as a JSON array at depth one."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
+_LOSS = ("connectors", "fiber", "splices", "splitters", "margin", "total")
+_SPAN_JSON = "    " + _template(("id", "link", "length", "splices", ("loss", _LOSS),
+                                  ("rise_time", ("ceiling", "dispersion", "tx", "rx", "total", "pass"))), 2)
+_VERDICT_JSON = "    " + _template(("quantity", "value", "threshold", "unit", "direction", "margin", "pass"), 2)
+_PLAN_JSON = _template((
+    ("standard", ("name", "bit_rate", "line_code", "rx_sensitivity")), "path", "spans", ("path_loss", _LOSS),
+    "distribution_loss", "planning_floor", "max_loss",
+    ("amplifier_plan", ("gain_deficit", "unit_gain", "edfa_count", "total_gain")), "inventory_gain",
+    "applied_gain", ("received_power", ("effective", "as_built")), "verdicts", "overall_pass",
+)) + "\n"
+
+
+def _loss_values(b: LossBreakdown) -> tuple[float, ...]:
+    return (_db(b.connector_total), _db(b.fiber_total), _db(b.splice_total), _db(b.splitter_total),
+            _db(b.margin), _db(b.total))
+
+
+def _span_json(row: SpanResult) -> str:
+    r = row.rise
+    numbers = _nums((row.length, row.splices, *_loss_values(row.loss), _ps(r.ceiling),
+                     _ps(r.dispersion_component), _ps(r.tx_component), _ps(r.rx_component), _ps(r.total)))
+    return _SPAN_JSON % (_json_str(row.span_id), _json_str(row.link), *numbers, _BOOL[r.passed])
+
+
+def _verdict_json(v: Verdict) -> str:
     digits = _ps if v.unit == "ps" else _db
-    return {
-        "quantity": v.quantity,
-        "value": digits(v.value),
-        "threshold": digits(v.threshold),
-        "unit": v.unit,
-        "direction": v.direction,
-        "margin": digits(v.margin),
-        "pass": v.passed,
-    }
-
-
-def _loss_dict(b: LossBreakdown) -> dict[str, float]:
-    return {
-        "connectors": _db(b.connector_total),
-        "fiber": _db(b.fiber_total),
-        "splices": _db(b.splice_total),
-        "splitters": _db(b.splitter_total),
-        "margin": _db(b.margin),
-        "total": _db(b.total),
-    }
+    value, threshold, margin = _nums((digits(v.value), digits(v.threshold), digits(v.margin)))
+    return _VERDICT_JSON % (
+        _json_str(v.quantity), value, threshold, _json_str(v.unit), _json_str(v.direction), margin, _BOOL[v.passed]
+    )
 
 
 def render_plan_text(report: PlanReport) -> str:
@@ -333,49 +382,23 @@ def render_plan_text(report: PlanReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def plan_to_dict(report: PlanReport) -> dict[str, Any]:
-    return {
-        "standard": {
-            "name": report.standard.name,
-            "bit_rate": report.standard.bit_rate,
-            "line_code": report.standard.line_code.value,
-            "rx_sensitivity": _db(report.standard.rx_sensitivity),
-        },
-        "path": list(report.path_nodes),
-        "spans": [
-            {
-                "id": row.span_id,
-                "link": row.link,
-                "length": row.length,
-                "splices": row.splices,
-                "loss": _loss_dict(row.loss),
-                "rise_time": {
-                    "ceiling": _ps(row.rise.ceiling),
-                    "dispersion": _ps(row.rise.dispersion_component),
-                    "tx": _ps(row.rise.tx_component),
-                    "rx": _ps(row.rise.rx_component),
-                    "total": _ps(row.rise.total),
-                    "pass": row.rise.passed,
-                },
-            }
-            for row in report.spans
-        ],
-        "path_loss": _loss_dict(report.path),
-        "distribution_loss": _db(report.distribution_loss),
-        "planning_floor": _db(report.planning_floor),
-        "max_loss": _db(report.max_loss),
-        "amplifier_plan": {
-            "gain_deficit": _db(report.amplifier_plan.gain_deficit),
-            "unit_gain": _db(report.amplifier_plan.unit_gain),
-            "edfa_count": report.amplifier_plan.edfa_count,
-            "total_gain": _db(report.amplifier_plan.total_gain),
-        },
-        "inventory_gain": _db(report.inventory_gain),
-        "applied_gain": _db(report.applied_gain),
-        "received_power": {"effective": _db(report.received), "as_built": _db(report.as_built_power)},
-        "verdicts": [_verdict_dict(v) for v in report.verdicts],
-        "overall_pass": report.overall_pass,
-    }
+def render_plan_json(report: PlanReport) -> str:
+    """The plan as JSON, byte for byte what json.dumps(indent=2) writes."""
+    standard, plan = report.standard, report.amplifier_plan
+    scalars = _nums((
+        standard.bit_rate, _db(standard.rx_sensitivity), *_loss_values(report.path),
+        _db(report.distribution_loss), _db(report.planning_floor), _db(report.max_loss),
+        _db(plan.gain_deficit), _db(plan.unit_gain), plan.edfa_count, _db(plan.total_gain),
+        _db(report.inventory_gain), _db(report.applied_gain), _db(report.received), _db(report.as_built_power),
+    ))
+    return _PLAN_JSON % (
+        _json_str(standard.name), scalars[0], _json_str(standard.line_code.value), scalars[1],
+        _array(["    " + _json_str(node) for node in report.path_nodes]),
+        _array([_span_json(row) for row in report.spans]),
+        *scalars[2:],
+        _array([_verdict_json(v) for v in report.verdicts]),
+        _BOOL[report.overall_pass],
+    )
 
 
 def render_trace_text(trace: PowerTrace, ber: BerEstimate | None = None) -> str:
@@ -388,14 +411,20 @@ def render_trace_text(trace: PowerTrace, ber: BerEstimate | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def trace_to_dict(trace: PowerTrace, ber: BerEstimate | None = None) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "points": [{"label": p.label, "power": _db(p.power)} for p in trace.points],
-        "final_power": _db(trace.final_power),
-    }
-    if ber is not None:
-        out["ber"] = {"q_factor": round(ber.q_factor, 3), "ber": float(f"{ber.ber:.3e}")}
-    return out
+_POINT_JSON = "    " + _template(("label", "power"), 2)
+_TRACE_JSON = _template(("points", "final_power")) + "\n"
+_TRACE_BER_JSON = _template(("points", "final_power", ("ber", ("q_factor", "ber")))) + "\n"
+
+
+def render_trace_json(trace: PowerTrace, ber: BerEstimate | None = None) -> str:
+    """The trace as JSON, byte for byte what json.dumps(indent=2) writes."""
+    points = trace.points
+    labels = {label: _json_str(label) for label in {p.label for p in points}}  # a few distinct labels repeat
+    # propagate() keeps every power finite, so %s spells each one as json.dumps does.
+    body = _array([_POINT_JSON % (labels[p.label], _db(p.power)) for p in points])
+    if ber is None:
+        return _TRACE_JSON % (body, _num(_db(trace.final_power)))
+    return _TRACE_BER_JSON % (body, *_nums((_db(trace.final_power), round(ber.q_factor, 3), float(f"{ber.ber:.3e}"))))
 
 
 def render_forecast_text(inputs: TrafficInput, forecast: TrafficForecast) -> str:
@@ -414,21 +443,20 @@ def render_forecast_text(inputs: TrafficInput, forecast: TrafficForecast) -> str
     return "\n".join(lines) + "\n"
 
 
-def forecast_to_dict(inputs: TrafficInput, forecast: TrafficForecast) -> dict[str, Any]:
-    return {
-        "inputs": {
-            "population": inputs.population,
-            "cellular_penetration": inputs.cellular_penetration,
-            "operator_share": inputs.operator_share,
-            "lte_penetration": inputs.lte_penetration,
-            "annual_growth": inputs.annual_growth,
-            "horizon": inputs.horizon,
-        },
-        "mobile_subscribers": forecast.mobile_subscribers,
-        "operator_subscribers": forecast.operator_subscribers,
-        "lte_subscribers": forecast.lte_subscribers,
-        "projected_subscribers": forecast.projected_subscribers,
-    }
+_FORECAST_JSON = _template((
+    ("inputs", ("population", "cellular_penetration", "operator_share", "lte_penetration", "annual_growth",
+                "horizon")),
+    "mobile_subscribers", "operator_subscribers", "lte_subscribers", "projected_subscribers",
+)) + "\n"
+
+
+def render_forecast_json(inputs: TrafficInput, forecast: TrafficForecast) -> str:
+    """The forecast as JSON, byte for byte what json.dumps(indent=2) writes."""
+    return _FORECAST_JSON % _nums((
+        inputs.population, inputs.cellular_penetration, inputs.operator_share, inputs.lte_penetration,
+        inputs.annual_growth, inputs.horizon, forecast.mobile_subscribers, forecast.operator_subscribers,
+        forecast.lte_subscribers, forecast.projected_subscribers,
+    ))
 
 
 def render_violations_text(violations: list[Violation]) -> str:
@@ -439,14 +467,11 @@ def render_violations_text(violations: list[Violation]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def violations_to_dict(violations: list[Violation]) -> dict[str, Any]:
-    return {
-        "valid": not violations,
-        "violations": [
-            {"element": v.element, "rule": v.rule, "message": v.message} for v in violations
-        ],
-    }
+_VIOLATION_JSON = "    " + _template(("element", "rule", "message"), 2)
+_VIOLATIONS_JSON = _template(("valid", "violations")) + "\n"
 
 
-def to_json(payload: Mapping[str, Any]) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def render_violations_json(violations: list[Violation]) -> str:
+    """The validation result as JSON, byte for byte what json.dumps(indent=2) writes."""
+    items = [_VIOLATION_JSON % (_json_str(v.element), _json_str(v.rule), _json_str(v.message)) for v in violations]
+    return _VIOLATIONS_JSON % (_BOOL[not violations], _array(items))

@@ -14,7 +14,6 @@ end-of-line powers around -25 to -27 dBm land in the 1e-3..1e-5 BER range.
 from __future__ import annotations
 
 import math
-import sys
 from typing import Sequence, Union
 
 from .model import (
@@ -32,6 +31,10 @@ from .power_budget import splitter_loss
 from .units import dbm_to_watts
 
 DEFAULT_NOISE_SIGMA = 7e-7  # A; receiver noise current of the Gaussian model
+
+MAX_TRACE_ELEMENTS = 200_000
+"""Most elements :func:`route_chain` builds for one path; a traced element takes
+about 1 KB and a 10^4-node ring needs about 90k. ``plan`` never builds the chain."""
 
 
 @frozen
@@ -216,16 +219,21 @@ def route_chain(network: Network, spans: Sequence[Span]) -> list[ChainElement]:
     for a node path or :func:`fiberplan.model.ring_spans` for the whole ring.
     Per span: one entry connector, the fiber run, its splices, any splitters
     and amplifiers, then the remaining connectors at the exit. The system
-    margin is a single pad at the end of the whole path. Raises DomainError
-    for a span with more joints than a list can hold.
+    margin is a single pad at the end of the whole path. Each span's elements
+    are counted before any is built; raises DomainError naming the span at
+    which the path passes :data:`MAX_TRACE_ELEMENTS`.
     """
+    pad = network.losses.system_margin > 0
     elements: list[ChainElement] = []
     for span in spans:
         splices = resolved_splices(span)
-        if splices > sys.maxsize or span.connectors > sys.maxsize:
+        # Counted in floats: two counts near the float maximum add up to inf, not an error.
+        count = len(elements) + pad + 1.0 + splices + span.connectors + len(span.splitters) + len(span.amplifiers)
+        if count > MAX_TRACE_ELEMENTS:
             raise DomainError(
                 f"span {span.id!r}: too many joints to trace: {splices:.3g} splices"
-                f" (length {span.length:g} km), {span.connectors:.3g} connectors"
+                f" (length {span.length:g} km), {span.connectors:.3g} connectors;"
+                f" the path would hold {count:.6g} elements, over the cap of {MAX_TRACE_ELEMENTS}"
             )
         entry = min(span.connectors, 1)
         elements.extend([Connector()] * entry)
@@ -234,6 +242,6 @@ def route_chain(network: Network, spans: Sequence[Span]) -> list[ChainElement]:
         elements.extend(span.splitters)
         elements.extend(span.amplifiers)
         elements.extend([Connector()] * (span.connectors - entry))
-    if network.losses.system_margin > 0:
+    if pad:
         elements.append(MarginPad(loss=network.losses.system_margin))
     return elements

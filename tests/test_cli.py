@@ -176,6 +176,7 @@ def test_missing_required_flag_exits_two():
 
 STANDARD = ("--standard", "gpon-onu-endpoint")
 LAB = {"bit_rate": float("nan"), "line_code": "nrz", "rx_sensitivity": -30.0}
+TINY = {"bit_rate": 1e-320, "line_code": "nrz", "rx_sensitivity": -28.0}  # 0.7 / bit_rate is inf
 
 
 def _set(path, value):
@@ -237,11 +238,23 @@ def assert_one_error_line(capsys, argv, *fragments):
         (_set(("losses", "connector_loss"), 1e308), ("plan", *STANDARD),
          "loss breakdown: connector_total must be a finite number >= 0 dB"),
         (_set(("losses", "connector_loss"), 1e308), ("trace",), "power after 'connector' is beyond the float range"),
+        # A 1 mm drum length asks for ten million splices: the trace is refused before it is built.
+        (_set(("fiber_profiles", "g652-backbone", "drum_length"), 1e-6), ("trace", "--format", "json"),
+         "span '01-seyegan-tempel': too many joints to trace: 1.01e+07 splices (length 10.094 km), 2 connectors;"
+         " the path would hold 1.0094e+07 elements, over the cap of 200000"),
+        (_set(("standards",), {"tiny": TINY}), ("plan", "--standard", "tiny", "--format", "json"),
+         "standards['tiny'].bit_rate: expected a number whose rise-time ceiling is within the float range"),
     ],
 )
 def test_malformed_values_exit_two(capsys, write_network, mutate, command, fragment):
     path = write_network(mutate)
     assert_one_error_line(capsys, (command[0], "--network", str(path), *command[1:]), fragment)
+
+
+def test_plan_needs_no_trace_on_a_plant_too_dense_to_trace(capsys, write_network):
+    path = write_network(_set(("fiber_profiles", "g652-backbone", "drum_length"), 1e-6))
+    assert main(["plan", "--network", str(path), *STANDARD]) == 0
+    assert "Path loss" in capsys.readouterr().out
 
 
 def test_non_utf8_file_exits_two(capsys, tmp_path):

@@ -1,7 +1,9 @@
-"""Byte-for-byte golden reports on the bundled Sleman ring.
+"""Byte-for-byte golden reports on the bundled Sleman ring and a small GPON tree.
 
-Each file under ``tests/golden/`` is the stdout of one command, text and JSON,
-recorded before a refactor that must not change any report. A difference here
+Each report file under ``tests/golden/`` is the stdout of one command, text
+and JSON, recorded before a refactor that must not change any report. The
+tree plant is ``tests/golden/tree-network.json``: two 1x8 splitter stages, an
+EDFA on one feeder and one drop whose rise time fails. A difference here
 means a report changed; update the file only when that change is intended.
 """
 
@@ -15,34 +17,52 @@ from fiberplan.cli import main
 from fiberplan.data import sleman_path
 
 GOLDEN = Path(__file__).parent / "golden"
+TREE = GOLDEN / "tree-network.json"
 PARTIAL = "seyegan,tempel,pakem"
+NORTH, SOUTH = "olt,d0,d0.1", "olt,d1,d1.1"
+ONU = ("--standard", "gpon-onu-endpoint")
 
-# name -> (arguments after --network, exit code)
-COMMANDS = {
-    "plan": (["plan", "--standard", "gpon-onu-endpoint"], 0),
-    "plan-as-built": (["plan", "--standard", "gpon-onu-endpoint", "--as-built"], 0),
-    "plan-partial": (["plan", "--standard", "gpon-onu-endpoint", "--path", PARTIAL], 0),
-    "trace-ber": (["trace", "--ber"], 0),
-    "trace-ber-power": (["trace", "--ber", "--power", "3"], 0),
-    "trace-partial": (["trace", "--path", PARTIAL], 0),
-    "validate": (["validate"], 0),
-    "forecast": (["forecast"], 0),
+# plant -> (network file, {name -> (arguments after --network, exit code)})
+PLANTS = {
+    "sleman": (sleman_path(), {
+        "plan": (["plan", *ONU], 0),
+        "plan-as-built": (["plan", *ONU, "--as-built"], 0),
+        "plan-partial": (["plan", *ONU, "--path", PARTIAL], 0),
+        "trace-ber": (["trace", "--ber"], 0),
+        "trace-ber-power": (["trace", "--ber", "--power", "3"], 0),
+        "trace-partial": (["trace", "--path", PARTIAL], 0),
+        "validate": (["validate"], 0),
+        "forecast": (["forecast"], 0),
+    }),
+    "tree": (TREE, {
+        "plan-north": (["plan", *ONU, "--path", NORTH], 0),
+        "plan-south": (["plan", *ONU, "--path", SOUTH], 1),
+        "trace-ber-north": (["trace", "--ber", "--path", NORTH], 0),
+        "trace-ber-south": (["trace", "--ber", "--path", SOUTH], 0),
+    }),
 }
 
 CASES = [
-    (name, fmt, args, rc)
-    for name, (args, rc) in COMMANDS.items()
+    (plant, name, fmt, args, rc)
+    for plant, (_, commands) in PLANTS.items()
+    for name, (args, rc) in commands.items()
     for fmt in ("text", "json")
 ]
 
 
-def golden_file(name: str, fmt: str) -> Path:
-    return GOLDEN / f"sleman-{name}.{'txt' if fmt == 'text' else 'json'}"
+def golden_file(plant: str, name: str, fmt: str) -> Path:
+    return GOLDEN / f"{plant}-{name}.{'txt' if fmt == 'text' else 'json'}"
 
 
-@pytest.mark.parametrize("name, fmt, args, rc", CASES, ids=[f"{c[0]}-{c[1]}" for c in CASES])
-def test_report_bytes_match_the_golden(capsysbinary, name, fmt, args, rc):
-    argv = [*args, "--network", str(sleman_path()), "--format", fmt]
-    assert main(argv) == rc
+def golden_argv(plant: str, fmt: str, args: list[str]) -> list[str]:
+    return [*args, "--network", str(PLANTS[plant][0]), "--format", fmt]
+
+
+@pytest.mark.parametrize(
+    "plant, name, fmt, args, rc", CASES,
+    ids=[f"{c[1]}-{c[2]}" if c[0] == "sleman" else f"{c[0]}-{c[1]}-{c[2]}" for c in CASES],
+)
+def test_report_bytes_match_the_golden(capsysbinary, plant, name, fmt, args, rc):
+    assert main(golden_argv(plant, fmt, args)) == rc
     out = capsysbinary.readouterr().out
-    assert out == golden_file(name, fmt).read_bytes()
+    assert out == golden_file(plant, name, fmt).read_bytes()

@@ -1,0 +1,361 @@
+"""The template JSON writers against the payload builders and ``json.dumps`` they replaced.
+
+``planning.render_*_json`` format report values straight into fixed indent-2
+templates. The reference below is the earlier code, kept verbatim: build a
+dict per report, then ``json.dumps(payload, indent=2) + "\\n"``. Every case
+asserts the two strings are equal byte for byte: the Sleman golden commands,
+a small ring (1x8 splitter, EDFA, a span without connectors, failing rise
+times, a custom RZ standard), a two-node ring of parallel spans, the golden
+GPON tree, names that need JSON escaping, non-finite values, broken plants'
+violations, and a Hypothesis property over mutated Sleman documents.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+import math
+from pathlib import Path
+from typing import Any, Iterator
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from fiberplan.data import sleman_path
+from fiberplan.model import ConfigurationError, DomainError, validate_network
+from fiberplan.netfile import NetworkDocument, parse_network
+from fiberplan.planning import (
+    render_forecast_json,
+    render_plan_json,
+    render_trace_json,
+    render_violations_json,
+    run_plan,
+    run_trace,
+    traffic_input_from_mapping,
+)
+from fiberplan.standards import builtin_profiles
+from fiberplan.traffic import TrafficInput, forecast_subscribers
+
+from test_cli_fuzz import documents
+
+SLEMAN = json.loads(sleman_path().read_text(encoding="utf-8"))
+TREE = json.loads((Path(__file__).parent / "golden" / "tree-network.json").read_text(encoding="utf-8"))
+ONU = "gpon-onu-endpoint"
+
+
+# --- reference: the payload builders and encoder the writers replaced ------------
+
+
+def _db(x: float) -> float:
+    return round(x, 2)
+
+
+def _ps(x: float) -> float:
+    return round(x, 3)
+
+
+def _verdict_dict(v) -> dict[str, Any]:
+    digits = _ps if v.unit == "ps" else _db
+    return {
+        "quantity": v.quantity,
+        "value": digits(v.value),
+        "threshold": digits(v.threshold),
+        "unit": v.unit,
+        "direction": v.direction,
+        "margin": digits(v.margin),
+        "pass": v.passed,
+    }
+
+
+def _loss_dict(b) -> dict[str, float]:
+    return {
+        "connectors": _db(b.connector_total),
+        "fiber": _db(b.fiber_total),
+        "splices": _db(b.splice_total),
+        "splitters": _db(b.splitter_total),
+        "margin": _db(b.margin),
+        "total": _db(b.total),
+    }
+
+
+def plan_to_dict(report) -> dict[str, Any]:
+    return {
+        "standard": {
+            "name": report.standard.name,
+            "bit_rate": report.standard.bit_rate,
+            "line_code": report.standard.line_code.value,
+            "rx_sensitivity": _db(report.standard.rx_sensitivity),
+        },
+        "path": list(report.path_nodes),
+        "spans": [
+            {
+                "id": row.span_id,
+                "link": row.link,
+                "length": row.length,
+                "splices": row.splices,
+                "loss": _loss_dict(row.loss),
+                "rise_time": {
+                    "ceiling": _ps(row.rise.ceiling),
+                    "dispersion": _ps(row.rise.dispersion_component),
+                    "tx": _ps(row.rise.tx_component),
+                    "rx": _ps(row.rise.rx_component),
+                    "total": _ps(row.rise.total),
+                    "pass": row.rise.passed,
+                },
+            }
+            for row in report.spans
+        ],
+        "path_loss": _loss_dict(report.path),
+        "distribution_loss": _db(report.distribution_loss),
+        "planning_floor": _db(report.planning_floor),
+        "max_loss": _db(report.max_loss),
+        "amplifier_plan": {
+            "gain_deficit": _db(report.amplifier_plan.gain_deficit),
+            "unit_gain": _db(report.amplifier_plan.unit_gain),
+            "edfa_count": report.amplifier_plan.edfa_count,
+            "total_gain": _db(report.amplifier_plan.total_gain),
+        },
+        "inventory_gain": _db(report.inventory_gain),
+        "applied_gain": _db(report.applied_gain),
+        "received_power": {"effective": _db(report.received), "as_built": _db(report.as_built_power)},
+        "verdicts": [_verdict_dict(v) for v in report.verdicts],
+        "overall_pass": report.overall_pass,
+    }
+
+
+def trace_to_dict(trace, ber=None) -> dict[str, Any]:
+    out: dict[str, Any] = {
+        "points": [{"label": p.label, "power": _db(p.power)} for p in trace.points],
+        "final_power": _db(trace.final_power),
+    }
+    if ber is not None:
+        out["ber"] = {"q_factor": round(ber.q_factor, 3), "ber": float(f"{ber.ber:.3e}")}
+    return out
+
+
+def forecast_to_dict(inputs, forecast) -> dict[str, Any]:
+    return {
+        "inputs": {
+            "population": inputs.population,
+            "cellular_penetration": inputs.cellular_penetration,
+            "operator_share": inputs.operator_share,
+            "lte_penetration": inputs.lte_penetration,
+            "annual_growth": inputs.annual_growth,
+            "horizon": inputs.horizon,
+        },
+        "mobile_subscribers": forecast.mobile_subscribers,
+        "operator_subscribers": forecast.operator_subscribers,
+        "lte_subscribers": forecast.lte_subscribers,
+        "projected_subscribers": forecast.projected_subscribers,
+    }
+
+
+def violations_to_dict(violations) -> dict[str, Any]:
+    return {
+        "valid": not violations,
+        "violations": [
+            {"element": v.element, "rule": v.rule, "message": v.message} for v in violations
+        ],
+    }
+
+
+def to_json(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+# --- fixture plants -------------------------------------------------------------
+
+
+def _span(span_id: str, a: str, b: str, length: float, fiber: str = "g652-β", **extra) -> dict[str, Any]:
+    return {"id": span_id, "from": a, "to": b, "length": length, "fiber": fiber, "splices": "auto", **extra}
+
+
+def _plant(nodes: list[tuple[str, str]], spans: list[dict[str, Any]], **extra) -> dict[str, Any]:
+    return {
+        "topology": "ring",
+        "nodes": [{"id": node_id, "name": name} for node_id, name in nodes],
+        "fiber_profiles": {"g652-β": {"attenuation": 0.3, "dispersion": 3.5, "drum_length": 2.5}},
+        "transceiver": dict(SLEMAN["transceiver"]),
+        "losses": {"connector_loss": 0.3, "splice_loss": 0.05, "system_margin": 3.0, "splitter_excess_loss": 0.5},
+        "spans": spans,
+        "distribution_loss": 16.67,
+        "edfa_gain": 17.5,
+        **extra,
+    }
+
+
+# Node names and ids that json.dumps escapes: non-ASCII, quotes, a backslash and control characters.
+RING = _plant(
+    [("a", "Sléman Hub"), ("b", 'Node "Q"'), ("c", "C:\\drop\tpoint"), ("d", "bell\x07 北 \U0001f4e1")],
+    [
+        _span("s-α", "a", "b", 6.0, splitters=[8], amplifiers=[{"gain": 17.5, "kind": "edfa"}]),
+        _span("s-b", "b", "c", 42.0),  # its dispersion pushes the rise time past 70 ps
+        _span("s-c", "c", "d", 3.3, connectors=0),
+        _span("s-d", "d", "a", 12.0, splices=2),
+    ],
+    standards={'lab "rz" \\ 5G': {"bit_rate": 5e9, "line_code": "rz", "rx_sensitivity": -19.5}},
+)
+RING_PATHS = ("ring", "a,b,c", "c,d", "b,a")
+
+PAIR = _plant(
+    [("west", "West"), ("east", "East")],
+    [_span("s1", "west", "east", 10.0), _span("s2", "east", "west", 50.0)],
+)
+
+# An absurd transmitter and receiver: the loss budget and a verdict margin are inf.
+HUGE = copy.deepcopy(SLEMAN)
+HUGE["transceiver"].update(tx_power=1e308, rx_sensitivity=-1e308)
+HUGE["standards"] = {"deaf": {"bit_rate": 1e9, "line_code": "nrz", "rx_sensitivity": -1e308}}
+
+
+def _leaf_paths(doc: dict[str, Any]) -> list[str]:
+    children: dict[str, list[str]] = {}
+    for span in doc["spans"]:
+        children.setdefault(span["from"], []).append(span["to"])
+    paths, stack = [], [[doc["head"]]]
+    while stack:
+        path = stack.pop()
+        kids = children.get(path[-1], [])
+        paths.extend([",".join(path)] if not kids else [])
+        stack.extend(path + [kid] for kid in kids)
+    return sorted(paths)
+
+
+# --- cases: (what was rendered, writer output, reference output) ---------------
+
+Case = tuple[str, str, str]
+
+
+def plan_cases(doc: NetworkDocument, standards: list[str], paths: tuple[str, ...]) -> Iterator[Case]:
+    for path in paths:
+        for standard in standards:
+            for as_built in (False, True):
+                report = run_plan(doc, standard, path, as_built=as_built)
+                yield f"plan {standard} {path} {as_built}", render_plan_json(report), to_json(plan_to_dict(report))
+
+
+def trace_cases(doc: NetworkDocument, standards: list[str], paths: tuple[str, ...]) -> Iterator[Case]:
+    for path in paths:
+        for power in (None, 3.0):
+            for with_ber in (False, True):
+                trace, ber = run_trace(doc, path, input_power=power, with_ber=with_ber)
+                reference = to_json(trace_to_dict(trace, ber))
+                yield f"trace {path} {power} {with_ber}", render_trace_json(trace, ber), reference
+
+
+def validate_cases(doc: NetworkDocument, standards: list[str], paths: tuple[str, ...]) -> Iterator[Case]:
+    violations = validate_network(doc.network)
+    yield "validate", render_violations_json(violations), to_json(violations_to_dict(violations))
+
+
+def forecast_cases(doc: NetworkDocument, standards: list[str], paths: tuple[str, ...]) -> Iterator[Case]:
+    if doc.traffic is not None:
+        inputs = traffic_input_from_mapping(doc.traffic)
+        forecast = forecast_subscribers(inputs)
+        yield "forecast", render_forecast_json(inputs, forecast), to_json(forecast_to_dict(inputs, forecast))
+
+
+REPORTS = (plan_cases, trace_cases, validate_cases, forecast_cases)
+
+
+def assert_all_equal(cases: Iterator[Case]) -> int:
+    """Assert each writer output equals its reference; returns the number of cases."""
+    n = 0
+    for case, ours, reference in cases:
+        assert ours == reference, case
+        n += 1
+    return n
+
+
+PLANTS = {
+    "sleman": (SLEMAN, [ONU], ("ring", "seyegan,tempel,pakem")),
+    "ring": (RING, [*builtin_profiles(), 'lab "rz" \\ 5G'], RING_PATHS),
+    "parallel-pair": (PAIR, [ONU, "table2-receiver"], ("ring", "west,east", "east,west")),
+    "tree": (TREE, [ONU], tuple(_leaf_paths(TREE))),
+}
+
+
+@pytest.mark.parametrize("plant", PLANTS)
+def test_writers_match_the_reference_encoder(plant):
+    raw, standards, paths = PLANTS[plant]
+    doc = parse_network(copy.deepcopy(raw))
+    for cases in REPORTS[:3]:
+        assert assert_all_equal(cases(doc, standards, paths)) >= 1
+    assert assert_all_equal(forecast_cases(doc, standards, paths)) == (doc.traffic is not None)
+
+
+def test_fixtures_reach_the_cases_they_are_for():
+    ring = parse_network(copy.deepcopy(RING))
+    lab = run_plan(ring, 'lab "rz" \\ 5G', "ring", as_built=True)
+    assert not lab.overall_pass and not lab.verdicts[0].passed  # as built: too little gain
+    assert not run_plan(ring, ONU, "b,c").spans[0].rise.passed
+    assert '\\u00e9' in render_plan_json(lab) and '\\"Q\\"' in render_plan_json(lab)
+
+
+def test_non_finite_plan_values_are_spelled_as_json_dumps_spells_them():
+    doc = parse_network(copy.deepcopy(HUGE))
+    assert assert_all_equal(plan_cases(doc, ["deaf"], ("ring", "seyegan,tempel"))) == 4
+    huge = render_plan_json(run_plan(doc, "deaf"))  # without non-finite values the check above shows nothing
+    assert '"max_loss": Infinity' in huge and '"margin": Infinity' in huge
+
+
+def test_broken_plants_list_their_violations():
+    broken = copy.deepcopy(SLEMAN)
+    del broken["spans"][3]
+    cyclic = copy.deepcopy(TREE)
+    cyclic["spans"].append(_span("loop", "d0.0", "olt", 1.0, fiber="g984-distribution"))
+    for raw in (broken, cyclic, PAIR):
+        violations = validate_network(parse_network(raw).network)
+        assert render_violations_json(violations) == to_json(violations_to_dict(violations))
+    assert validate_network(parse_network(broken).network)
+    assert validate_network(parse_network(cyclic).network)
+
+
+@pytest.mark.parametrize(
+    "inputs",
+    [
+        TrafficInput(population=0, cellular_penetration=0.0, operator_share=0.0,
+                     lte_penetration=0.0, annual_growth=0.0, horizon=0),
+        TrafficInput(population=10**9, cellular_penetration=1.5, operator_share=0.42,
+                     lte_penetration=0.2, annual_growth=math.inf, horizon=0),
+    ],
+    ids=["zeros", "infinite-growth-no-horizon"],
+)
+def test_forecast_edge_values(inputs):
+    forecast = forecast_subscribers(inputs)
+    assert render_forecast_json(inputs, forecast) == to_json(forecast_to_dict(inputs, forecast))
+
+
+def test_writers_never_reach_the_pure_python_encoder(monkeypatch, sleman_doc):
+    """json.dumps with an indent runs json.encoder._make_iterencode; the writers must not."""
+    report = run_plan(sleman_doc, ONU)
+    trace, ber = run_trace(sleman_doc, with_ber=True)
+    violations = validate_network(sleman_doc.network)
+    inputs = traffic_input_from_mapping(sleman_doc.traffic)
+    forecast = forecast_subscribers(inputs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a JSON report went through json.encoder._make_iterencode")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    with pytest.raises(AssertionError):
+        json.dumps({"probe": [1]}, indent=2)  # the patch is live
+    assert render_plan_json(report).startswith("{\n")
+    assert render_trace_json(trace, ber).startswith("{\n")
+    assert render_violations_json(violations).startswith("{\n")
+    assert render_forecast_json(inputs, forecast).startswith("{\n")
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(raw=documents(), standard=st.sampled_from([*builtin_profiles(), "lab"]),
+       path=st.sampled_from(["ring", "seyegan,tempel,pakem", "gamping,seyegan"]))
+def test_writers_match_the_reference_on_mutated_documents(raw, standard, path):
+    try:
+        doc = parse_network(raw)
+    except (ConfigurationError, DomainError):
+        return
+    for cases in REPORTS:
+        try:
+            assert_all_equal(cases(doc, [standard], (path,)))
+        except (ConfigurationError, DomainError):
+            continue

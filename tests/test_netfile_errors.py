@@ -303,6 +303,9 @@ NEW_REJECTIONS = [
      f"span '01-seyegan-tempel'.connectors: expected an integer within the float range, got {10**400}"),
     ([(S1 + ("splices",), -(10**400))],
      f"span '02-tempel-pakem'.splices: expected an integer within the float range, got {-(10**400)}"),
+    # a bit rate so small that its rise-time ceiling (0.7 bit periods) is inf
+    ([(("standards",), {"tiny": {**LAB, "bit_rate": 1e-320}})],
+     "standards['tiny'].bit_rate: expected a number whose rise-time ceiling is within the float range, got 1e-320"),
 ]
 
 

@@ -6,8 +6,8 @@ from fiberplan.model import ConfigurationError, ring_spans
 from fiberplan.netfile import NetworkFileError, load_network
 from fiberplan.planning import (
     ValidationFailure,
-    plan_to_dict,
     render_forecast_text,
+    render_plan_json,
     render_plan_text,
     render_trace_text,
     run_plan,
@@ -93,7 +93,7 @@ class TestRunPlan:
         first = run_plan(sleman_doc, "gpon-onu-endpoint")
         second = run_plan(sleman_doc, "gpon-onu-endpoint")
         assert render_plan_text(first) == render_plan_text(second)
-        assert plan_to_dict(first) == plan_to_dict(second)
+        assert render_plan_json(first) == render_plan_json(second)
 
     def test_report_mentions_each_span_once(self, sleman_doc):
         report = run_plan(sleman_doc, "gpon-onu-endpoint")

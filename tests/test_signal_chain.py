@@ -6,12 +6,24 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from fiberplan.model import Amplifier, ComponentLosses, DomainError, FiberProfile, Splitter, ring_spans, spans_along
+from fiberplan.model import (
+    Amplifier,
+    ComponentLosses,
+    DomainError,
+    FiberProfile,
+    Network,
+    Node,
+    Splitter,
+    Topology,
+    ring_spans,
+    spans_along,
+)
 from fiberplan.power_budget import received_power, splitter_loss
 from fiberplan.signal_chain import (
     BerEstimate,
     Connector,
     DEFAULT_NOISE_SIGMA,
+    MAX_TRACE_ELEMENTS,
     FiberSegment,
     MarginPad,
     Splice,
@@ -23,7 +35,7 @@ from fiberplan.signal_chain import (
 )
 from fiberplan.units import watts_to_dbm
 
-from conftest import LOSSES, make_ring
+from conftest import LOSSES, TRANSCEIVER, make_ring, make_span
 
 DIST_FIBER = FiberProfile(name="dist", attenuation=0.2, dispersion=16.75, drum_length=3.0)
 
@@ -281,3 +293,18 @@ class TestRouteChain:
         )
         chain = route_chain(stripped, spans_along(stripped, ["seyegan", "tempel"]))
         assert not any(isinstance(e, MarginPad) for e in chain)
+
+    def test_chain_length_is_capped_before_it_is_built(self):
+        def two_node_ring(splices: int) -> Network:
+            spans = (make_span("s1", "a", "b", splices=1000), make_span("s2", "b", "a", splices=splices))
+            return Network(nodes=(Node("a", "A"), Node("b", "B")), spans=spans, topology=Topology.RING,
+                           losses=LOSSES, transceiver=TRANSCEIVER)
+
+        # Per span: two connectors, the fiber run and its splices; one margin pad for the path.
+        fits = MAX_TRACE_ELEMENTS - (3 + 1000) - 3 - 1
+        net = two_node_ring(fits)
+        assert len(route_chain(net, net.spans)) == MAX_TRACE_ELEMENTS
+        net = two_node_ring(fits + 1)
+        with pytest.raises(DomainError, match=r"^span 's2': too many joints to trace: 1\.99e\+05 splices .*"
+                                              r"would hold 200001 elements, over the cap of 200000$"):
+            route_chain(net, net.spans)
