@@ -7,23 +7,22 @@ Q factor against a single receiver noise sigma.
 
 from fiberplan import estimate_ber, load_network, propagate, received_power, ring_spans, route_chain
 from fiberplan.data import sleman_path
-from fiberplan.signal_chain import Amplifier, element_gain
 
 
 def main() -> None:
     doc = load_network(sleman_path())
     net = doc.network
 
-    chain = route_chain(net, ring_spans(net))
-    trace = propagate(net.transceiver.tx_power, chain, net.losses)
+    runs = route_chain(net, ring_spans(net))  # (kind, label, dB effect, count) rows
+    trace = propagate(net.transceiver.tx_power, runs)
 
     print("Ring trace (amplifier points highlighted):")
     for point in trace.points:
         marker = " <-- gain" if point.label.startswith("edfa") else ""
         print(f"  {point.label:<34} {point.power:>8.2f} dBm{marker}")
 
-    losses = [abs(element_gain(e, net.losses)) for e in chain if not isinstance(e, Amplifier)]
-    gains = [e.gain for e in chain if isinstance(e, Amplifier)]
+    losses = [-effect for kind, _, effect, count in runs if kind != "amplifier" for _ in range(count)]
+    gains = [effect for kind, _, effect, count in runs if kind == "amplifier" for _ in range(count)]
     closed_form = received_power(net.transceiver.tx_power, losses, gains)
     print(f"\nFinal point {trace.final_power:.6f} dBm vs closed form {closed_form:.6f} dBm "
           f"(difference {abs(trace.final_power - closed_form):.1e})")

@@ -15,6 +15,7 @@ from typing import Any, Mapping
 
 from .model import (
     ConfigurationError,
+    DomainError,
     Network,
     Span,
     Violation,
@@ -37,7 +38,7 @@ from .power_budget import (
     span_loss,
 )
 from .risetime import RiseTimeReport, max_system_risetime, span_risetime_report
-from .signal_chain import BerEstimate, PowerTrace, estimate_ber, propagate, route_chain
+from .signal_chain import DEFAULT_NOISE_SIGMA, BerEstimate, PowerTrace, estimate_ber, propagate, route_chain
 from .standards import StandardProfile, Verdict, power_verdict, resolve_standard, risetime_verdict
 from .traffic import TrafficForecast, TrafficInput
 
@@ -147,7 +148,10 @@ def run_plan(
     budget = max_allowed_loss(network.transceiver.tx_power, planning_floor)
     plan = amplifier_requirement(path.total, budget, doc.edfa_gain)
 
-    inventory_gain = math.fsum(a.gain for span in spans for a in span.amplifiers)
+    try:
+        inventory_gain = math.fsum(a.gain for span in spans for a in span.amplifiers)
+    except OverflowError:  # fsum of finite gains beyond the float range
+        raise DomainError("amplifier gain of the path beyond the float range") from None
     applied_gain = inventory_gain if as_built else max(inventory_gain, plan.total_gain)
     as_built_power = received_power(
         network.transceiver.tx_power, [path.total, doc.distribution_loss], [inventory_gain]
@@ -195,15 +199,10 @@ def run_trace(
     network = doc.network
     _check_valid(network)
     _, spans = _resolve_path(network, path_spec)
-    chain = route_chain(network, spans)
     power = network.transceiver.tx_power if input_power is None else input_power
-    trace = propagate(power, chain, network.losses)
-    ber = None
-    if with_ber:
-        kwargs: dict[str, float] = {}
-        if noise_sigma is not None:
-            kwargs["noise_sigma"] = noise_sigma
-        ber = estimate_ber(trace.final_power, network.transceiver.responsivity, **kwargs)
+    trace = propagate(power, route_chain(network, spans))
+    sigma = DEFAULT_NOISE_SIGMA if noise_sigma is None else noise_sigma
+    ber = estimate_ber(trace.final_power, network.transceiver.responsivity, sigma) if with_ber else None
     return trace, ber
 
 

@@ -13,6 +13,8 @@ from typing import Iterable, Sequence
 
 from .model import ComponentLosses, DomainError, Span, Splitter, frozen, resolved_splices
 
+Run = tuple[str, str, float, int]  # (kind, label, signed dB effect of one element, count)
+
 
 @frozen
 class LossBreakdown:
@@ -67,21 +69,48 @@ def splitter_loss(splitter: Splitter, excess: float = 0.0) -> float:
     return 10.0 * math.log10(splitter.ratio) + excess
 
 
+def span_runs(span: Span, losses: ComponentLosses) -> list[Run]:
+    """What a span is made of, in trace order, as a run-length table.
+
+    The entry connector, the fiber run, the splices, each splitter, each
+    amplifier, then the remaining connectors at the exit: a few rows however
+    many splices the span holds. A loss has a negative effect; a count may be 0.
+    """
+    length, fiber, entry = span.length, span.fiber, min(span.connectors, 1)
+    runs = [
+        ("connector", "connector", -losses.connector_loss, entry),
+        ("fiber", f"fiber {length:g} km ({fiber.name})", -(fiber.attenuation * length), 1),
+        ("splice", "splice", -losses.splice_loss, resolved_splices(span)),
+    ]
+    for s in span.splitters:
+        runs.append(("splitter", f"splitter 1x{s.ratio}", -splitter_loss(s, losses.splitter_excess_loss), 1))
+    for a in span.amplifiers:
+        runs.append(("amplifier", f"{a.kind.value} +{a.gain:g} dB", a.gain, 1))
+    runs.append(("connector", "connector", -losses.connector_loss, span.connectors - entry))
+    return runs
+
+
 def span_loss(span: Span, losses: ComponentLosses) -> LossBreakdown:
     """Itemized loss of one span treated as a standalone path.
 
-    connectors * connector_loss + attenuation * length + splices * splice_loss
-    + splitter insertion losses + the system margin. The splice count comes
-    from the span, or from the drum length when the span says auto.
+    The rows of :func:`span_runs` summed by kind, amplifiers left out, plus the
+    system margin: each kind's unit loss times its total count, rounded once as
+    connector_loss * connectors is, and the splitters summed exactly one by one.
     """
+    connector = fiber = splice = 0.0  # unit losses
+    connectors = fibers = splices = 0
+    splitters: list[float] = []
+    for kind, _, effect, count in span_runs(span, losses):
+        if kind == "connector":
+            connector, connectors = -effect, connectors + count
+        elif kind == "fiber":
+            fiber, fibers = -effect, fibers + count
+        elif kind == "splice":
+            splice, splices = -effect, splices + count
+        elif kind == "splitter":
+            splitters += [-effect] * count
     return LossBreakdown(
-        connector_total=losses.connector_loss * span.connectors,
-        fiber_total=span.fiber.attenuation * span.length,
-        splice_total=losses.splice_loss * resolved_splices(span),
-        splitter_total=math.fsum(
-            splitter_loss(s, losses.splitter_excess_loss) for s in span.splitters
-        ),
-        margin=losses.system_margin,
+        connector * connectors, fiber * fibers, splice * splices, math.fsum(splitters), losses.system_margin
     )
 
 
@@ -115,7 +144,13 @@ def combine_span_losses(parts: Sequence[LossBreakdown], system_margin: float) ->
 
 def max_allowed_loss(input_power: float, rx_sensitivity: float) -> float:
     """Loss budget magnitude between an input power and a sensitivity floor."""
-    return input_power - rx_sensitivity
+    budget = input_power - rx_sensitivity
+    if not math.isfinite(budget):
+        raise DomainError(
+            f"loss budget between tx_power {input_power:g} dBm and rx_sensitivity {rx_sensitivity:g} dBm"
+            " is beyond the float range"
+        )
+    return budget
 
 
 def required_input_power(rx_sensitivity: float, downstream_loss: float) -> float:
@@ -139,4 +174,7 @@ def received_power(tx_power: float, losses: Iterable[float], gains: Iterable[flo
     Summed with compensated (exact) accumulation so the result does not
     depend on the order losses and gains are listed in.
     """
-    return math.fsum([tx_power, *(-loss for loss in losses), *gains])
+    try:
+        return math.fsum([tx_power, *(-loss for loss in losses), *gains])
+    except OverflowError:  # fsum of finite terms beyond the float range
+        raise DomainError("received power beyond the float range") from None

@@ -1,9 +1,11 @@
-"""Analytic signal chain: per-element power traces and a Q-factor BER model.
+"""Analytic signal chain: power traces over run tables and a Q-factor BER model.
 
-:func:`propagate` folds an ordered element chain into a power trace whose
-final point agrees exactly with :func:`fiberplan.power_budget.received_power`
-over the same losses and gains; the fold uses exact accumulation, so the
-agreement is bit-for-bit, not approximate.
+:func:`route_chain` lists a path as the run tables of its spans (see
+:func:`fiberplan.power_budget.span_runs`) and one margin row; :func:`propagate`
+expands the rows into one trace point per element. The final point agrees
+exactly with :func:`fiberplan.power_budget.received_power` over the same
+losses and gains; the fold uses exact accumulation, so the agreement is
+bit-for-bit, not approximate.
 
 The BER model is a plain Gaussian decision model: photocurrent over a single
 configurable receiver noise sigma gives a Q factor, and
@@ -14,63 +16,17 @@ end-of-line powers around -25 to -27 dBm land in the 1e-3..1e-5 BER range.
 from __future__ import annotations
 
 import math
-from typing import Sequence, Union
+from typing import Sequence
 
-from .model import (
-    Amplifier,
-    ComponentLosses,
-    DomainError,
-    FiberProfile,
-    Network,
-    Span,
-    Splitter,
-    frozen,
-    resolved_splices,
-)
-from .power_budget import splitter_loss
+from .model import DomainError, Network, Span, frozen
+from .power_budget import Run, span_runs
 from .units import dbm_to_watts
 
 DEFAULT_NOISE_SIGMA = 7e-7  # A; receiver noise current of the Gaussian model
 
 MAX_TRACE_ELEMENTS = 200_000
-"""Most elements :func:`route_chain` builds for one path; a traced element takes
-about 1 KB and a 10^4-node ring needs about 90k. ``plan`` never builds the chain."""
-
-
-@frozen
-class FiberSegment:
-    """A run of fiber inside a chain."""
-
-    length: float  # km
-    fiber: FiberProfile
-
-    def __post_init__(self) -> None:
-        if not self.length > 0:
-            raise DomainError("fiber segment length must be > 0 km")
-
-
-@frozen
-class Connector:
-    """One demountable joint; loss comes from the shared ComponentLosses."""
-
-
-@frozen
-class Splice:
-    """One permanent joint; loss comes from the shared ComponentLosses."""
-
-
-@frozen
-class MarginPad:
-    """A fixed dB allowance inserted as if it were a lossy element."""
-
-    loss: float  # dB
-
-    def __post_init__(self) -> None:
-        if not self.loss >= 0:
-            raise DomainError("margin pad loss must be >= 0 dB")
-
-
-ChainElement = Union[FiberSegment, Connector, Splice, Splitter, Amplifier, MarginPad]
+"""Most elements the rows of :func:`route_chain` may count for one path; :func:`propagate`
+makes a point of about 1 KB per element, and a 10^4-node ring needs about 90k."""
 
 
 @frozen
@@ -105,37 +61,6 @@ class BerEstimate:
             raise DomainError("ber must lie in [0, 0.5]")
 
 
-def element_gain(element: ChainElement, losses: ComponentLosses) -> float:
-    """Signed dB effect of one element: negative for losses, positive for gain."""
-    if isinstance(element, FiberSegment):
-        return -(element.fiber.attenuation * element.length)
-    if isinstance(element, Connector):
-        return -losses.connector_loss
-    if isinstance(element, Splice):
-        return -losses.splice_loss
-    if isinstance(element, Splitter):
-        return -splitter_loss(element, losses.splitter_excess_loss)
-    if isinstance(element, Amplifier):
-        return element.gain
-    if isinstance(element, MarginPad):
-        return -element.loss
-    raise DomainError(f"unsupported chain element {element!r}")
-
-
-def _label(element: ChainElement) -> str:
-    if isinstance(element, FiberSegment):
-        return f"fiber {element.length:g} km ({element.fiber.name})"
-    if isinstance(element, Connector):
-        return "connector"
-    if isinstance(element, Splice):
-        return "splice"
-    if isinstance(element, Splitter):
-        return f"splitter 1x{element.ratio}"
-    if isinstance(element, Amplifier):
-        return f"{element.kind.value} +{element.gain:g} dB"
-    return f"margin {element.loss:g} dB"
-
-
 def _add_exact(partials: list[float], x: float) -> None:
     """Add ``x`` to a list of non-overlapping partials, keeping their sum exact.
 
@@ -156,34 +81,31 @@ def _add_exact(partials: list[float], x: float) -> None:
     partials[i:] = [x]
 
 
-def propagate(
-    input_power: float, chain: Sequence[ChainElement], losses: ComponentLosses
-) -> PowerTrace:
-    """Fold the chain left to right into a power trace.
+def propagate(input_power: float, runs: Sequence[Run]) -> PowerTrace:
+    """Fold the rows of a run table left to right into a power trace.
 
-    The first point is the injected power; every element appends one point.
-    Each point is the correctly rounded exact sum of the injected power and
-    all element effects so far (bit-identical to ``math.fsum`` over that
-    prefix), so the final point equals received_power over the same losses
-    and gains regardless of element order. The running sum is kept as exact
-    partials, so the fold is linear in the chain length. Raises DomainError
-    on a non-finite input power, element effect or running sum.
+    The first point is the injected power; a row of ``count`` elements appends
+    ``count`` points under its label. Each point is the correctly rounded exact
+    sum of the injected power and all element effects so far (bit-identical to
+    ``math.fsum`` over that prefix), so the final point equals received_power
+    over the same losses and gains regardless of element order. The running
+    sum is kept as exact partials, so the fold is linear in the element count.
+    Raises DomainError on a non-finite input power, row effect or running sum.
     """
     if not math.isfinite(input_power):
         raise DomainError(f"input power must be a finite dBm value, got {input_power!r}")
     partials = [input_power]
     points = [TracePoint("input", input_power)]
-    for element in chain:
-        delta = element_gain(element, losses)
-        label = _label(element)
+    for _, label, delta, count in runs:
         if not math.isfinite(delta):
             raise DomainError(f"chain element {label!r} has a non-finite effect ({delta!r} dB)")
-        _add_exact(partials, delta)
-        try:
-            power = math.fsum(partials)
-        except (OverflowError, ValueError):  # the running sum left the float range
-            raise DomainError(f"power after {label!r} is beyond the float range") from None
-        points.append(TracePoint(label, power))
+        for _ in range(count):
+            _add_exact(partials, delta)
+            try:
+                power = math.fsum(partials)
+            except (OverflowError, ValueError):  # the running sum left the float range
+                raise DomainError(f"power after {label!r} is beyond the float range") from None
+            points.append(TracePoint(label, power))
     return PowerTrace(points=tuple(points))
 
 
@@ -212,36 +134,28 @@ def estimate_ber(
     return BerEstimate(q_factor=q, ber=ber_from_q(q))
 
 
-def route_chain(network: Network, spans: Sequence[Span]) -> list[ChainElement]:
-    """Chain elements along a resolved span path, margin pad last.
+def route_chain(network: Network, spans: Sequence[Span]) -> list[Run]:
+    """The :func:`fiberplan.power_budget.span_runs` rows of each span, then one margin row.
 
     ``spans`` is the path in order, as given by :func:`fiberplan.model.spans_along`
     for a node path or :func:`fiberplan.model.ring_spans` for the whole ring.
-    Per span: one entry connector, the fiber run, its splices, any splitters
-    and amplifiers, then the remaining connectors at the exit. The system
-    margin is a single pad at the end of the whole path. Each span's elements
-    are counted before any is built; raises DomainError naming the span at
-    which the path passes :data:`MAX_TRACE_ELEMENTS`.
+    The elements are counted from the row counts before a span's rows are kept;
+    raises DomainError naming the span at which the path passes :data:`MAX_TRACE_ELEMENTS`.
     """
-    pad = network.losses.system_margin > 0
-    elements: list[ChainElement] = []
+    margin = network.losses.system_margin
+    runs: list[Run] = []
+    elements = float(margin > 0)  # a float: two counts near the float maximum add up to inf, not an error
     for span in spans:
-        splices = resolved_splices(span)
-        # Counted in floats: two counts near the float maximum add up to inf, not an error.
-        count = len(elements) + pad + 1.0 + splices + span.connectors + len(span.splitters) + len(span.amplifiers)
-        if count > MAX_TRACE_ELEMENTS:
+        rows = span_runs(span, network.losses)
+        elements = sum((row[3] for row in rows), elements)
+        if elements > MAX_TRACE_ELEMENTS:
+            splices = sum(count for kind, _, _, count in rows if kind == "splice")
             raise DomainError(
                 f"span {span.id!r}: too many joints to trace: {splices:.3g} splices"
                 f" (length {span.length:g} km), {span.connectors:.3g} connectors;"
-                f" the path would hold {count:.6g} elements, over the cap of {MAX_TRACE_ELEMENTS}"
+                f" the path would hold {elements:.6g} elements, over the cap of {MAX_TRACE_ELEMENTS}"
             )
-        entry = min(span.connectors, 1)
-        elements.extend([Connector()] * entry)
-        elements.append(FiberSegment(length=span.length, fiber=span.fiber))
-        elements.extend([Splice()] * splices)
-        elements.extend(span.splitters)
-        elements.extend(span.amplifiers)
-        elements.extend([Connector()] * (span.connectors - entry))
-    if pad:
-        elements.append(MarginPad(loss=network.losses.system_margin))
-    return elements
+        runs += rows
+    if margin > 0:
+        runs.append(("margin", f"margin {margin:g} dB", -margin, 1))
+    return runs

@@ -65,9 +65,15 @@ class Verdict:
 
 def power_verdict(received: float, profile: StandardProfile) -> Verdict:
     """Judge a received power (dBm) against the profile's sensitivity floor."""
-    return Verdict(
+    verdict = Verdict(
         quantity="received power", value=received, threshold=profile.rx_sensitivity, unit="dBm", direction="min"
     )
+    if math.isfinite(received) and not math.isfinite(verdict.margin):  # the subtraction overflowed
+        raise DomainError(
+            f"received power {received:g} dBm against standard {profile.name!r} rx_sensitivity"
+            f" {profile.rx_sensitivity:g} dBm: margin beyond the float range"
+        )
+    return verdict
 
 
 def risetime_verdict(total_rise: float, profile: StandardProfile, quantity: str = "rise time") -> Verdict:

@@ -22,26 +22,16 @@ from fiberplan.model import (
     Splitter,
     resolved_splices,
 )
-from fiberplan.model import Amplifier
 from fiberplan.power_budget import (
     amplifier_requirement,
     max_allowed_loss,
     received_power,
     required_input_power,
     span_loss,
+    splitter_loss,
 )
 from fiberplan.risetime import max_system_risetime, span_risetime_report
-from fiberplan.signal_chain import (
-    Connector,
-    DEFAULT_NOISE_SIGMA,
-    FiberSegment,
-    MarginPad,
-    Splice,
-    ber_from_q,
-    element_gain,
-    estimate_ber,
-    propagate,
-)
+from fiberplan.signal_chain import DEFAULT_NOISE_SIGMA, ber_from_q, estimate_ber, propagate
 from fiberplan.standards import builtin_profiles, power_verdict
 from fiberplan.traffic import TrafficInput, forecast_subscribers, project_growth
 from fiberplan.units import watts_to_dbm
@@ -155,28 +145,33 @@ def test_criterion_7_subscriber_chain():
     _report(7, "subscriber chain 1275331 / 535639 / 107128 -> 137378", body)
 
 
-def _random_chain(rng: random.Random, with_amplifiers: bool) -> list:
+def _random_runs(rng: random.Random, losses: ComponentLosses, with_amplifiers: bool) -> list:
+    """Random (kind, label, dB effect, count) rows, as route_chain lists a path."""
     fibers = [
         FiberProfile(name=f"rand{i}", attenuation=rng.uniform(0.15, 0.5),
                      dispersion=rng.uniform(0.0, 20.0), drum_length=rng.uniform(1.0, 6.0))
         for i in range(3)
     ]
-    chain = []
-    for _ in range(rng.randint(0, 24)):
-        roll = rng.random()
+    runs = []
+    for _ in range(rng.randint(0, 12)):
+        roll, count = rng.random(), rng.randint(0, 3)
         if roll < 0.25 and with_amplifiers:
-            chain.append(Amplifier(gain=rng.uniform(5.0, 25.0)))
+            gain = rng.uniform(5.0, 25.0)
+            runs.append(("amplifier", f"edfa +{gain:g} dB", gain, count))
         elif roll < 0.45:
-            chain.append(FiberSegment(length=rng.uniform(0.1, 30.0), fiber=rng.choice(fibers)))
+            fiber, length = rng.choice(fibers), rng.uniform(0.1, 30.0)
+            runs.append(("fiber", f"fiber {length:g} km ({fiber.name})", -(fiber.attenuation * length), count))
         elif roll < 0.6:
-            chain.append(Connector())
+            runs.append(("connector", "connector", -losses.connector_loss, count))
         elif roll < 0.75:
-            chain.append(Splice())
+            runs.append(("splice", "splice", -losses.splice_loss, count))
         elif roll < 0.9:
-            chain.append(Splitter(rng.choice([2, 4, 8])))
+            ratio = rng.choice([2, 4, 8])
+            runs.append(("splitter", f"splitter 1x{ratio}", -splitter_loss(Splitter(ratio), 0.2), count))
         else:
-            chain.append(MarginPad(loss=rng.uniform(0.0, 5.0)))
-    return chain
+            pad = rng.uniform(0.0, 5.0)
+            runs.append(("margin", f"margin {pad:g} dB", -pad, count))
+    return runs
 
 
 def test_criterion_8_property_suite():
@@ -187,19 +182,19 @@ def test_criterion_8_property_suite():
 
         # (a) trace endpoint equals the budget arithmetic on 1000 random chains
         for _ in range(1000):
-            chain = _random_chain(rng, with_amplifiers=True)
+            runs = _random_runs(rng, losses, with_amplifiers=True)
             tx = rng.uniform(-5.0, 12.0)
-            trace = propagate(tx, chain, losses)
+            trace = propagate(tx, runs)
             loss_list, gain_list = [], []
-            for element in chain:
-                effect = element_gain(element, losses)
-                (gain_list if effect >= 0 else loss_list).append(abs(effect))
+            for _, _, effect, count in runs:
+                (gain_list if effect >= 0 else loss_list).extend([abs(effect)] * count)
+            assert len(trace.points) == 1 + len(loss_list) + len(gain_list)
             assert abs(trace.final_power - received_power(tx, loss_list, gain_list)) <= 1e-12
 
         # (b) loss-only traces are monotone non-increasing
         for _ in range(200):
-            chain = _random_chain(rng, with_amplifiers=False)
-            trace = propagate(rng.uniform(-5.0, 12.0), chain, losses)
+            runs = _random_runs(rng, losses, with_amplifiers=False)
+            trace = propagate(rng.uniform(-5.0, 12.0), runs)
             powers = [p.power for p in trace.points]
             assert all(a >= b for a, b in zip(powers, powers[1:]))
 

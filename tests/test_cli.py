@@ -189,6 +189,18 @@ def _set(path, value):
     return mutate
 
 
+def _all(*mutations):
+    def mutate(doc):
+        for m in mutations:
+            m(doc)
+
+    return mutate
+
+
+EDFA_1E308 = {"gain": 1e308, "kind": "edfa"}
+DEAF = {"bit_rate": 1e9, "line_code": "nrz", "rx_sensitivity": -1e308}
+
+
 def assert_one_error_line(capsys, argv, *fragments):
     rc = main(list(argv))
     out, err = capsys.readouterr()
@@ -244,6 +256,16 @@ def assert_one_error_line(capsys, argv, *fragments):
          " the path would hold 1.0094e+07 elements, over the cap of 200000"),
         (_set(("standards",), {"tiny": TINY}), ("plan", "--standard", "tiny", "--format", "json"),
          "standards['tiny'].bit_rate: expected a number whose rise-time ceiling is within the float range"),
+        (_all(_set(("transceiver", "tx_power"), 1.5e308), _set(("spans", 1, "amplifiers"), [EDFA_1E308])),
+         ("plan", "--standard", "table2-receiver"), "received power beyond the float range"),
+        (_set(("spans", 1, "amplifiers"), [EDFA_1E308, EDFA_1E308]), ("plan", *STANDARD),
+         "amplifier gain of the path beyond the float range"),
+        (_all(_set(("transceiver", "tx_power"), 1e308), _set(("transceiver", "rx_sensitivity"), -1e308)),
+         ("plan", *STANDARD, "--format", "json"),
+         "loss budget between tx_power 1e+308 dBm and rx_sensitivity -1e+308 dBm is beyond the float range"),
+        (_all(_set(("transceiver", "tx_power"), 1e308), _set(("standards",), {"deaf": DEAF})),
+         ("plan", "--standard", "deaf", "--format", "json"),
+         "received power 1e+308 dBm against standard 'deaf' rx_sensitivity -1e+308 dBm: margin beyond the float range"),
     ],
 )
 def test_malformed_values_exit_two(capsys, write_network, mutate, command, fragment):

@@ -1,10 +1,14 @@
-"""Byte-for-byte golden reports on the bundled Sleman ring and a small GPON tree.
+"""Byte-for-byte golden reports on the bundled Sleman ring, a small GPON tree and a seeded ring.
 
 Each report file under ``tests/golden/`` is the stdout of one command, text
 and JSON, recorded before a refactor that must not change any report. The
 tree plant is ``tests/golden/tree-network.json``: two 1x8 splitter stages, an
-EDFA on one feeder and one drop whose rise time fails. A difference here
-means a report changed; update the file only when that change is intended.
+EDFA on one feeder and one drop whose rise time fails. The ring plant is
+``tests/golden/ring-network.json``: 12 nodes, two EDFA spans (one with two
+units), three identical 1x2 splitters beside a 1x4, a span with no connectors
+and no splices, and explicit splice counts beside drum-derived ones. A
+difference here means a report changed; update the file only when that change
+is intended.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from fiberplan.data import sleman_path
 
 GOLDEN = Path(__file__).parent / "golden"
 TREE = GOLDEN / "tree-network.json"
+RING = GOLDEN / "ring-network.json"
 PARTIAL = "seyegan,tempel,pakem"
 NORTH, SOUTH = "olt,d0,d0.1", "olt,d1,d1.1"
 ONU = ("--standard", "gpon-onu-endpoint")
@@ -39,6 +44,12 @@ PLANTS = {
         "plan-south": (["plan", *ONU, "--path", SOUTH], 1),
         "trace-ber-north": (["trace", "--ber", "--path", NORTH], 0),
         "trace-ber-south": (["trace", "--ber", "--path", SOUTH], 0),
+    }),
+    "ring": (RING, {
+        "plan": (["plan", *ONU], 0),
+        "plan-as-built": (["plan", *ONU, "--as-built"], 1),
+        "trace-ber": (["trace", "--ber"], 0),
+        "trace-ber-power": (["trace", "--ber", "--power", "3"], 0),
     }),
 }
 

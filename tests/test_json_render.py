@@ -25,6 +25,7 @@ from fiberplan.data import sleman_path
 from fiberplan.model import ConfigurationError, DomainError, validate_network
 from fiberplan.netfile import NetworkDocument, parse_network
 from fiberplan.planning import (
+    PlanReport,
     render_forecast_json,
     render_plan_json,
     render_trace_json,
@@ -33,7 +34,7 @@ from fiberplan.planning import (
     run_trace,
     traffic_input_from_mapping,
 )
-from fiberplan.standards import builtin_profiles
+from fiberplan.standards import Verdict, builtin_profiles
 from fiberplan.traffic import TrafficInput, forecast_subscribers
 
 from test_cli_fuzz import documents
@@ -202,7 +203,7 @@ PAIR = _plant(
     [_span("s1", "west", "east", 10.0), _span("s2", "east", "west", 50.0)],
 )
 
-# An absurd transmitter and receiver: the loss budget and a verdict margin are inf.
+# An absurd transmitter and receiver: the loss budget and a verdict margin would be inf.
 HUGE = copy.deepcopy(SLEMAN)
 HUGE["transceiver"].update(tx_power=1e308, rx_sensitivity=-1e308)
 HUGE["standards"] = {"deaf": {"bit_rate": 1e9, "line_code": "nrz", "rx_sensitivity": -1e308}}
@@ -293,10 +294,18 @@ def test_fixtures_reach_the_cases_they_are_for():
 
 
 def test_non_finite_plan_values_are_spelled_as_json_dumps_spells_them():
-    doc = parse_network(copy.deepcopy(HUGE))
-    assert assert_all_equal(plan_cases(doc, ["deaf"], ("ring", "seyegan,tempel"))) == 4
-    huge = render_plan_json(run_plan(doc, "deaf"))  # without non-finite values the check above shows nothing
-    assert '"max_loss": Infinity' in huge and '"margin": Infinity' in huge
+    with pytest.raises(DomainError, match="loss budget .* beyond the float range"):
+        run_plan(parse_network(copy.deepcopy(HUGE)), "deaf")  # run_plan no longer reports them
+    report = run_plan(parse_network(copy.deepcopy(SLEMAN)), ONU)
+    fields = {name: getattr(report, name) for name in report._fields}
+    deaf = Verdict("received power", 1e308, -1e308, "dBm", "min")
+    huge = PlanReport(**{**fields, "max_loss": math.inf, "as_built_power": -math.inf, "distribution_loss": math.nan,
+                         "verdicts": (deaf, *report.verdicts[1:])})
+    ours = render_plan_json(huge)
+    assert ours == to_json(plan_to_dict(huge))
+    # without non-finite values the check above shows nothing
+    assert '"max_loss": Infinity' in ours and '"margin": Infinity' in ours
+    assert '"as_built": -Infinity' in ours and '"distribution_loss": NaN' in ours
 
 
 def test_broken_plants_list_their_violations():

@@ -26,7 +26,7 @@ from fiberplan.model import (
     validate_network,
 )
 from fiberplan.power_budget import AmplifierPlan, LossBreakdown
-from fiberplan.signal_chain import BerEstimate, FiberSegment, MarginPad
+from fiberplan.signal_chain import BerEstimate
 from fiberplan.standards import StandardProfile
 from fiberplan.traffic import TrafficInput
 
@@ -102,8 +102,6 @@ VALID = {
         population=1000, cellular_penetration=1.5, operator_share=0.4,
         lte_penetration=0.2, annual_growth=0.05, horizon=5,
     ),
-    FiberSegment: dict(length=5.0, fiber=BACKBONE_FIBER),
-    MarginPad: dict(loss=3.0),
     BerEstimate: dict(q_factor=6.0, ber=1e-9),
 }
 CHECKED = [
@@ -119,7 +117,7 @@ CHECKED = [
     (StandardProfile, "bit_rate"), (StandardProfile, "rx_sensitivity"),
     (TrafficInput, "population"), (TrafficInput, "cellular_penetration"), (TrafficInput, "operator_share"),
     (TrafficInput, "lte_penetration"), (TrafficInput, "annual_growth"), (TrafficInput, "horizon"),
-    (FiberSegment, "length"), (MarginPad, "loss"), (BerEstimate, "ber"),
+    (BerEstimate, "ber"),
 ]
 
 

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from fiberplan.model import ComponentLosses, DomainError, FiberProfile, Span, Splitter
+from fiberplan.model import Amplifier, ComponentLosses, DomainError, FiberProfile, Span, Splitter, resolved_splices
 from fiberplan.power_budget import (
     AmplifierPlan,
     LossBreakdown,
@@ -15,10 +15,11 @@ from fiberplan.power_budget import (
     received_power,
     required_input_power,
     span_loss,
+    span_runs,
     splitter_loss,
 )
 
-from conftest import make_span
+from conftest import LOSSES, make_span
 
 loss_values = st.floats(min_value=0.0, max_value=60.0)
 
@@ -73,6 +74,80 @@ class TestSpanLoss:
         forward = make_span("f", "a", "b", length=5.0, splitters=tuple(Splitter(r) for r in ratios))
         backward = make_span("f", "a", "b", length=5.0, splitters=tuple(Splitter(r) for r in reversed(ratios)))
         assert span_loss(forward, losses).total == span_loss(backward, losses).total
+
+
+def product_span_loss(span: Span, losses: ComponentLosses) -> LossBreakdown:
+    """Reference: the span loss as unit loss x count per kind, splitters summed exactly."""
+    return LossBreakdown(
+        connector_total=losses.connector_loss * span.connectors,
+        fiber_total=span.fiber.attenuation * span.length,
+        splice_total=losses.splice_loss * resolved_splices(span),
+        splitter_total=math.fsum(splitter_loss(s, losses.splitter_excess_loss) for s in span.splitters),
+        margin=losses.system_margin,
+    )
+
+
+RATIOS = st.sampled_from([2, 4, 8, 16, 64])
+
+
+@st.composite
+def spans_and_losses(draw):
+    unit = st.floats(min_value=0.0, max_value=10.0)
+    losses = ComponentLosses(connector_loss=draw(unit), splice_loss=draw(unit), system_margin=draw(unit),
+                             splitter_excess_loss=draw(unit))
+    fiber = FiberProfile(name="f", attenuation=draw(st.floats(min_value=1e-3, max_value=2.0)), dispersion=3.5,
+                         drum_length=draw(st.floats(min_value=0.5, max_value=6.0)))
+    splitters = draw(st.one_of(
+        st.lists(RATIOS, max_size=4).map(tuple),
+        st.tuples(RATIOS, RATIOS).filter(lambda p: p[0] != p[1]).map(lambda p: (p[0],) * 3 + (p[1],)),
+    ))
+    span = Span(
+        id="s", from_node="a", to_node="b", length=draw(st.floats(min_value=1e-3, max_value=200.0)), fiber=fiber,
+        connectors=draw(st.one_of(st.integers(0, 3), st.integers(0, 10**6))),
+        splices=draw(st.one_of(st.none(), st.integers(0, 10**6))),
+        amplifiers=tuple(Amplifier(g) for g in draw(st.lists(st.floats(min_value=1.0, max_value=30.0), max_size=2))),
+        splitters=tuple(Splitter(r) for r in splitters),
+    )
+    return span, losses
+
+
+class TestSpanRuns:
+    def test_rows_follow_the_trace_order(self):
+        span = make_span("s", "a", "b", connectors=3, splices=4, splitters=(Splitter(2), Splitter(8)),
+                         amplifiers=(Amplifier(17.0),))
+        rows = span_runs(span, LOSSES)
+        assert [(kind, label, count) for kind, label, _, count in rows] == [
+            ("connector", "connector", 1), ("fiber", "fiber 5 km (test-fiber)", 1), ("splice", "splice", 4),
+            ("splitter", "splitter 1x2", 1), ("splitter", "splitter 1x8", 1), ("amplifier", "edfa +17 dB", 1),
+            ("connector", "connector", 2),
+        ]
+
+    def test_row_count_does_not_grow_with_the_splice_count(self):
+        few = span_runs(make_span("s", "a", "b", splices=3), LOSSES)
+        many = span_runs(make_span("s", "a", "b", splices=10**5), LOSSES)
+        assert len(few) == len(many) == 4
+        assert [count for *_, count in many] == [1, 1, 10**5, 1]
+
+    def test_a_span_without_connectors_keeps_zero_count_rows(self):
+        span = make_span("s", "a", "b", connectors=0, splices=0)
+        assert [(kind, count) for kind, _, _, count in span_runs(span, LOSSES)] == [
+            ("connector", 0), ("fiber", 1), ("splice", 0), ("connector", 0),
+        ]
+        assert repr(span_loss(span, LOSSES).connector_total) == "0.0"
+
+    @given(case=spans_and_losses())
+    def test_span_loss_equals_the_product_formulas(self, case):
+        span, losses = case
+        assert repr(span_loss(span, losses)) == repr(product_span_loss(span, losses))
+
+    def test_identical_splitters_are_not_summed_as_a_product_beside_another(self):
+        # fsum([l, l, l, m]) is not fsum([l * 3, m]) in general; this pair differs.
+        losses = ComponentLosses(connector_loss=0.3, splice_loss=0.05, system_margin=0.0,
+                                 splitter_excess_loss=0.1)
+        span = make_span("s", "a", "b", splitters=(Splitter(4),) * 3 + (Splitter(2),))
+        same, other = splitter_loss(Splitter(4), 0.1), splitter_loss(Splitter(2), 0.1)
+        assert math.fsum([same] * 3 + [other]) != math.fsum([same * 3, other])
+        assert span_loss(span, losses).splitter_total == math.fsum([same] * 3 + [other])
 
 
 class TestSplitterLoss:

@@ -42,7 +42,8 @@ def write_ring(tmp_path, n: int, seed: int = 1):
 
 def test_propagate_hands_fsum_a_bounded_list_per_point(tmp_path, monkeypatch):
     net = load_network(write_ring(tmp_path, 1000)).network
-    chain = route_chain(net, ring_spans(net))
+    runs = route_chain(net, ring_spans(net))
+    elements = sum(count for *_, count in runs)
     handed = []
     fsum = math.fsum
 
@@ -52,9 +53,9 @@ def test_propagate_hands_fsum_a_bounded_list_per_point(tmp_path, monkeypatch):
         return fsum(values)
 
     monkeypatch.setattr(math, "fsum", counting_fsum)
-    propagate(net.transceiver.tx_power, chain, net.losses)
-    assert len(handed) == len(chain)
-    assert sum(handed) <= 4 * len(chain)
+    propagate(net.transceiver.tx_power, runs)
+    assert len(handed) == elements
+    assert sum(handed) <= 4 * elements
 
 
 def best_of_three(fn, *args) -> float:

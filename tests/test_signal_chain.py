@@ -13,22 +13,18 @@ from fiberplan.model import (
     FiberProfile,
     Network,
     Node,
+    Span,
     Splitter,
     Topology,
     ring_spans,
     spans_along,
 )
-from fiberplan.power_budget import received_power, splitter_loss
+from fiberplan.power_budget import received_power, span_runs, splitter_loss
 from fiberplan.signal_chain import (
     BerEstimate,
-    Connector,
     DEFAULT_NOISE_SIGMA,
     MAX_TRACE_ELEMENTS,
-    FiberSegment,
-    MarginPad,
-    Splice,
     ber_from_q,
-    element_gain,
     estimate_ber,
     propagate,
     route_chain,
@@ -43,93 +39,111 @@ DIST_FIBER = FiberProfile(name="dist", attenuation=0.2, dispersion=16.75, drum_l
 BER_AT_Q3 = 1.349898e-3
 BER_AT_Q6 = 9.865877e-10
 
+CONNECTOR = ("connector", "connector", -LOSSES.connector_loss, 1)
+SPLICE = ("splice", "splice", -LOSSES.splice_loss, 1)
+
+
+def margin(loss, count=1):
+    return ("margin", f"margin {loss:g} dB", -loss, count)
+
+
+def edfa(gain, count=1):
+    return ("amplifier", f"edfa +{gain:g} dB", gain, count)
+
+
+def fiber(length, profile=DIST_FIBER):
+    return ("fiber", f"fiber {length:g} km ({profile.name})", -(profile.attenuation * length), 1)
+
+
+def splitter(ratio, losses=LOSSES):
+    return ("splitter", f"splitter 1x{ratio}", -splitter_loss(Splitter(ratio), losses.splitter_excess_loss), 1)
+
+
+def effects(runs):
+    """The effect of every element the rows stand for, in order."""
+    return [effect for _, _, effect, count in runs for _ in range(count)]
+
 
 class TestPropagate:
     def test_backbone_and_distribution_fold(self):
-        chain = [MarginPad(34.97), Amplifier(20.0), Amplifier(20.0), MarginPad(16.67)]
-        trace = propagate(9.0, chain, LOSSES)
+        trace = propagate(9.0, [margin(34.97), edfa(20.0, 2), margin(16.67)])
         assert trace.final_power == pytest.approx(-2.64, abs=0.005)
         assert trace.final_power == received_power(9.0, [34.97, 16.67], [20.0, 20.0])
 
     def test_empty_chain_is_identity(self):
-        trace = propagate(4.5, [], LOSSES)
+        trace = propagate(4.5, [])
         assert len(trace.points) == 1
         assert trace.points[0].label == "input"
         assert trace.final_power == 4.5
 
     def test_segment_plus_splitter(self):
-        chain = [FiberSegment(length=2.0, fiber=DIST_FIBER), Splitter(4)]
-        trace = propagate(10.0, chain, LOSSES)
+        span = Span(id="d", from_node="a", to_node="b", length=2.0, fiber=DIST_FIBER, connectors=0, splices=0,
+                    splitters=(Splitter(4),))
+        trace = propagate(10.0, span_runs(span, LOSSES))
         assert trace.final_power == pytest.approx(3.579, abs=0.001)
 
     def test_one_point_per_element(self):
-        chain = [Connector(), Splice(), MarginPad(1.0)]
-        trace = propagate(0.0, chain, LOSSES)
-        assert len(trace.points) == 4
-        assert [p.label for p in trace.points] == ["input", "connector", "splice", "margin 1 dB"]
+        trace = propagate(0.0, [CONNECTOR, ("splice", "splice", -0.05, 2), margin(1.0), margin(2.0, 0)])
+        assert len(trace.points) == 5
+        assert [p.label for p in trace.points] == ["input", "connector", "splice", "splice", "margin 1 dB"]
 
     def test_loss_only_chain_never_rises(self):
         rng = random.Random(99)
         for _ in range(50):
-            chain = []
+            runs = []
             for _ in range(rng.randint(0, 20)):
-                chain.append(
-                    rng.choice(
-                        [
-                            Connector(),
-                            Splice(),
-                            Splitter(rng.choice([2, 4, 8])),
-                            FiberSegment(length=rng.uniform(0.1, 30.0), fiber=DIST_FIBER),
-                            MarginPad(rng.uniform(0.0, 5.0)),
-                        ]
-                    )
+                row = rng.choice(
+                    [
+                        CONNECTOR,
+                        SPLICE,
+                        splitter(rng.choice([2, 4, 8])),
+                        fiber(rng.uniform(0.1, 30.0)),
+                        margin(rng.uniform(0.0, 5.0)),
+                    ]
                 )
-            trace = propagate(rng.uniform(-5.0, 12.0), chain, LOSSES)
+                runs.append(row[:3] + (rng.randint(0, 4),))
+            trace = propagate(rng.uniform(-5.0, 12.0), runs)
             powers = [p.power for p in trace.points]
+            assert len(powers) == 1 + len(effects(runs))
             assert all(a >= b for a, b in zip(powers, powers[1:]))
 
     def test_each_point_steps_by_the_element_effect(self):
         rng = random.Random(7)
-        chain = [
-            Connector(), FiberSegment(length=12.5, fiber=DIST_FIBER), Splice(),
-            Amplifier(17.0), Splitter(8), MarginPad(2.5),
-        ]
-        trace = propagate(rng.uniform(-5.0, 10.0), chain, LOSSES)
-        for before, after, element in zip(trace.points, trace.points[1:], chain):
-            assert after.power == pytest.approx(before.power + element_gain(element, LOSSES), abs=1e-9)
+        runs = [CONNECTOR, fiber(12.5), SPLICE[:3] + (3,), edfa(17.0), splitter(8), margin(2.5)]
+        trace = propagate(rng.uniform(-5.0, 10.0), runs)
+        steps = effects(runs)
+        assert len(trace.points) == 1 + len(steps)
+        for before, after, effect in zip(trace.points, trace.points[1:], steps):
+            assert after.power == pytest.approx(before.power + effect, abs=1e-9)
 
     def test_adjacent_swap_keeps_the_final_point(self):
-        chain = [Connector(), FiberSegment(length=7.0, fiber=DIST_FIBER), Splice(), Splitter(2)]
-        swapped = [Connector(), Splice(), FiberSegment(length=7.0, fiber=DIST_FIBER), Splitter(2)]
-        a = propagate(9.0, chain, LOSSES)
-        b = propagate(9.0, swapped, LOSSES)
+        runs = [CONNECTOR, fiber(7.0), SPLICE, splitter(2)]
+        swapped = [CONNECTOR, SPLICE, fiber(7.0), splitter(2)]
+        a = propagate(9.0, runs)
+        b = propagate(9.0, swapped)
         assert a.final_power == b.final_power
         assert [p.power for p in a.points] != [p.power for p in b.points]
-
-    def test_rejects_foreign_elements(self):
-        with pytest.raises(DomainError):
-            propagate(0.0, ["not-an-element"], LOSSES)  # type: ignore[list-item]
 
     @pytest.mark.parametrize("power", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_input_power(self, power):
         with pytest.raises(DomainError, match="input power"):
-            propagate(power, [Connector()], LOSSES)
+            propagate(power, [CONNECTOR])
 
     @pytest.mark.parametrize(
         "element",
-        [Amplifier(math.inf), MarginPad(math.inf), FiberSegment(length=math.inf, fiber=DIST_FIBER)],
+        [edfa(math.inf), margin(math.inf), ("fiber", "fiber nan km (dist)", math.nan, 1)],
     )
     def test_rejects_non_finite_element_effects(self, element):
         with pytest.raises(DomainError, match="non-finite"):
-            propagate(0.0, [Connector(), element], LOSSES)
+            propagate(0.0, [CONNECTOR, element])
 
 
-def prefix_fsum_fold(input_power, chain, losses):
+def prefix_fsum_fold(input_power, runs):
     """Reference fold: math.fsum over the whole prefix at every element (quadratic)."""
     deltas = [input_power]
     powers = [input_power]
-    for element in chain:
-        deltas.append(element_gain(element, losses))
+    for effect in effects(runs):
+        deltas.append(effect)
         powers.append(math.fsum(deltas))
     return powers
 
@@ -152,55 +166,60 @@ class TestPropagateMatchesPrefixFsum:
             system_margin=0.0,
             splitter_excess_loss=rng.choice([0.0, magnitude()]),
         )
-        fiber = FiberProfile(name="f", attenuation=magnitude(), dispersion=3.5, drum_length=3.0)
+        profile = FiberProfile(name="f", attenuation=magnitude(), dispersion=3.5, drum_length=3.0)
         makers = [
-            Connector,
-            Splice,
-            lambda: Splitter(2 ** rng.randint(1, 6)),
-            lambda: FiberSegment(length=10.0 ** rng.uniform(-4.0, 3.0), fiber=fiber),
-            lambda: Amplifier(magnitude()),
-            lambda: MarginPad(rng.choice([0.0, magnitude()])),
+            lambda: ("connector", "connector", -losses.connector_loss, rng.randint(0, 4)),
+            lambda: ("splice", "splice", -losses.splice_loss, rng.randint(0, 4)),
+            lambda: splitter(2 ** rng.randint(1, 6), losses),
+            lambda: fiber(10.0 ** rng.uniform(-4.0, 3.0), profile),
+            lambda: edfa(magnitude(), rng.randint(0, 2)),
+            lambda: margin(rng.choice([0.0, magnitude()])),
         ]
-        chain = [rng.choice(makers)() for _ in range(rng.randint(0, 120))]
+        runs = [rng.choice(makers)() for _ in range(rng.randint(0, 60))]
         power = rng.choice([0.0, -magnitude(), magnitude()])
-        return power, chain, losses
+        return power, runs
 
     def test_random_chains(self):
         rng = random.Random(1997)
         for _ in range(300):
-            power, chain, losses = self.random_case(rng)
-            trace = propagate(power, chain, losses)
-            assert bits(p.power for p in trace.points) == bits(prefix_fsum_fold(power, chain, losses))
+            power, runs = self.random_case(rng)
+            trace = propagate(power, runs)
+            assert bits(p.power for p in trace.points) == bits(prefix_fsum_fold(power, runs))
 
     def test_thousand_node_ring(self):
         rng = random.Random(3)
         nodes = [f"n{i:04d}" for i in range(1000)]
         net = make_ring(nodes, [rng.uniform(0.5, 3.0) for _ in nodes])
-        chain = route_chain(net, ring_spans(net))
-        assert len(chain) > 5000
-        trace = propagate(net.transceiver.tx_power, chain, net.losses)
-        assert bits(p.power for p in trace.points) == bits(
-            prefix_fsum_fold(net.transceiver.tx_power, chain, net.losses)
-        )
+        runs = route_chain(net, ring_spans(net))
+        assert len(effects(runs)) > 5000
+        trace = propagate(net.transceiver.tx_power, runs)
+        assert bits(p.power for p in trace.points) == bits(prefix_fsum_fold(net.transceiver.tx_power, runs))
 
 
 class TestElementGain:
+    """One row's effect is what one element of its kind does to the power."""
+
     def test_shared_losses_drive_joints(self):
         losses = ComponentLosses(connector_loss=0.7, splice_loss=0.11, system_margin=0.0,
                                  splitter_excess_loss=0.5)
-        assert element_gain(Connector(), losses) == -0.7
-        assert element_gain(Splice(), losses) == -0.11
-        assert element_gain(Splitter(2), losses) == -splitter_loss(Splitter(2), 0.5)
-        assert element_gain(Amplifier(17.0), losses) == 17.0
-        assert element_gain(FiberSegment(length=10.0, fiber=DIST_FIBER), losses) == pytest.approx(-2.0)
+        span = make_span("s", "a", "b", length=10.0, splices=4, splitters=(Splitter(2),),
+                         amplifiers=(Amplifier(17.0),))
+        effect = {kind: e for kind, _, e, _ in span_runs(span, losses)}
+        assert effect["connector"] == -0.7
+        assert effect["splice"] == -0.11
+        assert effect["splitter"] == -splitter_loss(Splitter(2), 0.5)
+        assert effect["amplifier"] == 17.0
+        assert effect["fiber"] == pytest.approx(-3.0)
 
     def test_segment_needs_positive_length(self):
+        # The fiber row comes from the span, whose length must be > 0 km.
         with pytest.raises(DomainError):
-            FiberSegment(length=0.0, fiber=DIST_FIBER)
+            make_span("s", "a", "b", length=0.0)
 
     def test_margin_pad_rejects_negative(self):
+        # The margin row comes from the shared losses, whose margin must be >= 0 dB.
         with pytest.raises(DomainError):
-            MarginPad(-1.0)
+            ComponentLosses(connector_loss=0.3, splice_loss=0.05, system_margin=-1.0)
 
 
 class TestBer:
@@ -258,19 +277,19 @@ class TestBer:
 class TestRouteChain:
     def test_ring_span_composition(self, sleman_doc):
         net = sleman_doc.network
-        chain = route_chain(net, spans_along(net, ["seyegan", "tempel"]))
-        kinds = [type(e).__name__ for e in chain]
-        # 2 connectors, the fiber run, 6 drum splices, the path margin pad
-        assert kinds.count("Connector") == 2
-        assert kinds.count("FiberSegment") == 1
-        assert kinds.count("Splice") == 6
-        assert kinds[-1] == "MarginPad"
+        runs = route_chain(net, spans_along(net, ["seyegan", "tempel"]))
+        counts: dict[str, int] = {}
+        for kind, _, _, count in runs:
+            counts[kind] = counts.get(kind, 0) + count
+        # 2 connectors, the fiber run, 6 drum splices, the path margin
+        assert counts == {"connector": 2, "fiber": 1, "splice": 6, "margin": 1}
+        assert runs[-1] == ("margin", "margin 3 dB", -3.0, 1)
 
     def test_full_ring_final_power_matches_budget_arithmetic(self, sleman_doc):
         from fiberplan.power_budget import path_loss
 
         net = sleman_doc.network
-        trace = propagate(net.transceiver.tx_power, route_chain(net, ring_spans(net)), net.losses)
+        trace = propagate(net.transceiver.tx_power, route_chain(net, ring_spans(net)))
         expected = received_power(
             net.transceiver.tx_power,
             [path_loss([s for s in net.spans], net.losses).total],
@@ -285,14 +304,12 @@ class TestRouteChain:
             splice_loss=net.losses.splice_loss,
             system_margin=0.0,
         )
-        from fiberplan.model import Network
-
         stripped = Network(
             nodes=net.nodes, spans=net.spans, topology=net.topology,
             losses=no_margin, transceiver=net.transceiver,
         )
-        chain = route_chain(stripped, spans_along(stripped, ["seyegan", "tempel"]))
-        assert not any(isinstance(e, MarginPad) for e in chain)
+        runs = route_chain(stripped, spans_along(stripped, ["seyegan", "tempel"]))
+        assert not any(kind == "margin" for kind, *_ in runs)
 
     def test_chain_length_is_capped_before_it_is_built(self):
         def two_node_ring(splices: int) -> Network:
@@ -300,10 +317,12 @@ class TestRouteChain:
             return Network(nodes=(Node("a", "A"), Node("b", "B")), spans=spans, topology=Topology.RING,
                            losses=LOSSES, transceiver=TRANSCEIVER)
 
-        # Per span: two connectors, the fiber run and its splices; one margin pad for the path.
+        # Per span: two connectors, the fiber run and its splices; one margin element for the path.
         fits = MAX_TRACE_ELEMENTS - (3 + 1000) - 3 - 1
         net = two_node_ring(fits)
-        assert len(route_chain(net, net.spans)) == MAX_TRACE_ELEMENTS
+        runs = route_chain(net, net.spans)
+        assert len(runs) == 9
+        assert len(effects(runs)) == MAX_TRACE_ELEMENTS
         net = two_node_ring(fits + 1)
         with pytest.raises(DomainError, match=r"^span 's2': too many joints to trace: 1\.99e\+05 splices .*"
                                               r"would hold 200001 elements, over the cap of 200000$"):

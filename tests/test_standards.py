@@ -95,6 +95,14 @@ def test_verdict_at_an_infinite_threshold_compares_the_values(direction):
     assert verdict.passed  # equality passes
 
 
+def test_power_margin_beyond_the_float_range_is_a_domain_error():
+    deaf = StandardProfile("deaf", bit_rate=1e9, line_code=LineCode.NRZ, rx_sensitivity=-1e308)
+    with pytest.raises(DomainError, match="margin beyond the float range"):
+        power_verdict(1e308, deaf)
+    lost = power_verdict(-math.inf, deaf)  # no light at all is a failing verdict, not an error
+    assert not lost.passed and lost.margin == -math.inf
+
+
 class TestResolution:
     def test_builtin_by_name(self):
         assert resolve_standard("table2-receiver").rx_sensitivity == -38.0
