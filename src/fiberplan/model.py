@@ -31,39 +31,50 @@ _C = TypeVar("_C", bound=type)
 
 
 def frozen(cls: _C) -> _C:
-    """Make ``cls`` an immutable value class over its annotated fields.
+    """Rebuild ``cls`` as an immutable, slotted value class over its annotated fields.
 
     The fields are the class's own annotations, in order; a class attribute of
-    the same name is the field's default. The generated ``__init__`` takes the
-    fields positionally or by keyword, stores them in the instance ``__dict__``
-    and then calls ``__post_init__`` if the class has one; that method checks
-    the values and may normalize a field with ``object.__setattr__``. Instances
-    compare (only with their own class), hash and print by their fields, as a
-    frozen dataclass does; assigning or deleting any attribute raises
-    :class:`FrozenInstanceError`.
+    the same name is the field's default. The new class's ``__slots__`` are the
+    fields, then any names the class body lists in its own ``__slots__`` for
+    state that is not a field; instances have no ``__dict__``. The generated
+    ``__init__`` takes the fields positionally or by keyword, stores each one
+    through its slot and then calls ``__post_init__`` if the class has one;
+    that method checks the values and may normalize a field, or fill a
+    non-field slot, with ``object.__setattr__``. Instances compare (only with
+    their own class), hash and print by their fields, as a frozen dataclass
+    does, and copy and pickle by being rebuilt from them; assigning or deleting
+    any attribute raises :class:`FrozenInstanceError`.
     """
-    names = tuple(vars(cls).get("__annotations__", ()))
-    params = "".join(f", {n}=_defaults[{n!r}]" if n in vars(cls) else f", {n}" for n in names)
-    body = ["    _d = self.__dict__", *(f"    _d[{n!r}] = {n}" for n in names)] if names else []
+    body = dict(vars(cls))
+    names = tuple(body.get("__annotations__", ()))
+    extra = tuple(body.pop("__slots__", ()))
+    defaults = {n: body.pop(n) for n in names if n in body}
+    for name in ("__dict__", "__weakref__", *extra):  # a slot may not share its name with a class attribute
+        body.pop(name, None)
+    body.update(
+        __slots__=names + extra,
+        _fields=names,
+        # attrgetter yields the bare value for one name and a tuple for several.
+        _values=attrgetter(*names) if names else staticmethod(lambda obj: ()),
+        __eq__=_frozen_eq,
+        __hash__=_frozen_hash,
+        __repr__=_frozen_repr,
+        __reduce__=_frozen_reduce,
+        __setattr__=_frozen_setattr,
+        __delattr__=_frozen_delattr,
+    )
+    cls = type(cls)(cls.__name__, cls.__bases__, body)
+
+    params = "".join(f", {n}=_defaults[{n!r}]" if n in defaults else f", {n}" for n in names)
+    lines = [f"    _set{i}(self, {n})" for i, n in enumerate(names)]
     if hasattr(cls, "__post_init__"):
-        body.append("    self.__post_init__()")
-    namespace: dict[str, Any] = {"_defaults": vars(cls), "__name__": cls.__module__}
-    exec(f"def __init__(self{params}):\n" + "\n".join(body or ["    pass"]), namespace)
+        lines.append("    self.__post_init__()")
+    namespace: dict[str, Any] = {"_defaults": defaults, "__name__": cls.__module__}
+    namespace.update((f"_set{i}", vars(cls)[n].__set__) for i, n in enumerate(names))
+    exec(f"def __init__(self{params}):\n" + "\n".join(lines or ["    pass"]), namespace)
     init = namespace["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"
-    members = {
-        "__init__": init,
-        "_fields": names,
-        # attrgetter yields the bare value for one name and a tuple for several.
-        "_values": attrgetter(*names) if names else staticmethod(lambda obj: ()),
-        "__eq__": _frozen_eq,
-        "__hash__": _frozen_hash,
-        "__repr__": _frozen_repr,
-        "__setattr__": _frozen_setattr,
-        "__delattr__": _frozen_delattr,
-    }
-    for name, member in members.items():
-        setattr(cls, name, member)
+    cls.__init__ = init
     return cls
 
 
@@ -80,6 +91,10 @@ def _frozen_hash(self: Any) -> int:
 def _frozen_repr(self: Any) -> str:
     fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
     return f"{self.__class__.__qualname__}({fields})"
+
+
+def _frozen_reduce(self: Any) -> tuple[type, tuple[Any, ...]]:
+    return self.__class__, tuple(getattr(self, name) for name in self._fields)
 
 
 def _frozen_setattr(self: Any, name: str, value: Any) -> None:
@@ -233,13 +248,14 @@ class Network:
     transceiver: TransceiverProfile
     head: str | None = None
 
+    __slots__ = ("_names",)  # node id -> name; not a field, so left out of repr, equality and hashing
+
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "spans", tuple(self.spans))
         names: dict[str, str] = {}
         for node in self.nodes:
             names.setdefault(node.id, node.name)  # the first listing of a duplicated id wins
-        # Not a field: left out of repr, equality and hashing.
         object.__setattr__(self, "_names", names)
 
     def node_name(self, node_id: str) -> str:

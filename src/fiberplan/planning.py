@@ -37,9 +37,9 @@ from .power_budget import (
     required_input_power,
     span_loss,
 )
-from .risetime import RiseTimeReport, max_system_risetime, span_risetime_report
+from .risetime import RiseTimeReport, max_system_risetime, span_risetime
 from .signal_chain import DEFAULT_NOISE_SIGMA, BerEstimate, PowerTrace, estimate_ber, propagate, route_chain
-from .standards import StandardProfile, Verdict, power_verdict, resolve_standard, risetime_verdict
+from .standards import StandardProfile, Verdict, power_verdict, resolve_standard
 from .traffic import TrafficForecast, TrafficInput
 
 
@@ -79,7 +79,7 @@ class PlanReport:
     applied_gain: float  # dB counted toward the verdict
     as_built_power: float  # dBm with inventory amplifiers only
     received: float  # dBm with applied_gain
-    verdicts: tuple[Verdict, ...]
+    verdicts: tuple[Verdict, ...]  # received power, then the rise time of each row of spans, in order
 
     @property
     def overall_pass(self) -> bool:
@@ -123,25 +123,28 @@ def run_plan(
     profile = resolve_standard(standard, doc.standards)
 
     nodes, spans = _resolve_path(network, path_spec)
+    ceiling = max_system_risetime(profile.bit_rate, profile.line_code)
 
     loss_by_id: dict[str, LossBreakdown] = {}
-    rows = []
+    rows: list[tuple[SpanResult, Verdict]] = []
     for span in spans:
         if span.id in loss_by_id:
             continue
         loss = loss_by_id[span.id] = span_loss(span, network.losses)
+        rise, total = span_risetime(span, network.transceiver, ceiling)
         link = f"{network.node_name(span.from_node)} - {network.node_name(span.to_node)}"
-        rows.append(
+        rows.append((
             SpanResult(
                 span_id=span.id,
                 link=link,
                 length=span.length,
                 splices=resolved_splices(span),
                 loss=loss,
-                rise=span_risetime_report(span, network.transceiver, profile),
-            )
-        )
-    rows.sort(key=lambda r: r.span_id)
+                rise=rise,
+            ),
+            Verdict(quantity=f"rise time {span.id}", value=total, threshold=ceiling, unit="ps", direction="max"),
+        ))
+    rows.sort(key=lambda r: r[0].span_id)
 
     path = combine_span_losses([loss_by_id[span.id] for span in spans], network.losses.system_margin)
     planning_floor = required_input_power(network.transceiver.rx_sensitivity, doc.distribution_loss)
@@ -160,15 +163,10 @@ def run_plan(
         network.transceiver.tx_power, [path.total, doc.distribution_loss], [applied_gain]
     )
 
-    verdicts: list[Verdict] = [power_verdict(received, profile)]
-    verdicts.extend(
-        risetime_verdict(row.rise.total, profile, quantity=f"rise time {row.span_id}") for row in rows
-    )
-
     return PlanReport(
         standard=profile,
         path_nodes=tuple(nodes),
-        spans=tuple(rows),
+        spans=tuple(row for row, _ in rows),
         path=path,
         distribution_loss=doc.distribution_loss,
         planning_floor=planning_floor,
@@ -178,7 +176,7 @@ def run_plan(
         applied_gain=applied_gain,
         as_built_power=as_built_power,
         received=received,
-        verdicts=tuple(verdicts),
+        verdicts=(power_verdict(received, profile), *(rise for _, rise in rows)),
     )
 
 
@@ -310,11 +308,11 @@ def _loss_values(b: LossBreakdown) -> tuple[float, ...]:
             _db(b.margin), _db(b.total))
 
 
-def _span_json(row: SpanResult) -> str:
+def _span_json(row: SpanResult, rise: Verdict) -> str:
     r = row.rise
     numbers = _nums((row.length, row.splices, *_loss_values(row.loss), _ps(r.ceiling),
-                     _ps(r.dispersion_component), _ps(r.tx_component), _ps(r.rx_component), _ps(r.total)))
-    return _SPAN_JSON % (_json_str(row.span_id), _json_str(row.link), *numbers, _BOOL[r.passed])
+                     _ps(r.dispersion_component), _ps(r.tx_component), _ps(r.rx_component), _ps(rise.value)))
+    return _SPAN_JSON % (_json_str(row.span_id), _json_str(row.link), *numbers, _BOOL[rise.passed])
 
 
 def _verdict_json(v: Verdict) -> str:
@@ -347,9 +345,9 @@ def render_plan_text(report: PlanReport) -> str:
     lines.append("")
     lines.append("Rise-time budgets")
     lines.append(f"{'link':<24} {'rise time ps':>12} {'splices':>8}  verdict")
-    for row in report.spans:
-        flag = "pass" if row.rise.passed else "FAIL"
-        lines.append(f"{row.link:<24} {row.rise.total:>12.3f} {row.splices:>8d}  {flag}")
+    for row, rise in zip(report.spans, report.verdicts[1:]):  # the verdict holds the row's total
+        flag = "pass" if rise.passed else "FAIL"
+        lines.append(f"{row.link:<24} {rise.value:>12.3f} {row.splices:>8d}  {flag}")
     lines.append("")
     p = report.path
     lines.append(
@@ -393,7 +391,7 @@ def render_plan_json(report: PlanReport) -> str:
     return _PLAN_JSON % (
         _json_str(standard.name), scalars[0], _json_str(standard.line_code.value), scalars[1],
         _array(["    " + _json_str(node) for node in report.path_nodes]),
-        _array([_span_json(row) for row in report.spans]),
+        _array([_span_json(row, rise) for row, rise in zip(report.spans, report.verdicts[1:])]),
         *scalars[2:],
         _array([_verdict_json(v) for v in report.verdicts]),
         _BOOL[report.overall_pass],

@@ -79,14 +79,21 @@ def span_risetime_report(
 
     Raises DomainError naming the span when its total is beyond the float range.
     """
+    return span_risetime(span, transceiver, max_system_risetime(profile.bit_rate, profile.line_code))[0]
+
+
+def span_risetime(span: Span, transceiver: TransceiverProfile, ceiling: float) -> tuple[RiseTimeReport, float]:
+    """One span's rise-time budget against ``ceiling`` (ps), and the budget's total.
+
+    Raises DomainError naming the span when the total is beyond the float range.
+    """
     report = RiseTimeReport(
-        ceiling=max_system_risetime(profile.bit_rate, profile.line_code),
+        ceiling=ceiling,
         dispersion_component=dispersion_risetime(span.fiber.dispersion, transceiver.spectral_width, span.length),
         tx_component=transceiver.tx_rise_time,
         rx_component=transceiver.rx_rise_time,
     )
     try:
-        report.total
+        return report, report.total
     except DomainError as exc:
         raise DomainError(f"span {span.id!r} (length {span.length:g} km): {exc}") from None
-    return report

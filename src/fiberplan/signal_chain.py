@@ -26,7 +26,8 @@ DEFAULT_NOISE_SIGMA = 7e-7  # A; receiver noise current of the Gaussian model
 
 MAX_TRACE_ELEMENTS = 200_000
 """Most elements the rows of :func:`route_chain` may count for one path; :func:`propagate`
-makes a point of about 1 KB per element, and a 10^4-node ring needs about 90k."""
+keeps a point of about 80 bytes per element (about 16 MB at the cap), and a 10^4-node
+ring needs about 90k."""
 
 
 @frozen

@@ -1,4 +1,4 @@
-"""The ``frozen`` value classes: construction, equality, hashing, repr, immutability.
+"""The ``frozen`` value classes: construction, equality, hashing, repr, immutability, slots, copying.
 
 Every value class of the package is checked against a frozen dataclass built
 from the same fields, the behaviour these classes had before they stopped
@@ -7,7 +7,9 @@ using ``dataclasses``.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 import subprocess
 import sys
 from importlib import import_module
@@ -131,6 +133,22 @@ def test_value_class_behaves_like_a_frozen_dataclass(cls):
         with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
             delattr(obj, name)
     assert [getattr(obj, name) for name in names] == values
+
+
+@pytest.mark.parametrize("cls", VALUE_CLASSES, ids=lambda cls: cls.__qualname__)
+def test_copy_and_pickle_give_an_equal_value(cls):
+    obj = SAMPLES[cls]
+    for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert type(twin) is cls and twin == obj
+        assert repr(twin) == repr(obj)
+        if cls is Network:  # the node-name index is rebuilt, not copied
+            assert twin.node_name("seyegan") == "Seyegan"
+
+
+@pytest.mark.parametrize("cls", VALUE_CLASSES, ids=lambda cls: cls.__qualname__)
+def test_fields_live_in_slots(cls):
+    assert cls.__slots__ == cls._fields + (("_names",) if cls is Network else ())
+    assert not hasattr(SAMPLES[cls], "__dict__")
 
 
 def test_values_differing_in_one_field_are_unequal():

@@ -12,6 +12,7 @@ import json
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -38,6 +39,23 @@ def write_ring(tmp_path, n: int, seed: int = 1):
     out = tmp_path / f"ring{n}.json"
     out.write_text(json.dumps(doc), encoding="utf-8")
     return out
+
+
+def test_trace_points_stay_small(tmp_path):
+    """Memory guard: a point of the 1000-node ring's trace holds about 80 bytes (184 before
+    the value classes had slots), so the whole trace fits in well under 1 MB."""
+    net = load_network(write_ring(tmp_path, 1000)).network
+    runs = route_chain(net, ring_spans(net))
+    elements = sum(count for *_, count in runs)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = propagate(net.transceiver.tx_power, runs)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(trace.points) == elements + 1
+    assert held <= 100 * elements, f"{held / elements:.0f} bytes per element"
 
 
 def test_propagate_hands_fsum_a_bounded_list_per_point(tmp_path, monkeypatch):
