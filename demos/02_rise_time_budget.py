@@ -30,7 +30,7 @@ def main() -> None:
 
     print(f"{'link':<20} {'km':>8} {'dispersion ps':>13} {'total ps':>9} {'splices':>8}  verdict")
     for span in sorted(net.spans, key=lambda s: s.id):
-        report = span_risetime_report(span, net.transceiver, profile)
+        report = span_risetime_report(span, net.transceiver, ceiling)
         flag = "pass" if report.passed else "FAIL"
         print(
             f"{span.id:<20} {span.length:>8.3f} {report.dispersion_component:>13.3f} "
@@ -43,7 +43,7 @@ def main() -> None:
     print("\nStretching one span until it fails:")
     for length in (20.0, 40.0, 60.0, 80.0, 100.0):
         probe = Span(id="probe", from_node="a", to_node="b", length=length, fiber=fiber)
-        report = span_risetime_report(probe, tx, profile)
+        report = span_risetime_report(probe, tx, ceiling)
         flag = "pass" if report.passed else "FAIL"
         print(f"  {length:>5.0f} km -> {report.total:7.3f} ps  {flag}")
 

@@ -31,13 +31,9 @@ from .planning import (
 )
 from .traffic import TrafficInput, forecast_subscribers
 
-_FORECAST_FLAGS = (
-    ("population", int),
-    ("cellular_penetration", float),
-    ("operator_share", float),
-    ("lte_penetration", float),
-    ("annual_growth", float),
-    ("horizon", int),
+# (field, argparse type) per TrafficInput field, in field order: counts parse as int, rates as float.
+_FORECAST_FLAGS = tuple(
+    (name, int if TrafficInput.__annotations__[name] == "int" else float) for name in TrafficInput._fields
 )
 
 

@@ -280,18 +280,28 @@ class Violation:
 def splice_count(length: float, drum_length: float) -> int:
     """Splices on a run: one per cable-drum boundary plus the two terminating joints.
 
-    Computed as ceil(length / drum_length) + 2.
+    Computed as ceil(length / drum_length) + 2; raises DomainError when that is
+    beyond the float range.
     """
     if length <= 0 or drum_length <= 0:
         raise DomainError("splice_count: length and drum_length must be > 0 km")
-    return math.ceil(length / drum_length) + 2
+    drums = length / drum_length
+    if drums == math.inf:
+        raise DomainError(f"splice count of {length:g} km over {drum_length:g} km drums is beyond the float range")
+    return math.ceil(drums) + 2
 
 
 def resolved_splices(span: Span) -> int:
-    """The span's explicit splice count, or the automatic drum-based count."""
+    """The span's explicit splice count, or the automatic drum-based count.
+
+    Raises DomainError naming the span when the automatic count is beyond the float range.
+    """
     if span.splices is not None:
         return span.splices
-    return splice_count(span.length, span.fiber.drum_length)
+    try:
+        return splice_count(span.length, span.fiber.drum_length)
+    except DomainError as exc:
+        raise DomainError(f"span {span.id!r}: {exc}") from None
 
 
 def _components(node_ids: set[str], edges: list[tuple[str, str]]) -> tuple[int, bool]:

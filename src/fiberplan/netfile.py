@@ -54,15 +54,10 @@ class NetworkDocument:
     """Everything a network file carries beyond the Network itself."""
 
     network: Network
-    fiber_profiles: dict[str, FiberProfile]
-    standards: dict[str, StandardProfile] = None  # None (no custom profiles) becomes {}
+    standards: dict[str, StandardProfile]  # custom compliance profiles by name
     traffic: Mapping[str, Any] | None = None
     distribution_loss: float = 0.0
     edfa_gain: float = DEFAULT_EDFA_GAIN
-
-    def __post_init__(self) -> None:
-        if self.standards is None:
-            object.__setattr__(self, "standards", {})
 
 
 _MISSING: Any = object()  # default of the field readers: the key is required
@@ -338,7 +333,6 @@ def parse_network(doc: Mapping[str, Any]) -> NetworkDocument:
         raise _field_error("", (), "edfa_gain", "a number > 0", doc["edfa_gain"])
     return NetworkDocument(
         network=network,
-        fiber_profiles=profiles,
         standards=standards,
         traffic=traffic,
         distribution_loss=distribution_loss,

@@ -37,9 +37,9 @@ from .power_budget import (
     required_input_power,
     span_loss,
 )
-from .risetime import RiseTimeReport, max_system_risetime, span_risetime
+from .risetime import RiseTimeReport, max_system_risetime, span_risetime_report
 from .signal_chain import DEFAULT_NOISE_SIGMA, BerEstimate, PowerTrace, estimate_ber, propagate, route_chain
-from .standards import StandardProfile, Verdict, power_verdict, resolve_standard
+from .standards import StandardProfile, Verdict, power_verdict, resolve_standard, risetime_verdict
 from .traffic import TrafficForecast, TrafficInput
 
 
@@ -125,28 +125,20 @@ def run_plan(
     nodes, spans = _resolve_path(network, path_spec)
     ceiling = max_system_risetime(profile.bit_rate, profile.line_code)
 
-    loss_by_id: dict[str, LossBreakdown] = {}
-    rows: list[tuple[SpanResult, Verdict]] = []
+    results: dict[str, SpanResult] = {}
     for span in spans:
-        if span.id in loss_by_id:
-            continue
-        loss = loss_by_id[span.id] = span_loss(span, network.losses)
-        rise, total = span_risetime(span, network.transceiver, ceiling)
-        link = f"{network.node_name(span.from_node)} - {network.node_name(span.to_node)}"
-        rows.append((
-            SpanResult(
+        if span.id not in results:
+            results[span.id] = SpanResult(
                 span_id=span.id,
-                link=link,
+                link=f"{network.node_name(span.from_node)} - {network.node_name(span.to_node)}",
                 length=span.length,
                 splices=resolved_splices(span),
-                loss=loss,
-                rise=rise,
-            ),
-            Verdict(quantity=f"rise time {span.id}", value=total, threshold=ceiling, unit="ps", direction="max"),
-        ))
-    rows.sort(key=lambda r: r[0].span_id)
+                loss=span_loss(span, network.losses),
+                rise=span_risetime_report(span, network.transceiver, ceiling),
+            )
+    rows = tuple(results[span_id] for span_id in sorted(results))
 
-    path = combine_span_losses([loss_by_id[span.id] for span in spans], network.losses.system_margin)
+    path = combine_span_losses([results[span.id].loss for span in spans], network.losses.system_margin)
     planning_floor = required_input_power(network.transceiver.rx_sensitivity, doc.distribution_loss)
     budget = max_allowed_loss(network.transceiver.tx_power, planning_floor)
     plan = amplifier_requirement(path.total, budget, doc.edfa_gain)
@@ -166,7 +158,7 @@ def run_plan(
     return PlanReport(
         standard=profile,
         path_nodes=tuple(nodes),
-        spans=tuple(row for row, _ in rows),
+        spans=rows,
         path=path,
         distribution_loss=doc.distribution_loss,
         planning_floor=planning_floor,
@@ -176,7 +168,10 @@ def run_plan(
         applied_gain=applied_gain,
         as_built_power=as_built_power,
         received=received,
-        verdicts=(power_verdict(received, profile), *(rise for _, rise in rows)),
+        verdicts=(
+            power_verdict(received, profile),
+            *(risetime_verdict(row.rise.total, ceiling, f"rise time {row.span_id}") for row in rows),
+        ),
     )
 
 
@@ -204,27 +199,22 @@ def run_trace(
     return trace, ber
 
 
-_TRAFFIC_KEYS = frozenset({
-    "population", "cellular_penetration", "operator_share",
-    "lte_penetration", "annual_growth", "horizon",
-})
+_TRAFFIC_KEYS = frozenset(TrafficInput._fields)
 
 
 def traffic_input_from_mapping(raw: Mapping[str, Any]) -> TrafficInput:
     """Build forecast inputs from a network file's ``traffic`` object.
 
-    Counts must be integers and rates finite numbers; nothing is coerced.
+    Counts (the ``int`` fields of TrafficInput) must be integers and rates
+    finite numbers; nothing is coerced.
     """
     where = "traffic"
     _reject_unknown(raw, _TRAFFIC_KEYS, where)
-    return TrafficInput(
-        population=_count(raw, "population", where),
-        cellular_penetration=_number(raw, "cellular_penetration", where),
-        operator_share=_number(raw, "operator_share", where),
-        lte_penetration=_number(raw, "lte_penetration", where),
-        annual_growth=_number(raw, "annual_growth", where),
-        horizon=_count(raw, "horizon", where),
-    )
+    kinds = TrafficInput.__annotations__
+    return TrafficInput(**{
+        name: _count(raw, name, where) if kinds[name] == "int" else _number(raw, name, where)
+        for name in TrafficInput._fields
+    })
 
 
 # --- rendering -------------------------------------------------------------
@@ -308,11 +298,11 @@ def _loss_values(b: LossBreakdown) -> tuple[float, ...]:
             _db(b.margin), _db(b.total))
 
 
-def _span_json(row: SpanResult, rise: Verdict) -> str:
+def _span_json(row: SpanResult) -> str:
     r = row.rise
     numbers = _nums((row.length, row.splices, *_loss_values(row.loss), _ps(r.ceiling),
-                     _ps(r.dispersion_component), _ps(r.tx_component), _ps(r.rx_component), _ps(rise.value)))
-    return _SPAN_JSON % (_json_str(row.span_id), _json_str(row.link), *numbers, _BOOL[rise.passed])
+                     _ps(r.dispersion_component), _ps(r.tx_component), _ps(r.rx_component), _ps(r.total)))
+    return _SPAN_JSON % (_json_str(row.span_id), _json_str(row.link), *numbers, _BOOL[r.passed])
 
 
 def _verdict_json(v: Verdict) -> str:
@@ -345,9 +335,9 @@ def render_plan_text(report: PlanReport) -> str:
     lines.append("")
     lines.append("Rise-time budgets")
     lines.append(f"{'link':<24} {'rise time ps':>12} {'splices':>8}  verdict")
-    for row, rise in zip(report.spans, report.verdicts[1:]):  # the verdict holds the row's total
-        flag = "pass" if rise.passed else "FAIL"
-        lines.append(f"{row.link:<24} {rise.value:>12.3f} {row.splices:>8d}  {flag}")
+    for row in report.spans:
+        flag = "pass" if row.rise.passed else "FAIL"
+        lines.append(f"{row.link:<24} {row.rise.total:>12.3f} {row.splices:>8d}  {flag}")
     lines.append("")
     p = report.path
     lines.append(
@@ -391,7 +381,7 @@ def render_plan_json(report: PlanReport) -> str:
     return _PLAN_JSON % (
         _json_str(standard.name), scalars[0], _json_str(standard.line_code.value), scalars[1],
         _array(["    " + _json_str(node) for node in report.path_nodes]),
-        _array([_span_json(row, rise) for row, rise in zip(report.spans, report.verdicts[1:])]),
+        _array([_span_json(row) for row in report.spans]),
         *scalars[2:],
         _array([_verdict_json(v) for v in report.verdicts]),
         _BOOL[report.overall_pass],

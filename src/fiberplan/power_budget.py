@@ -109,9 +109,11 @@ def span_loss(span: Span, losses: ComponentLosses) -> LossBreakdown:
             splice, splices = -effect, splices + count
         elif kind == "splitter":
             splitters += [-effect] * count
-    return LossBreakdown(
-        connector * connectors, fiber * fibers, splice * splices, math.fsum(splitters), losses.system_margin
-    )
+    try:
+        splitter_total = math.fsum(splitters)
+    except OverflowError:  # fsum of finite splitter losses beyond the float range
+        raise DomainError(f"span {span.id!r}: splitter loss beyond the float range") from None
+    return LossBreakdown(connector * connectors, fiber * fibers, splice * splices, splitter_total, losses.system_margin)
 
 
 def path_loss(spans: Sequence[Span], losses: ComponentLosses) -> LossBreakdown:

@@ -9,12 +9,8 @@ amplifier contributions are omitted: this models single-mode plant.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from .model import DomainError, LineCode, Span, TransceiverProfile, frozen
-
-if TYPE_CHECKING:
-    from .standards import StandardProfile
 
 PS_PER_SECOND = 1e12
 
@@ -30,10 +26,12 @@ class RiseTimeReport:
     tx_component: float  # ps
     rx_component: float  # ps
 
-    @property
-    def total(self) -> float:
-        """ps, root-sum-square of the three components."""
-        return total_risetime(self.tx_component, self.rx_component, self.dispersion_component)
+    __slots__ = ("total",)  # ps, root-sum-square of the three components; derived, so not a field
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "total", total_risetime(self.tx_component, self.rx_component, self.dispersion_component)
+        )
 
     @property
     def passed(self) -> bool:
@@ -72,28 +70,17 @@ def total_risetime(tx_rise: float, rx_rise: float, dispersion_rise: float) -> fl
     return total
 
 
-def span_risetime_report(
-    span: Span, transceiver: TransceiverProfile, profile: "StandardProfile"
-) -> RiseTimeReport:
-    """Full rise-time budget for one span under one compliance profile.
+def span_risetime_report(span: Span, transceiver: TransceiverProfile, ceiling: float) -> RiseTimeReport:
+    """One span's rise-time budget against ``ceiling`` (ps), as :func:`max_system_risetime` gives it.
 
     Raises DomainError naming the span when its total is beyond the float range.
     """
-    return span_risetime(span, transceiver, max_system_risetime(profile.bit_rate, profile.line_code))[0]
-
-
-def span_risetime(span: Span, transceiver: TransceiverProfile, ceiling: float) -> tuple[RiseTimeReport, float]:
-    """One span's rise-time budget against ``ceiling`` (ps), and the budget's total.
-
-    Raises DomainError naming the span when the total is beyond the float range.
-    """
-    report = RiseTimeReport(
-        ceiling=ceiling,
-        dispersion_component=dispersion_risetime(span.fiber.dispersion, transceiver.spectral_width, span.length),
-        tx_component=transceiver.tx_rise_time,
-        rx_component=transceiver.rx_rise_time,
-    )
     try:
-        return report, report.total
+        return RiseTimeReport(
+            ceiling=ceiling,
+            dispersion_component=dispersion_risetime(span.fiber.dispersion, transceiver.spectral_width, span.length),
+            tx_component=transceiver.tx_rise_time,
+            rx_component=transceiver.rx_rise_time,
+        )
     except DomainError as exc:
         raise DomainError(f"span {span.id!r} (length {span.length:g} km): {exc}") from None

@@ -13,7 +13,6 @@ import math
 from typing import Literal, Mapping
 
 from .model import ConfigurationError, DomainError, LineCode, frozen
-from .risetime import max_system_risetime
 
 
 @frozen
@@ -76,13 +75,13 @@ def power_verdict(received: float, profile: StandardProfile) -> Verdict:
     return verdict
 
 
-def risetime_verdict(total_rise: float, profile: StandardProfile, quantity: str = "rise time") -> Verdict:
-    """Judge a total system rise time (ps) against the profile's ceiling.
+def risetime_verdict(total_rise: float, ceiling: float, quantity: str = "rise time") -> Verdict:
+    """Judge a total system rise time (ps) against a ceiling (ps).
 
-    The ceiling follows from the profile's bit rate and line code; for a
-    10 Gbps NRZ system it is 70 ps.
+    The ceiling follows from a profile's bit rate and line code through
+    :func:`fiberplan.risetime.max_system_risetime`; for a 10 Gbps NRZ system
+    it is 70 ps.
     """
-    ceiling = max_system_risetime(profile.bit_rate, profile.line_code)
     return Verdict(quantity=quantity, value=total_rise, threshold=ceiling, unit="ps", direction="max")
 
 

@@ -99,6 +99,7 @@ def test_criterion_5_ring_risetimes_and_splices(sleman_doc):
     def body():
         net = sleman_doc.network
         profile = builtin_profiles()["gpon-onu-endpoint"]
+        ceiling = max_system_risetime(profile.bit_rate, profile.line_code)
         floor_sq = TRANSCEIVER.tx_rise_time**2 + TRANSCEIVER.rx_rise_time**2
 
         def inverted_length(total_ps: float) -> float:
@@ -111,7 +112,7 @@ def test_criterion_5_ring_risetimes_and_splices(sleman_doc):
         for span_id, target_ps, target_splices in TARGET_TABLE:
             span = spans[span_id]
             assert span.length == round(inverted_length(target_ps), 3)
-            report = span_risetime_report(span, net.transceiver, profile)
+            report = span_risetime_report(span, net.transceiver, ceiling)
             assert report.total == pytest.approx(target_ps, abs=0.01)
             assert resolved_splices(span) == target_splices
             lengths.append(span.length)
@@ -127,8 +128,9 @@ def test_criterion_6_ceiling_and_feasibility(sleman_doc):
         assert max_system_risetime(10e9, LineCode.NRZ) == 70.0
         net = sleman_doc.network
         profile = builtin_profiles()["gpon-onu-endpoint"]
+        ceiling = max_system_risetime(profile.bit_rate, profile.line_code)
         for span in net.spans:
-            assert span_risetime_report(span, net.transceiver, profile).passed
+            assert span_risetime_report(span, net.transceiver, ceiling).passed
 
     _report(6, "70 ps NRZ ceiling holds and every ring link passes it", body)
 

@@ -266,6 +266,13 @@ def assert_one_error_line(capsys, argv, *fragments):
         (_all(_set(("transceiver", "tx_power"), 1e308), _set(("standards",), {"deaf": DEAF})),
          ("plan", "--standard", "deaf", "--format", "json"),
          "received power 1e+308 dBm against standard 'deaf' rx_sensitivity -1e+308 dBm: margin beyond the float range"),
+        # A drum length near zero asks for more splices than a float can count.
+        (_set(("fiber_profiles", "g652-backbone", "drum_length"), 1e-320), ("plan", *STANDARD),
+         "span '01-seyegan-tempel': splice count of 10.094 km over 9.99989e-321 km drums is beyond the float range"),
+        (_set(("fiber_profiles", "g652-backbone", "drum_length"), 1e-320), ("trace",),
+         "span '01-seyegan-tempel': splice count of 10.094 km over 9.99989e-321 km drums is beyond the float range"),
+        (_all(_set(("losses", "splitter_excess_loss"), 1e308), _set(("spans", 0, "splitters"), [2, 2])),
+         ("plan", *STANDARD), "span '01-seyegan-tempel': splitter loss beyond the float range"),
     ],
 )
 def test_malformed_values_exit_two(capsys, write_network, mutate, command, fragment):

@@ -20,6 +20,7 @@ from fiberplan.data import sleman_path
 from fiberplan.model import Amplifier, AmplifierKind, ComponentLosses, Network, Span, Splitter, Violation
 from fiberplan.netfile import DEFAULT_EDFA_GAIN, NetworkDocument, load_network
 from fiberplan.planning import run_plan, run_trace, traffic_input_from_mapping
+from fiberplan.risetime import RiseTimeReport
 from fiberplan.signal_chain import TracePoint
 from fiberplan.standards import StandardProfile
 from fiberplan.traffic import forecast_subscribers
@@ -44,7 +45,7 @@ DEFAULTS = {
     Span: {"connectors": 2, "splices": None, "amplifiers": (), "splitters": ()},
     Network: {"head": None},
     StandardProfile: {"notes": ""},
-    NetworkDocument: {"standards": {}, "traffic": None, "distribution_loss": 0.0, "edfa_gain": DEFAULT_EDFA_GAIN},
+    NetworkDocument: {"traffic": None, "distribution_loss": 0.0, "edfa_gain": DEFAULT_EDFA_GAIN},
 }
 
 
@@ -145,9 +146,12 @@ def test_copy_and_pickle_give_an_equal_value(cls):
             assert twin.node_name("seyegan") == "Seyegan"
 
 
+NON_FIELD_SLOTS = {Network: ("_names",), RiseTimeReport: ("total",)}
+
+
 @pytest.mark.parametrize("cls", VALUE_CLASSES, ids=lambda cls: cls.__qualname__)
 def test_fields_live_in_slots(cls):
-    assert cls.__slots__ == cls._fields + (("_names",) if cls is Network else ())
+    assert cls.__slots__ == cls._fields + NON_FIELD_SLOTS.get(cls, ())
     assert not hasattr(SAMPLES[cls], "__dict__")
 
 

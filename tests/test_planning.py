@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from fiberplan import risetime
 from fiberplan.model import ConfigurationError, ring_spans
 from fiberplan.netfile import NetworkFileError, load_network
 from fiberplan.planning import (
@@ -99,6 +100,19 @@ class TestRunPlan:
         report = run_plan(sleman_doc, "gpon-onu-endpoint")
         ids = [row.span_id for row in report.spans]
         assert len(ids) == len(set(ids)) == 7
+
+    def test_each_span_row_totals_its_rise_time_once(self, sleman_doc, monkeypatch):
+        calls, real_total = [], risetime.total_risetime
+
+        def counting_total(*components):
+            calls.append(components)
+            return real_total(*components)
+
+        monkeypatch.setattr(risetime, "total_risetime", counting_total)
+        report = run_plan(sleman_doc, "gpon-onu-endpoint")
+        render_plan_text(report)
+        render_plan_json(report)
+        assert len(calls) == len(report.spans) == 7
 
 
 class TestParallelSpans:

@@ -13,7 +13,6 @@ from fiberplan.risetime import (
     span_risetime_report,
     total_risetime,
 )
-from fiberplan.standards import builtin_profiles
 
 from conftest import TRANSCEIVER, make_span
 
@@ -77,11 +76,11 @@ class TestTotalRisetime:
 
 
 class TestSpanReport:
-    PROFILE = builtin_profiles()["gpon-onu-endpoint"]
+    CEILING = max_system_risetime(10e9, LineCode.NRZ)
 
     def test_first_backbone_link(self):
         span = make_span("01", "a", "b", length=10.094)
-        report = span_risetime_report(span, TRANSCEIVER, self.PROFILE)
+        report = span_risetime_report(span, TRANSCEIVER, self.CEILING)
         assert report.total == pytest.approx(69.552, abs=0.01)
         assert report.ceiling == 70.0
         assert report.passed
@@ -89,14 +88,14 @@ class TestSpanReport:
     def test_dispersion_free_fiber_sits_on_the_floor(self):
         flat = FiberProfile(name="flat", attenuation=0.3, dispersion=0.0, drum_length=3.0)
         span = Span(id="02", from_node="a", to_node="b", length=42.0, fiber=flat)
-        report = span_risetime_report(span, TRANSCEIVER, self.PROFILE)
+        report = span_risetime_report(span, TRANSCEIVER, self.CEILING)
         assert report.dispersion_component == 0.0
         assert report.total == DISPERSION_FREE_FLOOR
         assert report.passed
 
     def test_hundred_km_fails_the_ceiling(self):
         span = make_span("03", "a", "b", length=100.0)
-        report = span_risetime_report(span, TRANSCEIVER, self.PROFILE)
+        report = span_risetime_report(span, TRANSCEIVER, self.CEILING)
         assert report.dispersion_component == pytest.approx(35.0)
         assert report.total == pytest.approx(77.78, abs=0.01)
         assert not report.passed
@@ -108,8 +107,8 @@ class TestSpanReport:
     def test_monotone_in_span_length(self, short, stretch):
         near = make_span("x", "a", "b", length=short)
         far = make_span("x", "a", "b", length=short + stretch)
-        total_near = span_risetime_report(near, TRANSCEIVER, self.PROFILE).total
-        total_far = span_risetime_report(far, TRANSCEIVER, self.PROFILE).total
+        total_near = span_risetime_report(near, TRANSCEIVER, self.CEILING).total
+        total_far = span_risetime_report(far, TRANSCEIVER, self.CEILING).total
         assert total_far > total_near
 
 
@@ -130,6 +129,6 @@ class TestReportInvariants:
     def test_total_beyond_the_float_range_names_the_span(self):
         far = make_span("far", "a", "b", length=1e308)
         with pytest.raises(DomainError, match=r"span 'far' \(length 1e\+308 km\): rise time beyond the float range"):
-            span_risetime_report(far, TRANSCEIVER, builtin_profiles()["gpon-onu-endpoint"])
+            span_risetime_report(far, TRANSCEIVER, 70.0)
         with pytest.raises(DomainError, match="rise time beyond the float range"):
             total_risetime(1e200, 35.0, 0.0)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fiberplan.model import ConfigurationError, DomainError, LineCode
+from fiberplan.risetime import max_system_risetime
 from fiberplan.standards import (
     StandardProfile,
     Verdict,
@@ -16,7 +17,7 @@ from fiberplan.standards import (
 )
 
 GPON_ONU = builtin_profiles()["gpon-onu-endpoint"]
-BACKBONE_10G = StandardProfile("10g-nrz", bit_rate=10e9, line_code=LineCode.NRZ, rx_sensitivity=-28.0)
+BACKBONE_CEILING = max_system_risetime(10e9, LineCode.NRZ)
 
 finite_dbm = st.floats(min_value=-80.0, max_value=40.0)
 
@@ -63,23 +64,23 @@ class TestPowerVerdict:
 
 class TestRisetimeVerdict:
     def test_backbone_link_passes(self):
-        v = risetime_verdict(69.552, BACKBONE_10G)
+        v = risetime_verdict(69.552, BACKBONE_CEILING)
         assert v.passed
         assert v.threshold == 70.0
         assert v.margin == pytest.approx(0.448, abs=1e-9)
 
     def test_boundary_counts_as_pass(self):
-        v = risetime_verdict(70.0, BACKBONE_10G)
+        v = risetime_verdict(70.0, BACKBONE_CEILING)
         assert v.passed
         assert v.margin == 0.0
 
     def test_above_ceiling_fails(self):
-        assert not risetime_verdict(71.0, BACKBONE_10G).passed
+        assert not risetime_verdict(71.0, BACKBONE_CEILING).passed
 
 
 @given(value=finite_dbm)
 def test_verdict_is_self_consistent(value):
-    for verdict in (power_verdict(value, GPON_ONU), risetime_verdict(abs(value) + 1.0, BACKBONE_10G)):
+    for verdict in (power_verdict(value, GPON_ONU), risetime_verdict(abs(value) + 1.0, BACKBONE_CEILING)):
         if verdict.direction == "min":
             recomputed = verdict.value >= verdict.threshold
         else:
