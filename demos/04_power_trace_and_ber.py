@@ -17,9 +17,9 @@ def main() -> None:
     trace = propagate(net.transceiver.tx_power, runs)
 
     print("Ring trace (amplifier points highlighted):")
-    for point in trace.points:
-        marker = " <-- gain" if point.label.startswith("edfa") else ""
-        print(f"  {point.label:<34} {point.power:>8.2f} dBm{marker}")
+    for label, power in zip(trace.labels, trace.powers):
+        marker = " <-- gain" if label.startswith("edfa") else ""
+        print(f"  {label:<34} {power:>8.2f} dBm{marker}")
 
     losses = [-effect for kind, _, effect, count in runs if kind != "amplifier" for _ in range(count)]
     gains = [effect for kind, _, effect, count in runs if kind == "amplifier" for _ in range(count)]

@@ -389,8 +389,10 @@ def render_plan_json(report: PlanReport) -> str:
 
 
 def render_trace_text(trace: PowerTrace, ber: BerEstimate | None = None) -> str:
-    width = max(len(p.label) for p in trace.points)
-    lines = [f"{p.label:<{width}}  {p.power:>9.2f} dBm" for p in trace.points]
+    distinct = set(trace.labels)  # a few distinct labels repeat
+    width = max(map(len, distinct))
+    padded = {label: f"{label:<{width}}" for label in distinct}
+    lines = [f"{padded[label]}  {power:>9.2f} dBm" for label, power in zip(trace.labels, trace.powers)]
     if ber is not None:
         lines.append("")
         lines.append(f"Q factor at end point: {ber.q_factor:.3f}")
@@ -405,10 +407,9 @@ _TRACE_BER_JSON = _template(("points", "final_power", ("ber", ("q_factor", "ber"
 
 def render_trace_json(trace: PowerTrace, ber: BerEstimate | None = None) -> str:
     """The trace as JSON, byte for byte what json.dumps(indent=2) writes."""
-    points = trace.points
-    labels = {label: _json_str(label) for label in {p.label for p in points}}  # a few distinct labels repeat
+    labels = {label: _json_str(label) for label in set(trace.labels)}  # a few distinct labels repeat
     # propagate() keeps every power finite, so %s spells each one as json.dumps does.
-    body = _array([_POINT_JSON % (labels[p.label], _db(p.power)) for p in points])
+    body = _array([_POINT_JSON % (labels[label], round(power, 2)) for label, power in zip(trace.labels, trace.powers)])
     if ber is None:
         return _TRACE_JSON % (body, _num(_db(trace.final_power)))
     return _TRACE_BER_JSON % (body, *_nums((_db(trace.final_power), round(ber.q_factor, 3), float(f"{ber.ber:.3e}"))))

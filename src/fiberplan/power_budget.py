@@ -109,11 +109,20 @@ def span_loss(span: Span, losses: ComponentLosses) -> LossBreakdown:
             splice, splices = -effect, splices + count
         elif kind == "splitter":
             splitters += [-effect] * count
+    totals = (connector * connectors, fiber * fibers, splice * splices)
+    if math.inf in totals:
+        profile = span.fiber
+        what = (
+            f"connector loss ({connectors:g} x connector_loss {connector:g} dB)",
+            f"fiber loss ({span.length:g} km x attenuation {profile.attenuation:g} dB/km of fiber {profile.name!r})",
+            f"splice loss ({splices:g} x splice_loss {splice:g} dB)",
+        )[totals.index(math.inf)]
+        raise DomainError(f"span {span.id!r}: {what} is beyond the float range")
     try:
         splitter_total = math.fsum(splitters)
     except OverflowError:  # fsum of finite splitter losses beyond the float range
         raise DomainError(f"span {span.id!r}: splitter loss beyond the float range") from None
-    return LossBreakdown(connector * connectors, fiber * fibers, splice * splices, splitter_total, losses.system_margin)
+    return LossBreakdown(*totals, splitter_total, losses.system_margin)
 
 
 def path_loss(spans: Sequence[Span], losses: ComponentLosses) -> LossBreakdown:

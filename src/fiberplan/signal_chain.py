@@ -4,7 +4,7 @@
 :func:`fiberplan.power_budget.span_runs`) and one margin row; :func:`propagate`
 expands the rows into one trace point per element. The final point agrees
 exactly with :func:`fiberplan.power_budget.received_power` over the same
-losses and gains; the fold uses exact accumulation, so the agreement is
+losses and gains; the fold sums exactly in integers, so the agreement is
 bit-for-bit, not approximate.
 
 The BER model is a plain Gaussian decision model: photocurrent over a single
@@ -16,6 +16,7 @@ end-of-line powers around -25 to -27 dBm land in the 1e-3..1e-5 BER range.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import Sequence
 
 from .model import DomainError, Network, Span, frozen
@@ -26,28 +27,24 @@ DEFAULT_NOISE_SIGMA = 7e-7  # A; receiver noise current of the Gaussian model
 
 MAX_TRACE_ELEMENTS = 200_000
 """Most elements the rows of :func:`route_chain` may count for one path; :func:`propagate`
-keeps a point of about 80 bytes per element (about 16 MB at the cap), and a 10^4-node
-ring needs about 90k."""
-
-
-@frozen
-class TracePoint:
-    label: str
-    power: float  # dBm
+keeps about 53 bytes per element, a label reference and a float in two flat columns
+(about 11 MB at the cap), and a 10^4-node ring needs about 90k."""
 
 
 @frozen
 class PowerTrace:
-    """Ordered power readouts: the injected level, then one point per element."""
+    """Ordered power readouts as two columns: the injected level, then one point per element."""
 
-    points: tuple[TracePoint, ...]
+    labels: tuple[str, ...]
+    powers: tuple[float, ...]  # dBm
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", tuple(self.points))
+        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "powers", tuple(self.powers))
 
     @property
     def final_power(self) -> float:
-        return self.points[-1].power
+        return self.powers[-1]
 
 
 @frozen
@@ -62,52 +59,42 @@ class BerEstimate:
             raise DomainError("ber must lie in [0, 0.5]")
 
 
-def _add_exact(partials: list[float], x: float) -> None:
-    """Add ``x`` to a list of non-overlapping partials, keeping their sum exact.
-
-    Shewchuk's algorithm (1997), the one inside ``math.fsum``: afterwards the
-    partials sum exactly to the old sum plus ``x``, so ``math.fsum(partials)``
-    is the correctly rounded running total. The list stays a few floats long.
-    """
-    i = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    partials[i:] = [x]
-
-
 def propagate(input_power: float, runs: Sequence[Run]) -> PowerTrace:
     """Fold the rows of a run table left to right into a power trace.
 
     The first point is the injected power; a row of ``count`` elements appends
-    ``count`` points under its label. Each point is the correctly rounded exact
-    sum of the injected power and all element effects so far (bit-identical to
-    ``math.fsum`` over that prefix), so the final point equals received_power
-    over the same losses and gains regardless of element order. The running
-    sum is kept as exact partials, so the fold is linear in the element count.
-    Raises DomainError on a non-finite input power, row effect or running sum.
+    ``count`` points under its label. Each later point is the correctly rounded
+    exact sum of the injected power and all element effects so far, so the
+    final point equals received_power over the same losses and gains
+    regardless of element order. Every finite float is an integer over a power
+    of two, so scaled by the largest denominator the running sums are exact
+    integers, each divided back once. The result is bit-identical to
+    ``math.fsum`` over each prefix wherever that returns, and exact where it
+    raises a false intermediate overflow on a prefix whose sum is finite.
+    Raises DomainError on a non-finite input power or row effect, and names the
+    first element whose exact running sum rounds beyond the float range.
     """
     if not math.isfinite(input_power):
         raise DomainError(f"input power must be a finite dBm value, got {input_power!r}")
-    partials = [input_power]
-    points = [TracePoint("input", input_power)]
-    for _, label, delta, count in runs:
+    for _, label, delta, _ in runs:
         if not math.isfinite(delta):
             raise DomainError(f"chain element {label!r} has a non-finite effect ({delta!r} dB)")
-        for _ in range(count):
-            _add_exact(partials, delta)
-            try:
-                power = math.fsum(partials)
-            except (OverflowError, ValueError):  # the running sum left the float range
-                raise DomainError(f"power after {label!r} is beyond the float range") from None
-            points.append(TracePoint(label, power))
-    return PowerTrace(points=tuple(points))
+    ratios = [delta.as_integer_ratio() for _, _, delta, _ in runs]
+    top, bottom = input_power.as_integer_ratio()
+    scale = max([bottom, *(d for _, d in ratios)])
+    labels = ["input"]
+    steps: list[int] = []
+    for (_, label, _, count), (n, d) in zip(runs, ratios):
+        labels += [label] * count
+        steps += [n * (scale // d)] * count
+    sums = accumulate(steps, initial=top * (scale // bottom))
+    next(sums)  # the injected power itself, kept as given (a -0.0 stays -0.0)
+    powers = [input_power]
+    try:
+        powers += map(scale.__rtruediv__, sums)  # int / int rounds correctly
+    except OverflowError:  # extend kept the points before the one that left the float range
+        raise DomainError(f"power after {labels[len(powers)]!r} is beyond the float range") from None
+    return PowerTrace(labels, powers)
 
 
 def ber_from_q(q_factor: float) -> float:

@@ -190,14 +190,14 @@ def test_criterion_8_property_suite():
             loss_list, gain_list = [], []
             for _, _, effect, count in runs:
                 (gain_list if effect >= 0 else loss_list).extend([abs(effect)] * count)
-            assert len(trace.points) == 1 + len(loss_list) + len(gain_list)
+            assert len(trace.powers) == 1 + len(loss_list) + len(gain_list)
             assert abs(trace.final_power - received_power(tx, loss_list, gain_list)) <= 1e-12
 
         # (b) loss-only traces are monotone non-increasing
         for _ in range(200):
             runs = _random_runs(rng, losses, with_amplifiers=False)
             trace = propagate(rng.uniform(-5.0, 12.0), runs)
-            powers = [p.power for p in trace.points]
+            powers = trace.powers
             assert all(a >= b for a, b in zip(powers, powers[1:]))
 
         # (c) BER: strictly monotone in received power, bounded, q=6 anchor

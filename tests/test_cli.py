@@ -248,7 +248,7 @@ def assert_one_error_line(capsys, argv, *fragments):
         (_set(("fiber_profiles", "g652-backbone", "attenuation"), 5e306), ("plan", *STANDARD),
          "path loss beyond the float range"),
         (_set(("losses", "connector_loss"), 1e308), ("plan", *STANDARD),
-         "loss breakdown: connector_total must be a finite number >= 0 dB"),
+         "span '01-seyegan-tempel': connector loss (2 x connector_loss 1e+308 dB) is beyond the float range"),
         (_set(("losses", "connector_loss"), 1e308), ("trace",), "power after 'connector' is beyond the float range"),
         # A 1 mm drum length asks for ten million splices: the trace is refused before it is built.
         (_set(("fiber_profiles", "g652-backbone", "drum_length"), 1e-6), ("trace", "--format", "json"),
@@ -273,6 +273,11 @@ def assert_one_error_line(capsys, argv, *fragments):
          "span '01-seyegan-tempel': splice count of 10.094 km over 9.99989e-321 km drums is beyond the float range"),
         (_all(_set(("losses", "splitter_excess_loss"), 1e308), _set(("spans", 0, "splitters"), [2, 2])),
          ("plan", *STANDARD), "span '01-seyegan-tempel': splitter loss beyond the float range"),
+        (_set(("losses", "splice_loss"), 1e308), ("plan", *STANDARD),
+         "span '01-seyegan-tempel': splice loss (6 x splice_loss 1e+308 dB) is beyond the float range"),
+        (_set(("fiber_profiles", "g652-backbone", "attenuation"), 1e307), ("plan", *STANDARD),
+         "span '02-tempel-pakem': fiber loss (18.795 km x attenuation 1e+307 dB/km of fiber 'g652-backbone')"
+         " is beyond the float range"),
     ],
 )
 def test_malformed_values_exit_two(capsys, write_network, mutate, command, fragment):

@@ -21,7 +21,7 @@ from fiberplan.model import Amplifier, AmplifierKind, ComponentLosses, Network, 
 from fiberplan.netfile import DEFAULT_EDFA_GAIN, NetworkDocument, load_network
 from fiberplan.planning import run_plan, run_trace, traffic_input_from_mapping
 from fiberplan.risetime import RiseTimeReport
-from fiberplan.signal_chain import TracePoint
+from fiberplan.signal_chain import PowerTrace
 from fiberplan.standards import StandardProfile
 from fiberplan.traffic import forecast_subscribers
 
@@ -82,7 +82,7 @@ SAMPLES = _harvest()
 
 
 def test_every_value_class_is_frozen_and_sampled():
-    assert len(VALUE_CLASSES) == 22
+    assert len(VALUE_CLASSES) == 21
     assert set(SAMPLES) == set(VALUE_CLASSES)
 
 
@@ -159,7 +159,7 @@ def test_values_differing_in_one_field_are_unequal():
     span = make_span("s1", "a", "b", length=5.0)
     assert span == make_span("s1", "a", "b", length=5.0)
     assert span != make_span("s1", "a", "b", length=6.0)
-    assert TracePoint("input", 1.0) != TracePoint("input", 2.0)
+    assert PowerTrace(("input",), (1.0,)) != PowerTrace(("input",), (2.0,))
 
 
 def test_post_init_can_normalize_a_field():

@@ -126,7 +126,7 @@ def plan_to_dict(report) -> dict[str, Any]:
 
 def trace_to_dict(trace, ber=None) -> dict[str, Any]:
     out: dict[str, Any] = {
-        "points": [{"label": p.label, "power": _db(p.power)} for p in trace.points],
+        "points": [{"label": label, "power": _db(power)} for label, power in zip(trace.labels, trace.powers)],
         "final_power": _db(trace.final_power),
     }
     if ber is not None:

@@ -127,19 +127,19 @@ class TestParallelSpans:
 
     def test_ring_trace_crosses_both_spans(self, write_network):
         trace, _ = run_trace(load_network(write_network(parallel_ring)), "ring")
-        fibers = [p.label for p in trace.points if p.label.startswith("fiber")]
+        fibers = [label for label in trace.labels if label.startswith("fiber")]
         assert fibers == ["fiber 10 km (g652-backbone)", "fiber 50 km (g652-backbone)"]
 
 
 class TestRunTrace:
     def test_defaults_to_transmit_power(self, sleman_doc):
         trace, ber = run_trace(sleman_doc, "seyegan,tempel")
-        assert trace.points[0].power == 9.0
+        assert trace.powers[0] == 9.0
         assert ber is None
 
     def test_explicit_power_and_ber(self, sleman_doc):
         trace, ber = run_trace(sleman_doc, "seyegan,tempel", input_power=-20.0, with_ber=True)
-        assert trace.points[0].power == -20.0
+        assert trace.powers[0] == -20.0
         assert ber is not None
         assert 0.0 <= ber.ber <= 0.5
 

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -72,8 +74,8 @@ class TestPropagate:
 
     def test_empty_chain_is_identity(self):
         trace = propagate(4.5, [])
-        assert len(trace.points) == 1
-        assert trace.points[0].label == "input"
+        assert trace.labels == ("input",)
+        assert trace.powers == (4.5,)
         assert trace.final_power == 4.5
 
     def test_segment_plus_splitter(self):
@@ -84,8 +86,8 @@ class TestPropagate:
 
     def test_one_point_per_element(self):
         trace = propagate(0.0, [CONNECTOR, ("splice", "splice", -0.05, 2), margin(1.0), margin(2.0, 0)])
-        assert len(trace.points) == 5
-        assert [p.label for p in trace.points] == ["input", "connector", "splice", "splice", "margin 1 dB"]
+        assert len(trace.powers) == 5
+        assert trace.labels == ("input", "connector", "splice", "splice", "margin 1 dB")
 
     def test_loss_only_chain_never_rises(self):
         rng = random.Random(99)
@@ -103,7 +105,7 @@ class TestPropagate:
                 )
                 runs.append(row[:3] + (rng.randint(0, 4),))
             trace = propagate(rng.uniform(-5.0, 12.0), runs)
-            powers = [p.power for p in trace.points]
+            powers = trace.powers
             assert len(powers) == 1 + len(effects(runs))
             assert all(a >= b for a, b in zip(powers, powers[1:]))
 
@@ -112,9 +114,9 @@ class TestPropagate:
         runs = [CONNECTOR, fiber(12.5), SPLICE[:3] + (3,), edfa(17.0), splitter(8), margin(2.5)]
         trace = propagate(rng.uniform(-5.0, 10.0), runs)
         steps = effects(runs)
-        assert len(trace.points) == 1 + len(steps)
-        for before, after, effect in zip(trace.points, trace.points[1:], steps):
-            assert after.power == pytest.approx(before.power + effect, abs=1e-9)
+        assert len(trace.powers) == 1 + len(steps)
+        for before, after, effect in zip(trace.powers, trace.powers[1:], steps):
+            assert after == pytest.approx(before + effect, abs=1e-9)
 
     def test_adjacent_swap_keeps_the_final_point(self):
         runs = [CONNECTOR, fiber(7.0), SPLICE, splitter(2)]
@@ -122,7 +124,7 @@ class TestPropagate:
         a = propagate(9.0, runs)
         b = propagate(9.0, swapped)
         assert a.final_power == b.final_power
-        assert [p.power for p in a.points] != [p.power for p in b.points]
+        assert a.powers != b.powers
 
     @pytest.mark.parametrize("power", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_input_power(self, power):
@@ -184,7 +186,7 @@ class TestPropagateMatchesPrefixFsum:
         for _ in range(300):
             power, runs = self.random_case(rng)
             trace = propagate(power, runs)
-            assert bits(p.power for p in trace.points) == bits(prefix_fsum_fold(power, runs))
+            assert bits(trace.powers) == bits(prefix_fsum_fold(power, runs))
 
     def test_thousand_node_ring(self):
         rng = random.Random(3)
@@ -193,7 +195,55 @@ class TestPropagateMatchesPrefixFsum:
         runs = route_chain(net, ring_spans(net))
         assert len(effects(runs)) > 5000
         trace = propagate(net.transceiver.tx_power, runs)
-        assert bits(p.power for p in trace.points) == bits(prefix_fsum_fold(net.transceiver.tx_power, runs))
+        assert bits(trace.powers) == bits(prefix_fsum_fold(net.transceiver.tx_power, runs))
+
+
+ROUNDS_TO_INF = 2**1024 - 2**970  # the float maximum plus half its ulp: the tie rounds to even, past the range
+
+
+class TestPropagateIsExact:
+    """Every point is the exact rational prefix sum, rounded once, up to float overflow.
+
+    Sums that land on the overflow threshold are where a prefix ``math.fsum`` raises a
+    false intermediate overflow on a finite prefix; the fold must stay exact there too.
+    """
+
+    @staticmethod
+    def value(rng):
+        sign = rng.choice([-1.0, 1.0])
+        pick = rng.randrange(6)
+        if pick == 0:  # near the float maximum
+            return sign * rng.uniform(1.0e308, sys.float_info.max)
+        if pick == 1:  # sums that land within a few ulps of the overflow threshold
+            return sign * rng.choice(
+                [sys.float_info.max, 2.0**970, math.ldexp(rng.randrange(1, 2**8), rng.randint(962, 1016))]
+            )
+        if pick == 2:  # subnormal
+            return sign * math.ldexp(rng.randrange(1, 2**52), -1074)
+        if pick == 3:
+            return sign * rng.choice([0.0, 5e-324])
+        return sign * rng.uniform(0.0, 40.0) * 10.0 ** rng.randint(-20, 20)
+
+    def test_seeded_fuzz_against_fractions(self):
+        rng = random.Random(2022)
+        for _ in range(20_000):
+            power = self.value(rng)
+            runs = [("kind", f"e{i}", self.value(rng), rng.randint(0, 3)) for i in range(rng.randint(0, 8))]
+            labels = ["input", *(label for _, label, _, count in runs for _ in range(count))]
+            exact, expected, overflow = Fraction(power), [power], None
+            for label, effect in zip(labels[1:], effects(runs)):
+                exact += Fraction(effect)
+                if abs(exact) >= ROUNDS_TO_INF:
+                    overflow = label
+                    break
+                expected.append(float(exact))
+            if overflow is None:
+                trace = propagate(power, runs)
+                assert trace.labels == tuple(labels)
+                assert bits(trace.powers) == bits(expected)
+            else:
+                with pytest.raises(DomainError, match=f"^power after '{overflow}' is beyond the float range$"):
+                    propagate(power, runs)
 
 
 class TestElementGain:
