@@ -107,40 +107,28 @@ def _forecast_inputs(args: argparse.Namespace) -> TrafficInput:
 
 
 def _run(args: argparse.Namespace) -> int:
+    as_json = args.format == "json"
     if args.command == "validate":
-        doc = load_network(args.network)
-        violations = validate_network(doc.network)
-        if args.format == "json":
-            _emit(render_violations_json(violations), args.out)
-        else:
-            _emit(render_violations_text(violations), args.out)
+        violations = validate_network(load_network(args.network).network)
+        _emit(render_violations_json(violations) if as_json else render_violations_text(violations), args.out)
         return 0 if not violations else 1
 
     if args.command == "plan":
         report = run_plan(load_network(args.network), args.standard, args.path, as_built=args.as_built)
-        if args.format == "json":
-            _emit(render_plan_json(report), args.out)
-        else:
-            _emit(render_plan_text(report), args.out)
+        _emit(render_plan_json(report) if as_json else render_plan_text(report), args.out)
         return 0 if report.overall_pass else 1
 
     if args.command == "forecast":
         inputs = _forecast_inputs(args)
         forecast = forecast_subscribers(inputs)
-        if args.format == "json":
-            _emit(render_forecast_json(inputs, forecast), args.out)
-        else:
-            _emit(render_forecast_text(inputs, forecast), args.out)
+        _emit(render_forecast_json(inputs, forecast) if as_json else render_forecast_text(inputs, forecast), args.out)
         return 0
 
     if args.command == "trace":
         if args.power is not None and not math.isfinite(args.power):
             raise DomainError(f"--power must be a finite dBm value, got {args.power!r}")
         trace, ber = run_trace(load_network(args.network), args.path, input_power=args.power, with_ber=args.ber)
-        if args.format == "json":
-            _emit(render_trace_json(trace, ber), args.out)
-        else:
-            _emit(render_trace_text(trace, ber), args.out)
+        _emit(render_trace_json(trace, ber) if as_json else render_trace_text(trace, ber), args.out)
         return 0
 
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -1,9 +1,11 @@
 """Itemized span losses, loss budgets, amplifier sizing, and received power.
 
 Sign convention: losses are positive dB magnitudes throughout; received-power
-arithmetic subtracts them. The system margin is a path-level allowance, so
-summing standalone span budgets over a multi-span path double-counts it; use
-:func:`path_loss` for paths, which applies the margin exactly once.
+arithmetic subtracts them. :func:`span_summary` describes a span once, in
+numbers only; plan rows and ``span_loss`` read it, and only a power trace
+builds the labelled rows of :func:`span_runs`. The system margin is a
+path-level allowance, so summing standalone span budgets over a multi-span
+path double-counts it; :func:`combine_span_losses` applies it once.
 """
 
 from __future__ import annotations
@@ -27,9 +29,11 @@ class LossBreakdown:
     margin: float
 
     def __post_init__(self) -> None:
-        for name in ("connector_total", "fiber_total", "splice_total", "splitter_total", "margin"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise DomainError(f"loss breakdown: {name} must be a finite number >= 0 dB")
+        inf = math.inf  # one chain: each field in [0, inf), so a NaN fails it too
+        if not (inf > self.connector_total >= 0 <= self.fiber_total < inf > self.splice_total >= 0
+                <= self.splitter_total < inf > self.margin >= 0):
+            name = next(name for name in self._fields if not 0 <= getattr(self, name) < inf)
+            raise DomainError(f"loss breakdown: {name} must be a finite number >= 0 dB")
 
     @property
     def total(self) -> float:
@@ -69,18 +73,54 @@ def splitter_loss(splitter: Splitter, excess: float = 0.0) -> float:
     return 10.0 * math.log10(splitter.ratio) + excess
 
 
-def span_runs(span: Span, losses: ComponentLosses) -> list[Run]:
-    """What a span is made of, in trace order, as a run-length table.
+def span_counts(span: Span) -> tuple[int, float]:
+    """The span's resolved splice count and its trace element count, the sum of its
+    :func:`span_runs` row counts (a float: two counts near the float maximum add up to inf)."""
+    splices = resolved_splices(span)
+    return splices, span.connectors + (1.0 + splices + len(span.splitters) + len(span.amplifiers))
 
-    The entry connector, the fiber run, the splices, each splitter, each
-    amplifier, then the remaining connectors at the exit: a few rows however
-    many splices the span holds. A loss has a negative effect; a count may be 0.
+
+def span_summary(span: Span, losses: ComponentLosses) -> tuple[LossBreakdown, int, float]:
+    """One span as numbers only, no labels: its loss as a standalone path, then :func:`span_counts`.
+
+    Each kind's loss is its unit loss times its count, rounded once as
+    connector_loss * connectors is; the splitters are summed exactly one by
+    one, the amplifiers left out and the system margin added.
+    """
+    splices, elements = span_counts(span)
+    profile = span.fiber
+    totals = (losses.connector_loss * span.connectors, profile.attenuation * span.length, losses.splice_loss * splices)
+    if math.inf in totals:
+        what = (
+            f"connector loss ({span.connectors:g} x connector_loss {losses.connector_loss:g} dB)",
+            f"fiber loss ({span.length:g} km x attenuation {profile.attenuation:g} dB/km of fiber {profile.name!r})",
+            f"splice loss ({splices:g} x splice_loss {losses.splice_loss:g} dB)",
+        )[totals.index(math.inf)]
+        raise DomainError(f"span {span.id!r}: {what} is beyond the float range")
+    try:
+        splitter_total = math.fsum([splitter_loss(s, losses.splitter_excess_loss) for s in span.splitters])
+    except OverflowError:  # fsum of finite splitter losses beyond the float range
+        raise DomainError(f"span {span.id!r}: splitter loss beyond the float range") from None
+    return LossBreakdown(*totals, splitter_total, losses.system_margin), splices, elements
+
+
+def span_loss(span: Span, losses: ComponentLosses) -> LossBreakdown:
+    """Itemized loss of one span treated as a standalone path (see :func:`span_summary`)."""
+    return span_summary(span, losses)[0]
+
+
+def span_runs(span: Span, losses: ComponentLosses, splices: int) -> list[Run]:
+    """What a span is made of, in trace order, as a labelled run-length table.
+
+    The entry connector, the fiber run, the ``splices`` splices (as :func:`span_counts`
+    resolves them), each splitter, each amplifier, then the remaining connectors at the
+    exit: a few rows however many splices there are. A loss has a negative effect; a count may be 0.
     """
     length, fiber, entry = span.length, span.fiber, min(span.connectors, 1)
     runs = [
         ("connector", "connector", -losses.connector_loss, entry),
         ("fiber", f"fiber {length:g} km ({fiber.name})", -(fiber.attenuation * length), 1),
-        ("splice", "splice", -losses.splice_loss, resolved_splices(span)),
+        ("splice", "splice", -losses.splice_loss, splices),
     ]
     for s in span.splitters:
         runs.append(("splitter", f"splitter 1x{s.ratio}", -splitter_loss(s, losses.splitter_excess_loss), 1))
@@ -88,41 +128,6 @@ def span_runs(span: Span, losses: ComponentLosses) -> list[Run]:
         runs.append(("amplifier", f"{a.kind.value} +{a.gain:g} dB", a.gain, 1))
     runs.append(("connector", "connector", -losses.connector_loss, span.connectors - entry))
     return runs
-
-
-def span_loss(span: Span, losses: ComponentLosses) -> LossBreakdown:
-    """Itemized loss of one span treated as a standalone path.
-
-    The rows of :func:`span_runs` summed by kind, amplifiers left out, plus the
-    system margin: each kind's unit loss times its total count, rounded once as
-    connector_loss * connectors is, and the splitters summed exactly one by one.
-    """
-    connector = fiber = splice = 0.0  # unit losses
-    connectors = fibers = splices = 0
-    splitters: list[float] = []
-    for kind, _, effect, count in span_runs(span, losses):
-        if kind == "connector":
-            connector, connectors = -effect, connectors + count
-        elif kind == "fiber":
-            fiber, fibers = -effect, fibers + count
-        elif kind == "splice":
-            splice, splices = -effect, splices + count
-        elif kind == "splitter":
-            splitters += [-effect] * count
-    totals = (connector * connectors, fiber * fibers, splice * splices)
-    if math.inf in totals:
-        profile = span.fiber
-        what = (
-            f"connector loss ({connectors:g} x connector_loss {connector:g} dB)",
-            f"fiber loss ({span.length:g} km x attenuation {profile.attenuation:g} dB/km of fiber {profile.name!r})",
-            f"splice loss ({splices:g} x splice_loss {splice:g} dB)",
-        )[totals.index(math.inf)]
-        raise DomainError(f"span {span.id!r}: {what} is beyond the float range")
-    try:
-        splitter_total = math.fsum(splitters)
-    except OverflowError:  # fsum of finite splitter losses beyond the float range
-        raise DomainError(f"span {span.id!r}: splitter loss beyond the float range") from None
-    return LossBreakdown(*totals, splitter_total, losses.system_margin)
 
 
 def path_loss(spans: Sequence[Span], losses: ComponentLosses) -> LossBreakdown:

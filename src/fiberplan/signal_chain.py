@@ -1,7 +1,7 @@
 """Analytic signal chain: power traces over run tables and a Q-factor BER model.
 
-:func:`route_chain` lists a path as the run tables of its spans (see
-:func:`fiberplan.power_budget.span_runs`) and one margin row; :func:`propagate`
+:func:`route_chain` lists a path as the labelled run tables of its spans (see
+:func:`fiberplan.power_budget.span_runs`, built only here) and one margin row; :func:`propagate`
 expands the rows into one trace point per element. The final point agrees
 exactly with :func:`fiberplan.power_budget.received_power` over the same
 losses and gains; the fold sums exactly in integers, so the agreement is
@@ -20,7 +20,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from .model import DomainError, Network, Span, frozen
-from .power_budget import Run, span_runs
+from .power_budget import Run, span_counts, span_runs
 from .units import dbm_to_watts
 
 DEFAULT_NOISE_SIGMA = 7e-7  # A; receiver noise current of the Gaussian model
@@ -127,23 +127,23 @@ def route_chain(network: Network, spans: Sequence[Span]) -> list[Run]:
 
     ``spans`` is the path in order, as given by :func:`fiberplan.model.spans_along`
     for a node path or :func:`fiberplan.model.ring_spans` for the whole ring.
-    The elements are counted from the row counts before a span's rows are kept;
-    raises DomainError naming the span at which the path passes :data:`MAX_TRACE_ELEMENTS`.
+    Each span's counts come from :func:`fiberplan.power_budget.span_counts`, the label-free
+    half of its summary, and are checked before its rows are built; raises DomainError
+    naming the span at which the path passes :data:`MAX_TRACE_ELEMENTS`.
     """
-    margin = network.losses.system_margin
+    losses, margin = network.losses, network.losses.system_margin
     runs: list[Run] = []
-    elements = float(margin > 0)  # a float: two counts near the float maximum add up to inf, not an error
+    elements = float(margin > 0)
     for span in spans:
-        rows = span_runs(span, network.losses)
-        elements = sum((row[3] for row in rows), elements)
+        splices, count = span_counts(span)
+        elements += count
         if elements > MAX_TRACE_ELEMENTS:
-            splices = sum(count for kind, _, _, count in rows if kind == "splice")
             raise DomainError(
                 f"span {span.id!r}: too many joints to trace: {splices:.3g} splices"
                 f" (length {span.length:g} km), {span.connectors:.3g} connectors;"
                 f" the path would hold {elements:.6g} elements, over the cap of {MAX_TRACE_ELEMENTS}"
             )
-        runs += rows
+        runs += span_runs(span, losses, splices)
     if margin > 0:
         runs.append(("margin", f"margin {margin:g} dB", -margin, 1))
     return runs

@@ -24,6 +24,7 @@ GOLDEN = Path(__file__).parent / "golden"
 TREE = GOLDEN / "tree-network.json"
 RING = GOLDEN / "ring-network.json"
 PARTIAL = "seyegan,tempel,pakem"
+REVISIT = "seyegan,tempel,seyegan"  # one span crossed twice: one plan row, its losses counted twice
 NORTH, SOUTH = "olt,d0,d0.1", "olt,d1,d1.1"
 ONU = ("--standard", "gpon-onu-endpoint")
 
@@ -36,6 +37,8 @@ PLANTS = {
         "trace-ber": (["trace", "--ber"], 0),
         "trace-ber-power": (["trace", "--ber", "--power", "3"], 0),
         "trace-partial": (["trace", "--path", PARTIAL], 0),
+        "plan-revisit": (["plan", *ONU, "--path", REVISIT], 0),
+        "trace-ber-revisit": (["trace", "--ber", "--path", REVISIT], 0),
         "validate": (["validate"], 0),
         "forecast": (["forecast"], 0),
     }),

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from fiberplan import risetime
+from fiberplan import model, power_budget, risetime
 from fiberplan.model import ConfigurationError, ring_spans
 from fiberplan.netfile import NetworkFileError, load_network
 from fiberplan.planning import (
@@ -113,6 +113,31 @@ class TestRunPlan:
         render_plan_text(report)
         render_plan_json(report)
         assert len(calls) == len(report.spans) == 7
+
+    @pytest.mark.parametrize("path, plan_calls, path_spans", [("ring", 7, 7), ("seyegan,tempel,seyegan", 1, 2)])
+    def test_each_span_resolves_its_splices_once(self, sleman_doc, monkeypatch, path, plan_calls, path_spans):
+        expected = render_plan_text(run_plan(sleman_doc, "gpon-onu-endpoint", path))
+        calls, real_count = [], model.splice_count
+
+        def counting_count(*args):
+            calls.append(args)
+            return real_count(*args)
+
+        def no_labels(*args):
+            raise AssertionError("the plan built a trace label")
+
+        monkeypatch.setattr(model, "splice_count", counting_count)
+        monkeypatch.setattr(power_budget, "span_runs", no_labels)
+        report = run_plan(sleman_doc, "gpon-onu-endpoint", path)
+        assert render_plan_text(report) == expected
+        assert len(calls) == len(report.spans) == plan_calls
+
+        monkeypatch.undo()
+        monkeypatch.setattr(model, "splice_count", counting_count)
+        del calls[:]
+        trace, _ = run_trace(sleman_doc, path)
+        assert len(calls) <= path_spans
+        assert sum(label.startswith("fiber") for label in trace.labels) == path_spans
 
 
 class TestParallelSpans:

@@ -16,6 +16,7 @@ from fiberplan.power_budget import (
     required_input_power,
     span_loss,
     span_runs,
+    span_summary,
     splitter_loss,
 )
 
@@ -68,6 +69,16 @@ class TestSpanLoss:
         with pytest.raises(TypeError):  # the total is derived, so a contradicting one cannot be given
             LossBreakdown(**parts, total=5.0)
 
+    @pytest.mark.parametrize("field", LossBreakdown._fields)
+    @pytest.mark.parametrize("bad", [-1e-300, math.nan, math.inf])
+    def test_breakdown_names_the_field_out_of_range(self, field, bad):
+        parts = dict(connector_total=1.0, fiber_total=2.0, splice_total=0.0, splitter_total=-0.0, margin=3.0)
+        LossBreakdown(**parts)  # 0 and -0.0 are in range
+        with pytest.raises(DomainError, match=f"^loss breakdown: {field} must be a finite number >= 0 dB$"):
+            LossBreakdown(**{**parts, field: bad})
+        with pytest.raises(DomainError, match="^loss breakdown: connector_total "):  # the first bad field is named
+            LossBreakdown(**{**parts, field: bad, "connector_total": math.nan})
+
     @given(ratios=st.lists(st.sampled_from([2, 4, 8, 16]), min_size=0, max_size=6))
     def test_splitter_order_does_not_change_the_total(self, ratios):
         losses = ComponentLosses(connector_loss=0.3, splice_loss=0.05, system_margin=3.0)
@@ -115,7 +126,7 @@ class TestSpanRuns:
     def test_rows_follow_the_trace_order(self):
         span = make_span("s", "a", "b", connectors=3, splices=4, splitters=(Splitter(2), Splitter(8)),
                          amplifiers=(Amplifier(17.0),))
-        rows = span_runs(span, LOSSES)
+        rows = span_runs(span, LOSSES, resolved_splices(span))
         assert [(kind, label, count) for kind, label, _, count in rows] == [
             ("connector", "connector", 1), ("fiber", "fiber 5 km (test-fiber)", 1), ("splice", "splice", 4),
             ("splitter", "splitter 1x2", 1), ("splitter", "splitter 1x8", 1), ("amplifier", "edfa +17 dB", 1),
@@ -123,14 +134,14 @@ class TestSpanRuns:
         ]
 
     def test_row_count_does_not_grow_with_the_splice_count(self):
-        few = span_runs(make_span("s", "a", "b", splices=3), LOSSES)
-        many = span_runs(make_span("s", "a", "b", splices=10**5), LOSSES)
+        few = span_runs(make_span("s", "a", "b", splices=3), LOSSES, 3)
+        many = span_runs(make_span("s", "a", "b", splices=10**5), LOSSES, 10**5)
         assert len(few) == len(many) == 4
         assert [count for *_, count in many] == [1, 1, 10**5, 1]
 
     def test_a_span_without_connectors_keeps_zero_count_rows(self):
         span = make_span("s", "a", "b", connectors=0, splices=0)
-        assert [(kind, count) for kind, _, _, count in span_runs(span, LOSSES)] == [
+        assert [(kind, count) for kind, _, _, count in span_runs(span, LOSSES, resolved_splices(span))] == [
             ("connector", 0), ("fiber", 1), ("splice", 0), ("connector", 0),
         ]
         assert repr(span_loss(span, LOSSES).connector_total) == "0.0"
@@ -148,6 +159,59 @@ class TestSpanRuns:
         same, other = splitter_loss(Splitter(4), 0.1), splitter_loss(Splitter(2), 0.1)
         assert math.fsum([same] * 3 + [other]) != math.fsum([same * 3, other])
         assert span_loss(span, losses).splitter_total == math.fsum([same] * 3 + [other])
+
+
+def rows_by_kind(span: Span, losses: ComponentLosses) -> tuple[LossBreakdown, float]:
+    """Reference: the span_runs rows summed by kind, and their element count.
+
+    Each kind's total is its unit loss times its total count, rounded once; the
+    splitters are summed with fsum, the amplifiers left out.
+    """
+    units: dict[str, float] = {}
+    counts = {"connector": 0, "fiber": 0, "splice": 0}
+    splitters: list[float] = []
+    rows = span_runs(span, losses, resolved_splices(span))
+    for kind, _, effect, count in rows:
+        if kind == "splitter":
+            splitters += [-effect] * count
+        elif kind != "amplifier":
+            units[kind], counts[kind] = -effect, counts[kind] + count
+    totals = [units[kind] * counts[kind] for kind in ("connector", "fiber", "splice")]
+    return LossBreakdown(*totals, math.fsum(splitters), losses.system_margin), sum(row[3] for row in rows)
+
+
+@st.composite
+def small_spans(draw):
+    unit = st.floats(min_value=0.0, max_value=10.0)
+    losses = ComponentLosses(connector_loss=draw(unit), splice_loss=draw(unit), system_margin=draw(unit),
+                             splitter_excess_loss=draw(unit))
+    fiber = FiberProfile(name="f", attenuation=draw(st.floats(min_value=1e-3, max_value=2.0)), dispersion=3.5,
+                         drum_length=draw(st.floats(min_value=0.5, max_value=6.0)))
+    span = Span(
+        id="s", from_node="a", to_node="b", length=draw(st.floats(min_value=1e-3, max_value=200.0)), fiber=fiber,
+        connectors=draw(st.integers(0, 4)),
+        splices=draw(st.one_of(st.none(), st.integers(0, 50))),  # None is "auto"
+        splitters=tuple(Splitter(r) for r in draw(st.lists(RATIOS, max_size=3))),
+        amplifiers=tuple(Amplifier(g) for g in draw(st.lists(st.floats(min_value=1.0, max_value=30.0), max_size=2))),
+    )
+    return span, losses
+
+
+class TestSpanSummary:
+    @given(case=small_spans())
+    def test_one_model_behind_the_summary_and_the_rows(self, case):
+        span, losses = case
+        loss, splices, elements = span_summary(span, losses)
+        reference, count = rows_by_kind(span, losses)
+        assert repr(loss) == repr(reference)
+        assert repr(span_loss(span, losses)) == repr(reference)
+        assert splices == resolved_splices(span)
+        assert elements == count
+
+    def test_counts_by_hand(self):
+        span = make_span("s", "a", "b", connectors=3, splitters=(Splitter(4),), amplifiers=(Amplifier(17.0),))
+        # 5 km over 3 km drums: 4 splices; 3 connectors + fiber + 4 splices + splitter + amplifier
+        assert span_summary(span, LOSSES)[1:] == (4, 10)
 
 
 class TestSplitterLoss:

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from fiberplan import signal_chain
 from fiberplan.model import (
     Amplifier,
     ComponentLosses,
@@ -81,7 +82,7 @@ class TestPropagate:
     def test_segment_plus_splitter(self):
         span = Span(id="d", from_node="a", to_node="b", length=2.0, fiber=DIST_FIBER, connectors=0, splices=0,
                     splitters=(Splitter(4),))
-        trace = propagate(10.0, span_runs(span, LOSSES))
+        trace = propagate(10.0, span_runs(span, LOSSES, 0))
         assert trace.final_power == pytest.approx(3.579, abs=0.001)
 
     def test_one_point_per_element(self):
@@ -254,7 +255,7 @@ class TestElementGain:
                                  splitter_excess_loss=0.5)
         span = make_span("s", "a", "b", length=10.0, splices=4, splitters=(Splitter(2),),
                          amplifiers=(Amplifier(17.0),))
-        effect = {kind: e for kind, _, e, _ in span_runs(span, losses)}
+        effect = {kind: e for kind, _, e, _ in span_runs(span, losses, 4)}
         assert effect["connector"] == -0.7
         assert effect["splice"] == -0.11
         assert effect["splitter"] == -splitter_loss(Splitter(2), 0.5)
@@ -377,3 +378,18 @@ class TestRouteChain:
         with pytest.raises(DomainError, match=r"^span 's2': too many joints to trace: 1\.99e\+05 splices .*"
                                               r"would hold 200001 elements, over the cap of 200000$"):
             route_chain(net, net.spans)
+
+    def test_a_span_over_the_cap_gets_no_labels(self, monkeypatch):
+        spans = (make_span("s1", "a", "b", splices=10), make_span("s2", "b", "a", splices=MAX_TRACE_ELEMENTS))
+        net = Network(nodes=(Node("a", "A"), Node("b", "B")), spans=spans, topology=Topology.RING,
+                      losses=LOSSES, transceiver=TRANSCEIVER)
+        labelled, real_runs = [], signal_chain.span_runs
+
+        def recording_runs(span, *args):
+            labelled.append(span.id)
+            return real_runs(span, *args)
+
+        monkeypatch.setattr(signal_chain, "span_runs", recording_runs)
+        with pytest.raises(DomainError, match="^span 's2': too many joints to trace"):
+            route_chain(net, net.spans)
+        assert labelled == ["s1"]
