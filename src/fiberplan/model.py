@@ -215,8 +215,10 @@ class Span:
     splitters: tuple[Splitter, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "amplifiers", tuple(self.amplifiers))
-        object.__setattr__(self, "splitters", tuple(self.splitters))
+        if self.amplifiers.__class__ is not tuple:  # the parser passes tuples; library callers may not
+            object.__setattr__(self, "amplifiers", tuple(self.amplifiers))
+        if self.splitters.__class__ is not tuple:
+            object.__setattr__(self, "splitters", tuple(self.splitters))
         if not self.length > 0:
             raise DomainError(f"span {self.id!r}: length must be > 0 km")
         if not self.connectors >= 0:
@@ -304,94 +306,75 @@ def resolved_splices(span: Span) -> int:
         raise DomainError(f"span {span.id!r}: {exc}") from None
 
 
-def _components(node_ids: set[str], edges: list[tuple[str, str]]) -> tuple[int, bool]:
-    """Connected-component count and cycle flag, via union-find."""
-    parent = {n: n for n in node_ids}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    has_cycle = False
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            has_cycle = True
-        else:
-            parent[ra] = rb
-    roots = {find(n) for n in node_ids}
-    return len(roots), has_cycle
-
-
 def validate_network(net: Network) -> list[Violation]:
     """Check every structural invariant of the network.
 
     Returns the full list of violations, sorted by element id then rule name,
     so that a valid network yields an empty list. Validation is pure: the same
-    network always produces the same list.
+    network always produces the same list. It is linear in the nodes and spans:
+    one pass over the spans counts degrees and joins components by union-find
+    with path halving.
     """
     violations: list[Violation] = []
-    known = {n.id for n in net.nodes}
+    known = net._names
     if not known:
         violations.append(Violation("network", "no-nodes", "network has no nodes"))
+    if len(known) != len(net.nodes):  # some id repeats
+        seen_nodes: set[str] = set()
+        for node in net.nodes:
+            if node.id in seen_nodes:
+                violations.append(Violation(f"node:{node.id}", "duplicate-id", "node id appears more than once"))
+            seen_nodes.add(node.id)
 
-    seen_nodes: set[str] = set()
-    for node in net.nodes:
-        if node.id in seen_nodes:
-            violations.append(Violation(f"node:{node.id}", "duplicate-id", "node id appears more than once"))
-        seen_nodes.add(node.id)
-
+    degree = dict.fromkeys(known, 0)
+    parent = {n: n for n in known}  # union-find forest over the node ids
+    components, edges, has_cycle = len(known), 0, False
     seen_spans: set[str] = set()
-    resolved_edges: list[tuple[str, str]] = []
     for span in net.spans:
         if span.id in seen_spans:
             violations.append(Violation(f"span:{span.id}", "duplicate-id", "span id appears more than once"))
         seen_spans.add(span.id)
-        dangling = [n for n in (span.from_node, span.to_node) if n not in known]
-        for node_id in dangling:
-            violations.append(
-                Violation(f"span:{span.id}", "unresolved-node", f"references unknown node {node_id!r}")
-            )
-        if not dangling:
-            resolved_edges.append((span.from_node, span.to_node))
-
-    degree = {n: 0 for n in known}
-    for a, b in resolved_edges:
-        degree[a] += 1
-        degree[b] += 1
+        a, b = span.from_node, span.to_node
+        if a in known and b in known:
+            degree[a] += 1
+            degree[b] += 1
+            edges += 1
+            while parent[a] != a:  # find both roots, pointing each node passed at its grandparent
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a == b:
+                has_cycle = True
+            else:
+                parent[a] = b
+                components -= 1
+        else:
+            for node_id in (a, b):
+                if node_id not in known:
+                    violations.append(
+                        Violation(f"span:{span.id}", "unresolved-node", f"references unknown node {node_id!r}")
+                    )
 
     if net.topology is Topology.RING:
-        for node_id in sorted(known):
-            if degree[node_id] != 2:
+        for node_id, count in degree.items():
+            if count != 2:
                 violations.append(
-                    Violation(
-                        f"node:{node_id}",
-                        "ring-degree",
-                        f"ring nodes need degree exactly 2, found {degree[node_id]}",
-                    )
+                    Violation(f"node:{node_id}", "ring-degree", f"ring nodes need degree exactly 2, found {count}")
                 )
-        if known:
-            n_components, _ = _components(known, resolved_edges)
-            if n_components != 1 or len(resolved_edges) != len(known):
-                violations.append(
-                    Violation("network", "ring-single-cycle", "spans do not form a single closed cycle")
-                )
+        if known and (components != 1 or edges != len(known)):
+            violations.append(Violation("network", "ring-single-cycle", "spans do not form a single closed cycle"))
     else:
         head = net.head_node
         if head is None or head not in known:
             violations.append(
                 Violation("network", "tree-head", f"tree head node {head!r} does not resolve")
             )
-        if known:
-            n_components, has_cycle = _components(known, resolved_edges)
-            if n_components != 1:
-                violations.append(
-                    Violation("network", "tree-connected", f"tree must be connected, found {n_components} components")
-                )
-            if has_cycle:
-                violations.append(Violation("network", "tree-acyclic", "tree contains a cycle"))
+        if known and components != 1:
+            violations.append(
+                Violation("network", "tree-connected", f"tree must be connected, found {components} components")
+            )
+        if has_cycle:
+            violations.append(Violation("network", "tree-acyclic", "tree contains a cycle"))
 
     violations.sort(key=lambda v: (v.element, v.rule))
     return violations
@@ -404,7 +387,8 @@ def ring_spans(net: Network) -> tuple[Span, ...]:
     span id first; after that each node has one unused span left. A 7-node
     ring yields its 7 spans; a 2-node ring of parallel spans yields both.
     Structure is not re-validated here: a network whose spans do not form a
-    single closed cycle through every node raises ConfigurationError.
+    single closed cycle through every node raises ConfigurationError. Linear
+    in the spans: each step looks only at the current node's spans.
     """
     if net.topology is not Topology.RING:
         raise ConfigurationError("ring traversal requested on a non-ring network")
@@ -422,10 +406,14 @@ def ring_spans(net: Network) -> tuple[Span, ...]:
     used: set[int] = set()
     walk: list[Span] = []
     for _ in net.spans:
-        options = [s for s in incident[current] if id(s) not in used]
-        if not options:
+        span = None
+        for option in incident[current]:  # usually two, one of them the span walked in on
+            if id(option) not in used and (
+                span is None or (option.from_node != current, option.id) < (span.from_node != current, span.id)
+            ):
+                span = option
+        if span is None:
             raise ConfigurationError(not_a_cycle)
-        span = min(options, key=lambda s: (s.from_node != current, s.id))
         used.add(id(span))
         walk.append(span)
         current = span.to_node if span.from_node == current else span.from_node
@@ -447,26 +435,30 @@ def spans_along(net: Network, node_ids: Sequence[str]) -> list[Span]:
     """Spans joining each consecutive node pair, in path order.
 
     Where parallel spans join a pair, the lowest span id is taken; use
-    :func:`ring_spans` to walk a ring through every span.
+    :func:`ring_spans` to walk a ring through every span. One pass over the
+    spans indexes only those with both ends on the path.
     """
     ids = list(node_ids)
     if len(ids) < 2:
         raise ConfigurationError("a path needs at least two nodes")
-    known = {n.id for n in net.nodes}
+    known = net._names
     for node_id in ids:
         if node_id not in known:
             raise ConfigurationError(f"path references unknown node {node_id!r}")
 
-    joining: dict[frozenset[str], Span] = {}
+    on_path = set(ids)
+    joining: dict[tuple[str, str], Span] = {}  # keyed by the ordered pair of end ids
     for span in net.spans:
-        key = frozenset((span.from_node, span.to_node))
-        best = joining.get(key)
-        if best is None or span.id < best.id:
-            joining[key] = span
+        a, b = span.from_node, span.to_node
+        if a in on_path and b in on_path:
+            key = (a, b) if a < b else (b, a)
+            best = joining.get(key)
+            if best is None or span.id < best.id:
+                joining[key] = span
 
     path: list[Span] = []
     for a, b in zip(ids, ids[1:]):
-        span = joining.get(frozenset((a, b)))
+        span = joining.get((a, b) if a < b else (b, a))
         if span is None:
             raise ConfigurationError(f"no span joins {a!r} and {b!r}")
         path.append(span)

@@ -212,26 +212,50 @@ def _splitters(raw: Sequence[Any], span_id: str) -> tuple[Splitter, ...]:
 def _span(raw: Any, profiles: Mapping[str, FiberProfile]) -> Span:
     if not isinstance(raw, dict):
         raise NetworkFileError("spans: each entry must be an object")
-    span_id = _text(raw, "id", "span")
+    # Each field is read and type-tested inline; its reader is called only when that test fails,
+    # to raise the error or to accept what the test is too narrow for (an integer length).
+    get = raw.get
+    span_id = get("id")
+    if span_id.__class__ is not str:
+        span_id = _text(raw, "id", "span")
     where, at = "span {!r}", (span_id,)
-    _reject_unknown(raw, _SPAN_KEYS, where, at)
+    if not _SPAN_KEYS.issuperset(raw):
+        _reject_unknown(raw, _SPAN_KEYS, where, at)
 
-    fiber_name = _text(raw, "fiber", where, at)
+    fiber_name = get("fiber")
+    if fiber_name.__class__ is not str:  # before the lookup: a list is no dict key
+        fiber_name = _text(raw, "fiber", where, at)
     fiber = profiles.get(fiber_name)
     if fiber is None:
         raise NetworkFileError(f"span {span_id!r}: unknown fiber profile {fiber_name!r}")
 
-    splices = None if raw.get("splices", "auto") == "auto" else _count(raw, "splices", where, at)
+    splices = get("splices", "auto")
+    if splices == "auto":
+        splices = None
+    elif splices.__class__ is not int or not -1e308 < splices < 1e308:  # the reader checks the exact float range
+        splices = _count(raw, "splices", where, at)
     # Most spans list neither amplifiers nor splitters; skip the loops for them.
-    listed = _list(raw, "amplifiers", where, at)
-    amplifiers = _amplifiers(listed, span_id) if listed else ()
-    listed = _list(raw, "splitters", where, at)
-    splitters = _splitters(listed, span_id) if listed else ()
+    amplifiers = get("amplifiers", ())
+    if not isinstance(amplifiers, (list, tuple)):
+        amplifiers = _list(raw, "amplifiers", where, at)
+    amplifiers = _amplifiers(amplifiers, span_id) if amplifiers else ()
+    splitters = get("splitters", ())
+    if not isinstance(splitters, (list, tuple)):
+        splitters = _list(raw, "splitters", where, at)
+    splitters = _splitters(splitters, span_id) if splitters else ()
 
-    from_node = _text(raw, "from", where, at)
-    to_node = _text(raw, "to", where, at)
-    length = _number(raw, "length", where, at)
-    connectors = _count(raw, "connectors", where, at, 2)
+    from_node = get("from")
+    if from_node.__class__ is not str:
+        from_node = _text(raw, "from", where, at)
+    to_node = get("to")
+    if to_node.__class__ is not str:
+        to_node = _text(raw, "to", where, at)
+    length = get("length")
+    if length.__class__ is not float or not -inf < length < inf:
+        length = _number(raw, "length", where, at)
+    connectors = get("connectors", 2)
+    if connectors.__class__ is not int or not -1e308 < connectors < 1e308:
+        connectors = _count(raw, "connectors", where, at, 2)
     # Positional, in field order: binding nine keywords made reading a span about 20% slower.
     return Span(span_id, from_node, to_node, length, fiber, connectors, splices, amplifiers, splitters)
 
@@ -268,13 +292,18 @@ def _standards(raw: Any) -> dict[str, StandardProfile]:
 def _nodes(raw: list[Any]) -> tuple[Node, ...]:
     where = "nodes[{}]"
     out = []
-    for i, body in enumerate(raw):
+    for i, body in enumerate(raw):  # read inline as in _span, the readers only on a failed test
         if not isinstance(body, dict):
             raise NetworkFileError(f"nodes[{i}]: expected an object")
-        at = (i,)
-        _reject_unknown(body, _NODE_KEYS, where, at)
-        node_id = _text(body, "id", where, at)
-        out.append(Node(node_id, _text(body, "name", where, at, node_id)))
+        if not _NODE_KEYS.issuperset(body):
+            _reject_unknown(body, _NODE_KEYS, where, (i,))
+        node_id = body.get("id")
+        if node_id.__class__ is not str:
+            node_id = _text(body, "id", where, (i,))
+        name = body.get("name", node_id)
+        if name.__class__ is not str:
+            name = _text(body, "name", where, (i,), node_id)
+        out.append(Node(node_id, name))
     return tuple(out)
 
 

@@ -76,11 +76,7 @@ def span_risetime_report(span: Span, transceiver: TransceiverProfile, ceiling: f
     Raises DomainError naming the span when its total is beyond the float range.
     """
     try:
-        return RiseTimeReport(
-            ceiling=ceiling,
-            dispersion_component=dispersion_risetime(span.fiber.dispersion, transceiver.spectral_width, span.length),
-            tx_component=transceiver.tx_rise_time,
-            rx_component=transceiver.rx_rise_time,
-        )
+        dispersion = dispersion_risetime(span.fiber.dispersion, transceiver.spectral_width, span.length)
+        return RiseTimeReport(ceiling, dispersion, transceiver.tx_rise_time, transceiver.rx_rise_time)
     except DomainError as exc:
         raise DomainError(f"span {span.id!r} (length {span.length:g} km): {exc}") from None

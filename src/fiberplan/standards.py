@@ -64,9 +64,7 @@ class Verdict:
 
 def power_verdict(received: float, profile: StandardProfile) -> Verdict:
     """Judge a received power (dBm) against the profile's sensitivity floor."""
-    verdict = Verdict(
-        quantity="received power", value=received, threshold=profile.rx_sensitivity, unit="dBm", direction="min"
-    )
+    verdict = Verdict("received power", received, profile.rx_sensitivity, "dBm", "min")
     if math.isfinite(received) and not math.isfinite(verdict.margin):  # the subtraction overflowed
         raise DomainError(
             f"received power {received:g} dBm against standard {profile.name!r} rx_sensitivity"
@@ -82,7 +80,7 @@ def risetime_verdict(total_rise: float, ceiling: float, quantity: str = "rise ti
     :func:`fiberplan.risetime.max_system_risetime`; for a 10 Gbps NRZ system
     it is 70 ps.
     """
-    return Verdict(quantity=quantity, value=total_rise, threshold=ceiling, unit="ps", direction="max")
+    return Verdict(quantity, total_rise, ceiling, "ps", "max")
 
 
 def builtin_profiles() -> dict[str, StandardProfile]:

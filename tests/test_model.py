@@ -3,7 +3,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fiberplan.model import (
     Amplifier,
@@ -18,6 +18,7 @@ from fiberplan.model import (
     Splitter,
     Topology,
     TransceiverProfile,
+    Violation,
     nodes_along,
     resolved_splices,
     ring_spans,
@@ -60,6 +61,11 @@ class TestInvariants:
     def test_component_losses_must_be_nonnegative(self):
         with pytest.raises(DomainError):
             ComponentLosses(connector_loss=-0.1, splice_loss=0.05, system_margin=3.0)
+
+    def test_span_stores_listed_devices_as_tuples(self):
+        amps, splitters = [Amplifier(gain=20.0)], [Splitter(ratio=8)]
+        span = make_span("s", "a", "b", amplifiers=amps, splitters=splitters)
+        assert span.amplifiers == tuple(amps) and span.splitters == tuple(splitters)
 
     def test_amplifier_needs_positive_gain(self):
         with pytest.raises(DomainError):
@@ -359,3 +365,221 @@ class TestPathResolution:
             spans_along(net, ["seyegan", "nowhere"])
         with pytest.raises(ConfigurationError):
             spans_along(net, ["seyegan", "pakem"])  # not adjacent on the ring
+
+
+# Reference implementations: validate_network (with _components), ring_spans and
+# spans_along as they were before the one-pass rewrite, kept to check that the
+# library returns the same violations, walks, paths and error texts.
+
+
+def _reference_components(node_ids: set[str], edges: list[tuple[str, str]]) -> tuple[int, bool]:
+    parent = {n: n for n in node_ids}
+
+    def find(x: str) -> str:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    has_cycle = False
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            has_cycle = True
+        else:
+            parent[ra] = rb
+    roots = {find(n) for n in node_ids}
+    return len(roots), has_cycle
+
+
+def _reference_validate_network(net: Network) -> list[Violation]:
+    violations: list[Violation] = []
+    known = {n.id for n in net.nodes}
+    if not known:
+        violations.append(Violation("network", "no-nodes", "network has no nodes"))
+
+    seen_nodes: set[str] = set()
+    for node in net.nodes:
+        if node.id in seen_nodes:
+            violations.append(Violation(f"node:{node.id}", "duplicate-id", "node id appears more than once"))
+        seen_nodes.add(node.id)
+
+    seen_spans: set[str] = set()
+    resolved_edges: list[tuple[str, str]] = []
+    for span in net.spans:
+        if span.id in seen_spans:
+            violations.append(Violation(f"span:{span.id}", "duplicate-id", "span id appears more than once"))
+        seen_spans.add(span.id)
+        dangling = [n for n in (span.from_node, span.to_node) if n not in known]
+        for node_id in dangling:
+            violations.append(
+                Violation(f"span:{span.id}", "unresolved-node", f"references unknown node {node_id!r}")
+            )
+        if not dangling:
+            resolved_edges.append((span.from_node, span.to_node))
+
+    degree = {n: 0 for n in known}
+    for a, b in resolved_edges:
+        degree[a] += 1
+        degree[b] += 1
+
+    if net.topology is Topology.RING:
+        for node_id in sorted(known):
+            if degree[node_id] != 2:
+                violations.append(
+                    Violation(
+                        f"node:{node_id}",
+                        "ring-degree",
+                        f"ring nodes need degree exactly 2, found {degree[node_id]}",
+                    )
+                )
+        if known:
+            n_components, _ = _reference_components(known, resolved_edges)
+            if n_components != 1 or len(resolved_edges) != len(known):
+                violations.append(
+                    Violation("network", "ring-single-cycle", "spans do not form a single closed cycle")
+                )
+    else:
+        head = net.head_node
+        if head is None or head not in known:
+            violations.append(
+                Violation("network", "tree-head", f"tree head node {head!r} does not resolve")
+            )
+        if known:
+            n_components, has_cycle = _reference_components(known, resolved_edges)
+            if n_components != 1:
+                violations.append(
+                    Violation("network", "tree-connected", f"tree must be connected, found {n_components} components")
+                )
+            if has_cycle:
+                violations.append(Violation("network", "tree-acyclic", "tree contains a cycle"))
+
+    violations.sort(key=lambda v: (v.element, v.rule))
+    return violations
+
+
+def _reference_ring_spans(net: Network) -> tuple[Span, ...]:
+    if net.topology is not Topology.RING:
+        raise ConfigurationError("ring traversal requested on a non-ring network")
+    incident: dict[str, list[Span]] = {n.id: [] for n in net.nodes}
+    known = len(incident)
+    for span in net.spans:
+        incident.setdefault(span.from_node, []).append(span)
+        incident.setdefault(span.to_node, []).append(span)
+    not_a_cycle = "network is not a valid ring: spans do not form a single closed cycle"
+    if not known or len(net.nodes) != known or len(incident) != known or len(net.spans) != known:
+        raise ConfigurationError(not_a_cycle)
+
+    start = current = net.nodes[0].id
+    visited = {start}
+    used: set[int] = set()
+    walk: list[Span] = []
+    for _ in net.spans:
+        options = [s for s in incident[current] if id(s) not in used]
+        if not options:
+            raise ConfigurationError(not_a_cycle)
+        span = min(options, key=lambda s: (s.from_node != current, s.id))
+        used.add(id(span))
+        walk.append(span)
+        current = span.to_node if span.from_node == current else span.from_node
+        visited.add(current)
+    if current != start or len(visited) != len(incident):
+        raise ConfigurationError(not_a_cycle)
+    return tuple(walk)
+
+
+def _reference_spans_along(net: Network, node_ids) -> list[Span]:
+    ids = list(node_ids)
+    if len(ids) < 2:
+        raise ConfigurationError("a path needs at least two nodes")
+    known = {n.id for n in net.nodes}
+    for node_id in ids:
+        if node_id not in known:
+            raise ConfigurationError(f"path references unknown node {node_id!r}")
+
+    joining: dict[frozenset[str], Span] = {}
+    for span in net.spans:
+        key = frozenset((span.from_node, span.to_node))
+        best = joining.get(key)
+        if best is None or span.id < best.id:
+            joining[key] = span
+
+    path: list[Span] = []
+    for a, b in zip(ids, ids[1:]):
+        span = joining.get(frozenset((a, b)))
+        if span is None:
+            raise ConfigurationError(f"no span joins {a!r} and {b!r}")
+        path.append(span)
+    return path
+
+
+NODE_IDS = "abcdefgh"
+UNKNOWN = "x"  # never a node; ids of the pool not drawn as nodes are unknown too
+
+
+@st.composite
+def small_plants(draw) -> tuple[Network, list[str]]:
+    """1-8 nodes (ids may repeat), 0-10 spans and a path of 2-6 ids, mostly along spans.
+
+    The spans often start as a cycle or a tree through every distinct id, so
+    that some walks, paths and validations succeed, plus extra spans that may
+    be parallel or reach unknown nodes.
+    """
+    count = draw(st.sampled_from(range(1, 9)))  # sampled, not st.integers, for sizes spread evenly
+    nodes = draw(st.lists(st.sampled_from(NODE_IDS), min_size=count, max_size=count, unique=draw(st.booleans())))
+    order = draw(st.permutations(sorted(set(nodes))))
+    shape = draw(st.sampled_from(["cycle", "tree", "none"]))
+    pairs = []
+    if shape == "cycle" and len(order) > 1:  # two distinct ids give two parallel spans
+        pairs = list(zip(order, order[1:] + order[:1]))
+    elif shape == "tree":
+        pairs = [(draw(st.sampled_from(order[:k])), order[k]) for k in range(1, len(order))]
+    ends = st.sampled_from(NODE_IDS + UNKNOWN)
+    extra = st.lists(st.tuples(ends, ends).filter(lambda p: p[0] != p[1]), max_size=10 - len(pairs))
+    pairs += draw(st.one_of(st.just([]), extra))
+    pairs = [(b, a) if draw(st.booleans()) else (a, b) for a, b in draw(st.permutations(pairs))]
+    span_ids = draw(st.lists(st.sampled_from("pqrstuvwyz"), min_size=len(pairs), max_size=len(pairs),
+                             unique=draw(st.booleans())))
+    net = Network(
+        nodes=tuple(Node(n, n.upper()) for n in nodes),
+        spans=tuple(make_span(i, a, b) for i, (a, b) in zip(span_ids, pairs)),
+        topology=draw(st.sampled_from(list(Topology))),
+        losses=LOSSES,
+        transceiver=TRANSCEIVER,
+        head=draw(st.one_of(st.none(), st.sampled_from(order + [UNKNOWN]))),  # absent, listed or unknown
+    )
+    path = [draw(st.sampled_from(order + [UNKNOWN]))]
+    for _ in range(draw(st.sampled_from(range(1, 6)))):  # mostly stepping along a span, sometimes jumping
+        near = [b if a == path[-1] else a for a, b in pairs if path[-1] in (a, b)]
+        path.append(draw(st.sampled_from(near if near and draw(st.booleans()) else order + [UNKNOWN])))
+    return net, path
+
+
+def _outcome(fn, *args):
+    """The spans ``fn`` returns, by identity, or the text of its ConfigurationError."""
+    try:
+        return [id(span) for span in fn(*args)]
+    except ConfigurationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(small_plants())
+def test_structure_matches_the_reference(plant):
+    net, path = plant
+    assert validate_network(net) == _reference_validate_network(net)
+    walk = _outcome(ring_spans, net)
+    assert walk == _outcome(_reference_ring_spans, net)
+    paths = [path, path[:1]]
+    if isinstance(walk, list):
+        paths.append(nodes_along(net.nodes[0].id, ring_spans(net)))
+    for nodes in paths:
+        assert _outcome(spans_along, net, nodes) == _outcome(_reference_spans_along, net, nodes)
+
+
+@pytest.mark.parametrize("topology", list(Topology))
+def test_a_plant_without_nodes_matches_the_reference(topology):
+    net = Network(nodes=(), spans=(make_span("p", "a", "b"),), topology=topology, losses=LOSSES, transceiver=TRANSCEIVER)
+    assert validate_network(net) == _reference_validate_network(net)
+    assert _outcome(ring_spans, net) == _outcome(_reference_ring_spans, net)
+    assert _outcome(spans_along, net, ["a", "b"]) == _outcome(_reference_spans_along, net, ["a", "b"])

@@ -263,6 +263,20 @@ CASES = [
      'edfa_gain: expected a number, got None'),
     ([(('distribution_loss',), -5)], NetworkFileError,
      'distribution_loss: expected a number >= 0, got -5'),
+    ([(('spans', 0, 'fiber'), ['g652-backbone'])], NetworkFileError,
+     "span '01-seyegan-tempel'.fiber: expected a string, got ['g652-backbone']"),
+    ([(('spans', 0, 'fiber'), {'a': 1})], NetworkFileError,
+     "span '01-seyegan-tempel'.fiber: expected a string, got {'a': 1}"),
+    ([(('spans', 0, 'length'), True)], NetworkFileError,
+     "span '01-seyegan-tempel'.length: expected a number, got True"),
+    ([(('spans', 0, 'connectors'), True)], NetworkFileError,
+     "span '01-seyegan-tempel'.connectors: expected an integer, got True"),
+    ([(('spans', 0, 'splices'), 'AUTO')], NetworkFileError,
+     "span '01-seyegan-tempel'.splices: expected an integer, got 'AUTO'"),
+    ([(('spans', 0, 'id'), ['x'])], NetworkFileError,
+     "span.id: expected a string, got ['x']"),
+    ([(('nodes', 0, 'name'), ['x'])], NetworkFileError,
+     "nodes[0].name: expected a string, got ['x']"),
 ]
 
 

@@ -1,8 +1,8 @@
-"""Guards against quadratic path resolution and power traces.
+"""Guards against quadratic loading, validation, path resolution and power traces.
 
-Rings are generated here with the standard library from the bundled plant's
-equipment figures. The timing ratio between a 1000-node and a 250-node ring
-is loose (linear code gives about 4, a quadratic layer about 16).
+Rings and star trees are generated here with the standard library from the
+bundled plant's equipment figures. The timing ratio between a 1000-span and a
+250-span plant is loose (linear code gives about 4, a quadratic layer about 16).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import tracemalloc
 import pytest
 
 from fiberplan.data import sleman_path
-from fiberplan.model import ring_spans
+from fiberplan.model import ring_spans, validate_network
 from fiberplan.netfile import load_network
 from fiberplan.planning import run_plan, run_trace
 from fiberplan.signal_chain import propagate, route_chain
@@ -35,6 +35,18 @@ def write_ring(tmp_path, n: int, seed: int = 1):
             span["amplifiers"] = [{"gain": 20.0, "kind": "edfa"}]
         doc["spans"].append(span)
     out = tmp_path / f"ring{n}.json"
+    out.write_text(json.dumps(doc), encoding="utf-8")
+    return out
+
+
+def write_star(tmp_path, n: int):
+    """A tree of n 1-4 km spans, all from the head: the worst case for union-find without path compression."""
+    doc = json.loads(sleman_path().read_text(encoding="utf-8"))
+    ids = [f"n{i:05d}" for i in range(n + 1)]
+    doc.update(topology="tree", head=ids[0], nodes=[{"id": node} for node in ids])
+    doc["spans"] = [{"id": f"s{i:05d}", "from": ids[0], "to": leaf, "length": 1.0 + i % 4, "fiber": "g652-backbone"}
+                    for i, leaf in enumerate(ids[1:])]
+    out = tmp_path / f"star{n}.json"
     out.write_text(json.dumps(doc), encoding="utf-8")
     return out
 
@@ -87,3 +99,15 @@ def test_propagate_scales_linearly_with_a_subnormal_effect(tmp_path):
     propagate(9.0, small)
     ratio = best_of_three(propagate, 9.0, large) / best_of_three(propagate, 9.0, small)
     assert ratio < 8, f"4x the ring took {ratio:.1f}x the time"
+
+
+def _load_and_validate(path) -> None:
+    assert validate_network(load_network(path).network) == []
+
+
+@pytest.mark.parametrize("write", [write_star, write_ring], ids=["star", "ring"])
+def test_load_and_validate_scale_linearly(tmp_path, write):
+    small, large = write(tmp_path, 250), write(tmp_path, 1000)
+    _load_and_validate(small)  # warm caches and lazy imports before timing
+    ratio = best_of_three(_load_and_validate, large) / best_of_three(_load_and_validate, small)
+    assert ratio < 8, f"4x the spans took {ratio:.1f}x the time"
