@@ -10,7 +10,9 @@ timestamps, so identical inputs produce identical bytes.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import attrgetter
 from typing import Any, Mapping
 
 from .model import (
@@ -215,29 +217,29 @@ def traffic_input_from_mapping(raw: Mapping[str, Any]) -> TrafficInput:
 
 # --- rendering -------------------------------------------------------------
 # dB and dBm print with two decimals, rise times with three, counts as
-# integers; the same precision is applied to JSON payloads.
+# integers; the same precision is applied to JSON payloads. Each row of a
+# ring-sized table is one C-level %-format of the template for its kind.
 #
 # JSON is formatted into fixed %-templates, laid out byte for byte as
 # json.dumps(payload, indent=2) lays out the same values. That call would run
 # CPython's pure-Python encoder (any indent does), slower than building the plan.
+# A table's numbers are spelled by _spell in one %-format: fixed-point digits,
+# trimmed to the shortest form json.dumps writes for round(x, n). A table with
+# a value that is not a finite float below 1e12 takes the exact path instead,
+# repr(round(x, n)), with NaN and Infinity as json.dumps spells them.
 
 
 def _db(x: float) -> float:
     return round(x, 2)
 
 
-def _ps(x: float) -> float:
-    return round(x, 3)
+_VERDICT_TEXT = tuple(f"%-32s %10.{n}f %s %s %.{n}f %s  margin %+.{n}f  %s" for n in (2, 3))  # dBm, then ps
 
 
 def _fmt_verdict(v: Verdict) -> str:
-    digits = 3 if v.unit == "ps" else 2
     op = ">=" if v.direction == "min" else "<="
     flag = "PASS" if v.passed else "FAIL"
-    return (
-        f"{v.quantity:<32} {v.value:>10.{digits}f} {v.unit} {op} "
-        f"{v.threshold:.{digits}f} {v.unit}  margin {v.margin:+.{digits}f}  {flag}"
-    )
+    return _VERDICT_TEXT[v.unit == "ps"] % (v.quantity, v.value, v.unit, op, v.threshold, v.unit, v.margin, flag)
 
 
 def _num(x: float) -> str:
@@ -254,22 +256,46 @@ def _nums(values: tuple[float, ...]) -> tuple[Any, ...]:
     return values if total - total == 0 else tuple(map(_num, values))
 
 
+def _spell(values: tuple[float, ...], slots: str) -> list[str]:
+    """How json.dumps spells each value, rounded as its slot in ``slots`` says (see :func:`_slots`).
+
+    One %-format writes every value: ``%r``, or ``%.nf`` and n - 1 NUL markers for a
+    value rounded to n = 2 or 3 decimals. Dropping the zeros before a marker that
+    json.dumps would not write, at most n - 1 of them, then the markers, gives exactly
+    repr(round(x, n)): both take their digits from the same correctly rounded dtoa,
+    below 1e12 there are at most 15 significant ones, and a double round-trips 15,
+    so the shortest repr of the rounded value has the same digits. Unless the values
+    are all floats (json.dumps writes an int without a point), finite, and below 1e12
+    in root-sum-square, they are spelled one by one with round() and :func:`_num`.
+    """
+    if math.hypot(*values) < 1e12 and {*map(type, values)} == {float}:  # inf and NaN fail the first test
+        return (slots % values).replace("0\0\0", "\0").replace("0\0", "").replace("\0", "").split("\n")
+    # slot[2] is the n of "%.nf".
+    return [_num(x if slot == "%r" else round(x, int(slot[2]))) for x, slot in zip(values, slots.split("\n"))]
+
+
 _BOOL = ("false", "true")
 
 
 def _template(fields: tuple[Any, ...], depth: int = 0) -> str:
     """An indent-2 JSON object at nesting ``depth`` with one ``%s`` slot per field.
 
-    A field is a key, or a ``(key, fields)`` pair for a nested object.
+    A field is a key, a ``(key, n)`` pair for a number rounded to n decimals, or
+    a ``(key, fields)`` pair for a nested object.
     """
     pad = "  " * (depth + 1)
     lines = []
-    for field in fields:
-        if isinstance(field, tuple):
-            lines.append(f'{pad}"{field[0]}": {_template(field[1], depth + 1)}')
-        else:
-            lines.append(f'{pad}"{field}": %s')
+    for key, spec in ((field, 0) if isinstance(field, str) else field for field in fields):
+        lines.append(f'{pad}"{key}": ' + (_template(spec, depth + 1) if isinstance(spec, tuple) else "%s"))
     return "{\n" + ",\n".join(lines) + "\n" + "  " * depth + "}"
+
+
+def _slots(fields: tuple[Any, ...]) -> str:
+    """The :func:`_spell` slots of the rounded numbers among ``fields`` (see :func:`_template`), in order."""
+    return "".join(
+        _slots(spec) if isinstance(spec, tuple) else f"%.{spec}f" + "\0" * (spec - 1) + "\n"
+        for _, spec in (field for field in fields if not isinstance(field, str))
+    )
 
 
 def _array(items: list[str]) -> str:
@@ -277,36 +303,25 @@ def _array(items: list[str]) -> str:
     return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
-_LOSS = ("connectors", "fiber", "splices", "splitters", "margin", "total")
-_SPAN_JSON = "    " + _template(("id", "link", "length", "splices", ("loss", _LOSS),
-                                  ("rise_time", ("ceiling", "dispersion", "tx", "rx", "total", "pass"))), 2)
-_VERDICT_JSON = "    " + _template(("quantity", "value", "threshold", "unit", "direction", "margin", "pass"), 2)
+_LOSS = tuple((key, 2) for key in ("connectors", "fiber", "splices", "splitters", "margin", "total"))
+_SPAN = ("id", "link", "length", "splices", ("loss", _LOSS), ("rise_time", (
+    *((key, 3) for key in ("ceiling", "dispersion", "tx", "rx", "total")), "pass")))
+_SPAN_JSON, _SPAN_SLOTS = "    " + _template(_SPAN, 2), "%r\n" + _slots(_SPAN)  # the length, then rounded numbers
+_loss_values = attrgetter(*LossBreakdown._fields, "total")  # in the order of the _LOSS keys
+_LOSS_FIELDS = tuple(f"loss.{name}" for name in (*LossBreakdown._fields, "total"))
+# The 12 numbers of a span row: its length, six losses (dB) and five rise times (ps).
+_span_numbers = attrgetter("length", *_LOSS_FIELDS, *(f"rise.{name}" for name in (*RiseTimeReport._fields, "total")))
+_VERDICTS = tuple(("quantity", ("value", n), ("threshold", n), "unit", "direction", ("margin", n), "pass")
+                  for n in (2, 3))  # dBm, then ps
+_VERDICT_JSON, _VERDICT_SLOTS = "    " + _template(_VERDICTS[0], 2), tuple(map(_slots, _VERDICTS))
+_verdict_numbers = attrgetter("value", "threshold", "margin")
 _PLAN_JSON = _template((
     ("standard", ("name", "bit_rate", "line_code", "rx_sensitivity")), "path", "spans", ("path_loss", _LOSS),
     "distribution_loss", "planning_floor", "max_loss",
     ("amplifier_plan", ("gain_deficit", "unit_gain", "edfa_count", "total_gain")), "inventory_gain",
     "applied_gain", ("received_power", ("effective", "as_built")), "verdicts", "overall_pass",
 )) + "\n"
-
-
-def _loss_values(b: LossBreakdown) -> tuple[float, ...]:
-    return (_db(b.connector_total), _db(b.fiber_total), _db(b.splice_total), _db(b.splitter_total),
-            _db(b.margin), _db(b.total))
-
-
-def _span_json(row: SpanResult) -> str:
-    r = row.rise
-    numbers = _nums((row.length, row.splices, *_loss_values(row.loss), _ps(r.ceiling),
-                     _ps(r.dispersion_component), _ps(r.tx_component), _ps(r.rx_component), _ps(r.total)))
-    return _SPAN_JSON % (_json_str(row.span_id), _json_str(row.link), *numbers, _BOOL[r.passed])
-
-
-def _verdict_json(v: Verdict) -> str:
-    digits = _ps if v.unit == "ps" else _db
-    value, threshold, margin = _nums((digits(v.value), digits(v.threshold), digits(v.margin)))
-    return _VERDICT_JSON % (
-        _json_str(v.quantity), value, threshold, _json_str(v.unit), _json_str(v.direction), margin, _BOOL[v.passed]
-    )
+_SPAN_TEXT, _span_text = "%-20s %8g" + " %6.2f" * 6, attrgetter("span_id", "length", *_LOSS_FIELDS)
 
 
 def render_plan_text(report: PlanReport) -> str:
@@ -322,18 +337,14 @@ def render_plan_text(report: PlanReport) -> str:
     lines.append(
         f"{'span':<20} {'km':>8} {'conn':>6} {'fiber':>6} {'splice':>6} {'split':>6} {'margin':>6} {'total':>6}"
     )
-    for row in report.spans:
-        b = row.loss
-        lines.append(
-            f"{row.span_id:<20} {row.length:>8g} {b.connector_total:>6.2f} {b.fiber_total:>6.2f} "
-            f"{b.splice_total:>6.2f} {b.splitter_total:>6.2f} {b.margin:>6.2f} {b.total:>6.2f}"
-        )
+    lines += map(_SPAN_TEXT.__mod__, map(_span_text, report.spans))
     lines.append("")
     lines.append("Rise-time budgets")
     lines.append(f"{'link':<24} {'rise time ps':>12} {'splices':>8}  verdict")
-    for row in report.spans:
-        flag = "pass" if row.rise.passed else "FAIL"
-        lines.append(f"{row.link:<24} {row.rise.total:>12.3f} {row.splices:>8d}  {flag}")
+    lines += [
+        "%-24s %12.3f %8d  %s" % (row.link, row.rise.total, row.splices, "pass" if row.rise.passed else "FAIL")
+        for row in report.spans
+    ]
     lines.append("")
     p = report.path
     lines.append(
@@ -358,8 +369,7 @@ def render_plan_text(report: PlanReport) -> str:
     )
     lines.append("")
     lines.append("Verdicts")
-    for v in report.verdicts:
-        lines.append("  " + _fmt_verdict(v))
+    lines += ["  " + _fmt_verdict(v) for v in report.verdicts]
     lines.append("")
     lines.append(f"OVERALL: {'PASS' if report.overall_pass else 'FAIL'}")
     return "\n".join(lines) + "\n"
@@ -367,9 +377,21 @@ def render_plan_text(report: PlanReport) -> str:
 
 def render_plan_json(report: PlanReport) -> str:
     """The plan as JSON, byte for byte what json.dumps(indent=2) writes."""
-    standard, plan = report.standard, report.amplifier_plan
+    standard, plan, spans, verdicts = report.standard, report.amplifier_plan, report.spans, report.verdicts
+    spelled = iter(_spell(tuple(chain.from_iterable(map(_span_numbers, spans))), _SPAN_SLOTS * len(spans)))
+    span_items = [
+        _SPAN_JSON % (_json_str(row.span_id), _json_str(row.link), s[0], row.splices, *s[1:], _BOOL[row.rise.passed])
+        for row, s in zip(spans, zip(*[spelled] * 12))
+    ]
+    slots = "".join([_VERDICT_SLOTS[v.unit == "ps"] for v in verdicts])
+    spelled = iter(_spell(tuple(chain.from_iterable(map(_verdict_numbers, verdicts))), slots))
+    verdict_items = [
+        _VERDICT_JSON % (_json_str(v.quantity), value, threshold, _json_str(v.unit), _json_str(v.direction), margin,
+                         _BOOL[v.passed])
+        for v, (value, threshold, margin) in zip(verdicts, zip(*[spelled] * 3))
+    ]
     scalars = _nums((
-        standard.bit_rate, _db(standard.rx_sensitivity), *_loss_values(report.path),
+        standard.bit_rate, _db(standard.rx_sensitivity), *map(_db, _loss_values(report.path)),
         _db(report.distribution_loss), _db(report.planning_floor), _db(report.max_loss),
         _db(plan.gain_deficit), _db(plan.unit_gain), plan.edfa_count, _db(plan.total_gain),
         _db(report.inventory_gain), _db(report.applied_gain), _db(report.received), _db(report.as_built_power),
@@ -377,9 +399,9 @@ def render_plan_json(report: PlanReport) -> str:
     return _PLAN_JSON % (
         _json_str(standard.name), scalars[0], _json_str(standard.line_code.value), scalars[1],
         _array(["    " + _json_str(node) for node in report.path_nodes]),
-        _array([_span_json(row) for row in report.spans]),
+        _array(span_items),
         *scalars[2:],
-        _array([_verdict_json(v) for v in report.verdicts]),
+        _array(verdict_items),
         _BOOL[report.overall_pass],
     )
 
@@ -388,7 +410,7 @@ def render_trace_text(trace: PowerTrace, ber: BerEstimate | None = None) -> str:
     distinct = set(trace.labels)  # a few distinct labels repeat
     width = max(map(len, distinct))
     padded = {label: f"{label:<{width}}" for label in distinct}
-    lines = [f"{padded[label]}  {power:>9.2f} dBm" for label, power in zip(trace.labels, trace.powers)]
+    lines = list(map("%s  %9.2f dBm".__mod__, zip(map(padded.__getitem__, trace.labels), trace.powers)))
     if ber is not None:
         lines.append("")
         lines.append(f"Q factor at end point: {ber.q_factor:.3f}")
@@ -396,7 +418,8 @@ def render_trace_text(trace: PowerTrace, ber: BerEstimate | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-_POINT_JSON = "    " + _template(("label", "power"), 2)
+_POINT = ("label", ("power", 2))
+_POINT_JSON, _POINT_SLOTS = "    " + _template(_POINT, 2), _slots(_POINT)
 _TRACE_JSON = _template(("points", "final_power")) + "\n"
 _TRACE_BER_JSON = _template(("points", "final_power", ("ber", ("q_factor", "ber")))) + "\n"
 
@@ -404,8 +427,8 @@ _TRACE_BER_JSON = _template(("points", "final_power", ("ber", ("q_factor", "ber"
 def render_trace_json(trace: PowerTrace, ber: BerEstimate | None = None) -> str:
     """The trace as JSON, byte for byte what json.dumps(indent=2) writes."""
     labels = {label: _json_str(label) for label in set(trace.labels)}  # a few distinct labels repeat
-    # propagate() keeps every power finite, so %s spells each one as json.dumps does.
-    body = _array([_POINT_JSON % (labels[label], round(power, 2)) for label, power in zip(trace.labels, trace.powers)])
+    spelled = _spell(trace.powers, _POINT_SLOTS * len(trace.powers))
+    body = _array(list(map(_POINT_JSON.__mod__, zip(map(labels.__getitem__, trace.labels), spelled))))
     if ber is None:
         return _TRACE_JSON % (body, _num(_db(trace.final_power)))
     return _TRACE_BER_JSON % (body, *_nums((_db(trace.final_power), round(ber.q_factor, 3), float(f"{ber.ber:.3e}"))))

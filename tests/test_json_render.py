@@ -7,7 +7,11 @@ asserts the two strings are equal byte for byte: the Sleman golden commands,
 a small ring (1x8 splitter, EDFA, a span without connectors, failing rise
 times, a custom RZ standard), a two-node ring of parallel spans, the golden
 GPON tree, names that need JSON escaping, non-finite values, broken plants'
-violations, and a Hypothesis property over mutated Sleman documents.
+violations, and a Hypothesis property over mutated Sleman documents. Further
+cases reach the exact path behind the fixed-point spelling (traces injected at
+1e300 dBm, rows holding ints, nan, inf or values beyond 1e12) or sit at its edge
+(-0.0 losses, powers near 1e9 and 1e11), and a Hypothesis property checks the
+fixed-point spelling itself against ``repr(round(x, n))``.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import struct
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -26,6 +31,8 @@ from fiberplan.model import ConfigurationError, DomainError, validate_network
 from fiberplan.netfile import NetworkDocument, parse_network
 from fiberplan.planning import (
     PlanReport,
+    SpanResult,
+    _spell,
     render_forecast_json,
     render_plan_json,
     render_trace_json,
@@ -34,6 +41,9 @@ from fiberplan.planning import (
     run_trace,
     traffic_input_from_mapping,
 )
+from fiberplan.power_budget import LossBreakdown
+from fiberplan.risetime import RiseTimeReport
+from fiberplan.signal_chain import PowerTrace
 from fiberplan.standards import Verdict, builtin_profiles
 from fiberplan.traffic import TrafficInput, forecast_subscribers
 
@@ -209,6 +219,16 @@ HUGE["transceiver"].update(tx_power=1e308, rx_sensitivity=-1e308)
 HUGE["standards"] = {"deaf": {"bit_rate": 1e9, "line_code": "nrz", "rx_sensitivity": -1e308}}
 
 
+# A -0.0 connector loss: every span's connector total is -0.0, which json.dumps writes as -0.0.
+NEGATIVE_ZERO = copy.deepcopy(SLEMAN)
+NEGATIVE_ZERO["losses"]["connector_loss"] = -0.0
+
+# Lengths json.dumps writes unrounded, with more digits than any rounded field and in exponent form.
+FINE_LENGTHS = copy.deepcopy(SLEMAN)
+for span, length in zip(FINE_LENGTHS["spans"], (10.0945678, 1e-05, 1234.5, 0.1 + 0.2)):
+    span["length"] = length
+
+
 def _leaf_paths(doc: dict[str, Any]) -> list[str]:
     children: dict[str, list[str]] = {}
     for span in doc["spans"]:
@@ -273,6 +293,8 @@ PLANTS = {
     "ring": (RING, [*builtin_profiles(), 'lab "rz" \\ 5G'], RING_PATHS),
     "parallel-pair": (PAIR, [ONU, "table2-receiver"], ("ring", "west,east", "east,west")),
     "tree": (TREE, [ONU], tuple(_leaf_paths(TREE))),
+    "negative-zero": (NEGATIVE_ZERO, [ONU], ("ring", "seyegan,tempel,pakem")),
+    "fine-lengths": (FINE_LENGTHS, [ONU], ("ring",)),
 }
 
 
@@ -368,3 +390,78 @@ def test_writers_match_the_reference_on_mutated_documents(raw, standard, path):
             assert_all_equal(cases(doc, [standard], (path,)))
         except (ConfigurationError, DomainError):
             continue
+
+
+@pytest.mark.parametrize("power", [1e300, 999999999.99, 1e11])
+@pytest.mark.parametrize("with_ber", [False, True], ids=["plain", "ber"])
+def test_traces_far_from_the_plant_match_the_reference(sleman_doc, power, with_ber):
+    """1e300 dBm takes the exact path; 1e9 and 1e11 dBm reach 12 and 14 digits on the fixed-point one.
+    The BER model cannot reach such powers, so the BER block comes from the plant's own trace."""
+    trace, _ = run_trace(sleman_doc, input_power=power)
+    ber = run_trace(sleman_doc, with_ber=True)[1] if with_ber else None
+    ours = render_trace_json(trace, ber)
+    assert ours == to_json(trace_to_dict(trace, ber))
+    assert f'"power": {round(power, 2)!r}' in ours
+    with pytest.raises(DomainError, match="beyond the float range in watts"):
+        run_trace(sleman_doc, input_power=power, with_ber=True)
+
+
+def test_rows_the_fixed_point_slots_cannot_spell_match_the_reference(sleman_doc):
+    """Ints, nan, inf and values at or beyond 1e12 in the value objects, which no plant file produces."""
+    report = run_plan(sleman_doc, ONU)
+    fields = {name: getattr(report, name) for name in report._fields}
+    odd = (
+        SpanResult("s-int", "A - B", 7, 3, LossBreakdown(0, -0.0, 1, 2.5, 3), RiseTimeReport(70, 1, 0, 35)),
+        SpanResult("s-big", "B - C", 1e12, 3, LossBreakdown(1e12, 0.004, 0.005, 0.0, 3.0),
+                   RiseTimeReport(1e300, 1234567890123.4567, 0.0005, 35.0)),
+        SpanResult("s-nan", "C - D", math.nan, 3, report.spans[0].loss, RiseTimeReport(math.inf, math.nan, 0.0, 35.0)),
+    )
+    for row in odd:
+        for verdicts in (report.verdicts, (Verdict("received power", 1e12, -28.0, "dBm", "min"),),
+                         (Verdict("rise time", 69, 70, "ps", "max"), Verdict("rise", math.nan, -math.inf, "ps", "max"))):
+            strange = PlanReport(**{**fields, "spans": (*report.spans, row), "verdicts": verdicts})
+            assert render_plan_json(strange) == to_json(plan_to_dict(strange)), (row.span_id, verdicts)
+    trace = PowerTrace(("input", "x", "y"), (3, -0.0, 2.5))
+    assert render_trace_json(trace) == to_json(trace_to_dict(trace))
+
+
+def _slot(n: int) -> str:
+    return f"%.{n}f" + "\0" * (n - 1) + "\n"
+
+
+def _from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+BELOW_1E12 = st.one_of(
+    st.floats(min_value=-1e12, max_value=1e12, exclude_min=True, exclude_max=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 0.005, -0.0005, 0.0015, 2.675, 999999999999.9995, -999999999999.995]),
+    st.integers(-10**15 + 1, 10**15 - 1).map(lambda k: k / 1000),  # ties and near-ties at three decimals
+    st.integers(-2 * 10**14 + 1, 2 * 10**14 - 1).map(lambda k: k / 200),  # ties at two decimals
+    st.integers(-8 * 10**12 + 1, 8 * 10**12 - 1).map(lambda k: k / 8),  # binary ties
+    st.integers(0, 2**64 - 1).map(_from_bits).filter(lambda x: abs(x) < 1e12),  # any bit pattern, subnormals too
+)
+
+
+@settings(max_examples=3000, deadline=None)
+@given(x=BELOW_1E12, n=st.sampled_from([2, 3]))
+def test_fixed_point_spelling_is_the_repr_of_the_rounded_value(x, n):
+    # The trailing "" is left by the one %-format, so the fixed-point path spelled it.
+    assert _spell((x,), _slot(n)) == [repr(round(x, n)), ""]
+
+
+@settings(max_examples=500, deadline=None)
+@given(a=BELOW_1E12, b=BELOW_1E12, c=BELOW_1E12)
+def test_mixed_slots_trim_only_their_own_zeros(a, b, c):
+    values = (a / 4, b / 4, c / 4)  # root-sum-square below 1e12
+    spelled = _spell(values, "%r\n" + _slot(3) + _slot(2))
+    assert spelled == [repr(values[0]), repr(round(values[1], 3)), repr(round(values[2], 2)), ""]
+
+
+@pytest.mark.parametrize("values", [(1e12,), (-1e12,), (1e300,), (1e15 + 0.3,), (math.inf,), (-math.inf,),
+                                    (math.nan,), (5,), (1.5, 7, 2.25), (0.5, 1e12), (1e-3, math.nan)])
+def test_values_beyond_the_fixed_point_slots_take_the_exact_path(values):
+    for n in (2, 3):
+        assert _spell(values, _slot(n) * len(values)) == [json.dumps(round(x, n)) for x in values]
+    # Trimmed fixed-point digits would be wrong for these: 1000000000000000.25 for 1000000000000000.2, 5.0 for 5.
+    assert ("%.2f" % (1e15 + 0.3), "%.2f" % 5) == ("1000000000000000.25", "5.00")

@@ -1,4 +1,4 @@
-"""Guards against quadratic loading, validation, path resolution and power traces.
+"""Guards against quadratic loading, validation, path resolution, power traces and rendering.
 
 Rings and star trees are generated here with the standard library from the
 bundled plant's equipment figures. The timing ratio between a 1000-span and a
@@ -17,7 +17,14 @@ import pytest
 from fiberplan.data import sleman_path
 from fiberplan.model import ring_spans, validate_network
 from fiberplan.netfile import load_network
-from fiberplan.planning import run_plan, run_trace
+from fiberplan.planning import (
+    render_plan_json,
+    render_plan_text,
+    render_trace_json,
+    render_trace_text,
+    run_plan,
+    run_trace,
+)
 from fiberplan.signal_chain import propagate, route_chain
 
 
@@ -111,3 +118,26 @@ def test_load_and_validate_scale_linearly(tmp_path, write):
     _load_and_validate(small)  # warm caches and lazy imports before timing
     ratio = best_of_three(_load_and_validate, large) / best_of_three(_load_and_validate, small)
     assert ratio < 8, f"4x the spans took {ratio:.1f}x the time"
+
+
+
+def _plan(doc) -> tuple:
+    return (run_plan(doc, "gpon-onu-endpoint"),)
+
+
+def _trace(doc) -> tuple:
+    return run_trace(doc, "ring", with_ber=True)
+
+
+@pytest.mark.parametrize(
+    "render, report",
+    [(render_plan_text, _plan), (render_plan_json, _plan), (render_trace_text, _trace), (render_trace_json, _trace)],
+    ids=["plan_text", "plan_json", "trace_text", "trace_json"],
+)
+def test_renderers_scale_linearly(tmp_path, render, report):
+    """Each renderer alone on the report of a 250- and a 1000-span ring: a report built by
+    repeated concatenation, or trimmed over the whole text once per row, is quadratic."""
+    small, large = (report(load_network(write_ring(tmp_path, n))) for n in (250, 1000))
+    render(*small)  # warm caches and lazy imports before timing
+    ratio = best_of_three(render, *large) / best_of_three(render, *small)
+    assert ratio < 8, f"4x the ring took {ratio:.1f}x the time"
