@@ -9,11 +9,10 @@ one on stderr so stdout stays byte-comparable.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import Any, Mapping
 
-from .model import ConfigurationError, DomainError, validate_network
+from .model import POWER_DBM, ConfigurationError, DomainError, check_range, validate_network
 from .netfile import load_network
 from .planning import (
     ValidationFailure,
@@ -125,8 +124,8 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "trace":
-        if args.power is not None and not math.isfinite(args.power):
-            raise DomainError(f"--power must be a finite dBm value, got {args.power!r}")
+        if args.power is not None:
+            check_range("--power", args.power, POWER_DBM, "dBm")  # the range of the tx_power it stands for
         trace, ber = run_trace(load_network(args.network), args.path, input_power=args.power, with_ber=args.ber)
         _emit(render_trace_json(trace, ber) if as_json else render_trace_text(trace, ber), args.out)
         return 0

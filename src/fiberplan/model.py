@@ -119,6 +119,42 @@ class AmplifierKind(str, Enum):
     EDFA = "edfa"
 
 
+# The physical domain of each numeric input, (low, high), written once here and
+# checked where the value is built; README "Network file format" lists them
+# with their units. Both ends are allowed, except that a length, attenuation,
+# spectral width, rise time or responsivity must lie above its low end of 0.
+# With every input bounded, no per-span figure reaches 2**44, below which a
+# double still resolves the 0.01 dB the reports print.
+LENGTH_KM = (0.0, 1e5)
+DRUM_LENGTH_KM = (1e-6, 1e5)
+ATTENUATION_DB_PER_KM = (0.0, 1e3)
+DISPERSION_PS_PER_NM_KM = (0.0, 1e3)
+LOSS_DB = (0.0, 100.0)  # per-element losses, the system margin and the distribution leg
+GAIN_DB = (0.01, 100.0)  # an amplifier's gain and the unit gain sizing uses
+POWER_DBM = (-100.0, 100.0)  # transmit power and receiver sensitivities
+COUNT = (0, 10**6)  # connectors and explicit splices per span
+SPLIT_RATIO = (2, 2**10)
+BIT_RATE_BPS = (1.0, 1e15)
+SPECTRAL_WIDTH_NM = (0.0, 1e3)
+RISE_TIME_PS = (0.0, 1e6)
+RESPONSIVITY_A_PER_W = (0.0, 10.0)
+POPULATION = (0, 10**10)
+RATE = (0.0, 10.0)  # penetrations, operator share and annual growth, per unit
+HORIZON_YEARS = (0, 100)
+
+
+def check_range(what: str, value: Any, domain: tuple[float, float], unit: str = "", above: bool = False) -> None:
+    """Raise a DomainError naming ``what``, ``domain`` and ``value`` unless the value lies in the domain.
+
+    ``above``: the low end itself is excluded. NaN lies in no domain. The value
+    is spelled with ``repr``: ``:g`` cannot format an integer too large for a float.
+    """
+    lo, hi = domain
+    if not (lo < value <= hi if above else lo <= value <= hi):
+        bounds = f"{'(' if above else '['}{lo:g}, {hi:g}]{unit and ' ' + unit}"
+        raise DomainError(f"{what} must be in {bounds}, got {value!r}")
+
+
 @frozen
 class FiberProfile:
     """Per-km properties of a named fiber standard."""
@@ -129,12 +165,10 @@ class FiberProfile:
     drum_length: float  # km of fiber per cable drum
 
     def __post_init__(self) -> None:
-        if not self.attenuation > 0:
-            raise DomainError(f"fiber {self.name!r}: attenuation must be > 0 dB/km")
-        if not self.dispersion >= 0:
-            raise DomainError(f"fiber {self.name!r}: dispersion must be >= 0")
-        if not self.drum_length > 0:
-            raise DomainError(f"fiber {self.name!r}: drum_length must be > 0 km")
+        where = f"fiber {self.name!r}"
+        check_range(f"{where}: attenuation", self.attenuation, ATTENUATION_DB_PER_KM, "dB/km", above=True)
+        check_range(f"{where}: dispersion", self.dispersion, DISPERSION_PS_PER_NM_KM, "ps/(nm km)")
+        check_range(f"{where}: drum_length", self.drum_length, DRUM_LENGTH_KM, "km")
 
 
 @frozen
@@ -149,12 +183,12 @@ class TransceiverProfile:
     responsivity: float  # A/W
 
     def __post_init__(self) -> None:
-        if not self.spectral_width > 0:
-            raise DomainError("transceiver: spectral_width must be > 0 nm")
-        if not (self.tx_rise_time > 0 and self.rx_rise_time > 0):
-            raise DomainError("transceiver: rise times must be > 0 ps")
-        if not self.responsivity > 0:
-            raise DomainError("transceiver: responsivity must be > 0 A/W")
+        check_range("transceiver: tx_power", self.tx_power, POWER_DBM, "dBm")
+        check_range("transceiver: spectral_width", self.spectral_width, SPECTRAL_WIDTH_NM, "nm", above=True)
+        check_range("transceiver: tx_rise_time", self.tx_rise_time, RISE_TIME_PS, "ps", above=True)
+        check_range("transceiver: rx_rise_time", self.rx_rise_time, RISE_TIME_PS, "ps", above=True)
+        check_range("transceiver: rx_sensitivity", self.rx_sensitivity, POWER_DBM, "dBm")
+        check_range("transceiver: responsivity", self.responsivity, RESPONSIVITY_A_PER_W, "A/W", above=True)
 
 
 @frozen
@@ -168,8 +202,7 @@ class ComponentLosses:
 
     def __post_init__(self) -> None:
         for name in ("connector_loss", "splice_loss", "system_margin", "splitter_excess_loss"):
-            if not getattr(self, name) >= 0:
-                raise DomainError(f"losses: {name} must be >= 0 dB")
+            check_range(f"losses: {name}", getattr(self, name), LOSS_DB, "dB")
 
 
 @frozen
@@ -180,8 +213,7 @@ class Amplifier:
     kind: AmplifierKind = AmplifierKind.EDFA
 
     def __post_init__(self) -> None:
-        if not self.gain > 0:
-            raise DomainError("amplifier gain must be > 0 dB")
+        check_range("amplifier gain", self.gain, GAIN_DB, "dB")
 
 
 @frozen
@@ -192,8 +224,9 @@ class Splitter:
 
     def __post_init__(self) -> None:
         n = self.ratio
-        if n < 2 or (n & (n - 1)) != 0:
-            raise DomainError(f"splitter ratio must be a power of two >= 2, got {n}")
+        if not (isinstance(n, int) and SPLIT_RATIO[0] <= n <= SPLIT_RATIO[1]) or n & (n - 1):
+            lo, hi = SPLIT_RATIO
+            raise DomainError(f"splitter ratio must be a power of two in [{lo}, {hi}], got {n!r}")
 
 
 @frozen
@@ -219,12 +252,12 @@ class Span:
             object.__setattr__(self, "amplifiers", tuple(self.amplifiers))
         if self.splitters.__class__ is not tuple:
             object.__setattr__(self, "splitters", tuple(self.splitters))
-        if not self.length > 0:
-            raise DomainError(f"span {self.id!r}: length must be > 0 km")
-        if not self.connectors >= 0:
-            raise DomainError(f"span {self.id!r}: connector count must be >= 0")
-        if self.splices is not None and not self.splices >= 0:
-            raise DomainError(f"span {self.id!r}: splice count must be >= 0")
+        # One inline test, as a span is built once per span of a plant; check_range names the field that failed.
+        if not (LENGTH_KM[0] < self.length <= LENGTH_KM[1] and COUNT[0] <= self.connectors <= COUNT[1]
+                and (self.splices is None or COUNT[0] <= self.splices <= COUNT[1])):
+            check_range(f"span {self.id!r}: length", self.length, LENGTH_KM, "km", above=True)
+            check_range(f"span {self.id!r}: connectors", self.connectors, COUNT)
+            check_range(f"span {self.id!r}: splices", self.splices, COUNT)
         if self.from_node == self.to_node:
             raise DomainError(f"span {self.id!r}: from_node and to_node must differ")
 
@@ -283,7 +316,7 @@ def splice_count(length: float, drum_length: float) -> int:
     """Splices on a run: one per cable-drum boundary plus the two terminating joints.
 
     Computed as ceil(length / drum_length) + 2; raises DomainError when that is
-    beyond the float range.
+    beyond the float range, which a :class:`Span` and its :class:`FiberProfile` cannot reach.
     """
     if length <= 0 or drum_length <= 0:
         raise DomainError("splice_count: length and drum_length must be > 0 km")
@@ -294,16 +327,10 @@ def splice_count(length: float, drum_length: float) -> int:
 
 
 def resolved_splices(span: Span) -> int:
-    """The span's explicit splice count, or the automatic drum-based count.
-
-    Raises DomainError naming the span when the automatic count is beyond the float range.
-    """
+    """The span's explicit splice count, or the automatic drum-based count."""
     if span.splices is not None:
         return span.splices
-    try:
-        return splice_count(span.length, span.fiber.drum_length)
-    except DomainError as exc:
-        raise DomainError(f"span {span.id!r}: {exc}") from None
+    return splice_count(span.length, span.fiber.drum_length)
 
 
 def validate_network(net: Network) -> list[Violation]:

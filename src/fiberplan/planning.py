@@ -17,7 +17,6 @@ from typing import Any, Mapping
 
 from .model import (
     ConfigurationError,
-    DomainError,
     Network,
     Span,
     Violation,
@@ -141,10 +140,7 @@ def run_plan(
     budget = max_allowed_loss(network.transceiver.tx_power, planning_floor)
     plan = amplifier_requirement(path.total, budget, doc.edfa_gain)
 
-    try:
-        inventory_gain = math.fsum(a.gain for span in spans for a in span.amplifiers)
-    except OverflowError:  # fsum of finite gains beyond the float range
-        raise DomainError("amplifier gain of the path beyond the float range") from None
+    inventory_gain = math.fsum(a.gain for span in spans for a in span.amplifiers)
     applied_gain = inventory_gain if as_built else max(inventory_gain, plan.total_gain)
     as_built_power = received_power(
         network.transceiver.tx_power, [path.total, doc.distribution_loss], [inventory_gain]

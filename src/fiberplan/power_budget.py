@@ -73,35 +73,29 @@ def splitter_loss(splitter: Splitter, excess: float = 0.0) -> float:
     return 10.0 * math.log10(splitter.ratio) + excess
 
 
-def span_counts(span: Span) -> tuple[int, float]:
-    """The span's resolved splice count and its trace element count, the sum of its
-    :func:`span_runs` row counts (a float: two counts near the float maximum add up to inf)."""
+def span_counts(span: Span) -> tuple[int, int]:
+    """The span's resolved splice count and its trace element count, the sum of its :func:`span_runs` row counts."""
     splices = resolved_splices(span)
-    return splices, span.connectors + (1.0 + splices + len(span.splitters) + len(span.amplifiers))
+    return splices, span.connectors + 1 + splices + len(span.splitters) + len(span.amplifiers)
 
 
-def span_summary(span: Span, losses: ComponentLosses) -> tuple[LossBreakdown, int, float]:
+def span_summary(span: Span, losses: ComponentLosses) -> tuple[LossBreakdown, int, int]:
     """One span as numbers only, no labels: its loss as a standalone path, then :func:`span_counts`.
 
     Each kind's loss is its unit loss times its count, rounded once as
     connector_loss * connectors is; the splitters are summed exactly one by
-    one, the amplifiers left out and the system margin added.
+    one, the amplifiers left out and the system margin added. The bounds of
+    the span's and the losses' fields keep every figure finite.
     """
     splices, elements = span_counts(span)
-    profile = span.fiber
-    totals = (losses.connector_loss * span.connectors, profile.attenuation * span.length, losses.splice_loss * splices)
-    if math.inf in totals:
-        what = (
-            f"connector loss ({span.connectors:g} x connector_loss {losses.connector_loss:g} dB)",
-            f"fiber loss ({span.length:g} km x attenuation {profile.attenuation:g} dB/km of fiber {profile.name!r})",
-            f"splice loss ({splices:g} x splice_loss {losses.splice_loss:g} dB)",
-        )[totals.index(math.inf)]
-        raise DomainError(f"span {span.id!r}: {what} is beyond the float range")
-    try:
-        splitter_total = math.fsum([splitter_loss(s, losses.splitter_excess_loss) for s in span.splitters])
-    except OverflowError:  # fsum of finite splitter losses beyond the float range
-        raise DomainError(f"span {span.id!r}: splitter loss beyond the float range") from None
-    return LossBreakdown(*totals, splitter_total, losses.system_margin), splices, elements
+    breakdown = LossBreakdown(
+        losses.connector_loss * span.connectors,
+        span.fiber.attenuation * span.length,
+        losses.splice_loss * splices,
+        math.fsum([splitter_loss(s, losses.splitter_excess_loss) for s in span.splitters]),
+        losses.system_margin,
+    )
+    return breakdown, splices, elements
 
 
 def span_loss(span: Span, losses: ComponentLosses) -> LossBreakdown:

@@ -133,7 +133,7 @@ def route_chain(network: Network, spans: Sequence[Span]) -> list[Run]:
     """
     losses, margin = network.losses, network.losses.system_margin
     runs: list[Run] = []
-    elements = float(margin > 0)
+    elements = int(margin > 0)
     for span in spans:
         splices, count = span_counts(span)
         elements += count

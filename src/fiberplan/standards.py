@@ -9,10 +9,9 @@ rise time.
 
 from __future__ import annotations
 
-import math
 from typing import Literal, Mapping
 
-from .model import ConfigurationError, DomainError, LineCode, frozen
+from .model import BIT_RATE_BPS, POWER_DBM, ConfigurationError, LineCode, check_range, frozen
 
 
 @frozen
@@ -26,10 +25,8 @@ class StandardProfile:
     notes: str = ""
 
     def __post_init__(self) -> None:
-        if not self.bit_rate > 0:
-            raise DomainError(f"standard {self.name!r}: bit_rate must be > 0")
-        if not math.isfinite(self.rx_sensitivity):
-            raise DomainError(f"standard {self.name!r}: rx_sensitivity must be finite")
+        check_range(f"standard {self.name!r}: bit_rate", self.bit_rate, BIT_RATE_BPS, "b/s")
+        check_range(f"standard {self.name!r}: rx_sensitivity", self.rx_sensitivity, POWER_DBM, "dBm")
 
 
 @frozen
@@ -64,13 +61,7 @@ class Verdict:
 
 def power_verdict(received: float, profile: StandardProfile) -> Verdict:
     """Judge a received power (dBm) against the profile's sensitivity floor."""
-    verdict = Verdict("received power", received, profile.rx_sensitivity, "dBm", "min")
-    if math.isfinite(received) and not math.isfinite(verdict.margin):  # the subtraction overflowed
-        raise DomainError(
-            f"received power {received:g} dBm against standard {profile.name!r} rx_sensitivity"
-            f" {profile.rx_sensitivity:g} dBm: margin beyond the float range"
-        )
-    return verdict
+    return Verdict("received power", received, profile.rx_sensitivity, "dBm", "min")
 
 
 def risetime_verdict(total_rise: float, ceiling: float, quantity: str = "rise time") -> Verdict:

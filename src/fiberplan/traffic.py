@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .model import DomainError, frozen
+from .model import HORIZON_YEARS, POPULATION, RATE, DomainError, check_range, frozen
 
 
 def round_half_toward_zero(x: float) -> int:
@@ -32,13 +32,10 @@ class TrafficInput:
     horizon: int  # years projected beyond the base year
 
     def __post_init__(self) -> None:
-        if not self.population >= 0:
-            raise DomainError("population must be >= 0")
+        check_range("population", self.population, POPULATION)
         for name in ("cellular_penetration", "operator_share", "lte_penetration", "annual_growth"):
-            if not getattr(self, name) >= 0:
-                raise DomainError(f"{name} must be >= 0")
-        if not self.horizon >= 0:
-            raise DomainError("horizon must be >= 0 years")
+            check_range(name, getattr(self, name), RATE)
+        check_range("horizon", self.horizon, HORIZON_YEARS, "years")
 
 
 @frozen
@@ -51,24 +48,21 @@ class TrafficForecast:
     projected_subscribers: int
 
 
-def _subscribers(x: float, what: str) -> int:
-    """``x`` rounded to whole subscribers; DomainError naming ``what`` if it overflowed."""
-    if x == math.inf:
-        raise DomainError(f"{what} beyond the float range")
-    return round_half_toward_zero(x)
-
-
 def project_growth(base: int, rate: float, years: int) -> int:
     """Compound ``base`` by ``rate`` annually for ``years`` years and round.
 
     Expects base >= 0, years >= 0. Raises DomainError when the projection is
-    beyond the float range.
+    beyond the float range, which the bounds of :class:`TrafficInput` keep
+    :func:`forecast_subscribers` from reaching.
     """
     try:
         grown = base * (1.0 + rate) ** years
     except OverflowError:
         grown = math.inf
-    return _subscribers(grown, f"projected subscribers (annual_growth {rate:g}, horizon {years} years)")
+    if grown == math.inf:
+        what = f"projected subscribers (annual_growth {rate:g}, horizon {years} years)"
+        raise DomainError(f"{what} beyond the float range")
+    return round_half_toward_zero(grown)
 
 
 def forecast_subscribers(inputs: TrafficInput) -> TrafficForecast:
@@ -76,14 +70,11 @@ def forecast_subscribers(inputs: TrafficInput) -> TrafficForecast:
 
     population -> mobile subscribers -> operator subscribers -> LTE
     subscribers, each stage rounded before feeding the next; the projection
-    compounds annual growth on the LTE stage. Raises DomainError naming the
-    inputs of a stage that is beyond the float range.
+    compounds annual growth on the LTE stage.
     """
-    mobile = _subscribers(
-        inputs.population * inputs.cellular_penetration, "mobile subscribers (population x cellular_penetration)"
-    )
-    operator = _subscribers(mobile * inputs.operator_share, "operator subscribers (x operator_share)")
-    lte = _subscribers(operator * inputs.lte_penetration, "lte subscribers (x lte_penetration)")
+    mobile = round_half_toward_zero(inputs.population * inputs.cellular_penetration)
+    operator = round_half_toward_zero(mobile * inputs.operator_share)
+    lte = round_half_toward_zero(operator * inputs.lte_penetration)
     projected = project_growth(lte, inputs.annual_growth, inputs.horizon)
     return TrafficForecast(
         mobile_subscribers=mobile,

@@ -212,72 +212,106 @@ def assert_one_error_line(capsys, argv, *fragments):
         assert fragment in lines[0]
 
 
+# Each row: how to break the Sleman file (None: leave it as shipped), the command, a fragment of
+# the one error line, and for a row whose error moved from an after-the-fact float-range guard
+# to a field's physical range, the message it pinned before; such a row keeps the id that
+# message gave it, so its results compare with earlier runs.
+MALFORMED = [
+    (_set(("spans", 2, "length"), float("nan")), ("plan", *STANDARD),
+     "span '03-pakem-ngemplak'.length: expected a finite number, got nan"),
+    (_set(("fiber_profiles", "g652-backbone", "attenuation"), float("inf")), ("plan", *STANDARD),
+     "fiber_profiles['g652-backbone'].attenuation: expected a finite number, got inf"),
+    (_set(("edfa_gain",), float("nan")), ("plan", *STANDARD), "edfa_gain: expected a finite number"),
+    (_set(("transceiver", "tx_power"), float("nan")), ("trace", "--ber"), "transceiver.tx_power"),
+    (_set(("standards",), {"lab": LAB}), ("plan", "--standard", "lab"), "standards['lab'].bit_rate"),
+    (_set(("spans", 1, "amplifiers"), 5), ("validate",),
+     "span '02-tempel-pakem'.amplifiers: expected a list, got 5"),
+    (_set(("spans", 0, "splitters"), 3), ("validate",),
+     "span '01-seyegan-tempel'.splitters: expected a list, got 3"),
+    (_set(("traffic", "population"), 850221.9), ("forecast",),
+     "traffic.population: expected an integer, got 850221.9"),
+    (_set(("traffic", "horizon"), True), ("forecast",), "traffic.horizon: expected an integer, got True"),
+    (_set(("distribution_loss",), -5), ("plan", *STANDARD), "distribution_loss must be in [0, 100] dB, got -5.0",
+     "distribution_loss: expected a number >= 0, got -5"),
+    (_set(("spans", 0, "connectors"), 10**400), ("plan", *STANDARD),
+     f"span '01-seyegan-tempel': connectors must be in [0, 1e+06], got {10**400}",
+     "span '01-seyegan-tempel'.connectors: expected an integer within the float range"),
+    (_set(("edfa_gain",), 0), ("plan", *STANDARD), "edfa_gain must be in [0.01, 100] dB, got 0.0",
+     "edfa_gain: expected a number > 0, got 0"),
+    (None, ("forecast", "--horizon", "100000"), "horizon must be in [0, 100] years, got 100000",
+     "projected subscribers (annual_growth 0.051, horizon 100000 years) beyond the float range"),
+    (None, ("forecast", "--annual-growth", "1e308"), "annual_growth must be in [0, 10], got 1e+308",
+     "projected subscribers (annual_growth 1e+308, horizon 5"),
+    (None, ("forecast", "--population", "9" * 300, "--cellular-penetration", "1e10"),
+     f"population must be in [0, 1e+10], got {'9' * 300}",
+     "mobile subscribers (population x cellular_penetration) beyond the float range"),
+    (None, ("trace", "--power", "1e308", "--ber"), "--power must be in [-100, 100] dBm, got 1e+308",
+     "power 1e+308 dBm is beyond the float range in watts"),
+    (_set(("spans", 0, "length"), 1e308), ("plan", *STANDARD),
+     "span '01-seyegan-tempel': length must be in (0, 100000] km, got 1e+308",
+     "span '01-seyegan-tempel' (length 1e+308 km): rise time beyond the float range"),
+    (_set(("spans", 0, "length"), 1e308), ("trace",),
+     "span '01-seyegan-tempel': length must be in (0, 100000] km, got 1e+308",
+     "span '01-seyegan-tempel': too many joints to trace: 3.33e+307 splices (length 1e+308 km)"),
+    (_set(("edfa_gain",), 1e-320), ("plan", *STANDARD), "edfa_gain must be in [0.01, 100] dB, got 1e-320",
+     "with edfa_gain 9.99989e-321 dB units is beyond the float range"),
+    (_set(("fiber_profiles", "g652-backbone", "attenuation"), 5e306), ("plan", *STANDARD),
+     "fiber 'g652-backbone': attenuation must be in (0, 1000] dB/km, got 5e+306",
+     "path loss beyond the float range"),
+    (_set(("losses", "connector_loss"), 1e308), ("plan", *STANDARD),
+     "losses: connector_loss must be in [0, 100] dB, got 1e+308",
+     "span '01-seyegan-tempel': connector loss (2 x connector_loss 1e+308 dB) is beyond the float range"),
+    (_set(("losses", "connector_loss"), 1e308), ("trace",), "losses: connector_loss must be in [0, 100] dB, got 1e+308",
+     "power after 'connector' is beyond the float range"),
+    # A 1 mm drum length asks for ten million splices: the trace is refused before it is built.
+    (_set(("fiber_profiles", "g652-backbone", "drum_length"), 1e-6), ("trace", "--format", "json"),
+     "span '01-seyegan-tempel': too many joints to trace: 1.01e+07 splices (length 10.094 km), 2 connectors;"
+     " the path would hold 1.0094e+07 elements, over the cap of 200000"),
+    (_set(("standards",), {"tiny": TINY}), ("plan", "--standard", "tiny", "--format", "json"),
+     "standard 'tiny': bit_rate must be in [1, 1e+15] b/s, got 1e-320",
+     "standards['tiny'].bit_rate: expected a number whose rise-time ceiling is within the float range"),
+    (_all(_set(("transceiver", "tx_power"), 1.5e308), _set(("spans", 1, "amplifiers"), [EDFA_1E308])),
+     ("plan", "--standard", "table2-receiver"), "amplifier gain must be in [0.01, 100] dB, got 1e+308",
+     "received power beyond the float range"),
+    (_set(("spans", 1, "amplifiers"), [EDFA_1E308, EDFA_1E308]), ("plan", *STANDARD),
+     "amplifier gain must be in [0.01, 100] dB, got 1e+308", "amplifier gain of the path beyond the float range"),
+    (_all(_set(("transceiver", "tx_power"), 1e308), _set(("transceiver", "rx_sensitivity"), -1e308)),
+     ("plan", *STANDARD, "--format", "json"), "transceiver: tx_power must be in [-100, 100] dBm, got 1e+308",
+     "loss budget between tx_power 1e+308 dBm and rx_sensitivity -1e+308 dBm is beyond the float range"),
+    (_all(_set(("transceiver", "tx_power"), 1e308), _set(("standards",), {"deaf": DEAF})),
+     ("plan", "--standard", "deaf", "--format", "json"), "transceiver: tx_power must be in [-100, 100] dBm, got 1e+308",
+     "received power 1e+308 dBm against standard 'deaf' rx_sensitivity -1e+308 dBm: margin beyond the float range"),
+    # A drum length near zero would ask for more splices than a float can count.
+    (_set(("fiber_profiles", "g652-backbone", "drum_length"), 1e-320), ("plan", *STANDARD),
+     "fiber 'g652-backbone': drum_length must be in [1e-06, 100000] km, got 1e-320",
+     "span '01-seyegan-tempel': splice count of 10.094 km over 9.99989e-321 km drums is beyond the float range"),
+    (_set(("fiber_profiles", "g652-backbone", "drum_length"), 1e-320), ("trace",),
+     "fiber 'g652-backbone': drum_length must be in [1e-06, 100000] km, got 1e-320",
+     "span '01-seyegan-tempel': splice count of 10.094 km over 9.99989e-321 km drums is beyond the float range"),
+    (_all(_set(("losses", "splitter_excess_loss"), 1e308), _set(("spans", 0, "splitters"), [2, 2])),
+     ("plan", *STANDARD), "losses: splitter_excess_loss must be in [0, 100] dB, got 1e+308",
+     "span '01-seyegan-tempel': splitter loss beyond the float range"),
+    (_set(("losses", "splice_loss"), 1e308), ("plan", *STANDARD),
+     "losses: splice_loss must be in [0, 100] dB, got 1e+308",
+     "span '01-seyegan-tempel': splice loss (6 x splice_loss 1e+308 dB) is beyond the float range"),
+    (_set(("fiber_profiles", "g652-backbone", "attenuation"), 1e307), ("plan", *STANDARD),
+     "fiber 'g652-backbone': attenuation must be in (0, 1000] dB/km, got 1e+307",
+     "span '02-tempel-pakem': fiber loss (18.795 km x attenuation 1e+307 dB/km of fiber 'g652-backbone')"
+     " is beyond the float range"),
+    # Inputs that used to pass: 7e306 EDFAs and -7.67 dBm, a 70-digit forecast, 301-digit trace points.
+    (_set(("losses", "connector_loss"), 1e307), ("plan", *STANDARD),
+     "losses: connector_loss must be in [0, 100] dB, got 1e+307"),
+    (None, ("forecast", "--horizon", "3000"), "horizon must be in [0, 100] years, got 3000"),
+    (None, ("trace", "--power", "1e300"), "--power must be in [-100, 100] dBm, got 1e+300"),
+]
+
+
 @pytest.mark.parametrize(
     "mutate, command, fragment",
     [
-        (_set(("spans", 2, "length"), float("nan")), ("plan", *STANDARD),
-         "span '03-pakem-ngemplak'.length: expected a finite number, got nan"),
-        (_set(("fiber_profiles", "g652-backbone", "attenuation"), float("inf")), ("plan", *STANDARD),
-         "fiber_profiles['g652-backbone'].attenuation: expected a finite number, got inf"),
-        (_set(("edfa_gain",), float("nan")), ("plan", *STANDARD), "edfa_gain: expected a finite number"),
-        (_set(("transceiver", "tx_power"), float("nan")), ("trace", "--ber"), "transceiver.tx_power"),
-        (_set(("standards",), {"lab": LAB}), ("plan", "--standard", "lab"), "standards['lab'].bit_rate"),
-        (_set(("spans", 1, "amplifiers"), 5), ("validate",),
-         "span '02-tempel-pakem'.amplifiers: expected a list, got 5"),
-        (_set(("spans", 0, "splitters"), 3), ("validate",),
-         "span '01-seyegan-tempel'.splitters: expected a list, got 3"),
-        (_set(("traffic", "population"), 850221.9), ("forecast",),
-         "traffic.population: expected an integer, got 850221.9"),
-        (_set(("traffic", "horizon"), True), ("forecast",), "traffic.horizon: expected an integer, got True"),
-        (_set(("distribution_loss",), -5), ("plan", *STANDARD), "distribution_loss: expected a number >= 0, got -5"),
-        (_set(("spans", 0, "connectors"), 10**400), ("plan", *STANDARD),
-         "span '01-seyegan-tempel'.connectors: expected an integer within the float range"),
-        (_set(("edfa_gain",), 0), ("plan", *STANDARD), "edfa_gain: expected a number > 0, got 0"),
-        # Values whose results are beyond the float range.
-        (None, ("forecast", "--horizon", "100000"),
-         "projected subscribers (annual_growth 0.051, horizon 100000 years) beyond the float range"),
-        (None, ("forecast", "--annual-growth", "1e308"), "projected subscribers (annual_growth 1e+308, horizon 5"),
-        (None, ("forecast", "--population", "9" * 300, "--cellular-penetration", "1e10"),
-         "mobile subscribers (population x cellular_penetration) beyond the float range"),
-        (None, ("trace", "--power", "1e308", "--ber"), "power 1e+308 dBm is beyond the float range in watts"),
-        (_set(("spans", 0, "length"), 1e308), ("plan", *STANDARD),
-         "span '01-seyegan-tempel' (length 1e+308 km): rise time beyond the float range"),
-        (_set(("spans", 0, "length"), 1e308), ("trace",),
-         "span '01-seyegan-tempel': too many joints to trace: 3.33e+307 splices (length 1e+308 km)"),
-        (_set(("edfa_gain",), 1e-320), ("plan", *STANDARD), "with edfa_gain 9.99989e-321 dB units is beyond the float range"),
-        (_set(("fiber_profiles", "g652-backbone", "attenuation"), 5e306), ("plan", *STANDARD),
-         "path loss beyond the float range"),
-        (_set(("losses", "connector_loss"), 1e308), ("plan", *STANDARD),
-         "span '01-seyegan-tempel': connector loss (2 x connector_loss 1e+308 dB) is beyond the float range"),
-        (_set(("losses", "connector_loss"), 1e308), ("trace",), "power after 'connector' is beyond the float range"),
-        # A 1 mm drum length asks for ten million splices: the trace is refused before it is built.
-        (_set(("fiber_profiles", "g652-backbone", "drum_length"), 1e-6), ("trace", "--format", "json"),
-         "span '01-seyegan-tempel': too many joints to trace: 1.01e+07 splices (length 10.094 km), 2 connectors;"
-         " the path would hold 1.0094e+07 elements, over the cap of 200000"),
-        (_set(("standards",), {"tiny": TINY}), ("plan", "--standard", "tiny", "--format", "json"),
-         "standards['tiny'].bit_rate: expected a number whose rise-time ceiling is within the float range"),
-        (_all(_set(("transceiver", "tx_power"), 1.5e308), _set(("spans", 1, "amplifiers"), [EDFA_1E308])),
-         ("plan", "--standard", "table2-receiver"), "received power beyond the float range"),
-        (_set(("spans", 1, "amplifiers"), [EDFA_1E308, EDFA_1E308]), ("plan", *STANDARD),
-         "amplifier gain of the path beyond the float range"),
-        (_all(_set(("transceiver", "tx_power"), 1e308), _set(("transceiver", "rx_sensitivity"), -1e308)),
-         ("plan", *STANDARD, "--format", "json"),
-         "loss budget between tx_power 1e+308 dBm and rx_sensitivity -1e+308 dBm is beyond the float range"),
-        (_all(_set(("transceiver", "tx_power"), 1e308), _set(("standards",), {"deaf": DEAF})),
-         ("plan", "--standard", "deaf", "--format", "json"),
-         "received power 1e+308 dBm against standard 'deaf' rx_sensitivity -1e+308 dBm: margin beyond the float range"),
-        # A drum length near zero asks for more splices than a float can count.
-        (_set(("fiber_profiles", "g652-backbone", "drum_length"), 1e-320), ("plan", *STANDARD),
-         "span '01-seyegan-tempel': splice count of 10.094 km over 9.99989e-321 km drums is beyond the float range"),
-        (_set(("fiber_profiles", "g652-backbone", "drum_length"), 1e-320), ("trace",),
-         "span '01-seyegan-tempel': splice count of 10.094 km over 9.99989e-321 km drums is beyond the float range"),
-        (_all(_set(("losses", "splitter_excess_loss"), 1e308), _set(("spans", 0, "splitters"), [2, 2])),
-         ("plan", *STANDARD), "span '01-seyegan-tempel': splitter loss beyond the float range"),
-        (_set(("losses", "splice_loss"), 1e308), ("plan", *STANDARD),
-         "span '01-seyegan-tempel': splice loss (6 x splice_loss 1e+308 dB) is beyond the float range"),
-        (_set(("fiber_profiles", "g652-backbone", "attenuation"), 1e307), ("plan", *STANDARD),
-         "span '02-tempel-pakem': fiber loss (18.795 km x attenuation 1e+307 dB/km of fiber 'g652-backbone')"
-         " is beyond the float range"),
+        pytest.param(mutate, command, fragment, id=f"{'mutate' if mutate else None}-command{i}-{was[0]}")
+        if was else (mutate, command, fragment)
+        for i, (mutate, command, fragment, *was) in enumerate(MALFORMED)
     ],
 )
 def test_malformed_values_exit_two(capsys, write_network, mutate, command, fragment):

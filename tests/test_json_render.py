@@ -28,7 +28,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fiberplan.data import sleman_path
 from fiberplan.model import ConfigurationError, DomainError, validate_network
-from fiberplan.netfile import NetworkDocument, parse_network
+from fiberplan.netfile import NetworkDocument, NetworkFileError, parse_network
 from fiberplan.planning import (
     PlanReport,
     SpanResult,
@@ -213,7 +213,7 @@ PAIR = _plant(
     [_span("s1", "west", "east", 10.0), _span("s2", "east", "west", 50.0)],
 )
 
-# An absurd transmitter and receiver: the loss budget and a verdict margin would be inf.
+# An absurd transmitter and receiver, outside the dBm range: the loss budget and a verdict margin would be inf.
 HUGE = copy.deepcopy(SLEMAN)
 HUGE["transceiver"].update(tx_power=1e308, rx_sensitivity=-1e308)
 HUGE["standards"] = {"deaf": {"bit_rate": 1e9, "line_code": "nrz", "rx_sensitivity": -1e308}}
@@ -316,8 +316,8 @@ def test_fixtures_reach_the_cases_they_are_for():
 
 
 def test_non_finite_plan_values_are_spelled_as_json_dumps_spells_them():
-    with pytest.raises(DomainError, match="loss budget .* beyond the float range"):
-        run_plan(parse_network(copy.deepcopy(HUGE)), "deaf")  # run_plan no longer reports them
+    with pytest.raises(NetworkFileError, match=r"^transceiver: tx_power must be in \[-100, 100\] dBm, got 1e\+308$"):
+        parse_network(copy.deepcopy(HUGE))  # no plant file reaches them
     report = run_plan(parse_network(copy.deepcopy(SLEMAN)), ONU)
     fields = {name: getattr(report, name) for name in report._fields}
     deaf = Verdict("received power", 1e308, -1e308, "dBm", "min")
@@ -347,10 +347,10 @@ def test_broken_plants_list_their_violations():
     [
         TrafficInput(population=0, cellular_penetration=0.0, operator_share=0.0,
                      lte_penetration=0.0, annual_growth=0.0, horizon=0),
-        TrafficInput(population=10**9, cellular_penetration=1.5, operator_share=0.42,
-                     lte_penetration=0.2, annual_growth=math.inf, horizon=0),
+        TrafficInput(population=10**10, cellular_penetration=10.0, operator_share=10.0,
+                     lte_penetration=10.0, annual_growth=10.0, horizon=100),
     ],
-    ids=["zeros", "infinite-growth-no-horizon"],
+    ids=["zeros", "every-input-at-its-top"],
 )
 def test_forecast_edge_values(inputs):
     forecast = forecast_subscribers(inputs)

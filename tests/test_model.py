@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fiberplan import model
 from fiberplan.model import (
     Amplifier,
     ComponentLosses,
@@ -26,6 +28,7 @@ from fiberplan.model import (
     splice_count,
     validate_network,
 )
+from fiberplan.netfile import NetworkDocument
 from fiberplan.power_budget import AmplifierPlan, LossBreakdown
 from fiberplan.signal_chain import BerEstimate
 from fiberplan.standards import StandardProfile
@@ -71,11 +74,11 @@ class TestInvariants:
         with pytest.raises(DomainError):
             Amplifier(gain=0.0)
 
-    @pytest.mark.parametrize("ratio", [2, 4, 8, 64])
+    @pytest.mark.parametrize("ratio", [2, 4, 8, 64, 2**10])
     def test_splitter_accepts_powers_of_two(self, ratio):
         assert Splitter(ratio=ratio).ratio == ratio
 
-    @pytest.mark.parametrize("ratio", [0, 1, 3, 6, 12, -4])
+    @pytest.mark.parametrize("ratio", [0, 1, 3, 6, 12, -4, 8.0, 2**11])
     def test_splitter_rejects_other_ratios(self, ratio):
         with pytest.raises(DomainError):
             Splitter(ratio=ratio)
@@ -109,11 +112,12 @@ VALID = {
         lte_penetration=0.2, annual_growth=0.05, horizon=5,
     ),
     BerEstimate: dict(q_factor=6.0, ber=1e-9),
+    NetworkDocument: dict(network=make_ring(["a", "b", "c"]), standards={}, distribution_loss=16.67, edfa_gain=20.0),
 }
 CHECKED = [
     (FiberProfile, "attenuation"), (FiberProfile, "dispersion"), (FiberProfile, "drum_length"),
-    (TransceiverProfile, "spectral_width"), (TransceiverProfile, "tx_rise_time"),
-    (TransceiverProfile, "rx_rise_time"), (TransceiverProfile, "responsivity"),
+    (TransceiverProfile, "tx_power"), (TransceiverProfile, "spectral_width"), (TransceiverProfile, "tx_rise_time"),
+    (TransceiverProfile, "rx_rise_time"), (TransceiverProfile, "rx_sensitivity"), (TransceiverProfile, "responsivity"),
     (ComponentLosses, "connector_loss"), (ComponentLosses, "splice_loss"),
     (ComponentLosses, "system_margin"), (ComponentLosses, "splitter_excess_loss"),
     (Amplifier, "gain"),
@@ -124,6 +128,7 @@ CHECKED = [
     (TrafficInput, "population"), (TrafficInput, "cellular_penetration"), (TrafficInput, "operator_share"),
     (TrafficInput, "lte_penetration"), (TrafficInput, "annual_growth"), (TrafficInput, "horizon"),
     (BerEstimate, "ber"),
+    (NetworkDocument, "distribution_loss"), (NetworkDocument, "edfa_gain"),
 ]
 
 
@@ -138,6 +143,49 @@ def test_nan_fails_the_domain_check(cls, field):
         cls(**{**VALID[cls], field: math.nan})
 
 
+# Every field with a physical range: (class, field, range, whether the low end itself is excluded).
+BOUNDED = [
+    (FiberProfile, "attenuation", model.ATTENUATION_DB_PER_KM, True),
+    (FiberProfile, "dispersion", model.DISPERSION_PS_PER_NM_KM, False),
+    (FiberProfile, "drum_length", model.DRUM_LENGTH_KM, False),
+    (TransceiverProfile, "tx_power", model.POWER_DBM, False),
+    (TransceiverProfile, "spectral_width", model.SPECTRAL_WIDTH_NM, True),
+    (TransceiverProfile, "tx_rise_time", model.RISE_TIME_PS, True),
+    (TransceiverProfile, "rx_rise_time", model.RISE_TIME_PS, True),
+    (TransceiverProfile, "rx_sensitivity", model.POWER_DBM, False),
+    (TransceiverProfile, "responsivity", model.RESPONSIVITY_A_PER_W, True),
+    *((ComponentLosses, name, model.LOSS_DB, False)
+      for name in ("connector_loss", "splice_loss", "system_margin", "splitter_excess_loss")),
+    (Amplifier, "gain", model.GAIN_DB, False),
+    (Span, "length", model.LENGTH_KM, True),
+    (Span, "connectors", model.COUNT, False),
+    (Span, "splices", model.COUNT, False),
+    (StandardProfile, "bit_rate", model.BIT_RATE_BPS, False),
+    (StandardProfile, "rx_sensitivity", model.POWER_DBM, False),
+    (TrafficInput, "population", model.POPULATION, False),
+    *((TrafficInput, name, model.RATE, False)
+      for name in ("cellular_penetration", "operator_share", "lte_penetration", "annual_growth")),
+    (TrafficInput, "horizon", model.HORIZON_YEARS, False),
+    (NetworkDocument, "distribution_loss", model.LOSS_DB, False),
+    (NetworkDocument, "edfa_gain", model.GAIN_DB, False),
+]
+
+
+@pytest.mark.parametrize("cls, field, domain, above", BOUNDED, ids=[f"{c.__name__}.{f}" for c, f, *_ in BOUNDED])
+def test_each_end_of_a_range_constructs_and_one_step_beyond_fails(cls, field, domain, above):
+    lo, hi = domain
+    if isinstance(lo, int):  # a count: the next integer is one step
+        inside, beyond = (lo, hi), (lo - 1, hi + 1)
+    else:
+        inside = (math.nextafter(lo, math.inf) if above else lo, hi)
+        beyond = (lo if above else math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf))
+    for value in inside:
+        assert getattr(cls(**{**VALID[cls], field: value}), field) == value
+    for value in beyond:
+        with pytest.raises(DomainError, match=rf"\b{field} must be in .*, got {re.escape(repr(value))}$"):
+            cls(**{**VALID[cls], field: value})
+
+
 class TestSpliceCount:
     def test_drum_boundary_counts_on_long_runs(self):
         assert splice_count(18.8, 3.0) == 9
@@ -145,6 +193,11 @@ class TestSpliceCount:
 
     def test_single_drum_has_three_joints(self):
         assert splice_count(3.0, 3.0) == 3
+
+    def test_count_beyond_the_float_range_is_a_domain_error(self):
+        # Raw floats from a library caller; a span is at most 1e5 km and a drum at least 1e-6 km.
+        with pytest.raises(DomainError, match=r"^splice count of 1e\+308 km over 0\.5 km drums is beyond the float range"):
+            splice_count(1e308, 0.5)
 
     def test_rejects_nonpositive_inputs(self):
         with pytest.raises(DomainError):

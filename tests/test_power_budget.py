@@ -10,6 +10,7 @@ from fiberplan.power_budget import (
     AmplifierPlan,
     LossBreakdown,
     amplifier_requirement,
+    combine_span_losses,
     max_allowed_loss,
     path_loss,
     received_power,
@@ -242,6 +243,12 @@ class TestBudgetChain:
     def test_zero_budget(self):
         assert max_allowed_loss(0.0, 0.0) == 0.0
 
+    def test_budget_beyond_the_float_range_is_a_domain_error(self):
+        # Raw floats from a library caller; a transceiver's dBm fields are bounded.
+        with pytest.raises(DomainError, match=r"^loss budget between tx_power 1e\+308 dBm and rx_sensitivity -1e\+308 dBm"
+                                              r" is beyond the float range$"):
+            max_allowed_loss(1e308, -1e308)
+
 
 class TestAmplifierRequirement:
     def test_worked_sizing(self):
@@ -306,6 +313,11 @@ class TestReceivedPower:
     def test_single_loss(self):
         assert received_power(10.0, [2.35]) == pytest.approx(7.65)
 
+    def test_sum_beyond_the_float_range_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="^received power beyond the float range$"):
+            received_power(1.5e308, [], [1e308])
+        assert received_power(1.5e308, [1e308], [1e308]) == 1.5e308  # only the exact sum counts
+
     @given(
         tx=st.floats(min_value=-10.0, max_value=15.0),
         losses=st.lists(loss_values, max_size=8),
@@ -319,6 +331,11 @@ class TestReceivedPower:
 
 
 class TestPathLoss:
+    def test_combined_loss_beyond_the_float_range_is_a_domain_error(self):
+        part = LossBreakdown(connector_total=1e308, fiber_total=0.0, splice_total=0.0, splitter_total=0.0, margin=0.0)
+        with pytest.raises(DomainError, match="^path loss beyond the float range$"):
+            combine_span_losses([part, part], 3.0)
+
     def test_margin_applied_once_across_the_ring(self, sleman_doc):
         net = sleman_doc.network
         combined = path_loss(net.spans, net.losses)

@@ -4,6 +4,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -32,7 +33,7 @@ from fiberplan.signal_chain import (
     propagate,
     route_chain,
 )
-from fiberplan.units import watts_to_dbm
+from fiberplan.units import dbm_to_watts, watts_to_dbm
 
 from conftest import LOSSES, TRANSCEIVER, make_ring, make_span
 
@@ -163,13 +164,15 @@ class TestPropagateMatchesPrefixFsum:
         def magnitude():
             return 10.0 ** rng.uniform(-12.0, 4.0)
 
-        losses = ComponentLosses(
+        # Plain holders, not ComponentLosses and FiberProfile: the magnitudes reach past those
+        # classes' physical ranges, and propagate takes any finite row effects.
+        losses = SimpleNamespace(
             connector_loss=rng.choice([0.0, magnitude()]),
             splice_loss=magnitude(),
             system_margin=0.0,
             splitter_excess_loss=rng.choice([0.0, magnitude()]),
         )
-        profile = FiberProfile(name="f", attenuation=magnitude(), dispersion=3.5, drum_length=3.0)
+        profile = SimpleNamespace(name="f", attenuation=magnitude(), dispersion=3.5, drum_length=3.0)
         makers = [
             lambda: ("connector", "connector", -losses.connector_loss, rng.randint(0, 4)),
             lambda: ("splice", "splice", -losses.splice_loss, rng.randint(0, 4)),
@@ -274,6 +277,11 @@ class TestElementGain:
 
 
 class TestBer:
+    def test_watts_beyond_the_float_range_are_a_domain_error(self):
+        with pytest.raises(DomainError, match=r"^power 1e\+308 dBm is beyond the float range in watts$"):
+            dbm_to_watts(1e308)
+        assert dbm_to_watts(-math.inf) == 0.0
+
     def test_zero_linear_power_is_a_coin_flip(self):
         estimate = estimate_ber(float("-inf"), responsivity=0.9)
         assert estimate.q_factor == 0.0

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -97,9 +98,11 @@ def test_verdict_at_an_infinite_threshold_compares_the_values(direction):
 
 
 def test_power_margin_beyond_the_float_range_is_a_domain_error():
-    deaf = StandardProfile("deaf", bit_rate=1e9, line_code=LineCode.NRZ, rx_sensitivity=-1e308)
-    with pytest.raises(DomainError, match="margin beyond the float range"):
-        power_verdict(1e308, deaf)
+    # The sensitivity is bounded where the standard is built, so no margin against it overflows.
+    with pytest.raises(DomainError, match=r"^standard 'deaf': rx_sensitivity must be in \[-100, 100\] dBm, got -1e\+308$"):
+        StandardProfile("deaf", bit_rate=1e9, line_code=LineCode.NRZ, rx_sensitivity=-1e308)
+    deaf = StandardProfile("deaf", bit_rate=1e9, line_code=LineCode.NRZ, rx_sensitivity=-100.0)
+    assert power_verdict(sys.float_info.max, deaf).margin == sys.float_info.max
     lost = power_verdict(-math.inf, deaf)  # no light at all is a failing verdict, not an error
     assert not lost.passed and lost.margin == -math.inf
 
