@@ -33,10 +33,11 @@ _C = TypeVar("_C", bound=type)
 def frozen(cls: _C) -> _C:
     """Rebuild ``cls`` as an immutable, slotted value class over its annotated fields.
 
-    The fields are the class's own annotations, in order; a class attribute of
-    the same name is the field's default. The new class's ``__slots__`` are the
-    fields, then any names the class body lists in its own ``__slots__`` for
-    state that is not a field; instances have no ``__dict__``. The generated
+    The fields are the class's own annotations, in order (``_fields``); a class
+    attribute of the same name is the field's default (``_defaults``, by name).
+    The new class's ``__slots__`` are the fields, then any names the class body
+    lists in its own ``__slots__`` for state that is not a field; instances
+    have no ``__dict__``. The generated
     ``__init__`` takes the fields positionally or by keyword, stores each one
     through its slot and then calls ``__post_init__`` if the class has one;
     that method checks the values and may normalize a field, or fill a
@@ -54,6 +55,7 @@ def frozen(cls: _C) -> _C:
     body.update(
         __slots__=names + extra,
         _fields=names,
+        _defaults=defaults,
         # attrgetter yields the bare value for one name and a tuple for several.
         _values=attrgetter(*names) if names else staticmethod(lambda obj: ()),
         __eq__=_frozen_eq,
@@ -139,7 +141,8 @@ SPECTRAL_WIDTH_NM = (0.0, 1e3)
 RISE_TIME_PS = (0.0, 1e6)
 RESPONSIVITY_A_PER_W = (0.0, 10.0)
 POPULATION = (0, 10**10)
-RATE = (0.0, 10.0)  # penetrations, operator share and annual growth, per unit
+RATE = (0.0, 10.0)  # cellular penetration and annual growth, per unit
+FRACTION = (0.0, 1.0)  # operator share and LTE penetration, parts of a whole
 HORIZON_YEARS = (0, 100)
 
 

@@ -4,7 +4,10 @@ Top-level keys: ``nodes``, ``spans``, ``topology``, ``fiber_profiles``,
 ``transceiver``, ``losses``; optional ``standards`` (custom compliance
 profiles), ``traffic`` (forecast inputs), ``distribution_loss`` (dB for the
 downstream distribution leg), ``edfa_gain`` (dB unit gain used when sizing
-amplifiers), ``head`` (tree root) and ``notes``.
+amplifiers), ``head`` (tree root) and ``notes``. The keys of each fiber
+profile, ``transceiver``, ``losses``, amplifier, standard and ``traffic``
+object are the fields of the value class it builds, read by
+:func:`object_reader`; a field with a default may be left out.
 
 Units are fixed by the format: lengths in km, powers in dBm, losses and gains
 in dB, rise times in ps, dispersion in ps/(nm km). A span's ``splices`` key
@@ -24,7 +27,7 @@ from __future__ import annotations
 import json
 from math import inf, isfinite
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence, TypeVar
 
 from .model import (
     GAIN_DB,
@@ -76,14 +79,7 @@ _TOP_KEYS = frozenset({
     "standards", "traffic", "distribution_loss", "edfa_gain", "head", "notes",
 })
 _NODE_KEYS = frozenset({"id", "name"})
-_FIBER_KEYS = frozenset({"attenuation", "dispersion", "drum_length"})
-# Read in this order, so a file missing several names the first of them.
-_TRANSCEIVER_FIELDS = ("responsivity", "rx_rise_time", "rx_sensitivity", "spectral_width", "tx_power", "tx_rise_time")
-_TRANSCEIVER_KEYS = frozenset(_TRANSCEIVER_FIELDS)
-_LOSS_KEYS = frozenset({"connector_loss", "splice_loss", "system_margin", "splitter_excess_loss"})
 _SPAN_KEYS = frozenset({"id", "from", "to", "length", "fiber", "connectors", "splices", "amplifiers", "splitters"})
-_AMPLIFIER_KEYS = frozenset({"gain", "kind"})
-_STANDARD_KEYS = frozenset({"bit_rate", "line_code", "rx_sensitivity", "notes"})
 
 # Each field reader does the lookup, the default, the type check and (for
 # numbers) the finiteness check in one call. The object being read is named by
@@ -140,78 +136,85 @@ def _text(obj: Mapping[str, Any], key: str, where: str, at: tuple[Any, ...] = ()
     raise _field_error(where, at, key, "a string", value)
 
 
-def _list(obj: Mapping[str, Any], key: str, where: str, at: tuple[Any, ...] = ()) -> Sequence[Any]:
-    """An optional list; absent means empty."""
-    value = obj.get(key, ())
-    if isinstance(value, (list, tuple)):
-        return value
-    raise _field_error(where, at, key, "a list", value)
+def _amplifier_kind(obj: Mapping[str, Any], key: str, where: str, at: tuple[Any, ...], default: Any) -> AmplifierKind:
+    value = obj.get(key, default)
+    try:
+        return AmplifierKind(value)
+    except ValueError:
+        raise NetworkFileError(f"{where.format(*at)}: unknown amplifier kind {value!r}") from None
 
 
-def _fiber_profiles(raw: Any) -> dict[str, FiberProfile]:
-    if not isinstance(raw, dict):
-        raise NetworkFileError("'fiber_profiles' must map profile names to objects")
-    profiles: dict[str, FiberProfile] = {}
-    where = "fiber_profiles[{!r}]"
-    for name, body in raw.items():
-        at = (name,)
-        if not isinstance(body, dict):
+def _line_code(obj: Mapping[str, Any], key: str, where: str, at: tuple[Any, ...], default: Any) -> LineCode:
+    code = _text(obj, key, where, at, default)
+    try:
+        return LineCode(code)
+    except ValueError:
+        raise NetworkFileError(f"{where.format(*at)}: line_code must be 'nrz' or 'rz', got {code!r}") from None
+
+
+# The reader of a field, by the annotation its value class declares it with.
+_FIELD_READERS = {
+    "float": _number, "int": _count, "str": _text, "AmplifierKind": _amplifier_kind, "LineCode": _line_code,
+}
+
+_V = TypeVar("_V")
+
+
+def object_reader(
+    cls: type[_V], where: str, given: tuple[str, ...] = (), first: Sequence[str] = ()
+) -> Callable[..., _V]:
+    """A function building ``cls`` from a JSON object whose keys are its fields less ``given``.
+
+    Each field is read by the reader for its annotation, ``first`` first and the
+    rest in field order; an absent key takes the field's default. The caller
+    passes ``given`` by keyword and names the object by ``where`` and ``at``.
+    """
+    keys = frozenset(cls._fields).difference(given)
+    order = [*first, *(name for name in cls._fields if name in keys and name not in first)]
+    readers = [(name, _FIELD_READERS[cls.__annotations__[name]], cls._defaults.get(name, _MISSING)) for name in order]
+
+    def read(raw: Any, at: tuple[Any, ...] = (), **values: Any) -> _V:
+        if not isinstance(raw, dict):
             raise NetworkFileError(f"{where.format(*at)}: expected an object")
-        _reject_unknown(body, _FIBER_KEYS, where, at)
-        profiles[name] = FiberProfile(
-            name=name,
-            attenuation=_number(body, "attenuation", where, at),
-            dispersion=_number(body, "dispersion", where, at),
-            drum_length=_number(body, "drum_length", where, at),
-        )
-    return profiles
+        _reject_unknown(raw, keys, where, at)
+        for name, reader, default in readers:
+            values[name] = reader(raw, name, where, at, default)
+        return cls(**values)
+
+    return read
 
 
-def _transceiver(raw: Any) -> TransceiverProfile:
-    where = "transceiver"
+# These orders pin which fault a file with several is told of: transceiver keys
+# sorted, an amplifier's kind before its gain, a standard's line code before its numbers.
+_read_fiber = object_reader(FiberProfile, "fiber_profiles[{!r}]", given=("name",))
+_read_transceiver = object_reader(TransceiverProfile, "transceiver", first=sorted(TransceiverProfile._fields))
+_read_losses = object_reader(ComponentLosses, "losses")
+_read_amplifier = object_reader(Amplifier, "span {!r}.amplifiers[{}]", first=("kind",))
+_read_standard = object_reader(StandardProfile, "standards[{!r}]", given=("name",), first=("line_code",))
+
+
+def _profiles(raw: Any, key: str, read: Callable[..., _V]) -> dict[str, _V]:
+    """A map of profile names to objects, each built by ``read`` under its name."""
     if not isinstance(raw, dict):
-        raise NetworkFileError(f"{where}: expected an object")
-    _reject_unknown(raw, _TRANSCEIVER_KEYS, where)
-    return TransceiverProfile(**{key: _number(raw, key, where) for key in _TRANSCEIVER_FIELDS})
+        raise NetworkFileError(f"{key!r} must map profile names to objects")
+    return {name: read(body, (name,), name=name) for name, body in raw.items()}
 
 
-def _losses(raw: Any) -> ComponentLosses:
-    where = "losses"
-    if not isinstance(raw, dict):
-        raise NetworkFileError(f"{where}: expected an object")
-    _reject_unknown(raw, _LOSS_KEYS, where)
-    return ComponentLosses(
-        connector_loss=_number(raw, "connector_loss", where),
-        splice_loss=_number(raw, "splice_loss", where),
-        system_margin=_number(raw, "system_margin", where),
-        splitter_excess_loss=_number(raw, "splitter_excess_loss", where, (), 0.0),
-    )
-
-
-def _amplifiers(raw: Sequence[Any], span_id: str) -> tuple[Amplifier, ...]:
-    where = "span {!r}.amplifiers[{}]"
+def _devices(raw: Sequence[Any], span_id: str, key: str, build: Callable[[Any, tuple[str, int]], _V]) -> tuple[_V, ...]:
+    """Each entry of a span's ``key`` list, built by ``build``; a range error names the entry."""
     out = []
-    for i, amp in enumerate(raw):
-        at = (span_id, i)
-        if not isinstance(amp, dict):
-            raise NetworkFileError(f"{where.format(*at)}: expected an object")
-        _reject_unknown(amp, _AMPLIFIER_KEYS, where, at)
-        kind_raw = amp.get("kind", "edfa")
+    for i, item in enumerate(raw):
         try:
-            kind = AmplifierKind(kind_raw)
-        except ValueError:
-            raise NetworkFileError(f"{where.format(*at)}: unknown amplifier kind {kind_raw!r}") from None
-        out.append(Amplifier(gain=_number(amp, "gain", where, at), kind=kind))
+            out.append(build(item, (span_id, i)))
+        except DomainError as exc:
+            raise NetworkFileError(f"span {span_id!r}.{key}[{i}]: {exc}") from exc
     return tuple(out)
 
 
-def _splitters(raw: Sequence[Any], span_id: str) -> tuple[Splitter, ...]:
-    out = []
-    for i, ratio in enumerate(raw):
-        if isinstance(ratio, bool) or not isinstance(ratio, int):
-            raise NetworkFileError(f"span {span_id!r}.splitters[{i}]: expected an integer, got {ratio!r}")
-        out.append(Splitter(ratio=ratio))
-    return tuple(out)
+def _splitter(ratio: Any, at: tuple[str, int]) -> Splitter:
+    if isinstance(ratio, bool) or not isinstance(ratio, int):
+        raise NetworkFileError("span {!r}.splitters[{}]: expected an integer, got {!r}".format(*at, ratio))
+    return Splitter(ratio)
 
 
 def _span(raw: Any, profiles: Mapping[str, FiberProfile]) -> Span:
@@ -242,12 +245,12 @@ def _span(raw: Any, profiles: Mapping[str, FiberProfile]) -> Span:
     # Most spans list neither amplifiers nor splitters; skip the loops for them.
     amplifiers = get("amplifiers", ())
     if not isinstance(amplifiers, (list, tuple)):
-        amplifiers = _list(raw, "amplifiers", where, at)
-    amplifiers = _amplifiers(amplifiers, span_id) if amplifiers else ()
+        raise _field_error(where, at, "amplifiers", "a list", amplifiers)
+    amplifiers = _devices(amplifiers, span_id, "amplifiers", _read_amplifier) if amplifiers else ()
     splitters = get("splitters", ())
     if not isinstance(splitters, (list, tuple)):
-        splitters = _list(raw, "splitters", where, at)
-    splitters = _splitters(splitters, span_id) if splitters else ()
+        raise _field_error(where, at, "splitters", "a list", splitters)
+    splitters = _devices(splitters, span_id, "splitters", _splitter) if splitters else ()
 
     from_node = get("from")
     if from_node.__class__ is not str:
@@ -263,31 +266,6 @@ def _span(raw: Any, profiles: Mapping[str, FiberProfile]) -> Span:
         connectors = _count(raw, "connectors", where, at, 2)
     # Positional, in field order: binding nine keywords made reading a span about 20% slower.
     return Span(span_id, from_node, to_node, length, fiber, connectors, splices, amplifiers, splitters)
-
-
-def _standards(raw: Any) -> dict[str, StandardProfile]:
-    if not isinstance(raw, dict):
-        raise NetworkFileError("'standards' must map profile names to objects")
-    out: dict[str, StandardProfile] = {}
-    where = "standards[{!r}]"
-    for name, body in raw.items():
-        at = (name,)
-        if not isinstance(body, dict):
-            raise NetworkFileError(f"{where.format(*at)}: expected an object")
-        _reject_unknown(body, _STANDARD_KEYS, where, at)
-        code = _text(body, "line_code", where, at)
-        try:
-            line_code = LineCode(code)
-        except ValueError:
-            raise NetworkFileError(f"{where.format(*at)}: line_code must be 'nrz' or 'rz', got {code!r}") from None
-        out[name] = StandardProfile(
-            name=name,
-            bit_rate=_number(body, "bit_rate", where, at),
-            line_code=line_code,
-            rx_sensitivity=_number(body, "rx_sensitivity", where, at),
-            notes=_text(body, "notes", where, at, ""),
-        )
-    return out
 
 
 def _nodes(raw: list[Any]) -> tuple[Node, ...]:
@@ -343,18 +321,18 @@ def parse_network(doc: Mapping[str, Any]) -> NetworkDocument:
         raise NetworkFileError("'spans' must be a list")
 
     try:
-        profiles = _fiber_profiles(_require(doc, "fiber_profiles"))
+        profiles = _profiles(_require(doc, "fiber_profiles"), "fiber_profiles", _read_fiber)
         network = Network(
             nodes=nodes,
             spans=tuple([_span(raw, profiles) for raw in spans_raw]),
             topology=topology,
-            losses=_losses(_require(doc, "losses")),
-            transceiver=_transceiver(_require(doc, "transceiver")),
+            losses=_read_losses(_require(doc, "losses")),
+            transceiver=_read_transceiver(_require(doc, "transceiver")),
             head=head,
         )
         return NetworkDocument(
             network=network,
-            standards=_standards(doc.get("standards", {})),
+            standards=_profiles(doc.get("standards", {}), "standards", _read_standard),
             traffic=traffic,
             distribution_loss=_number(doc, "distribution_loss", "", (), 0.0),
             edfa_gain=_number(doc, "edfa_gain", "", (), DEFAULT_EDFA_GAIN),

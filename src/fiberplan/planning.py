@@ -26,7 +26,7 @@ from .model import (
     spans_along,
     validate_network,
 )
-from .netfile import NetworkDocument, _count, _number, _reject_unknown
+from .netfile import NetworkDocument, object_reader
 from .power_budget import (
     AmplifierPlan,
     LossBreakdown,
@@ -38,7 +38,7 @@ from .power_budget import (
     span_summary,
 )
 from .risetime import RiseTimeReport, max_system_risetime, span_risetime_report
-from .signal_chain import DEFAULT_NOISE_SIGMA, BerEstimate, PowerTrace, estimate_ber, propagate, route_chain
+from .signal_chain import BerEstimate, PowerTrace, estimate_ber, propagate, route_chain
 from .standards import StandardProfile, Verdict, power_verdict, resolve_standard, risetime_verdict
 from .traffic import TrafficForecast, TrafficInput
 
@@ -174,7 +174,6 @@ def run_trace(
     path_spec: str = "ring",
     input_power: float | None = None,
     with_ber: bool = False,
-    noise_sigma: float | None = None,
 ) -> tuple[PowerTrace, BerEstimate | None]:
     """Propagate power along a path of a parsed network document.
 
@@ -188,27 +187,16 @@ def run_trace(
     _, spans = _resolve_path(network, path_spec)
     power = network.transceiver.tx_power if input_power is None else input_power
     trace = propagate(power, route_chain(network, spans))
-    sigma = DEFAULT_NOISE_SIGMA if noise_sigma is None else noise_sigma
-    ber = estimate_ber(trace.final_power, network.transceiver.responsivity, sigma) if with_ber else None
+    ber = estimate_ber(trace.final_power, network.transceiver.responsivity) if with_ber else None
     return trace, ber
 
 
-_TRAFFIC_KEYS = frozenset(TrafficInput._fields)
+_read_traffic = object_reader(TrafficInput, "traffic")
 
 
 def traffic_input_from_mapping(raw: Mapping[str, Any]) -> TrafficInput:
-    """Build forecast inputs from a network file's ``traffic`` object.
-
-    Counts (the ``int`` fields of TrafficInput) must be integers and rates
-    finite numbers; nothing is coerced.
-    """
-    where = "traffic"
-    _reject_unknown(raw, _TRAFFIC_KEYS, where)
-    kinds = TrafficInput.__annotations__
-    return TrafficInput(**{
-        name: _count(raw, name, where) if kinds[name] == "int" else _number(raw, name, where)
-        for name in TrafficInput._fields
-    })
+    """Build forecast inputs from a network file's ``traffic`` object: counts must be integers, rates numbers."""
+    return _read_traffic(raw)
 
 
 # --- rendering -------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .model import HORIZON_YEARS, POPULATION, RATE, DomainError, check_range, frozen
+from .model import FRACTION, HORIZON_YEARS, POPULATION, RATE, DomainError, check_range, frozen
 
 
 def round_half_toward_zero(x: float) -> int:
@@ -33,8 +33,10 @@ class TrafficInput:
 
     def __post_init__(self) -> None:
         check_range("population", self.population, POPULATION)
-        for name in ("cellular_penetration", "operator_share", "lte_penetration", "annual_growth"):
-            check_range(name, getattr(self, name), RATE)
+        check_range("cellular_penetration", self.cellular_penetration, RATE)
+        check_range("operator_share", self.operator_share, FRACTION)
+        check_range("lte_penetration", self.lte_penetration, FRACTION)
+        check_range("annual_growth", self.annual_growth, RATE)
         check_range("horizon", self.horizon, HORIZON_YEARS, "years")
 
 

@@ -44,7 +44,8 @@ LAB = {"bit_rate": 10e9, "line_code": "nrz", "rx_sensitivity": -30.0}
 numbers = st.integers(-8000, 8000).map(lambda k: k / 8)
 counts = st.integers(-3, 1000)
 words = st.sampled_from(["auto", "ring", "tree", "nrz", "rz", "edfa", "", "zz", *NODE_IDS])
-odd = st.sampled_from([math.nan, math.inf, -math.inf, True, None, [], {}, [2], {"gain": 20.0}])
+# Copied on each draw: an edit may append to a drawn list, which must not change the strategy's own.
+odd = st.sampled_from([math.nan, math.inf, -math.inf, True, None, [], {}, [2], {"gain": 20.0}]).map(copy.deepcopy)
 values = st.one_of(numbers, counts, words, odd)
 
 

@@ -347,8 +347,8 @@ def test_broken_plants_list_their_violations():
     [
         TrafficInput(population=0, cellular_penetration=0.0, operator_share=0.0,
                      lte_penetration=0.0, annual_growth=0.0, horizon=0),
-        TrafficInput(population=10**10, cellular_penetration=10.0, operator_share=10.0,
-                     lte_penetration=10.0, annual_growth=10.0, horizon=100),
+        TrafficInput(population=10**10, cellular_penetration=10.0, operator_share=1.0,
+                     lte_penetration=1.0, annual_growth=10.0, horizon=100),
     ],
     ids=["zeros", "every-input-at-its-top"],
 )

@@ -163,8 +163,10 @@ BOUNDED = [
     (StandardProfile, "bit_rate", model.BIT_RATE_BPS, False),
     (StandardProfile, "rx_sensitivity", model.POWER_DBM, False),
     (TrafficInput, "population", model.POPULATION, False),
-    *((TrafficInput, name, model.RATE, False)
-      for name in ("cellular_penetration", "operator_share", "lte_penetration", "annual_growth")),
+    (TrafficInput, "cellular_penetration", model.RATE, False),
+    (TrafficInput, "operator_share", model.FRACTION, False),
+    (TrafficInput, "lte_penetration", model.FRACTION, False),
+    (TrafficInput, "annual_growth", model.RATE, False),
     (TrafficInput, "horizon", model.HORIZON_YEARS, False),
     (NetworkDocument, "distribution_loss", model.LOSS_DB, False),
     (NetworkDocument, "edfa_gain", model.GAIN_DB, False),
@@ -378,6 +380,8 @@ class TestPathResolution:
             (["a", "b", "c"], [("ab", "a", "b"), ("bc", "b", "c"), ("cx", "c", "x")]),  # dangling end
             ([], []),  # no nodes
             (["a", "a", "b"], [("ab", "a", "b"), ("bc", "b", "c"), ("ca", "c", "a")]),  # duplicate id, unknown c
+            # a triangle and a pendant: the walk uses every span but ends at d, not back at a
+            (["a", "b", "c", "d"], [("ab", "a", "b"), ("bc", "b", "c"), ("ca", "c", "a"), ("ad", "a", "d")]),
         ],
     )
     def test_ring_walk_rejects_what_is_not_one_cycle(self, nodes, spans):

@@ -134,9 +134,9 @@ CASES = [
     ([(('spans', 1, 'amplifiers', 0, 'gain'), '20')], NetworkFileError,
      "span '02-tempel-pakem'.amplifiers[0].gain: expected a number, got '20'"),
     ([(('spans', 1, 'amplifiers', 0, 'gain'), 0)], NetworkFileError,
-     'amplifier gain must be in [0.01, 100] dB, got 0.0'),
+     "span '02-tempel-pakem'.amplifiers[0]: amplifier gain must be in [0.01, 100] dB, got 0.0"),
     ([(('spans', 0, 'splitters'), [8, 3])], NetworkFileError,
-     'splitter ratio must be a power of two in [2, 1024], got 3'),
+     "span '01-seyegan-tempel'.splitters[1]: splitter ratio must be a power of two in [2, 1024], got 3"),
     ([(('spans', 0, 'splitters'), ['8'])], NetworkFileError,
      "span '01-seyegan-tempel'.splitters[0]: expected an integer, got '8'"),
     ([(('spans', 0, 'splitters'), [True])], NetworkFileError,
@@ -172,7 +172,7 @@ CASES = [
     ([(('spans', 0, 'amplifiers'), [5]), (('spans', 0, 'splitters'), ['8'])], NetworkFileError,
      "span '01-seyegan-tempel'.amplifiers[0]: expected an object"),
     ([(('spans', 0, 'splitters'), [3, '8'])], NetworkFileError,
-     'splitter ratio must be a power of two in [2, 1024], got 3'),
+     "span '01-seyegan-tempel'.splitters[0]: splitter ratio must be a power of two in [2, 1024], got 3"),
     ([(('spans', 0, 'splitters'), ['8']), (('spans', 0, 'from'), 1)], NetworkFileError,
      "span '01-seyegan-tempel'.splitters[0]: expected an integer, got '8'"),
     ([(('spans', 0, 'from'), 1), (('spans', 0, 'to'), 2)], NetworkFileError,
