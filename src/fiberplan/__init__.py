@@ -1,136 +1,42 @@
 """Fiber-optic network planning: component-graph modeling, power and
 rise-time budgets, amplifier sizing, signal traces with BER estimates,
-standards compliance verdicts, and subscriber forecasting."""
+standards compliance verdicts, and subscriber forecasting.
 
-from .model import (
-    Amplifier,
-    AmplifierKind,
-    ComponentLosses,
-    ConfigurationError,
-    DomainError,
-    FiberProfile,
-    LineCode,
-    Network,
-    Node,
-    Span,
-    Splitter,
-    Topology,
-    TransceiverProfile,
-    Violation,
-    resolved_splices,
-    ring_spans,
-    spans_along,
-    splice_count,
-    validate_network,
-)
-from .netfile import NetworkDocument, NetworkFileError, load_network, parse_network
-from .planning import PlanReport, SpanResult, ValidationFailure, run_plan, run_trace
-from .power_budget import (
-    AmplifierPlan,
-    LossBreakdown,
-    amplifier_requirement,
-    max_allowed_loss,
-    path_loss,
-    received_power,
-    required_input_power,
-    span_loss,
-    span_runs,
-    span_summary,
-    splitter_loss,
-)
-from .risetime import (
-    RiseTimeReport,
-    dispersion_risetime,
-    max_system_risetime,
-    span_risetime_report,
-    total_risetime,
-)
-from .signal_chain import (
-    BerEstimate,
-    PowerTrace,
-    ber_from_q,
-    estimate_ber,
-    propagate,
-    route_chain,
-)
-from .standards import (
-    StandardProfile,
-    Verdict,
-    builtin_profiles,
-    power_verdict,
-    resolve_standard,
-    risetime_verdict,
-)
-from .traffic import (
-    TrafficForecast,
-    TrafficInput,
-    forecast_subscribers,
-    project_growth,
-    round_half_toward_zero,
-)
+The public names load on first use (PEP 562): ``import fiberplan`` imports no
+submodule, so a command line process compiles only the modules it runs.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Amplifier",
-    "AmplifierKind",
-    "AmplifierPlan",
-    "BerEstimate",
-    "ComponentLosses",
-    "ConfigurationError",
-    "DomainError",
-    "FiberProfile",
-    "LineCode",
-    "LossBreakdown",
-    "Network",
-    "NetworkDocument",
-    "NetworkFileError",
-    "Node",
-    "PlanReport",
-    "PowerTrace",
-    "RiseTimeReport",
-    "Span",
-    "SpanResult",
-    "Splitter",
-    "StandardProfile",
-    "Topology",
-    "TrafficForecast",
-    "TrafficInput",
-    "TransceiverProfile",
-    "ValidationFailure",
-    "Verdict",
-    "Violation",
-    "amplifier_requirement",
-    "ber_from_q",
-    "builtin_profiles",
-    "dispersion_risetime",
-    "estimate_ber",
-    "forecast_subscribers",
-    "load_network",
-    "max_allowed_loss",
-    "max_system_risetime",
-    "parse_network",
-    "path_loss",
-    "power_verdict",
-    "project_growth",
-    "propagate",
-    "received_power",
-    "required_input_power",
-    "resolve_standard",
-    "resolved_splices",
-    "ring_spans",
-    "risetime_verdict",
-    "round_half_toward_zero",
-    "route_chain",
-    "run_plan",
-    "run_trace",
-    "span_loss",
-    "span_risetime_report",
-    "span_runs",
-    "span_summary",
-    "spans_along",
-    "splice_count",
-    "splitter_loss",
-    "total_risetime",
-    "validate_network",
-]
+# Each public name, and the module that defines it.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "model": "Amplifier AmplifierKind ComponentLosses ConfigurationError DomainError FiberProfile LineCode"
+        " Network Node Span Splitter Topology TransceiverProfile ValidationFailure Violation resolved_splices"
+        " ring_spans spans_along splice_count validate_network",
+        "netfile": "NetworkDocument NetworkFileError load_network parse_network",
+        "planning": "PlanReport SpanResult run_plan",
+        "power_budget": "AmplifierPlan LossBreakdown amplifier_requirement max_allowed_loss path_loss received_power"
+        " required_input_power span_loss span_runs span_summary splitter_loss",
+        "risetime": "RiseTimeReport dispersion_risetime max_system_risetime span_risetime_report total_risetime",
+        "signal_chain": "BerEstimate PowerTrace ber_from_q estimate_ber propagate route_chain run_trace",
+        "standards": "StandardProfile Verdict builtin_profiles power_verdict resolve_standard risetime_verdict",
+        "traffic": "TrafficForecast TrafficInput forecast_subscribers project_growth round_half_toward_zero",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    if name in _EXPORTS:
+        return getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

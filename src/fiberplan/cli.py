@@ -4,6 +4,12 @@ Exit codes: 0 when the command's checks pass, 1 when a compliance or
 validation check fails, 2 on input errors (unreadable files, schema problems,
 unknown names, bad flags). Reports never embed timestamps; ``--stamp`` emits
 one on stderr so stdout stays byte-comparable.
+
+A process compiles only the modules its command runs, since there may be no
+bytecode cache: ``validate`` and ``forecast`` load the plant reader, the
+validation and forecast code and :mod:`fiberplan.report`; ``plan`` imports
+:mod:`fiberplan.planning` and ``trace`` :mod:`fiberplan.signal_chain` only in
+their own branches, at call time.
 """
 
 from __future__ import annotations
@@ -12,23 +18,16 @@ import argparse
 import sys
 from typing import Any, Mapping
 
-from .model import POWER_DBM, ConfigurationError, DomainError, check_range, validate_network
+from .model import POWER_DBM, ConfigurationError, DomainError, ValidationFailure, check_range, validate_network
 from .netfile import load_network
-from .planning import (
-    ValidationFailure,
+from .report import render_violations_json, render_violations_text
+from .traffic import (
+    TrafficInput,
+    forecast_subscribers,
     render_forecast_json,
     render_forecast_text,
-    render_plan_json,
-    render_plan_text,
-    render_trace_json,
-    render_trace_text,
-    render_violations_json,
-    render_violations_text,
-    run_plan,
-    run_trace,
     traffic_input_from_mapping,
 )
-from .traffic import TrafficInput, forecast_subscribers
 
 # (field, argparse type) per TrafficInput field, in field order: counts parse as int, rates as float.
 _FORECAST_FLAGS = tuple(
@@ -113,6 +112,8 @@ def _run(args: argparse.Namespace) -> int:
         return 0 if not violations else 1
 
     if args.command == "plan":
+        from .planning import render_plan_json, render_plan_text, run_plan
+
         report = run_plan(load_network(args.network), args.standard, args.path, as_built=args.as_built)
         _emit(render_plan_json(report) if as_json else render_plan_text(report), args.out)
         return 0 if report.overall_pass else 1
@@ -126,6 +127,8 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "trace":
         if args.power is not None:
             check_range("--power", args.power, POWER_DBM, "dBm")  # the range of the tx_power it stands for
+        from .signal_chain import render_trace_json, render_trace_text, run_trace
+
         trace, ber = run_trace(load_network(args.network), args.path, input_power=args.power, with_ber=args.ber)
         _emit(render_trace_json(trace, ber) if as_json else render_trace_text(trace, ber), args.out)
         return 0

@@ -315,6 +315,14 @@ class Violation:
     message: str
 
 
+class ValidationFailure(ConfigurationError):
+    """The network file parsed but its structure is invalid."""
+
+    def __init__(self, violations: list[Violation]):
+        self.violations = violations
+        super().__init__(f"network failed validation with {len(violations)} violation(s)")
+
+
 def splice_count(length: float, drum_length: float) -> int:
     """Splices on a run: one per cable-drum boundary plus the two terminating joints.
 
@@ -410,6 +418,13 @@ def validate_network(net: Network) -> list[Violation]:
     return violations
 
 
+def check_valid(net: Network) -> None:
+    """Raise ValidationFailure if the network breaks a structural rule of :func:`validate_network`."""
+    violations = validate_network(net)
+    if violations:
+        raise ValidationFailure(violations)
+
+
 def ring_spans(net: Network) -> tuple[Span, ...]:
     """Spans walking the full cycle from the first node, closing span last.
 
@@ -493,3 +508,15 @@ def spans_along(net: Network, node_ids: Sequence[str]) -> list[Span]:
             raise ConfigurationError(f"no span joins {a!r} and {b!r}")
         path.append(span)
     return path
+
+
+def resolve_path(net: Network, path_spec: str) -> tuple[list[str], tuple[Span, ...]]:
+    """Node ids and spans, in path order, of ``"ring"`` or comma-separated node ids."""
+    spec = path_spec.strip()
+    if spec.lower() == "ring":
+        spans = ring_spans(net)
+        return nodes_along(net.nodes[0].id, spans), spans
+    nodes = [part.strip() for part in spec.split(",") if part.strip()]
+    if len(nodes) < 2:
+        raise ConfigurationError(f"path spec {path_spec!r} needs 'ring' or at least two node ids")
+    return nodes, tuple(spans_along(net, nodes))

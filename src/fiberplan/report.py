@@ -1,0 +1,106 @@
+"""Report spelling shared by every command, and the validate command's report.
+
+dB and dBm print with two decimals, rise times with three, counts as
+integers; the same precision is applied to JSON payloads. Each row of a
+ring-sized table is one C-level %-format of the template for its kind.
+
+JSON is formatted into fixed %-templates, laid out byte for byte as
+json.dumps(payload, indent=2) lays out the same values. That call would run
+CPython's pure-Python encoder (any indent does), slower than building the plan.
+A table's numbers are spelled by :func:`spell` in one %-format: fixed-point digits,
+trimmed to the shortest form json.dumps writes for round(x, n). A table with
+a value that is not a finite float below 1e12 takes the exact path instead,
+repr(round(x, n)), with NaN and Infinity as json.dumps spells them.
+"""
+
+from __future__ import annotations
+
+import math
+from json.encoder import encode_basestring_ascii as _json_str
+from typing import Any
+
+from .model import Violation
+
+
+def db(x: float) -> float:
+    """A dB or dBm value rounded to the two decimals reports show."""
+    return round(x, 2)
+
+
+def number(x: float) -> str:
+    """A JSON number spelled as json.dumps spells it, non-finite values included."""
+    if x - x == 0:
+        return repr(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def numbers(values: tuple[float, ...]) -> tuple[Any, ...]:
+    """Numbers for ``%s`` slots: ``%s`` writes a finite float or an int as json.dumps
+    does; if any value is not finite (so neither is the sum), all go through :func:`number`."""
+    total = sum(values)
+    return values if total - total == 0 else tuple(map(number, values))
+
+
+def spell(values: tuple[float, ...], slots: str) -> list[str]:
+    """How json.dumps spells each value, rounded as its slot in ``slots`` says (see :func:`slots`).
+
+    One %-format writes every value: ``%r``, or ``%.nf`` and n - 1 NUL markers for a
+    value rounded to n = 2 or 3 decimals. Dropping the zeros before a marker that
+    json.dumps would not write, at most n - 1 of them, then the markers, gives exactly
+    repr(round(x, n)): both take their digits from the same correctly rounded dtoa,
+    below 1e12 there are at most 15 significant ones, and a double round-trips 15,
+    so the shortest repr of the rounded value has the same digits. Unless the values
+    are all floats (json.dumps writes an int without a point), finite, and below 1e12
+    in root-sum-square, they are spelled one by one with round() and :func:`number`.
+    """
+    if math.hypot(*values) < 1e12 and {*map(type, values)} == {float}:  # inf and NaN fail the first test
+        return (slots % values).replace("0\0\0", "\0").replace("0\0", "").replace("\0", "").split("\n")
+    # slot[2] is the n of "%.nf".
+    return [number(x if slot == "%r" else round(x, int(slot[2]))) for x, slot in zip(values, slots.split("\n"))]
+
+
+BOOL = ("false", "true")
+
+
+def template(fields: tuple[Any, ...], depth: int = 0) -> str:
+    """An indent-2 JSON object at nesting ``depth`` with one ``%s`` slot per field.
+
+    A field is a key, a ``(key, n)`` pair for a number rounded to n decimals, or
+    a ``(key, fields)`` pair for a nested object.
+    """
+    pad = "  " * (depth + 1)
+    lines = []
+    for key, spec in ((field, 0) if isinstance(field, str) else field for field in fields):
+        lines.append(f'{pad}"{key}": ' + (template(spec, depth + 1) if isinstance(spec, tuple) else "%s"))
+    return "{\n" + ",\n".join(lines) + "\n" + "  " * depth + "}"
+
+
+def slots(fields: tuple[Any, ...]) -> str:
+    """The :func:`spell` slots of the rounded numbers among ``fields`` (see :func:`template`), in order."""
+    return "".join(
+        slots(spec) if isinstance(spec, tuple) else f"%.{spec}f" + "\0" * (spec - 1) + "\n"
+        for _, spec in (field for field in fields if not isinstance(field, str))
+    )
+
+
+def array(items: list[str]) -> str:
+    """Encoded items, each indented two levels, as a JSON array at depth one."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
+def render_violations_text(violations: list[Violation]) -> str:
+    if not violations:
+        return "network is structurally valid\n"
+    lines = [f"{v.element}: {v.rule}: {v.message}" for v in violations]
+    lines.append(f"{len(violations)} violation(s)")
+    return "\n".join(lines) + "\n"
+
+
+_VIOLATION_JSON = "    " + template(("element", "rule", "message"), 2)
+_VIOLATIONS_JSON = template(("valid", "violations")) + "\n"
+
+
+def render_violations_json(violations: list[Violation]) -> str:
+    """The validation result as JSON, byte for byte what json.dumps(indent=2) writes."""
+    items = [_VIOLATION_JSON % (_json_str(v.element), _json_str(v.rule), _json_str(v.message)) for v in violations]
+    return _VIOLATIONS_JSON % (BOOL[not violations], array(items))

@@ -11,16 +11,22 @@ The BER model is a plain Gaussian decision model: photocurrent over a single
 configurable receiver noise sigma gives a Q factor, and
 BER = 0.5 erfc(Q / sqrt(2)). With the default sigma and a 0.9 A/W detector,
 end-of-line powers around -25 to -27 dBm land in the 1e-3..1e-5 BER range.
+
+The trace command lives here too: :func:`run_trace` traces a path of a parsed
+network document, and ``render_trace_*`` report it as text or JSON.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import accumulate
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Sequence
 
-from .model import DomainError, Network, Span, frozen
+from .model import DomainError, Network, Span, check_valid, frozen, resolve_path
+from .netfile import NetworkDocument
 from .power_budget import Run, span_counts, span_runs
+from .report import array, db, number, numbers, slots, spell, template
 from .units import dbm_to_watts
 
 DEFAULT_NOISE_SIGMA = 7e-7  # A; receiver noise current of the Gaussian model
@@ -147,3 +153,53 @@ def route_chain(network: Network, spans: Sequence[Span]) -> list[Run]:
     if margin > 0:
         runs.append(("margin", f"margin {margin:g} dB", -margin, 1))
     return runs
+
+
+def run_trace(
+    doc: NetworkDocument,
+    path_spec: str = "ring",
+    input_power: float | None = None,
+    with_ber: bool = False,
+) -> tuple[PowerTrace, BerEstimate | None]:
+    """Propagate power along a path of a parsed network document.
+
+    ``input_power`` defaults to the plant transceiver's transmit power. With
+    ``with_ber`` the Gaussian-model BER at the final point is appended, using
+    the transceiver's responsivity. Raises ValidationFailure if the network
+    breaks a structural rule.
+    """
+    network = doc.network
+    check_valid(network)
+    _, spans = resolve_path(network, path_spec)
+    power = network.transceiver.tx_power if input_power is None else input_power
+    trace = propagate(power, route_chain(network, spans))
+    ber = estimate_ber(trace.final_power, network.transceiver.responsivity) if with_ber else None
+    return trace, ber
+
+
+def render_trace_text(trace: PowerTrace, ber: BerEstimate | None = None) -> str:
+    distinct = set(trace.labels)  # a few distinct labels repeat
+    width = max(map(len, distinct))
+    padded = {label: f"{label:<{width}}" for label in distinct}
+    lines = list(map("%s  %9.2f dBm".__mod__, zip(map(padded.__getitem__, trace.labels), trace.powers)))
+    if ber is not None:
+        lines.append("")
+        lines.append(f"Q factor at end point: {ber.q_factor:.3f}")
+        lines.append(f"BER estimate: {ber.ber:.3e}")
+    return "\n".join(lines) + "\n"
+
+
+_POINT = ("label", ("power", 2))
+_POINT_JSON, _POINT_SLOTS = "    " + template(_POINT, 2), slots(_POINT)
+_TRACE_JSON = template(("points", "final_power")) + "\n"
+_TRACE_BER_JSON = template(("points", "final_power", ("ber", ("q_factor", "ber")))) + "\n"
+
+
+def render_trace_json(trace: PowerTrace, ber: BerEstimate | None = None) -> str:
+    """The trace as JSON, byte for byte what json.dumps(indent=2) writes."""
+    labels = {label: _json_str(label) for label in set(trace.labels)}  # a few distinct labels repeat
+    spelled = spell(trace.powers, _POINT_SLOTS * len(trace.powers))
+    body = array(list(map(_POINT_JSON.__mod__, zip(map(labels.__getitem__, trace.labels), spelled))))
+    if ber is None:
+        return _TRACE_JSON % (body, number(db(trace.final_power)))
+    return _TRACE_BER_JSON % (body, *numbers((db(trace.final_power), round(ber.q_factor, 3), float(f"{ber.ber:.3e}"))))

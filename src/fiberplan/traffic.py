@@ -4,13 +4,20 @@ compound annual growth.
 Every stage rounds to the nearest whole subscriber with ties toward zero;
 that single rule is applied consistently at each multiplication, and growth
 compounds annually on the final (LTE) stage.
+
+The forecast command lives here too: :func:`traffic_input_from_mapping` reads
+a network file's ``traffic`` object, and ``render_forecast_*`` report the
+forecast as text or JSON.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Any, Mapping
 
 from .model import FRACTION, HORIZON_YEARS, POPULATION, RATE, DomainError, check_range, frozen
+from .netfile import object_reader
+from .report import numbers, template
 
 
 def round_half_toward_zero(x: float) -> int:
@@ -84,3 +91,43 @@ def forecast_subscribers(inputs: TrafficInput) -> TrafficForecast:
         lte_subscribers=lte,
         projected_subscribers=projected,
     )
+
+
+_read_traffic = object_reader(TrafficInput, "traffic")
+
+
+def traffic_input_from_mapping(raw: Mapping[str, Any]) -> TrafficInput:
+    """Build forecast inputs from a network file's ``traffic`` object: counts must be integers, rates numbers."""
+    return _read_traffic(raw)
+
+
+def render_forecast_text(inputs: TrafficInput, forecast: TrafficForecast) -> str:
+    rows = [
+        ("population", inputs.population, ""),
+        ("mobile subscribers", forecast.mobile_subscribers, f"x {inputs.cellular_penetration:g}"),
+        ("operator subscribers", forecast.operator_subscribers, f"x {inputs.operator_share:g}"),
+        ("lte subscribers", forecast.lte_subscribers, f"x {inputs.lte_penetration:g}"),
+        (
+            f"projected ({inputs.horizon} yr)",
+            forecast.projected_subscribers,
+            f"x (1 + {inputs.annual_growth:g})^{inputs.horizon}",
+        ),
+    ]
+    lines = [f"{name:<22} {value:>12,d}  {note}".rstrip() for name, value, note in rows]
+    return "\n".join(lines) + "\n"
+
+
+_FORECAST_JSON = template((
+    ("inputs", ("population", "cellular_penetration", "operator_share", "lte_penetration", "annual_growth",
+                "horizon")),
+    "mobile_subscribers", "operator_subscribers", "lte_subscribers", "projected_subscribers",
+)) + "\n"
+
+
+def render_forecast_json(inputs: TrafficInput, forecast: TrafficForecast) -> str:
+    """The forecast as JSON, byte for byte what json.dumps(indent=2) writes."""
+    return _FORECAST_JSON % numbers((
+        inputs.population, inputs.cellular_penetration, inputs.operator_share, inputs.lte_penetration,
+        inputs.annual_growth, inputs.horizon, forecast.mobile_subscribers, forecast.operator_subscribers,
+        forecast.lte_subscribers, forecast.projected_subscribers,
+    ))

@@ -19,11 +19,11 @@ import pytest
 from fiberplan.data import sleman_path
 from fiberplan.model import Amplifier, AmplifierKind, ComponentLosses, Network, Span, Splitter, Violation
 from fiberplan.netfile import DEFAULT_EDFA_GAIN, NetworkDocument, load_network
-from fiberplan.planning import run_plan, run_trace, traffic_input_from_mapping
+from fiberplan.planning import run_plan
 from fiberplan.risetime import RiseTimeReport
-from fiberplan.signal_chain import PowerTrace
+from fiberplan.signal_chain import PowerTrace, run_trace
 from fiberplan.standards import StandardProfile
-from fiberplan.traffic import forecast_subscribers
+from fiberplan.traffic import forecast_subscribers, traffic_input_from_mapping
 
 from conftest import BACKBONE_FIBER, make_span
 
@@ -184,3 +184,25 @@ def test_importing_the_cli_loads_no_code_generation_modules():
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert result.stdout.strip() == ""
+
+
+VALIDATE_MODULES = ("cli", "model", "netfile", "report", "standards", "traffic")
+LOADED = {  # command: its flags, and the submodules its process loads
+    "import": ("", ()),
+    "validate": ("", VALIDATE_MODULES),
+    "forecast": ("", VALIDATE_MODULES),
+    "plan": ("--standard gpon-onu-endpoint", (*VALIDATE_MODULES, "power_budget", "risetime", "planning")),
+    "trace": ("--ber", (*VALIDATE_MODULES, "power_budget", "units", "signal_chain")),
+}
+
+
+@pytest.mark.parametrize("command", LOADED)
+def test_a_process_loads_only_the_modules_its_command_runs(command):
+    """Start-up guard: with no bytecode cache each module a process loads is compiled first, so
+    ``import fiberplan`` loads no submodule, and only ``plan`` and ``trace`` load their own code."""
+    flags, modules = LOADED[command]
+    run = "" if command == "import" else "import fiberplan.cli; fiberplan.cli.main(sys.argv[1:]); "
+    code = f"import sys, fiberplan; {run}print(*(m for m in sys.modules if m.partition('.')[0] == 'fiberplan'))"
+    argv = [command, "--network", str(sleman_path()), *flags.split()]
+    result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True)
+    assert set(result.stdout.splitlines()[-1].split()) == {"fiberplan", *(f"fiberplan.{m}" for m in modules)}

@@ -1,8 +1,11 @@
-"""Each fiberplan module uses only the public names of the others."""
+"""Each fiberplan module uses only the public names of the others, imports on its own,
+and the package root hands out every public name on first use."""
 
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,11 @@ import fiberplan
 
 PACKAGE = Path(fiberplan.__file__).parent
 MODULES = sorted(PACKAGE.rglob("*.py"))
+
+
+def _dotted(path: Path) -> str:
+    parts = path.relative_to(PACKAGE).with_suffix("").parts
+    return ".".join(("fiberplan", *(part for part in parts if part != "__init__")))
 
 
 def _private_imports(path: Path) -> list[str]:
@@ -37,3 +45,30 @@ def test_the_check_sees_a_private_import(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("from .netfile import NetworkDocument, _number\nfrom fiberplan.model import _frozen_eq\n")
     assert _private_imports(probe) == [".netfile._number", "fiberplan.model._frozen_eq"]
+
+
+# __main__ is left out: importing it runs the command line.
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__main__.py"], ids=_dotted)
+def test_each_module_imports_on_its_own(path):
+    """A fresh interpreter imports the module first, so an import cycle between modules shows."""
+    result = subprocess.run([sys.executable, "-c", f"import {_dotted(path)}"], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+def test_the_root_gives_each_public_name_from_the_module_defining_it():
+    assert len(fiberplan.__all__) == 61
+    for name in fiberplan.__all__:
+        obj = getattr(fiberplan, name)
+        assert obj.__name__ == name and vars(sys.modules[obj.__module__])[name] is obj
+    assert set(fiberplan.__all__) <= set(dir(fiberplan))
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict[str, object] = {}
+    exec("from fiberplan import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == fiberplan.__all__
+
+
+def test_an_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'fiberplan' has no attribute 'no_such_name'"):
+        getattr(fiberplan, "no_such_name")

@@ -1,6 +1,6 @@
 """The template JSON writers against the payload builders and ``json.dumps`` they replaced.
 
-``planning.render_*_json`` format report values straight into fixed indent-2
+The ``render_*_json`` writers format report values straight into fixed indent-2
 templates. The reference below is the earlier code, kept verbatim: build a
 dict per report, then ``json.dumps(payload, indent=2) + "\\n"``. Every case
 asserts the two strings are equal byte for byte: the Sleman golden commands,
@@ -29,23 +29,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from fiberplan.data import sleman_path
 from fiberplan.model import ConfigurationError, DomainError, validate_network
 from fiberplan.netfile import NetworkDocument, NetworkFileError, parse_network
-from fiberplan.planning import (
-    PlanReport,
-    SpanResult,
-    _spell,
-    render_forecast_json,
-    render_plan_json,
-    render_trace_json,
-    render_violations_json,
-    run_plan,
-    run_trace,
-    traffic_input_from_mapping,
-)
+from fiberplan.planning import PlanReport, SpanResult, render_plan_json, run_plan
 from fiberplan.power_budget import LossBreakdown
+from fiberplan.report import render_violations_json, spell
 from fiberplan.risetime import RiseTimeReport
-from fiberplan.signal_chain import PowerTrace
+from fiberplan.signal_chain import PowerTrace, render_trace_json, run_trace
 from fiberplan.standards import Verdict, builtin_profiles
-from fiberplan.traffic import TrafficInput, forecast_subscribers
+from fiberplan.traffic import TrafficInput, forecast_subscribers, render_forecast_json, traffic_input_from_mapping
 
 from test_cli_fuzz import documents
 
@@ -447,14 +437,14 @@ BELOW_1E12 = st.one_of(
 @given(x=BELOW_1E12, n=st.sampled_from([2, 3]))
 def test_fixed_point_spelling_is_the_repr_of_the_rounded_value(x, n):
     # The trailing "" is left by the one %-format, so the fixed-point path spelled it.
-    assert _spell((x,), _slot(n)) == [repr(round(x, n)), ""]
+    assert spell((x,), _slot(n)) == [repr(round(x, n)), ""]
 
 
 @settings(max_examples=500, deadline=None)
 @given(a=BELOW_1E12, b=BELOW_1E12, c=BELOW_1E12)
 def test_mixed_slots_trim_only_their_own_zeros(a, b, c):
     values = (a / 4, b / 4, c / 4)  # root-sum-square below 1e12
-    spelled = _spell(values, "%r\n" + _slot(3) + _slot(2))
+    spelled = spell(values, "%r\n" + _slot(3) + _slot(2))
     assert spelled == [repr(values[0]), repr(round(values[1], 3)), repr(round(values[2], 2)), ""]
 
 
@@ -462,6 +452,6 @@ def test_mixed_slots_trim_only_their_own_zeros(a, b, c):
                                     (math.nan,), (5,), (1.5, 7, 2.25), (0.5, 1e12), (1e-3, math.nan)])
 def test_values_beyond_the_fixed_point_slots_take_the_exact_path(values):
     for n in (2, 3):
-        assert _spell(values, _slot(n) * len(values)) == [json.dumps(round(x, n)) for x in values]
+        assert spell(values, _slot(n) * len(values)) == [json.dumps(round(x, n)) for x in values]
     # Trimmed fixed-point digits would be wrong for these: 1000000000000000.25 for 1000000000000000.2, 5.0 for 5.
     assert ("%.2f" % (1e15 + 0.3), "%.2f" % 5) == ("1000000000000000.25", "5.00")

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from fiberplan.data import sleman_path
 from fiberplan.netfile import NetworkFileError, load_network, parse_network
-from fiberplan.planning import traffic_input_from_mapping
+from fiberplan.traffic import traffic_input_from_mapping
 
 SLEMAN = json.loads(sleman_path().read_text(encoding="utf-8"))
 DROP = object()  # edit value: delete the key instead of setting it

@@ -3,19 +3,11 @@ from __future__ import annotations
 import pytest
 
 from fiberplan import model, power_budget, risetime
-from fiberplan.model import ConfigurationError, ring_spans
+from fiberplan.model import ConfigurationError, ValidationFailure, ring_spans
 from fiberplan.netfile import NetworkFileError, load_network
-from fiberplan.planning import (
-    ValidationFailure,
-    render_forecast_text,
-    render_plan_json,
-    render_plan_text,
-    render_trace_text,
-    run_plan,
-    run_trace,
-    traffic_input_from_mapping,
-)
-from fiberplan.traffic import TrafficInput, forecast_subscribers
+from fiberplan.planning import render_plan_json, render_plan_text, run_plan
+from fiberplan.signal_chain import render_trace_text, run_trace
+from fiberplan.traffic import TrafficInput, forecast_subscribers, render_forecast_text, traffic_input_from_mapping
 
 
 def strip_amplifiers(doc):

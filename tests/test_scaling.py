@@ -17,15 +17,8 @@ import pytest
 from fiberplan.data import sleman_path
 from fiberplan.model import ring_spans, validate_network
 from fiberplan.netfile import load_network
-from fiberplan.planning import (
-    render_plan_json,
-    render_plan_text,
-    render_trace_json,
-    render_trace_text,
-    run_plan,
-    run_trace,
-)
-from fiberplan.signal_chain import propagate, route_chain
+from fiberplan.planning import render_plan_json, render_plan_text, run_plan
+from fiberplan.signal_chain import propagate, render_trace_json, render_trace_text, route_chain, run_trace
 
 
 def write_ring(tmp_path, n: int, seed: int = 1):

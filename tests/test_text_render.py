@@ -1,6 +1,6 @@
 """The text writers against the f-string writers they replaced.
 
-``planning.render_plan_text`` and ``render_trace_text`` format each row of a
+``planning.render_plan_text`` and ``signal_chain.render_trace_text`` format each row of a
 ring-sized table with one ``%``-template. The reference below is the earlier
 code, kept verbatim: one format-spec f-string field per number. Every case
 asserts the two strings are equal byte for byte: the Sleman ring, the golden
@@ -22,10 +22,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fiberplan.model import ConfigurationError, DomainError
 from fiberplan.netfile import load_network, parse_network
-from fiberplan.planning import PlanReport, SpanResult, render_plan_text, render_trace_text, run_plan, run_trace
+from fiberplan.planning import PlanReport, SpanResult, render_plan_text, run_plan
 from fiberplan.power_budget import LossBreakdown
 from fiberplan.risetime import RiseTimeReport, max_system_risetime
-from fiberplan.signal_chain import BerEstimate, PowerTrace
+from fiberplan.signal_chain import BerEstimate, PowerTrace, render_trace_text, run_trace
 from fiberplan.standards import Verdict, builtin_profiles
 
 from test_cli_fuzz import documents
