@@ -7,13 +7,13 @@ at the distribution end point.
 
 from fiberplan import (
     amplifier_requirement,
+    combine_span_losses,
     load_network,
     max_allowed_loss,
-    path_loss,
     received_power,
     required_input_power,
     ring_spans,
-    span_loss,
+    span_summary,
 )
 from fiberplan.data import sleman_path
 
@@ -23,15 +23,16 @@ def main() -> None:
     net = doc.network
 
     print("Per-span losses (each treated as a standalone path):")
+    loss = {span.id: span_summary(span, net.losses)[0] for span in net.spans}
     for span in sorted(net.spans, key=lambda s: s.id):
-        b = span_loss(span, net.losses)
+        b = loss[span.id]
         print(
             f"  {span.id:<20} {span.length:>7.3f} km  "
             f"connectors {b.connector_total:.2f} + fiber {b.fiber_total:.2f} "
             f"+ splices {b.splice_total:.2f} + margin {b.margin:.2f} = {b.total:.2f} dB"
         )
 
-    ring = path_loss(ring_spans(net), net.losses)
+    ring = combine_span_losses([loss[span.id] for span in ring_spans(net)], net.losses.system_margin)
     print(f"\nWhole ring with the margin applied once: {ring.total:.2f} dB")
 
     # The ring must deliver enough power that the distribution leg still

@@ -13,7 +13,7 @@ def main() -> None:
     doc = load_network(sleman_path())
     net = doc.network
 
-    runs = route_chain(net, ring_spans(net))  # (kind, label, dB effect, count) rows
+    runs = route_chain(net, ring_spans(net))  # (kind, dB effect, count, part) rows
     trace = propagate(net.transceiver.tx_power, runs)
 
     print("Ring trace (amplifier points highlighted):")
@@ -21,8 +21,8 @@ def main() -> None:
         marker = " <-- gain" if label.startswith("edfa") else ""
         print(f"  {label:<34} {power:>8.2f} dBm{marker}")
 
-    losses = [-effect for kind, _, effect, count in runs if kind != "amplifier" for _ in range(count)]
-    gains = [effect for kind, _, effect, count in runs if kind == "amplifier" for _ in range(count)]
+    losses = [-effect for kind, effect, count, _ in runs if kind != "amplifier" for _ in range(count)]
+    gains = [effect for kind, effect, count, _ in runs if kind == "amplifier" for _ in range(count)]
     closed_form = received_power(net.transceiver.tx_power, losses, gains)
     print(f"\nFinal point {trace.final_power:.6f} dBm vs closed form {closed_form:.6f} dBm "
           f"(difference {abs(trace.final_power - closed_form):.1e})")

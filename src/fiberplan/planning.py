@@ -93,7 +93,7 @@ def run_plan(
     results: dict[str, SpanResult] = {}
     for span in spans:
         if span.id not in results:
-            loss, splices, _ = span_summary(span, network.losses)
+            loss, splices = span_summary(span, network.losses)
             link = f"{network.node_name(span.from_node)} - {network.node_name(span.to_node)}"
             rise = span_risetime_report(span, network.transceiver, ceiling)
             # Positional, in field order: binding six keywords per row cost about a third of a row's construction.

@@ -1,11 +1,11 @@
 """Itemized span losses, loss budgets, amplifier sizing, and received power.
 
 Sign convention: losses are positive dB magnitudes throughout; received-power
-arithmetic subtracts them. :func:`span_summary` describes a span once, in
-numbers only; plan rows and ``span_loss`` read it, and only a power trace
-builds the labelled rows of :func:`span_runs`. The system margin is a
-path-level allowance, so summing standalone span budgets over a multi-span
-path double-counts it; :func:`combine_span_losses` applies it once.
+arithmetic subtracts them. :func:`span_runs` is the one description of what a
+span is made of, a label-free run table; :func:`span_summary` folds it into a
+span's loss, and a power trace follows it element by element. The system
+margin is a path-level allowance, so summing standalone span budgets over a
+multi-span path double-counts it; :func:`combine_span_losses` applies it once.
 """
 
 from __future__ import annotations
@@ -13,9 +13,10 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .model import ComponentLosses, DomainError, Span, Splitter, frozen, resolved_splices
+from .model import Amplifier, ComponentLosses, DomainError, Span, Splitter, frozen, resolved_splices
 
-Run = tuple[str, str, float, int]  # (kind, label, signed dB effect of one element, count)
+# (kind, signed dB effect of one element, count, part); route_chain's margin row carries the margin as its part
+Run = tuple[str, float, int, Span | Splitter | Amplifier | float | None]
 
 
 @frozen
@@ -73,72 +74,59 @@ def splitter_loss(splitter: Splitter, excess: float = 0.0) -> float:
     return 10.0 * math.log10(splitter.ratio) + excess
 
 
-def span_counts(span: Span) -> tuple[int, int]:
-    """The span's resolved splice count and its trace element count, the sum of its :func:`span_runs` row counts."""
-    splices = resolved_splices(span)
-    return splices, span.connectors + 1 + splices + len(span.splitters) + len(span.amplifiers)
+def span_runs(span: Span, losses: ComponentLosses) -> list[Run]:
+    """What a span is made of, in trace order: the one description of a span.
 
-
-def span_summary(span: Span, losses: ComponentLosses) -> tuple[LossBreakdown, int, int]:
-    """One span as numbers only, no labels: its loss as a standalone path, then :func:`span_counts`.
-
-    Each kind's loss is its unit loss times its count, rounded once as
-    connector_loss * connectors is; the splitters are summed exactly one by
-    one, the amplifiers left out and the system margin added. The bounds of
-    the span's and the losses' fields keep every figure finite.
+    Each row is ``(kind, dB effect of one element, count, part)``: the entry connector,
+    the fiber run, the resolved splices, each splitter, each amplifier, then the remaining
+    connectors at the exit, a few rows however many splices there are. A loss has a
+    negative effect and a count may be 0. ``part`` is what a trace label is made from: the
+    span for the fiber row, the device for a splitter or amplifier row, None for the joints.
     """
-    splices, elements = span_counts(span)
-    breakdown = LossBreakdown(
-        losses.connector_loss * span.connectors,
-        span.fiber.attenuation * span.length,
-        losses.splice_loss * splices,
-        math.fsum([splitter_loss(s, losses.splitter_excess_loss) for s in span.splitters]),
-        losses.system_margin,
-    )
-    return breakdown, splices, elements
-
-
-def span_loss(span: Span, losses: ComponentLosses) -> LossBreakdown:
-    """Itemized loss of one span treated as a standalone path (see :func:`span_summary`)."""
-    return span_summary(span, losses)[0]
-
-
-def span_runs(span: Span, losses: ComponentLosses, splices: int) -> list[Run]:
-    """What a span is made of, in trace order, as a labelled run-length table.
-
-    The entry connector, the fiber run, the ``splices`` splices (as :func:`span_counts`
-    resolves them), each splitter, each amplifier, then the remaining connectors at the
-    exit: a few rows however many splices there are. A loss has a negative effect; a count may be 0.
-    """
-    length, fiber, entry = span.length, span.fiber, min(span.connectors, 1)
-    runs = [
-        ("connector", "connector", -losses.connector_loss, entry),
-        ("fiber", f"fiber {length:g} km ({fiber.name})", -(fiber.attenuation * length), 1),
-        ("splice", "splice", -losses.splice_loss, splices),
+    connector, entry = -losses.connector_loss, min(span.connectors, 1)
+    runs: list[Run] = [
+        ("connector", connector, entry, None),
+        ("fiber", -(span.fiber.attenuation * span.length), 1, span),
+        ("splice", -losses.splice_loss, resolved_splices(span), None),
     ]
     for s in span.splitters:
-        runs.append(("splitter", f"splitter 1x{s.ratio}", -splitter_loss(s, losses.splitter_excess_loss), 1))
+        runs.append(("splitter", -splitter_loss(s, losses.splitter_excess_loss), 1, s))
     for a in span.amplifiers:
-        runs.append(("amplifier", f"{a.kind.value} +{a.gain:g} dB", a.gain, 1))
-    runs.append(("connector", "connector", -losses.connector_loss, span.connectors - entry))
+        runs.append(("amplifier", a.gain, 1, a))
+    runs.append(("connector", connector, span.connectors - entry, None))
     return runs
 
 
-def path_loss(spans: Sequence[Span], losses: ComponentLosses) -> LossBreakdown:
-    """Itemized loss of a multi-span path, applying the system margin once.
+def span_summary(span: Span, losses: ComponentLosses) -> tuple[LossBreakdown, int]:
+    """The :func:`span_runs` rows of a span folded by kind: its loss as a standalone path, and its splice count.
 
-    Equals the sum of the standalone span totals minus (spans - 1) duplicated
-    margins.
+    Each counted kind's loss is its unit loss times its total count, rounded once as
+    connector_loss * connectors is; the splitters are summed exactly one by one, the
+    amplifiers left out and the system margin added. The bounds of the span's and the
+    losses' fields keep every figure finite.
     """
-    return combine_span_losses([span_loss(span, losses) for span in spans], losses.system_margin)
+    connectors = fibers = splices = 0
+    splitters: list[float] = []
+    for kind, effect, count, _ in span_runs(span, losses):
+        if kind == "connector":
+            connector, connectors = effect, connectors + count
+        elif kind == "fiber":
+            fiber, fibers = effect, fibers + count
+        elif kind == "splice":
+            splice, splices = effect, splices + count
+        elif kind == "splitter":
+            splitters += [-effect] * count
+    loss = LossBreakdown(-connector * connectors, -fiber * fibers, -splice * splices, math.fsum(splitters),
+                         losses.system_margin)
+    return loss, splices
 
 
 def combine_span_losses(parts: Sequence[LossBreakdown], system_margin: float) -> LossBreakdown:
-    """Path breakdown from the standalone breakdowns of its spans, in path order.
+    """Path breakdown from the standalone breakdowns of its spans (see :func:`span_summary`), in path order.
 
     Each mechanism is summed exactly; the margin is applied once (none for an
-    empty path). Lets a caller that already holds per-span breakdowns total a
-    path without recomputing them.
+    empty path), so the total is the sum of the standalone span totals minus
+    (spans - 1) duplicated margins.
     """
     try:
         return LossBreakdown(

@@ -1,16 +1,16 @@
 """Analytic signal chain: power traces over run tables and a Q-factor BER model.
 
-:func:`route_chain` lists a path as the labelled run tables of its spans (see
-:func:`fiberplan.power_budget.span_runs`, built only here) and one margin row; :func:`propagate`
-expands the rows into one trace point per element. The final point agrees
-exactly with :func:`fiberplan.power_budget.received_power` over the same
-losses and gains; the fold sums exactly in integers, so the agreement is
-bit-for-bit, not approximate.
+:func:`route_chain` lists a path as the run tables of its spans (the
+:func:`fiberplan.power_budget.span_runs` rows a plan folds into span losses)
+and one margin row; :func:`propagate` expands the rows into one trace point per
+element and formats the only labels. The final point agrees exactly with
+:func:`fiberplan.power_budget.received_power` over the same losses and gains;
+the fold sums exactly in integers, so the agreement is bit-for-bit, not approximate.
 
 The BER model is a plain Gaussian decision model: photocurrent over a single
 configurable receiver noise sigma gives a Q factor, and
 BER = 0.5 erfc(Q / sqrt(2)). With the default sigma and a 0.9 A/W detector,
-end-of-line powers around -25 to -27 dBm land in the 1e-3..1e-5 BER range.
+end-of-line powers of -25 to -27 dBm give a BER of 2.4e-5 to 5.2e-3 (6.2e-4 at -26).
 
 The trace command lives here too: :func:`run_trace` traces a path of a parsed
 network document, and ``render_trace_*`` report it as text or JSON.
@@ -21,11 +21,11 @@ from __future__ import annotations
 import math
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Sequence
+from typing import Any, Sequence
 
-from .model import DomainError, Network, Span, check_valid, frozen, resolve_path
+from .model import DomainError, Network, Span, check_valid, frozen, resolve_path, resolved_splices
 from .netfile import NetworkDocument
-from .power_budget import Run, span_counts, span_runs
+from .power_budget import Run, span_runs
 from .report import array, db, number, numbers, slots, spell, template
 from .units import dbm_to_watts
 
@@ -33,7 +33,7 @@ DEFAULT_NOISE_SIGMA = 7e-7  # A; receiver noise current of the Gaussian model
 
 MAX_TRACE_ELEMENTS = 200_000
 """Most elements the rows of :func:`route_chain` may count for one path; :func:`propagate`
-keeps about 53 bytes per element, a label reference and a float in two flat columns
+keeps about 55 bytes per element, mostly a label reference and a float in two flat columns
 (about 11 MB at the cap), and a 10^4-node ring needs about 90k."""
 
 
@@ -65,34 +65,47 @@ class BerEstimate:
             raise DomainError("ber must lie in [0, 0.5]")
 
 
+def _label(kind: str, part: Any) -> str:
+    """The trace label of a run row that carries a part."""
+    if kind == "fiber":
+        return f"fiber {part.length:g} km ({part.fiber.name})"
+    if kind == "splitter":
+        return f"splitter 1x{part.ratio}"
+    if kind == "amplifier":
+        return f"{part.kind.value} +{part.gain:g} dB"
+    return f"{kind} {part:g} dB"  # the margin
+
+
 def propagate(input_power: float, runs: Sequence[Run]) -> PowerTrace:
     """Fold the rows of a run table left to right into a power trace.
 
-    The first point is the injected power; a row of ``count`` elements appends
-    ``count`` points under its label. Each later point is the correctly rounded
-    exact sum of the injected power and all element effects so far, so the
-    final point equals received_power over the same losses and gains
-    regardless of element order. Every finite float is an integer over a power
-    of two, so scaled by the largest denominator the running sums are exact
-    integers, each divided back once. The result is bit-identical to
-    ``math.fsum`` over each prefix wherever that returns, and exact where it
-    raises a false intermediate overflow on a prefix whose sum is finite.
-    Raises DomainError on a non-finite input power or row effect, and names the
+    The first point is the injected power; a row of ``count`` elements appends ``count``
+    points under its kind, or under a label made from its part if it has one. Each later
+    point is the correctly rounded exact sum of the injected power and all element effects
+    so far, so the final point equals received_power over the same losses and gains
+    regardless of element order. Every finite float is an integer over a power of two, so
+    scaled by the largest denominator the running sums are exact integers, each divided
+    back once. The result is bit-identical to ``math.fsum`` over each prefix wherever that
+    returns, and exact where it raises a false intermediate overflow on a prefix whose sum
+    is finite. Raises DomainError on a non-finite input power or row effect, and names the
     first element whose exact running sum rounds beyond the float range.
     """
     if not math.isfinite(input_power):
         raise DomainError(f"input power must be a finite dBm value, got {input_power!r}")
-    for _, label, delta, _ in runs:
-        if not math.isfinite(delta):
-            raise DomainError(f"chain element {label!r} has a non-finite effect ({delta!r} dB)")
-    ratios = [delta.as_integer_ratio() for _, _, delta, _ in runs]
+    try:  # each distinct effect once: all joints of a kind, and equal devices, share one
+        ratios = {delta: delta.as_integer_ratio() for _, delta, _, _ in runs}
+    except (OverflowError, ValueError):  # what as_integer_ratio raises on an infinity and on a NaN
+        kind, delta, _, part = next(row for row in runs if not math.isfinite(row[1]))
+        label = kind if part is None else _label(kind, part)
+        raise DomainError(f"chain element {label!r} has a non-finite effect ({delta!r} dB)") from None
     top, bottom = input_power.as_integer_ratio()
-    scale = max([bottom, *(d for _, d in ratios)])
+    scale = max([bottom, *(d for _, d in ratios.values())])
+    step = {delta: n * (scale // d) for delta, (n, d) in ratios.items()}
     labels = ["input"]
     steps: list[int] = []
-    for (_, label, _, count), (n, d) in zip(runs, ratios):
-        labels += [label] * count
-        steps += [n * (scale // d)] * count
+    for kind, delta, count, part in runs:
+        labels += [kind if part is None else _label(kind, part)] * count
+        steps += [step[delta]] * count
     sums = accumulate(steps, initial=top * (scale // bottom))
     next(sums)  # the injected power itself, kept as given (a -0.0 stays -0.0)
     powers = [input_power]
@@ -133,25 +146,24 @@ def route_chain(network: Network, spans: Sequence[Span]) -> list[Run]:
 
     ``spans`` is the path in order, as given by :func:`fiberplan.model.spans_along`
     for a node path or :func:`fiberplan.model.ring_spans` for the whole ring.
-    Each span's counts come from :func:`fiberplan.power_budget.span_counts`, the label-free
-    half of its summary, and are checked before its rows are built; raises DomainError
-    naming the span at which the path passes :data:`MAX_TRACE_ELEMENTS`.
+    The rows' counts are the path's elements; raises DomainError naming the span
+    at which the path passes :data:`MAX_TRACE_ELEMENTS`, before any label is formatted.
     """
     losses, margin = network.losses, network.losses.system_margin
     runs: list[Run] = []
     elements = int(margin > 0)
     for span in spans:
-        splices, count = span_counts(span)
-        elements += count
+        rows = span_runs(span, losses)
+        elements += sum([count for _, _, count, _ in rows])
         if elements > MAX_TRACE_ELEMENTS:
             raise DomainError(
-                f"span {span.id!r}: too many joints to trace: {splices:.3g} splices"
+                f"span {span.id!r}: too many joints to trace: {resolved_splices(span):.3g} splices"
                 f" (length {span.length:g} km), {span.connectors:.3g} connectors;"
                 f" the path would hold {elements:.6g} elements, over the cap of {MAX_TRACE_ELEMENTS}"
             )
-        runs += span_runs(span, losses, splices)
+        runs += rows
     if margin > 0:
-        runs.append(("margin", f"margin {margin:g} dB", -margin, 1))
+        runs.append(("margin", -margin, 1, margin))
     return runs
 
 

@@ -19,6 +19,10 @@ from .model import FRACTION, HORIZON_YEARS, POPULATION, RATE, DomainError, check
 from .netfile import object_reader
 from .report import numbers, template
 
+MAX_PROJECTED_SUBSCRIBERS = 10**11
+"""Most subscribers :func:`project_growth` may project: the largest LTE base the input ranges allow
+(10^10 people at 10 subscriptions each), so that every count a forecast prints stays below 1e12."""
+
 
 def round_half_toward_zero(x: float) -> int:
     """Round to nearest integer; exact .5 ties go toward zero."""
@@ -60,17 +64,16 @@ class TrafficForecast:
 def project_growth(base: int, rate: float, years: int) -> int:
     """Compound ``base`` by ``rate`` annually for ``years`` years and round.
 
-    Expects base >= 0, years >= 0. Raises DomainError when the projection is
-    beyond the float range, which the bounds of :class:`TrafficInput` keep
-    :func:`forecast_subscribers` from reaching.
+    Expects base >= 0, years >= 0. Raises DomainError naming the rate and the
+    horizon when the projection passes :data:`MAX_PROJECTED_SUBSCRIBERS`.
     """
     try:
         grown = base * (1.0 + rate) ** years
     except OverflowError:
         grown = math.inf
-    if grown == math.inf:
+    if not grown <= MAX_PROJECTED_SUBSCRIBERS:
         what = f"projected subscribers (annual_growth {rate:g}, horizon {years} years)"
-        raise DomainError(f"{what} beyond the float range")
+        raise DomainError(f"{what} over the cap of {MAX_PROJECTED_SUBSCRIBERS:,}")
     return round_half_toward_zero(grown)
 
 

@@ -1,8 +1,6 @@
-"""dB and dBm arithmetic shared by the budget and signal-chain modules."""
+"""dBm to absolute power, for the Q factor of the signal chain's BER model."""
 
 from __future__ import annotations
-
-import math
 
 from .model import DomainError
 
@@ -17,7 +15,3 @@ def dbm_to_watts(power_dbm: float) -> float:
     except OverflowError:
         raise DomainError(f"power {power_dbm:g} dBm is beyond the float range in watts") from None
 
-
-def watts_to_dbm(power_w: float) -> float:
-    """Absolute power in dBm. Requires power_w > 0."""
-    return 10.0 * math.log10(power_w * 1e3)

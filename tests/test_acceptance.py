@@ -15,6 +15,7 @@ import sys
 import pytest
 
 from fiberplan.model import (
+    Amplifier,
     ComponentLosses,
     FiberProfile,
     LineCode,
@@ -27,15 +28,13 @@ from fiberplan.power_budget import (
     max_allowed_loss,
     received_power,
     required_input_power,
-    span_loss,
+    span_summary,
     splitter_loss,
 )
 from fiberplan.risetime import max_system_risetime, span_risetime_report
 from fiberplan.signal_chain import DEFAULT_NOISE_SIGMA, ber_from_q, estimate_ber, propagate
 from fiberplan.standards import builtin_profiles, power_verdict
 from fiberplan.traffic import TrafficInput, forecast_subscribers, project_growth
-from fiberplan.units import watts_to_dbm
-
 from conftest import TRANSCEIVER
 
 # Per-link rise-time targets (ps) and splice counts the ring fixture must hit.
@@ -65,7 +64,7 @@ def test_criterion_1_backbone_span_loss():
         span = Span(id="backbone", from_node="a", to_node="b", length=84.9,
                     fiber=fiber, connectors=14, splices=46)
         losses = ComponentLosses(connector_loss=0.3, splice_loss=0.05, system_margin=3.0)
-        assert span_loss(span, losses).total == pytest.approx(34.97, abs=0.005)
+        assert span_summary(span, losses)[0].total == pytest.approx(34.97, abs=0.005)
 
     _report(1, "backbone span loss totals 34.97 dB", body)
 
@@ -148,7 +147,7 @@ def test_criterion_7_subscriber_chain():
 
 
 def _random_runs(rng: random.Random, losses: ComponentLosses, with_amplifiers: bool) -> list:
-    """Random (kind, label, dB effect, count) rows, as route_chain lists a path."""
+    """Random (kind, dB effect, count, part) rows, as route_chain lists a path."""
     fibers = [
         FiberProfile(name=f"rand{i}", attenuation=rng.uniform(0.15, 0.5),
                      dispersion=rng.uniform(0.0, 20.0), drum_length=rng.uniform(1.0, 6.0))
@@ -159,20 +158,20 @@ def _random_runs(rng: random.Random, losses: ComponentLosses, with_amplifiers: b
         roll, count = rng.random(), rng.randint(0, 3)
         if roll < 0.25 and with_amplifiers:
             gain = rng.uniform(5.0, 25.0)
-            runs.append(("amplifier", f"edfa +{gain:g} dB", gain, count))
+            runs.append(("amplifier", gain, count, Amplifier(gain)))
         elif roll < 0.45:
-            fiber, length = rng.choice(fibers), rng.uniform(0.1, 30.0)
-            runs.append(("fiber", f"fiber {length:g} km ({fiber.name})", -(fiber.attenuation * length), count))
+            span = Span(id="r", from_node="a", to_node="b", length=rng.uniform(0.1, 30.0), fiber=rng.choice(fibers))
+            runs.append(("fiber", -(span.fiber.attenuation * span.length), count, span))
         elif roll < 0.6:
-            runs.append(("connector", "connector", -losses.connector_loss, count))
+            runs.append(("connector", -losses.connector_loss, count, None))
         elif roll < 0.75:
-            runs.append(("splice", "splice", -losses.splice_loss, count))
+            runs.append(("splice", -losses.splice_loss, count, None))
         elif roll < 0.9:
-            ratio = rng.choice([2, 4, 8])
-            runs.append(("splitter", f"splitter 1x{ratio}", -splitter_loss(Splitter(ratio), 0.2), count))
+            splitter = Splitter(rng.choice([2, 4, 8]))
+            runs.append(("splitter", -splitter_loss(splitter, 0.2), count, splitter))
         else:
             pad = rng.uniform(0.0, 5.0)
-            runs.append(("margin", f"margin {pad:g} dB", -pad, count))
+            runs.append(("margin", -pad, count, pad))
     return runs
 
 
@@ -188,7 +187,7 @@ def test_criterion_8_property_suite():
             tx = rng.uniform(-5.0, 12.0)
             trace = propagate(tx, runs)
             loss_list, gain_list = [], []
-            for _, _, effect, count in runs:
+            for _, effect, count, _ in runs:
                 (gain_list if effect >= 0 else loss_list).extend([abs(effect)] * count)
             assert len(trace.powers) == 1 + len(loss_list) + len(gain_list)
             assert abs(trace.final_power - received_power(tx, loss_list, gain_list)) <= 1e-12
@@ -207,7 +206,7 @@ def test_criterion_8_property_suite():
         for power in (-200.0, -90.0, -40.0, -10.0, 0.0, 12.0):
             assert 0.0 <= estimate_ber(power, responsivity=0.9).ber <= 0.5
         assert ber_from_q(6.0) == pytest.approx(9.87e-10, rel=0.05)
-        pinned = estimate_ber(watts_to_dbm(6.0 * DEFAULT_NOISE_SIGMA / 0.9), responsivity=0.9)
+        pinned = estimate_ber(10 * math.log10(6.0 * DEFAULT_NOISE_SIGMA / 0.9 * 1e3), responsivity=0.9)
         assert pinned.ber == pytest.approx(9.87e-10, rel=0.05)
 
         # (d) the -28 dBm end-point verdict flips exactly at the boundary
@@ -236,3 +235,13 @@ def test_criterion_9_plan_determinism(sleman_file):
         assert payload["overall_pass"] is True
 
     _report(9, "plan runs are byte-identical", body)
+
+
+def test_criterion_10_end_point_ber():
+    def body():
+        # The paper's -26 dBm calculated end point and its average BER of 5e-4 (Q 3.23, BER 6.2e-4 here).
+        estimate = estimate_ber(-26.0, 0.9, DEFAULT_NOISE_SIGMA)
+        assert 1e-4 <= estimate.ber <= 1e-3
+
+    _report(10, "the -26 dBm end point gives a BER in [1e-4, 1e-3]", body)
+

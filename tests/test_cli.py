@@ -303,6 +303,10 @@ MALFORMED = [
      "losses: connector_loss must be in [0, 100] dB, got 1e+307"),
     (None, ("forecast", "--horizon", "3000"), "horizon must be in [0, 100] years, got 3000"),
     (None, ("trace", "--power", "1e300"), "--power must be in [-100, 100] dBm, got 1e+300"),
+    # Every traffic input at the top of its range would compound 11^100 into a 116-digit count.
+    (None, ("forecast", "--population", "10000000000", "--cellular-penetration", "10", "--operator-share", "1",
+            "--lte-penetration", "1", "--annual-growth", "10", "--horizon", "100"),
+     "projected subscribers (annual_growth 10, horizon 100 years) over the cap of 100,000,000,000"),
 ]
 
 

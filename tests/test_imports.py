@@ -1,9 +1,11 @@
 """Each fiberplan module uses only the public names of the others, imports on its own,
-and the package root hands out every public name on first use."""
+defines no function that nothing names, and the package root hands out every public
+name on first use."""
 
 from __future__ import annotations
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ import fiberplan
 
 PACKAGE = Path(fiberplan.__file__).parent
 MODULES = sorted(PACKAGE.rglob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _dotted(path: Path) -> str:
@@ -47,6 +50,38 @@ def test_the_check_sees_a_private_import(tmp_path):
     assert _private_imports(probe) == [".netfile._number", "fiberplan.model._frozen_eq"]
 
 
+def _uncalled(modules: list[Path], texts: list[str]) -> list[str]:
+    """``module.name`` for each module-level function, dunders excepted, that neither another
+    module nor a text names, nor its own module outside the function's definition."""
+    sources = {path: path.read_text(encoding="utf-8") for path in modules}
+    found = []
+    for path, source in sources.items():
+        lines = source.splitlines()
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or re.fullmatch(r"__\w+__", node.name):
+                continue
+            start = min([node.lineno, *(d.lineno for d in node.decorator_list)]) - 1
+            elsewhere = ["\n".join(lines[:start] + lines[node.end_lineno:]),
+                         *(text for other, text in sources.items() if other != path), *texts]
+            if not any(re.search(rf"\b{node.name}\b", text) for text in elsewhere):
+                found.append(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_every_function_has_a_caller():
+    """A function that ``src``, README.md and demos/ never name is dead code."""
+    texts = [path.read_text(encoding="utf-8") for path in [ROOT / "README.md", *sorted(ROOT.glob("demos/*.py"))]]
+    assert len(texts) > 1
+    assert _uncalled(MODULES, texts) == []
+
+
+def test_the_check_sees_an_uncalled_function(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def used():\n    return 1\n\n\ndef dead(n):\n    return dead(n - 1) + used() if n else 0\n\n\n"
+                     "def __dir__():\n    return []\n\n\n@staticmethod\ndef named():\n    pass\n")
+    assert _uncalled([probe], ["named in a text"]) == ["probe.dead"]
+
+
 # __main__ is left out: importing it runs the command line.
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__main__.py"], ids=_dotted)
 def test_each_module_imports_on_its_own(path):
@@ -56,7 +91,7 @@ def test_each_module_imports_on_its_own(path):
 
 
 def test_the_root_gives_each_public_name_from_the_module_defining_it():
-    assert len(fiberplan.__all__) == 61
+    assert len(fiberplan.__all__) == 60
     for name in fiberplan.__all__:
         obj = getattr(fiberplan, name)
         assert obj.__name__ == name and vars(sys.modules[obj.__module__])[name] is obj

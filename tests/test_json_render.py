@@ -337,10 +337,11 @@ def test_broken_plants_list_their_violations():
     [
         TrafficInput(population=0, cellular_penetration=0.0, operator_share=0.0,
                      lte_penetration=0.0, annual_growth=0.0, horizon=0),
+        # The largest LTE base the ranges allow, held for the longest horizon: exactly the projection ceiling.
         TrafficInput(population=10**10, cellular_penetration=10.0, operator_share=1.0,
-                     lte_penetration=1.0, annual_growth=10.0, horizon=100),
+                     lte_penetration=1.0, annual_growth=0.0, horizon=100),
     ],
-    ids=["zeros", "every-input-at-its-top"],
+    ids=["zeros", "at-the-ceiling"],
 )
 def test_forecast_edge_values(inputs):
     forecast = forecast_subscribers(inputs)

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from fiberplan import model, power_budget, risetime
+from fiberplan import model, risetime, signal_chain
 from fiberplan.model import ConfigurationError, ValidationFailure, ring_spans
 from fiberplan.netfile import NetworkFileError, load_network
 from fiberplan.planning import render_plan_json, render_plan_text, run_plan
@@ -119,7 +119,7 @@ class TestRunPlan:
             raise AssertionError("the plan built a trace label")
 
         monkeypatch.setattr(model, "splice_count", counting_count)
-        monkeypatch.setattr(power_budget, "span_runs", no_labels)
+        monkeypatch.setattr(signal_chain, "_label", no_labels)
         report = run_plan(sleman_doc, "gpon-onu-endpoint", path)
         assert render_plan_text(report) == expected
         assert len(calls) == len(report.spans) == plan_calls

@@ -12,14 +12,13 @@ from fiberplan.power_budget import (
     amplifier_requirement,
     combine_span_losses,
     max_allowed_loss,
-    path_loss,
     received_power,
     required_input_power,
-    span_loss,
     span_runs,
     span_summary,
     splitter_loss,
 )
+from fiberplan.signal_chain import propagate
 
 from conftest import LOSSES, make_span
 
@@ -34,7 +33,7 @@ def backbone_worked_span():
 class TestSpanLoss:
     def test_backbone_worked_example(self):
         losses = ComponentLosses(connector_loss=0.3, splice_loss=0.05, system_margin=3.0)
-        breakdown = span_loss(backbone_worked_span(), losses)
+        breakdown = span_summary(backbone_worked_span(), losses)[0]
         assert breakdown.connector_total == pytest.approx(4.2)
         assert breakdown.fiber_total == pytest.approx(25.47)
         assert breakdown.splice_total == pytest.approx(2.3)
@@ -44,7 +43,7 @@ class TestSpanLoss:
     def test_vanishing_span_loses_nothing(self):
         losses = ComponentLosses(connector_loss=0.3, splice_loss=0.05, system_margin=0.0)
         span = make_span("tiny", "a", "b", length=1e-12, connectors=0, splices=0)
-        assert span_loss(span, losses).total == pytest.approx(0.0, abs=1e-9)
+        assert span_summary(span, losses)[0].total == pytest.approx(0.0, abs=1e-9)
 
     def test_four_term_hand_sum(self):
         # independent oracle: accumulate the itemized contributions one by one
@@ -57,12 +56,12 @@ class TestSpanLoss:
         fiber = FiberProfile(name="d02", attenuation=0.2, dispersion=3.5, drum_length=3.0)
         span = Span(id="d", from_node="a", to_node="b", length=3.0, fiber=fiber, connectors=2, splices=3)
         losses = ComponentLosses(connector_loss=0.3, splice_loss=0.05, system_margin=1.0)
-        assert span_loss(span, losses).total == pytest.approx(expected, abs=1e-12)
+        assert span_summary(span, losses)[0].total == pytest.approx(expected, abs=1e-12)
 
     def test_auto_splices_follow_drum_length(self):
         losses = ComponentLosses(connector_loss=0.0, splice_loss=1.0, system_margin=0.0)
         span = make_span("auto", "a", "b", length=8.4)  # drum 3 km -> 5 splices
-        assert span_loss(span, losses).splice_total == pytest.approx(5.0)
+        assert span_summary(span, losses)[0].splice_total == pytest.approx(5.0)
 
     def test_breakdown_identity_enforced(self):
         parts = dict(connector_total=1.0, fiber_total=1.0, splice_total=1.0, splitter_total=0.0, margin=1.0)
@@ -85,7 +84,7 @@ class TestSpanLoss:
         losses = ComponentLosses(connector_loss=0.3, splice_loss=0.05, system_margin=3.0)
         forward = make_span("f", "a", "b", length=5.0, splitters=tuple(Splitter(r) for r in ratios))
         backward = make_span("f", "a", "b", length=5.0, splitters=tuple(Splitter(r) for r in reversed(ratios)))
-        assert span_loss(forward, losses).total == span_loss(backward, losses).total
+        assert span_summary(forward, losses)[0].total == span_summary(backward, losses)[0].total
 
 
 def product_span_loss(span: Span, losses: ComponentLosses) -> LossBreakdown:
@@ -127,30 +126,33 @@ class TestSpanRuns:
     def test_rows_follow_the_trace_order(self):
         span = make_span("s", "a", "b", connectors=3, splices=4, splitters=(Splitter(2), Splitter(8)),
                          amplifiers=(Amplifier(17.0),))
-        rows = span_runs(span, LOSSES, resolved_splices(span))
-        assert [(kind, label, count) for kind, label, _, count in rows] == [
-            ("connector", "connector", 1), ("fiber", "fiber 5 km (test-fiber)", 1), ("splice", "splice", 4),
-            ("splitter", "splitter 1x2", 1), ("splitter", "splitter 1x8", 1), ("amplifier", "edfa +17 dB", 1),
-            ("connector", "connector", 2),
+        rows = span_runs(span, LOSSES)
+        assert [(kind, count, part) for kind, _, count, part in rows] == [
+            ("connector", 1, None), ("fiber", 1, span), ("splice", 4, None), ("splitter", 1, Splitter(2)),
+            ("splitter", 1, Splitter(8)), ("amplifier", 1, Amplifier(17.0)), ("connector", 2, None),
         ]
+        assert propagate(0.0, rows).labels == (
+            "input", "connector", "fiber 5 km (test-fiber)", *["splice"] * 4, "splitter 1x2", "splitter 1x8",
+            "edfa +17 dB", "connector", "connector",
+        )
 
     def test_row_count_does_not_grow_with_the_splice_count(self):
-        few = span_runs(make_span("s", "a", "b", splices=3), LOSSES, 3)
-        many = span_runs(make_span("s", "a", "b", splices=10**5), LOSSES, 10**5)
+        few = span_runs(make_span("s", "a", "b", splices=3), LOSSES)
+        many = span_runs(make_span("s", "a", "b", splices=10**5), LOSSES)
         assert len(few) == len(many) == 4
-        assert [count for *_, count in many] == [1, 1, 10**5, 1]
+        assert [count for _, _, count, _ in many] == [1, 1, 10**5, 1]
 
     def test_a_span_without_connectors_keeps_zero_count_rows(self):
         span = make_span("s", "a", "b", connectors=0, splices=0)
-        assert [(kind, count) for kind, _, _, count in span_runs(span, LOSSES, resolved_splices(span))] == [
+        assert [(kind, count) for kind, _, count, _ in span_runs(span, LOSSES)] == [
             ("connector", 0), ("fiber", 1), ("splice", 0), ("connector", 0),
         ]
-        assert repr(span_loss(span, LOSSES).connector_total) == "0.0"
+        assert repr(span_summary(span, LOSSES)[0].connector_total) == "0.0"
 
     @given(case=spans_and_losses())
     def test_span_loss_equals_the_product_formulas(self, case):
         span, losses = case
-        assert repr(span_loss(span, losses)) == repr(product_span_loss(span, losses))
+        assert repr(span_summary(span, losses)[0]) == repr(product_span_loss(span, losses))
 
     def test_identical_splitters_are_not_summed_as_a_product_beside_another(self):
         # fsum([l, l, l, m]) is not fsum([l * 3, m]) in general; this pair differs.
@@ -159,7 +161,7 @@ class TestSpanRuns:
         span = make_span("s", "a", "b", splitters=(Splitter(4),) * 3 + (Splitter(2),))
         same, other = splitter_loss(Splitter(4), 0.1), splitter_loss(Splitter(2), 0.1)
         assert math.fsum([same] * 3 + [other]) != math.fsum([same * 3, other])
-        assert span_loss(span, losses).splitter_total == math.fsum([same] * 3 + [other])
+        assert span_summary(span, losses)[0].splitter_total == math.fsum([same] * 3 + [other])
 
 
 def rows_by_kind(span: Span, losses: ComponentLosses) -> tuple[LossBreakdown, float]:
@@ -171,14 +173,14 @@ def rows_by_kind(span: Span, losses: ComponentLosses) -> tuple[LossBreakdown, fl
     units: dict[str, float] = {}
     counts = {"connector": 0, "fiber": 0, "splice": 0}
     splitters: list[float] = []
-    rows = span_runs(span, losses, resolved_splices(span))
-    for kind, _, effect, count in rows:
+    rows = span_runs(span, losses)
+    for kind, effect, count, _ in rows:
         if kind == "splitter":
             splitters += [-effect] * count
         elif kind != "amplifier":
             units[kind], counts[kind] = -effect, counts[kind] + count
     totals = [units[kind] * counts[kind] for kind in ("connector", "fiber", "splice")]
-    return LossBreakdown(*totals, math.fsum(splitters), losses.system_margin), sum(row[3] for row in rows)
+    return LossBreakdown(*totals, math.fsum(splitters), losses.system_margin), sum(row[2] for row in rows)
 
 
 @st.composite
@@ -202,17 +204,17 @@ class TestSpanSummary:
     @given(case=small_spans())
     def test_one_model_behind_the_summary_and_the_rows(self, case):
         span, losses = case
-        loss, splices, elements = span_summary(span, losses)
+        loss, splices = span_summary(span, losses)
         reference, count = rows_by_kind(span, losses)
         assert repr(loss) == repr(reference)
-        assert repr(span_loss(span, losses)) == repr(reference)
         assert splices == resolved_splices(span)
-        assert elements == count
+        assert count == span.connectors + 1 + splices + len(span.splitters) + len(span.amplifiers)
 
     def test_counts_by_hand(self):
         span = make_span("s", "a", "b", connectors=3, splitters=(Splitter(4),), amplifiers=(Amplifier(17.0),))
         # 5 km over 3 km drums: 4 splices; 3 connectors + fiber + 4 splices + splitter + amplifier
-        assert span_summary(span, LOSSES)[1:] == (4, 10)
+        assert span_summary(span, LOSSES)[1] == 4
+        assert sum(count for _, _, count, _ in span_runs(span, LOSSES)) == 10
 
 
 class TestSplitterLoss:
@@ -338,15 +340,15 @@ class TestPathLoss:
 
     def test_margin_applied_once_across_the_ring(self, sleman_doc):
         net = sleman_doc.network
-        combined = path_loss(net.spans, net.losses)
-        per_span_sum = math.fsum(span_loss(s, net.losses).total for s in net.spans)
+        combined = combine_span_losses([span_summary(s, net.losses)[0] for s in net.spans], net.losses.system_margin)
+        per_span_sum = math.fsum(span_summary(s, net.losses)[0].total for s in net.spans)
         duplicated = (len(net.spans) - 1) * net.losses.system_margin
         assert combined.total == pytest.approx(per_span_sum - duplicated, abs=1e-9)
         assert combined.margin == net.losses.system_margin
 
     def test_breakdown_components_add_up(self, sleman_doc):
         net = sleman_doc.network
-        combined = path_loss(net.spans, net.losses)
+        combined = combine_span_losses([span_summary(s, net.losses)[0] for s in net.spans], net.losses.system_margin)
         assert combined.total == (
             combined.connector_total
             + combined.fiber_total
@@ -365,4 +367,4 @@ class TestPathLoss:
             length=span.length, fiber=span.fiber, connectors=span.connectors,
             splices=span.splices,
         )
-        assert span_loss(span, net.losses) == span_loss(stripped, net.losses)
+        assert span_summary(span, net.losses)[0] == span_summary(stripped, net.losses)[0]

@@ -52,12 +52,12 @@ def write_star(tmp_path, n: int):
 
 
 def test_trace_points_stay_small(tmp_path):
-    """Memory guard: a point of the 1000-node ring's trace holds about 53 bytes, a label
+    """Memory guard: a point of the 1000-node ring's trace holds about 55 bytes, mostly a label
     reference and a float in two flat columns (80 as a slotted object per point, 184 before
     the value classes had slots), so the whole trace fits in well under 1 MB."""
     net = load_network(write_ring(tmp_path, 1000)).network
     runs = route_chain(net, ring_spans(net))
-    elements = sum(count for *_, count in runs)
+    elements = sum(count for _, _, count, _ in runs)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -93,7 +93,7 @@ def test_ring_commands_scale_linearly(tmp_path, run):
 def test_propagate_scales_linearly_with_a_subnormal_effect(tmp_path):
     """A 5e-324 dB effect scales every running sum by 2**1074, the widest integers the fold meets."""
     small, large = (
-        route_chain(net, ring_spans(net)) + [("amplifier", "edfa +5e-324 dB", 5e-324, 1)]
+        route_chain(net, ring_spans(net)) + [("amplifier", 5e-324, 1, None)]
         for net in (load_network(write_ring(tmp_path, n)).network for n in (250, 1000))
     )
     propagate(9.0, small)

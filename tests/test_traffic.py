@@ -106,7 +106,7 @@ class TestProjectGrowth:
     def test_projection_beyond_the_float_range_is_a_domain_error(self):
         # Raw arguments from a library caller; TrafficInput bounds the rate and the horizon.
         with pytest.raises(DomainError, match=r"^projected subscribers \(annual_growth 0\.051, horizon 100000 years\)"
-                                              r" beyond the float range$"):
+                                              r" over the cap of 100,000,000,000$"):
             project_growth(107128, 0.051, 100_000)
         with pytest.raises(DomainError, match=r"annual_growth 1e\+308, horizon 5 years"):
             project_growth(1, 1e308, 5)
