@@ -29,7 +29,7 @@ from .power_budget import (
     required_input_power,
     span_summary,
 )
-from .report import BOOL, array, db, numbers, slots, spell, template
+from .report import BOOL, db, dumps, slots, spell, template
 from .risetime import RiseTimeReport, max_system_risetime, span_risetime_report
 from .standards import StandardProfile, Verdict, power_verdict, resolve_standard, risetime_verdict
 
@@ -147,7 +147,6 @@ _LOSS = tuple((key, 2) for key in ("connectors", "fiber", "splices", "splitters"
 _SPAN = ("id", "link", "length", "splices", ("loss", _LOSS), ("rise_time", (
     *((key, 3) for key in ("ceiling", "dispersion", "tx", "rx", "total")), "pass")))
 _SPAN_JSON, _SPAN_SLOTS = "    " + template(_SPAN, 2), "%r\n" + slots(_SPAN)  # the length, then rounded numbers
-_loss_values = attrgetter(*LossBreakdown._fields, "total")  # in the order of the _LOSS keys
 _LOSS_FIELDS = tuple(f"loss.{name}" for name in (*LossBreakdown._fields, "total"))
 # The 12 numbers of a span row: its length, six losses (dB) and five rise times (ps).
 _span_numbers = attrgetter("length", *_LOSS_FIELDS, *(f"rise.{name}" for name in (*RiseTimeReport._fields, "total")))
@@ -155,12 +154,6 @@ _VERDICTS = tuple(("quantity", ("value", n), ("threshold", n), "unit", "directio
                   for n in (2, 3))  # dBm, then ps
 _VERDICT_JSON, _VERDICT_SLOTS = "    " + template(_VERDICTS[0], 2), tuple(map(slots, _VERDICTS))
 _verdict_numbers = attrgetter("value", "threshold", "margin")
-_PLAN_JSON = template((
-    ("standard", ("name", "bit_rate", "line_code", "rx_sensitivity")), "path", "spans", ("path_loss", _LOSS),
-    "distribution_loss", "planning_floor", "max_loss",
-    ("amplifier_plan", ("gain_deficit", "unit_gain", "edfa_count", "total_gain")), "inventory_gain",
-    "applied_gain", ("received_power", ("effective", "as_built")), "verdicts", "overall_pass",
-)) + "\n"
 _SPAN_TEXT, _span_text = "%-20s %8g" + " %6.2f" * 6, attrgetter("span_id", "length", *_LOSS_FIELDS)
 
 
@@ -230,17 +223,22 @@ def render_plan_json(report: PlanReport) -> str:
                          BOOL[v.passed])
         for v, (value, threshold, margin) in zip(verdicts, zip(*[spelled] * 3))
     ]
-    scalars = numbers((
-        standard.bit_rate, db(standard.rx_sensitivity), *map(db, _loss_values(report.path)),
-        db(report.distribution_loss), db(report.planning_floor), db(report.max_loss),
-        db(plan.gain_deficit), db(plan.unit_gain), plan.edfa_count, db(plan.total_gain),
-        db(report.inventory_gain), db(report.applied_gain), db(report.received), db(report.as_built_power),
-    ))
-    return _PLAN_JSON % (
-        _json_str(standard.name), scalars[0], _json_str(standard.line_code.value), scalars[1],
-        array(["    " + _json_str(node) for node in report.path_nodes]),
-        array(span_items),
-        *scalars[2:],
-        array(verdict_items),
-        BOOL[report.overall_pass],
-    )
+    p = report.path
+    return dumps({
+        "standard": {"name": standard.name, "bit_rate": standard.bit_rate, "line_code": standard.line_code.value,
+                     "rx_sensitivity": db(standard.rx_sensitivity)},
+        "path": [],
+        "spans": [],
+        "path_loss": {"connectors": db(p.connector_total), "fiber": db(p.fiber_total), "splices": db(p.splice_total),
+                      "splitters": db(p.splitter_total), "margin": db(p.margin), "total": db(p.total)},
+        "distribution_loss": db(report.distribution_loss),
+        "planning_floor": db(report.planning_floor),
+        "max_loss": db(report.max_loss),
+        "amplifier_plan": {"gain_deficit": db(plan.gain_deficit), "unit_gain": db(plan.unit_gain),
+                           "edfa_count": plan.edfa_count, "total_gain": db(plan.total_gain)},
+        "inventory_gain": db(report.inventory_gain),
+        "applied_gain": db(report.applied_gain),
+        "received_power": {"effective": db(report.received), "as_built": db(report.as_built_power)},
+        "verdicts": [],
+        "overall_pass": report.overall_pass,
+    }, path=["    " + _json_str(node) for node in report.path_nodes], spans=span_items, verdicts=verdict_items)

@@ -4,17 +4,21 @@ dB and dBm print with two decimals, rise times with three, counts as
 integers; the same precision is applied to JSON payloads. Each row of a
 ring-sized table is one C-level %-format of the template for its kind.
 
-JSON is formatted into fixed %-templates, laid out byte for byte as
-json.dumps(payload, indent=2) lays out the same values. That call would run
-CPython's pure-Python encoder (any indent does), slower than building the plan.
-A table's numbers are spelled by :func:`spell` in one %-format: fixed-point digits,
-trimmed to the shortest form json.dumps writes for round(x, n). A table with
-a value that is not a finite float below 1e12 takes the exact path instead,
-repr(round(x, n)), with NaN and Infinity as json.dumps spells them.
+A JSON report is one dict, its keys next to their values, written by
+json.dumps(payload, indent=2) (:func:`dumps`). Any indent runs CPython's
+pure-Python encoder, slower than building a plan if it met a ring-sized table,
+so it only meets each report's fixed-size skeleton: the tables that grow with
+the plant stand in it as ``[]``, and their rows, formatted into %-templates
+laid out as json.dumps lays them out, are spliced in after. A table's numbers
+are spelled by :func:`spell` in one %-format: fixed-point digits, trimmed to
+the shortest form json.dumps writes for round(x, n). A table with a value that
+is not a finite float below 1e12 takes the exact path instead, json.dumps of
+each rounded value.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Any
@@ -27,20 +31,6 @@ def db(x: float) -> float:
     return round(x, 2)
 
 
-def number(x: float) -> str:
-    """A JSON number spelled as json.dumps spells it, non-finite values included."""
-    if x - x == 0:
-        return repr(x)
-    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
-
-
-def numbers(values: tuple[float, ...]) -> tuple[Any, ...]:
-    """Numbers for ``%s`` slots: ``%s`` writes a finite float or an int as json.dumps
-    does; if any value is not finite (so neither is the sum), all go through :func:`number`."""
-    total = sum(values)
-    return values if total - total == 0 else tuple(map(number, values))
-
-
 def spell(values: tuple[float, ...], slots: str) -> list[str]:
     """How json.dumps spells each value, rounded as its slot in ``slots`` says (see :func:`slots`).
 
@@ -51,12 +41,12 @@ def spell(values: tuple[float, ...], slots: str) -> list[str]:
     below 1e12 there are at most 15 significant ones, and a double round-trips 15,
     so the shortest repr of the rounded value has the same digits. Unless the values
     are all floats (json.dumps writes an int without a point), finite, and below 1e12
-    in root-sum-square, they are spelled one by one with round() and :func:`number`.
+    in root-sum-square, they are spelled one by one by json.dumps, after round().
     """
     if math.hypot(*values) < 1e12 and {*map(type, values)} == {float}:  # inf and NaN fail the first test
         return (slots % values).replace("0\0\0", "\0").replace("0\0", "").replace("\0", "").split("\n")
     # slot[2] is the n of "%.nf".
-    return [number(x if slot == "%r" else round(x, int(slot[2]))) for x, slot in zip(values, slots.split("\n"))]
+    return [json.dumps(x if slot == "%r" else round(x, int(slot[2]))) for x, slot in zip(values, slots.split("\n"))]
 
 
 BOOL = ("false", "true")
@@ -83,9 +73,25 @@ def slots(fields: tuple[Any, ...]) -> str:
     )
 
 
-def array(items: list[str]) -> str:
-    """Encoded items, each indented two levels, as a JSON array at depth one."""
-    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+def dumps(payload: dict[str, Any], **tables: list[str]) -> str:
+    """json.dumps(payload, indent=2) and a newline, where each top-level key named in
+    ``tables`` holds that table's encoded items, each indented two levels, in place of
+    the ``[]`` it holds in ``payload``.
+
+    ``\n  "key": []`` can only start that top-level key: json.dumps escapes both the
+    newline and the quote inside strings, and writes a nested key deeper. The items are
+    copied once, by the final join; a table's first and last items take its brackets.
+    """
+    rows, rest = [""], json.dumps(payload, indent=2)
+    for key in payload:
+        items = tables.get(key)
+        if items:
+            head, rest = rest.split(f'\n  "{key}": []')
+            rows[-1] += f'{head}\n  "{key}": [\n{items[0]}'
+            rows += items[1:]
+            rows[-1] += "\n  ]"
+    rows[-1] += rest + "\n"
+    return ",\n".join(rows)
 
 
 def render_violations_text(violations: list[Violation]) -> str:
@@ -97,10 +103,9 @@ def render_violations_text(violations: list[Violation]) -> str:
 
 
 _VIOLATION_JSON = "    " + template(("element", "rule", "message"), 2)
-_VIOLATIONS_JSON = template(("valid", "violations")) + "\n"
 
 
 def render_violations_json(violations: list[Violation]) -> str:
     """The validation result as JSON, byte for byte what json.dumps(indent=2) writes."""
     items = [_VIOLATION_JSON % (_json_str(v.element), _json_str(v.rule), _json_str(v.message)) for v in violations]
-    return _VIOLATIONS_JSON % (BOOL[not violations], array(items))
+    return dumps({"valid": not violations, "violations": []}, violations=items)

@@ -26,14 +26,13 @@ from typing import Any, Sequence
 from .model import DomainError, Network, Span, check_valid, frozen, resolve_path, resolved_splices
 from .netfile import NetworkDocument
 from .power_budget import Run, span_runs
-from .report import array, db, number, numbers, slots, spell, template
-from .units import dbm_to_watts
+from .report import db, dumps, slots, spell, template
 
 DEFAULT_NOISE_SIGMA = 7e-7  # A; receiver noise current of the Gaussian model
 
 MAX_TRACE_ELEMENTS = 200_000
 """Most elements the rows of :func:`route_chain` may count for one path; :func:`propagate`
-keeps about 55 bytes per element, mostly a label reference and a float in two flat columns
+keeps about 50 bytes per element, mostly a label reference and a float in two flat columns
 (about 11 MB at the cap), and a 10^4-node ring needs about 90k."""
 
 
@@ -114,6 +113,17 @@ def propagate(input_power: float, runs: Sequence[Run]) -> PowerTrace:
     except OverflowError:  # extend kept the points before the one that left the float range
         raise DomainError(f"power after {labels[len(powers)]!r} is beyond the float range") from None
     return PowerTrace(labels, powers)
+
+
+def dbm_to_watts(power_dbm: float) -> float:
+    """Absolute power in watts: 10^((P_dBm - 30) / 10). -inf dBm maps to 0 W.
+
+    Raises DomainError when the result is beyond the float range.
+    """
+    try:
+        return 10.0 ** ((power_dbm - 30.0) / 10.0)
+    except OverflowError:
+        raise DomainError(f"power {power_dbm:g} dBm is beyond the float range in watts") from None
 
 
 def ber_from_q(q_factor: float) -> float:
@@ -203,15 +213,13 @@ def render_trace_text(trace: PowerTrace, ber: BerEstimate | None = None) -> str:
 
 _POINT = ("label", ("power", 2))
 _POINT_JSON, _POINT_SLOTS = "    " + template(_POINT, 2), slots(_POINT)
-_TRACE_JSON = template(("points", "final_power")) + "\n"
-_TRACE_BER_JSON = template(("points", "final_power", ("ber", ("q_factor", "ber")))) + "\n"
 
 
 def render_trace_json(trace: PowerTrace, ber: BerEstimate | None = None) -> str:
     """The trace as JSON, byte for byte what json.dumps(indent=2) writes."""
     labels = {label: _json_str(label) for label in set(trace.labels)}  # a few distinct labels repeat
     spelled = spell(trace.powers, _POINT_SLOTS * len(trace.powers))
-    body = array(list(map(_POINT_JSON.__mod__, zip(map(labels.__getitem__, trace.labels), spelled))))
-    if ber is None:
-        return _TRACE_JSON % (body, number(db(trace.final_power)))
-    return _TRACE_BER_JSON % (body, *numbers((db(trace.final_power), round(ber.q_factor, 3), float(f"{ber.ber:.3e}"))))
+    payload: dict[str, Any] = {"points": [], "final_power": db(trace.final_power)}
+    if ber is not None:
+        payload["ber"] = {"q_factor": round(ber.q_factor, 3), "ber": float(f"{ber.ber:.3e}")}
+    return dumps(payload, points=list(map(_POINT_JSON.__mod__, zip(map(labels.__getitem__, trace.labels), spelled))))

@@ -17,7 +17,7 @@ from typing import Any, Mapping
 
 from .model import FRACTION, HORIZON_YEARS, POPULATION, RATE, DomainError, check_range, frozen
 from .netfile import object_reader
-from .report import numbers, template
+from .report import dumps
 
 MAX_PROJECTED_SUBSCRIBERS = 10**11
 """Most subscribers :func:`project_growth` may project: the largest LTE base the input ranges allow
@@ -120,17 +120,19 @@ def render_forecast_text(inputs: TrafficInput, forecast: TrafficForecast) -> str
     return "\n".join(lines) + "\n"
 
 
-_FORECAST_JSON = template((
-    ("inputs", ("population", "cellular_penetration", "operator_share", "lte_penetration", "annual_growth",
-                "horizon")),
-    "mobile_subscribers", "operator_subscribers", "lte_subscribers", "projected_subscribers",
-)) + "\n"
-
-
 def render_forecast_json(inputs: TrafficInput, forecast: TrafficForecast) -> str:
-    """The forecast as JSON, byte for byte what json.dumps(indent=2) writes."""
-    return _FORECAST_JSON % numbers((
-        inputs.population, inputs.cellular_penetration, inputs.operator_share, inputs.lte_penetration,
-        inputs.annual_growth, inputs.horizon, forecast.mobile_subscribers, forecast.operator_subscribers,
-        forecast.lte_subscribers, forecast.projected_subscribers,
-    ))
+    """The forecast as JSON, as json.dumps(indent=2) writes it."""
+    return dumps({
+        "inputs": {
+            "population": inputs.population,
+            "cellular_penetration": inputs.cellular_penetration,
+            "operator_share": inputs.operator_share,
+            "lte_penetration": inputs.lte_penetration,
+            "annual_growth": inputs.annual_growth,
+            "horizon": inputs.horizon,
+        },
+        "mobile_subscribers": forecast.mobile_subscribers,
+        "operator_subscribers": forecast.operator_subscribers,
+        "lte_subscribers": forecast.lte_subscribers,
+        "projected_subscribers": forecast.projected_subscribers,
+    })

@@ -192,7 +192,7 @@ LOADED = {  # command: its flags, and the submodules its process loads
     "validate": ("", VALIDATE_MODULES),
     "forecast": ("", VALIDATE_MODULES),
     "plan": ("--standard gpon-onu-endpoint", (*VALIDATE_MODULES, "power_budget", "risetime", "planning")),
-    "trace": ("--ber", (*VALIDATE_MODULES, "power_budget", "units", "signal_chain")),
+    "trace": ("--ber", (*VALIDATE_MODULES, "power_budget", "signal_chain")),
 }
 
 

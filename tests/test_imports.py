@@ -1,6 +1,6 @@
 """Each fiberplan module uses only the public names of the others, imports on its own,
-defines no function that nothing names, and the package root hands out every public
-name on first use."""
+defines no function or module-level name that nothing names, and the package root
+hands out every public name on first use."""
 
 from __future__ import annotations
 
@@ -50,26 +50,38 @@ def test_the_check_sees_a_private_import(tmp_path):
     assert _private_imports(probe) == [".netfile._number", "fiberplan.model._frozen_eq"]
 
 
+def _defined(node: ast.stmt) -> list[str]:
+    """The names a module-level function definition or assignment binds, dunders excepted."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if not re.fullmatch(r"__\w+__", name)]
+
+
 def _uncalled(modules: list[Path], texts: list[str]) -> list[str]:
-    """``module.name`` for each module-level function, dunders excepted, that neither another
-    module nor a text names, nor its own module outside the function's definition."""
+    """``module.name`` for each module-level function or assigned name, dunders excepted,
+    that neither another module nor a text names, nor its own module outside the
+    statement that defines it."""
     sources = {path: path.read_text(encoding="utf-8") for path in modules}
     found = []
     for path, source in sources.items():
         lines = source.splitlines()
         for node in ast.parse(source).body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or re.fullmatch(r"__\w+__", node.name):
-                continue
-            start = min([node.lineno, *(d.lineno for d in node.decorator_list)]) - 1
+            start = min([node.lineno, *(d.lineno for d in getattr(node, "decorator_list", ()))]) - 1
             elsewhere = ["\n".join(lines[:start] + lines[node.end_lineno:]),
                          *(text for other, text in sources.items() if other != path), *texts]
-            if not any(re.search(rf"\b{node.name}\b", text) for text in elsewhere):
-                found.append(f"{path.stem}.{node.name}")
+            for name in _defined(node):
+                if not any(re.search(rf"\b{name}\b", text) for text in elsewhere):
+                    found.append(f"{path.stem}.{name}")
     return found
 
 
 def test_every_function_has_a_caller():
-    """A function that ``src``, README.md and demos/ never name is dead code."""
+    """A function or module-level name that ``src``, README.md and demos/ never name is dead code."""
     texts = [path.read_text(encoding="utf-8") for path in [ROOT / "README.md", *sorted(ROOT.glob("demos/*.py"))]]
     assert len(texts) > 1
     assert _uncalled(MODULES, texts) == []
@@ -80,6 +92,13 @@ def test_the_check_sees_an_uncalled_function(tmp_path):
     probe.write_text("def used():\n    return 1\n\n\ndef dead(n):\n    return dead(n - 1) + used() if n else 0\n\n\n"
                      "def __dir__():\n    return []\n\n\n@staticmethod\ndef named():\n    pass\n")
     assert _uncalled([probe], ["named in a text"]) == ["probe.dead"]
+
+
+def test_the_check_sees_an_unused_module_level_name(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text('__all__ = []\nUSED, _READ = 1, 2\n_DEAD: int = (\n    _READ\n)\n_NAMED = 3\n'
+                     '_LEFTOVER = "%s"\n\n\ndef f():\n    return USED\n')
+    assert _uncalled([probe], ["_NAMED in a text", "f"]) == ["probe._DEAD", "probe._LEFTOVER"]
 
 
 # __main__ is left out: importing it runs the command line.

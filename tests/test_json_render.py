@@ -1,17 +1,20 @@
-"""The template JSON writers against the payload builders and ``json.dumps`` they replaced.
+"""The JSON writers against whole-payload ``json.dumps``.
 
-The ``render_*_json`` writers format report values straight into fixed indent-2
-templates. The reference below is the earlier code, kept verbatim: build a
-dict per report, then ``json.dumps(payload, indent=2) + "\\n"``. Every case
-asserts the two strings are equal byte for byte: the Sleman golden commands,
-a small ring (1x8 splitter, EDFA, a span without connectors, failing rise
-times, a custom RZ standard), a two-node ring of parallel spans, the golden
-GPON tree, names that need JSON escaping, non-finite values, broken plants'
-violations, and a Hypothesis property over mutated Sleman documents. Further
-cases reach the exact path behind the fixed-point spelling (traces injected at
-1e300 dBm, rows holding ints, nan, inf or values beyond 1e12) or sit at its edge
-(-0.0 losses, powers near 1e9 and 1e11), and a Hypothesis property checks the
-fixed-point spelling itself against ``repr(round(x, n))``.
+The ``render_*_json`` writers hand each report's fixed-size skeleton to
+``json.dumps`` and splice in its plant-sized tables, formatted row by row into
+indent-2 templates. The reference below is the earlier code, kept verbatim:
+build a dict per report, tables included, then
+``json.dumps(payload, indent=2) + "\\n"``. Every case asserts the two strings
+are equal byte for byte: the Sleman golden commands, a small ring (1x8
+splitter, EDFA, a span without connectors, failing rise times, a custom RZ
+standard), a two-node ring of parallel spans, the golden GPON tree, names that
+need JSON escaping or hold the text a skeleton stands in for a table with,
+non-finite values, broken plants' violations, and a Hypothesis property over
+mutated Sleman documents. Further cases reach the exact path behind the
+fixed-point spelling (traces injected at 1e300 dBm, rows holding ints, nan, inf
+or values beyond 1e12) or sit at its edge (-0.0 losses, powers near 1e9 and
+1e11), and a Hypothesis property checks the fixed-point spelling itself against
+``repr(round(x, n))``.
 """
 
 from __future__ import annotations
@@ -38,13 +41,14 @@ from fiberplan.standards import Verdict, builtin_profiles
 from fiberplan.traffic import TrafficInput, forecast_subscribers, render_forecast_json, traffic_input_from_mapping
 
 from test_cli_fuzz import documents
+from test_scaling import write_ring
 
 SLEMAN = json.loads(sleman_path().read_text(encoding="utf-8"))
 TREE = json.loads((Path(__file__).parent / "golden" / "tree-network.json").read_text(encoding="utf-8"))
 ONU = "gpon-onu-endpoint"
 
 
-# --- reference: the payload builders and encoder the writers replaced ------------
+# --- reference: whole-payload builders and encoder ------------------------------
 
 
 def _db(x: float) -> float:
@@ -219,6 +223,24 @@ for span, length in zip(FINE_LENGTHS["spans"], (10.0945678, 1e-05, 1234.5, 0.1 +
     span["length"] = length
 
 
+def _marker(key: str) -> str:
+    """What a report's skeleton holds, in place of a table, before the table's rows are spliced in."""
+    return f'\n  "{key}": []'
+
+
+# Node ids and names, span ids, a fiber name (so trace labels) and a standard name that each hold markers.
+MARKED_IDS = ["a" + _marker("path"), "b" + _marker("verdicts"), "c" + _marker("violations")]
+MARKED_FIBER = "g652" + _marker("points")
+MARKED_STANDARD = "lab" + _marker("spans") + _marker("verdicts")
+MARKED = _plant(
+    [(MARKED_IDS[0], "A" + _marker("spans")), (MARKED_IDS[1], "B" + _marker("points")), (MARKED_IDS[2], "C")],
+    [_span("s1" + _marker("spans"), *MARKED_IDS[:2], 6.0, fiber=MARKED_FIBER),
+     _span("s2" + _marker("verdicts"), *MARKED_IDS[1:], 8.0, fiber=MARKED_FIBER),
+     _span("s3" + _marker("path"), MARKED_IDS[2], MARKED_IDS[0], 9.0, fiber=MARKED_FIBER)],
+    fiber_profiles={MARKED_FIBER: {"attenuation": 0.3, "dispersion": 3.5, "drum_length": 2.5}},
+    standards={MARKED_STANDARD: {"bit_rate": 5e9, "line_code": "rz", "rx_sensitivity": -19.5}},
+)
+
 def _leaf_paths(doc: dict[str, Any]) -> list[str]:
     children: dict[str, list[str]] = {}
     for span in doc["spans"]:
@@ -285,6 +307,7 @@ PLANTS = {
     "tree": (TREE, [ONU], tuple(_leaf_paths(TREE))),
     "negative-zero": (NEGATIVE_ZERO, [ONU], ("ring", "seyegan,tempel,pakem")),
     "fine-lengths": (FINE_LENGTHS, [ONU], ("ring",)),
+    "table-markers": (MARKED, [ONU, MARKED_STANDARD], ("ring", ",".join(MARKED_IDS[:2]), ",".join(MARKED_IDS[1:]))),
 }
 
 
@@ -332,6 +355,21 @@ def test_broken_plants_list_their_violations():
     assert validate_network(parse_network(cyclic).network)
 
 
+def test_table_markers_in_strings_stay_inside_them():
+    """The skeleton of every report holds each table as a marker, and user strings may hold one too:
+    in a node id, a name, a span id, a trace label, a standard name or, below, a violation."""
+    broken = copy.deepcopy(MARKED)
+    unknown = broken["spans"][0]["to"] = "z" + _marker("violations")
+    broken["spans"][1]["id"] = broken["spans"][2]["id"]
+    violations = validate_network(parse_network(broken).network)
+    assert render_violations_json(violations) == to_json(violations_to_dict(violations))
+    assert f"node:{MARKED_IDS[0]}" in [v.element for v in violations]
+    assert f"references unknown node {unknown!r}" in [v.message for v in violations]
+    doc = parse_network(copy.deepcopy(MARKED))
+    trace, _ = run_trace(doc)
+    assert any(_marker("points") in label for label in trace.labels)
+    assert _marker("spans") in run_plan(doc, MARKED_STANDARD).standard.name
+
 @pytest.mark.parametrize(
     "inputs",
     [
@@ -348,24 +386,48 @@ def test_forecast_edge_values(inputs):
     assert render_forecast_json(inputs, forecast) == to_json(forecast_to_dict(inputs, forecast))
 
 
-def test_writers_never_reach_the_pure_python_encoder(monkeypatch, sleman_doc):
-    """json.dumps with an indent runs json.encoder._make_iterencode; the writers must not."""
-    report = run_plan(sleman_doc, ONU)
-    trace, ber = run_trace(sleman_doc, with_ber=True)
-    violations = validate_network(sleman_doc.network)
-    inputs = traffic_input_from_mapping(sleman_doc.traffic)
+def _leaves(payload: Any) -> list[Any]:
+    """Every value in a JSON payload that is not an object: scalars, and lists unopened."""
+    if isinstance(payload, dict):
+        return [leaf for value in payload.values() for leaf in _leaves(value)]
+    return [payload]
+
+
+def test_no_table_row_reaches_the_pure_python_encoder(monkeypatch, tmp_path):
+    """json.dumps with an indent runs json.encoder._make_iterencode, too slow for a plant-sized table.
+    Rendering a 1000-node ring's reports (and a broken copy's violations), it may only see small
+    skeletons whose lists are all empty."""
+    raw = json.loads(write_ring(tmp_path, 1000).read_text(encoding="utf-8"))
+    doc = parse_network(copy.deepcopy(raw))
+    del raw["spans"][500]
+    report = run_plan(doc, ONU)
+    trace, ber = run_trace(doc, with_ber=True)
+    violations = validate_network(parse_network(raw).network)
+    inputs = traffic_input_from_mapping(doc.traffic)
     forecast = forecast_subscribers(inputs)
+    payloads: list[Any] = []
+    make_iterencode = json.encoder._make_iterencode
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a JSON report went through json.encoder._make_iterencode")
+    def recording(*args, **kwargs):
+        encode = make_iterencode(*args, **kwargs)
+        return lambda payload, level: payloads.append(payload) or encode(payload, level)
 
-    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
-    with pytest.raises(AssertionError):
-        json.dumps({"probe": [1]}, indent=2)  # the patch is live
-    assert render_plan_json(report).startswith("{\n")
-    assert render_trace_json(trace, ber).startswith("{\n")
-    assert render_violations_json(violations).startswith("{\n")
-    assert render_forecast_json(inputs, forecast).startswith("{\n")
+    monkeypatch.setattr(json.encoder, "_make_iterencode", recording)
+    json.dumps({"probe": [1]}, indent=2)
+    assert payloads == [{"probe": [1]}]  # the patch is live
+    del payloads[:]
+    plan, points = render_plan_json(report), render_trace_json(trace, ber)
+    ours = [plan, points, render_violations_json(violations), render_forecast_json(inputs, forecast)]
+    monkeypatch.undo()
+    assert ours == [to_json(plan_to_dict(report)), to_json(trace_to_dict(trace, ber)),
+                    to_json(violations_to_dict(violations)), to_json(forecast_to_dict(inputs, forecast))]
+    # the tables are there, so they went round the encoder
+    assert plan.count('"link"') == 1000 and points.count('"label"') > 8000 and violations
+    assert len(payloads) == 4
+    for payload in payloads:
+        leaves = _leaves(payload)
+        assert all(leaf == [] for leaf in leaves if isinstance(leaf, list))
+        assert len(leaves) <= 30
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -52,12 +52,15 @@ def write_star(tmp_path, n: int):
 
 
 def test_trace_points_stay_small(tmp_path):
-    """Memory guard: a point of the 1000-node ring's trace holds about 55 bytes, mostly a label
+    """Memory guard: a point of the 1000-node ring's trace holds about 50 bytes, mostly a label
     reference and a float in two flat columns (80 as a slotted object per point, 184 before
-    the value classes had slots), so the whole trace fits in well under 1 MB."""
+    the value classes had slots), so the whole trace fits in well under 1 MB. A first trace
+    fills CPython's free lists of small tuples, which would otherwise count as held by the one
+    measured."""
     net = load_network(write_ring(tmp_path, 1000)).network
     runs = route_chain(net, ring_spans(net))
     elements = sum(count for _, _, count, _ in runs)
+    propagate(net.transceiver.tx_power, runs)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

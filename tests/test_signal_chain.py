@@ -30,11 +30,11 @@ from fiberplan.signal_chain import (
     DEFAULT_NOISE_SIGMA,
     MAX_TRACE_ELEMENTS,
     ber_from_q,
+    dbm_to_watts,
     estimate_ber,
     propagate,
     route_chain,
 )
-from fiberplan.units import dbm_to_watts
 
 from conftest import LOSSES, TRANSCEIVER, make_ring, make_span
 
