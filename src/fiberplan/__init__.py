@@ -15,8 +15,8 @@ _EXPORTS = {
     name: module
     for module, names in {
         "model": "Amplifier AmplifierKind ComponentLosses ConfigurationError DomainError FiberProfile LineCode"
-        " Network Node Span Splitter Topology TransceiverProfile ValidationFailure Violation resolved_splices"
-        " ring_spans spans_along splice_count validate_network",
+        " Network Node Span Splitter Topology TrafficInput TransceiverProfile ValidationFailure Violation"
+        " resolved_splices ring_spans spans_along splice_count validate_network",
         "netfile": "NetworkDocument NetworkFileError load_network parse_network",
         "planning": "PlanReport SpanResult run_plan",
         "power_budget": "AmplifierPlan LossBreakdown amplifier_requirement combine_span_losses max_allowed_loss"
@@ -24,7 +24,7 @@ _EXPORTS = {
         "risetime": "RiseTimeReport dispersion_risetime max_system_risetime span_risetime_report total_risetime",
         "signal_chain": "BerEstimate PowerTrace ber_from_q estimate_ber propagate route_chain run_trace",
         "standards": "StandardProfile Verdict builtin_profiles power_verdict resolve_standard risetime_verdict",
-        "traffic": "TrafficForecast TrafficInput forecast_subscribers project_growth round_half_toward_zero",
+        "traffic": "TrafficForecast forecast_subscribers project_growth round_half_toward_zero",
     }.items()
     for name in names.split()
 }

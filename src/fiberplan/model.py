@@ -307,6 +307,26 @@ class Network:
 
 
 @frozen
+class TrafficInput:
+    """Inputs of the subscriber derivation chain (:mod:`fiberplan.traffic`)."""
+
+    population: int
+    cellular_penetration: float  # mobile subscriptions per inhabitant
+    operator_share: float  # fraction of mobile subscribers on the operator
+    lte_penetration: float  # fraction of operator subscribers on LTE
+    annual_growth: float  # compound yearly growth of the LTE base
+    horizon: int  # years projected beyond the base year
+
+    def __post_init__(self) -> None:
+        check_range("population", self.population, POPULATION)
+        check_range("cellular_penetration", self.cellular_penetration, RATE)
+        check_range("operator_share", self.operator_share, FRACTION)
+        check_range("lte_penetration", self.lte_penetration, FRACTION)
+        check_range("annual_growth", self.annual_growth, RATE)
+        check_range("horizon", self.horizon, HORIZON_YEARS, "years")
+
+
+@frozen
 class Violation:
     """One broken structural rule, attached to the offending element."""
 

@@ -19,34 +19,28 @@ load-time errors naming the field, as are wrong types, including ``true`` for
 a number and ``2.5`` for a count. Each number must also lie in its field's
 physical range, checked by the value class it builds (the ranges are the
 constants in :mod:`fiberplan.model`; README "Network file format" tables them
-with their units).
+with their units). ``traffic`` is read at load too; its ranges are checked by
+``forecast``, whose flags may give the keys a file leaves out.
+
+Every shape fault is spelled one way, by :func:`_field_error`: a wrong value
+(``span 's1'.length: expected a number, got '10'``), a wrong object or
+top-level key (``spans[3]: expected an object, got 3``, ``topology: expected
+'ring' or 'tree', got 'mesh'``) or a missing key (``transceiver: missing
+required key 'tx_power'``).
 """
 
 from __future__ import annotations
 
 import json
-from math import inf, isfinite
+from enum import Enum
+from math import inf
 from pathlib import Path
+from sys import float_info
 from typing import Any, Callable, Mapping, Sequence, TypeVar
 
 from .model import (
-    GAIN_DB,
-    LOSS_DB,
-    Amplifier,
-    AmplifierKind,
-    ComponentLosses,
-    ConfigurationError,
-    DomainError,
-    FiberProfile,
-    LineCode,
-    Network,
-    Node,
-    Span,
-    Splitter,
-    Topology,
-    TransceiverProfile,
-    check_range,
-    frozen,
+    GAIN_DB, LOSS_DB, Amplifier, AmplifierKind, ComponentLosses, ConfigurationError, DomainError, FiberProfile,
+    LineCode, Network, Node, Span, Splitter, Topology, TrafficInput, TransceiverProfile, check_range, frozen,
 )
 from .standards import StandardProfile
 
@@ -81,104 +75,86 @@ _TOP_KEYS = frozenset({
 _NODE_KEYS = frozenset({"id", "name"})
 _SPAN_KEYS = frozenset({"id", "from", "to", "length", "fiber", "connectors", "splices", "amplifiers", "splitters"})
 
-# Each field reader does the lookup, the default, the type check and (for
-# numbers) the finiteness check in one call. The object being read is named by
-# a ``where`` template and its ``at`` arguments, e.g. ("span {!r}", (span_id,)),
-# formatted only when a check fails; ``where=""`` is the top level.
+# Each field reader does the lookup, the default, the type check and (for numbers) the finiteness
+# check in one call. ``where`` names the object read, e.g. "span 's1'"; "" is the top level.
 
 
-def _field_error(where: str, at: tuple[Any, ...], key: str, expected: str, value: Any) -> NetworkFileError:
-    place = where.format(*at)
+def _field_error(where: str, key: str, expected: str, value: Any) -> NetworkFileError:
+    """A shape fault in the one grammar; a wrong object is a top-level key: ``_field_error("", where, ...)``."""
     if value is _MISSING:
-        return NetworkFileError(f"{place or 'top level'}: missing required key {key!r}")
-    return NetworkFileError(f"{f'{place}.{key}' if place else key}: expected {expected}, got {value!r}")
+        return NetworkFileError(f"{where or 'top level'}: missing required key {key!r}")
+    return NetworkFileError(f"{f'{where}.{key}' if where else key}: expected {expected}, got {value!r}")
 
 
-def _reject_unknown(obj: Mapping[str, Any], allowed: frozenset[str], where: str, at: tuple[Any, ...] = ()) -> None:
-    if allowed.issuperset(obj):
-        return
-    unknown = sorted(obj.keys() - allowed)
-    raise NetworkFileError(f"{where.format(*at)}: unknown key(s) {', '.join(map(repr, unknown))}")
+def _reject_unknown(obj: Mapping[str, Any], allowed: frozenset[str], where: str) -> None:
+    if not allowed.issuperset(obj):
+        unknown = ", ".join(map(repr, sorted(obj.keys() - allowed, key=str)))  # a library caller may pass any key
+        raise NetworkFileError(f"{where}: unknown key(s) {unknown}")
 
 
-def _require(doc: Mapping[str, Any], key: str) -> Any:
-    """A required top-level value of any type."""
-    value = doc.get(key, _MISSING)
-    if value is _MISSING:
-        raise NetworkFileError(f"top level: missing required key {key!r}")
-    return value
-
-
-def _number(obj: Mapping[str, Any], key: str, where: str, at: tuple[Any, ...] = (), default: Any = _MISSING) -> float:
+def _number(obj: Mapping[str, Any], key: str, where: str, default: Any = _MISSING) -> float:
     value = obj.get(key, default)
-    if isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool)):
-        try:
-            number = float(value)
-        except OverflowError:  # an integer beyond the float range
-            number = inf
-        if isfinite(number):
-            return number
-        raise _field_error(where, at, key, "a finite number", value)
-    raise _field_error(where, at, key, "a number", value)
+    if isinstance(value, (float, int)) and not isinstance(value, bool):
+        if abs(value) <= float_info.max:  # exact for an integer of any size; false for NaN
+            return float(value)
+        raise _field_error(where, key, "a finite number", value)
+    raise _field_error(where, key, "a number", value)
 
 
-def _count(obj: Mapping[str, Any], key: str, where: str, at: tuple[Any, ...] = (), default: Any = _MISSING) -> int:
+def _count(obj: Mapping[str, Any], key: str, where: str, default: Any = _MISSING) -> int:
     value = obj.get(key, default)
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    raise _field_error(where, at, key, "an integer", value)
+    raise _field_error(where, key, "an integer", value)
 
 
-def _text(obj: Mapping[str, Any], key: str, where: str, at: tuple[Any, ...] = (), default: Any = _MISSING) -> str:
+def _text(obj: Mapping[str, Any], key: str, where: str, default: Any = _MISSING) -> str:
     value = obj.get(key, default)
     if isinstance(value, str):
         return value
-    raise _field_error(where, at, key, "a string", value)
+    raise _field_error(where, key, "a string", value)
 
 
-def _amplifier_kind(obj: Mapping[str, Any], key: str, where: str, at: tuple[Any, ...], default: Any) -> AmplifierKind:
-    value = obj.get(key, default)
-    try:
-        return AmplifierKind(value)
-    except ValueError:
-        raise NetworkFileError(f"{where.format(*at)}: unknown amplifier kind {value!r}") from None
+def _choice(enum: type[Enum]) -> Callable[..., Any]:
+    """The field reader of ``enum``: a value naming no member, a string or not, is a shape fault."""
+    expected = " or ".join(repr(member.value) for member in enum)
 
+    def read(obj: Mapping[str, Any], key: str, where: str, default: Any = _MISSING) -> Any:
+        value = obj.get(key, default)
+        try:
+            return enum(value)
+        except ValueError:  # also for an unhashable value
+            raise _field_error(where, key, expected, value) from None
 
-def _line_code(obj: Mapping[str, Any], key: str, where: str, at: tuple[Any, ...], default: Any) -> LineCode:
-    code = _text(obj, key, where, at, default)
-    try:
-        return LineCode(code)
-    except ValueError:
-        raise NetworkFileError(f"{where.format(*at)}: line_code must be 'nrz' or 'rz', got {code!r}") from None
+    return read
 
 
 # The reader of a field, by the annotation its value class declares it with.
 _FIELD_READERS = {
-    "float": _number, "int": _count, "str": _text, "AmplifierKind": _amplifier_kind, "LineCode": _line_code,
+    "float": _number, "int": _count, "str": _text,
+    "AmplifierKind": _choice(AmplifierKind), "LineCode": _choice(LineCode), "Topology": _choice(Topology),
 }
 
 _V = TypeVar("_V")
 
 
-def object_reader(
-    cls: type[_V], where: str, given: tuple[str, ...] = (), first: Sequence[str] = ()
-) -> Callable[..., _V]:
+def object_reader(cls: type[_V], given: tuple[str, ...] = (), first: Sequence[str] = ()) -> Callable[..., _V]:
     """A function building ``cls`` from a JSON object whose keys are its fields less ``given``.
 
     Each field is read by the reader for its annotation, ``first`` first and the
     rest in field order; an absent key takes the field's default. The caller
-    passes ``given`` by keyword and names the object by ``where`` and ``at``.
+    names the object by ``where`` and passes ``given`` by keyword.
     """
     keys = frozenset(cls._fields).difference(given)
     order = [*first, *(name for name in cls._fields if name in keys and name not in first)]
     readers = [(name, _FIELD_READERS[cls.__annotations__[name]], cls._defaults.get(name, _MISSING)) for name in order]
 
-    def read(raw: Any, at: tuple[Any, ...] = (), **values: Any) -> _V:
+    def read(raw: Any, where: str, **values: Any) -> _V:
         if not isinstance(raw, dict):
-            raise NetworkFileError(f"{where.format(*at)}: expected an object")
-        _reject_unknown(raw, keys, where, at)
+            raise _field_error("", where, "an object", raw)
+        _reject_unknown(raw, keys, where)
         for name, reader, default in readers:
-            values[name] = reader(raw, name, where, at, default)
+            values[name] = reader(raw, name, where, default)
         return cls(**values)
 
     return read
@@ -186,53 +162,55 @@ def object_reader(
 
 # These orders pin which fault a file with several is told of: transceiver keys
 # sorted, an amplifier's kind before its gain, a standard's line code before its numbers.
-_read_fiber = object_reader(FiberProfile, "fiber_profiles[{!r}]", given=("name",))
-_read_transceiver = object_reader(TransceiverProfile, "transceiver", first=sorted(TransceiverProfile._fields))
-_read_losses = object_reader(ComponentLosses, "losses")
-_read_amplifier = object_reader(Amplifier, "span {!r}.amplifiers[{}]", first=("kind",))
-_read_standard = object_reader(StandardProfile, "standards[{!r}]", given=("name",), first=("line_code",))
+_read_fiber = object_reader(FiberProfile, given=("name",))
+_read_transceiver = object_reader(TransceiverProfile, first=sorted(TransceiverProfile._fields))
+_read_losses = object_reader(ComponentLosses)
+_read_amplifier = object_reader(Amplifier, first=("kind",))
+_read_standard = object_reader(StandardProfile, given=("name",), first=("line_code",))
 
 
 def _profiles(raw: Any, key: str, read: Callable[..., _V]) -> dict[str, _V]:
     """A map of profile names to objects, each built by ``read`` under its name."""
     if not isinstance(raw, dict):
-        raise NetworkFileError(f"{key!r} must map profile names to objects")
-    return {name: read(body, (name,), name=name) for name, body in raw.items()}
+        raise _field_error("", key, "an object", raw)
+    return {name: read(body, f"{key}[{name!r}]", name=name) for name, body in raw.items()}
 
 
-def _devices(raw: Sequence[Any], span_id: str, key: str, build: Callable[[Any, tuple[str, int]], _V]) -> tuple[_V, ...]:
+def _devices(raw: Any, span_id: str, key: str, build: Callable[[Any, str], _V]) -> tuple[_V, ...]:
     """Each entry of a span's ``key`` list, built by ``build``; a range error names the entry."""
+    if not isinstance(raw, (list, tuple)):
+        raise _field_error(f"span {span_id!r}", key, "a list", raw)
     out = []
     for i, item in enumerate(raw):
+        where = f"span {span_id!r}.{key}[{i}]"
         try:
-            out.append(build(item, (span_id, i)))
+            out.append(build(item, where))
         except DomainError as exc:
-            raise NetworkFileError(f"span {span_id!r}.{key}[{i}]: {exc}") from exc
+            raise NetworkFileError(f"{where}: {exc}") from exc
     return tuple(out)
 
 
-def _splitter(ratio: Any, at: tuple[str, int]) -> Splitter:
+def _splitter(ratio: Any, where: str) -> Splitter:
     if isinstance(ratio, bool) or not isinstance(ratio, int):
-        raise NetworkFileError("span {!r}.splitters[{}]: expected an integer, got {!r}".format(*at, ratio))
+        raise _field_error("", where, "an integer", ratio)
     return Splitter(ratio)
 
 
-def _span(raw: Any, profiles: Mapping[str, FiberProfile]) -> Span:
-    if not isinstance(raw, dict):
-        raise NetworkFileError("spans: each entry must be an object")
+def _span(raw: Any, profiles: Mapping[str, FiberProfile], entries: list[Any]) -> Span:
+    if not isinstance(raw, dict):  # every entry before it is an object, so index() finds this one
+        raise _field_error("", f"spans[{entries.index(raw)}]", "an object", raw)
     # Each field is read and type-tested inline; its reader is called only when that test fails,
     # to raise the error or to accept what the test is too narrow for (an integer length).
     get = raw.get
     span_id = get("id")
     if span_id.__class__ is not str:
         span_id = _text(raw, "id", "span")
-    where, at = "span {!r}", (span_id,)
     if not _SPAN_KEYS.issuperset(raw):
-        _reject_unknown(raw, _SPAN_KEYS, where, at)
+        _reject_unknown(raw, _SPAN_KEYS, f"span {span_id!r}")
 
     fiber_name = get("fiber")
     if fiber_name.__class__ is not str:  # before the lookup: a list is no dict key
-        fiber_name = _text(raw, "fiber", where, at)
+        fiber_name = _text(raw, "fiber", f"span {span_id!r}")
     fiber = profiles.get(fiber_name)
     if fiber is None:
         raise NetworkFileError(f"span {span_id!r}: unknown fiber profile {fiber_name!r}")
@@ -241,47 +219,46 @@ def _span(raw: Any, profiles: Mapping[str, FiberProfile]) -> Span:
     if splices == "auto":
         splices = None
     elif splices.__class__ is not int:
-        splices = _count(raw, "splices", where, at)
-    # Most spans list neither amplifiers nor splitters; skip the loops for them.
+        splices = _count(raw, "splices", f"span {span_id!r}")
+    # Most spans list neither amplifiers nor splitters: their default () skips the type test and the loop.
     amplifiers = get("amplifiers", ())
-    if not isinstance(amplifiers, (list, tuple)):
-        raise _field_error(where, at, "amplifiers", "a list", amplifiers)
-    amplifiers = _devices(amplifiers, span_id, "amplifiers", _read_amplifier) if amplifiers else ()
+    if amplifiers.__class__ is not tuple or amplifiers:
+        amplifiers = _devices(amplifiers, span_id, "amplifiers", _read_amplifier)
     splitters = get("splitters", ())
-    if not isinstance(splitters, (list, tuple)):
-        raise _field_error(where, at, "splitters", "a list", splitters)
-    splitters = _devices(splitters, span_id, "splitters", _splitter) if splitters else ()
+    if splitters.__class__ is not tuple or splitters:
+        splitters = _devices(splitters, span_id, "splitters", _splitter)
 
     from_node = get("from")
     if from_node.__class__ is not str:
-        from_node = _text(raw, "from", where, at)
+        from_node = _text(raw, "from", f"span {span_id!r}")
     to_node = get("to")
     if to_node.__class__ is not str:
-        to_node = _text(raw, "to", where, at)
+        to_node = _text(raw, "to", f"span {span_id!r}")
     length = get("length")
     if length.__class__ is not float or not -inf < length < inf:
-        length = _number(raw, "length", where, at)
+        length = _number(raw, "length", f"span {span_id!r}")
     connectors = get("connectors", 2)
     if connectors.__class__ is not int:
-        connectors = _count(raw, "connectors", where, at, 2)
+        connectors = _count(raw, "connectors", f"span {span_id!r}", 2)
     # Positional, in field order: binding nine keywords made reading a span about 20% slower.
     return Span(span_id, from_node, to_node, length, fiber, connectors, splices, amplifiers, splitters)
 
 
-def _nodes(raw: list[Any]) -> tuple[Node, ...]:
-    where = "nodes[{}]"
+def _nodes(raw: Any) -> tuple[Node, ...]:
+    if not isinstance(raw, list):
+        raise _field_error("", "nodes", "a list", raw)
     out = []
     for i, body in enumerate(raw):  # read inline as in _span, the readers only on a failed test
         if not isinstance(body, dict):
-            raise NetworkFileError(f"nodes[{i}]: expected an object")
+            raise _field_error("", f"nodes[{i}]", "an object", body)
         if not _NODE_KEYS.issuperset(body):
-            _reject_unknown(body, _NODE_KEYS, where, (i,))
+            _reject_unknown(body, _NODE_KEYS, f"nodes[{i}]")
         node_id = body.get("id")
         if node_id.__class__ is not str:
-            node_id = _text(body, "id", where, (i,))
+            node_id = _text(body, "id", f"nodes[{i}]")
         name = body.get("name", node_id)
         if name.__class__ is not str:
-            name = _text(body, "name", where, (i,), node_id)
+            name = _text(body, "name", f"nodes[{i}]", node_id)
         out.append(Node(node_id, name))
     return tuple(out)
 
@@ -294,48 +271,46 @@ def parse_network(doc: Mapping[str, Any]) -> NetworkDocument:
     see one error type for bad files.
     """
     if not isinstance(doc, dict):
-        raise NetworkFileError("top level: expected a JSON object")
+        raise _field_error("", "top level", "an object", doc)
     _reject_unknown(doc, _TOP_KEYS, "top level")
 
-    topology_raw = _text(doc, "topology", "")
-    try:
-        topology = Topology(topology_raw)
-    except ValueError:
-        raise NetworkFileError(f"topology must be 'ring' or 'tree', got {topology_raw!r}") from None
+    topology = _FIELD_READERS["Topology"](doc, "topology", "")
 
-    nodes_raw = _require(doc, "nodes")
-    if not isinstance(nodes_raw, list):
-        raise NetworkFileError("'nodes' must be a list")
-    nodes = _nodes(nodes_raw)
+    nodes = _nodes(doc.get("nodes", _MISSING))
 
     head = doc.get("head")
     if head is not None:
         head = _text(doc, "head", "")
 
     traffic = doc.get("traffic")
-    if traffic is not None and not isinstance(traffic, dict):
-        raise NetworkFileError("'traffic' must be an object")
+    if traffic is not None:  # forecast checks the ranges
+        if not isinstance(traffic, dict):
+            raise _field_error("", "traffic", "an object", traffic)
+        _reject_unknown(traffic, frozenset(TrafficInput._fields), "traffic")
+        for name in TrafficInput._fields:
+            if name in traffic:
+                _FIELD_READERS[TrafficInput.__annotations__[name]](traffic, name, "traffic")
 
-    spans_raw = _require(doc, "spans")
+    spans_raw = doc.get("spans", _MISSING)
     if not isinstance(spans_raw, list):
-        raise NetworkFileError("'spans' must be a list")
+        raise _field_error("", "spans", "a list", spans_raw)
 
     try:
-        profiles = _profiles(_require(doc, "fiber_profiles"), "fiber_profiles", _read_fiber)
+        profiles = _profiles(doc.get("fiber_profiles", _MISSING), "fiber_profiles", _read_fiber)
         network = Network(
             nodes=nodes,
-            spans=tuple([_span(raw, profiles) for raw in spans_raw]),
+            spans=tuple([_span(raw, profiles, spans_raw) for raw in spans_raw]),
             topology=topology,
-            losses=_read_losses(_require(doc, "losses")),
-            transceiver=_read_transceiver(_require(doc, "transceiver")),
+            losses=_read_losses(doc.get("losses", _MISSING), "losses"),
+            transceiver=_read_transceiver(doc.get("transceiver", _MISSING), "transceiver"),
             head=head,
         )
         return NetworkDocument(
             network=network,
             standards=_profiles(doc.get("standards", {}), "standards", _read_standard),
             traffic=traffic,
-            distribution_loss=_number(doc, "distribution_loss", "", (), 0.0),
-            edfa_gain=_number(doc, "edfa_gain", "", (), DEFAULT_EDFA_GAIN),
+            distribution_loss=_number(doc, "distribution_loss", "", 0.0),
+            edfa_gain=_number(doc, "edfa_gain", "", DEFAULT_EDFA_GAIN),
         )
     except DomainError as exc:
         raise NetworkFileError(str(exc)) from exc

@@ -7,9 +7,9 @@ element and formats the only labels. The final point agrees exactly with
 :func:`fiberplan.power_budget.received_power` over the same losses and gains;
 the fold sums exactly in integers, so the agreement is bit-for-bit, not approximate.
 
-The BER model is a plain Gaussian decision model: photocurrent over a single
-configurable receiver noise sigma gives a Q factor, and
-BER = 0.5 erfc(Q / sqrt(2)). With the default sigma and a 0.9 A/W detector,
+The BER model is a plain Gaussian decision model: photocurrent over one fixed
+receiver noise sigma (:data:`NOISE_SIGMA`) gives a Q factor, and
+BER = 0.5 erfc(Q / sqrt(2)). With that sigma and a 0.9 A/W detector,
 end-of-line powers of -25 to -27 dBm give a BER of 2.4e-5 to 5.2e-3 (6.2e-4 at -26).
 
 The trace command lives here too: :func:`run_trace` traces a path of a parsed
@@ -28,7 +28,7 @@ from .netfile import NetworkDocument
 from .power_budget import Run, span_runs
 from .report import db, dumps, slots, spell, template
 
-DEFAULT_NOISE_SIGMA = 7e-7  # A; receiver noise current of the Gaussian model
+NOISE_SIGMA = 7e-7  # A; receiver noise current of the Gaussian model
 
 MAX_TRACE_ELEMENTS = 200_000
 """Most elements the rows of :func:`route_chain` may count for one path; :func:`propagate`
@@ -133,21 +133,17 @@ def ber_from_q(q_factor: float) -> float:
     return 0.5 * math.erfc(q_factor / math.sqrt(2.0))
 
 
-def estimate_ber(
-    received_power: float, responsivity: float, noise_sigma: float = DEFAULT_NOISE_SIGMA
-) -> BerEstimate:
+def estimate_ber(received_power: float, responsivity: float) -> BerEstimate:
     """BER at a receiver from its optical input power (dBm).
 
     The photocurrent is responsivity times the power in watts; dividing by
-    the noise sigma gives the Q factor. Zero power in the linear domain
+    :data:`NOISE_SIGMA` gives the Q factor. Zero power in the linear domain
     (-inf dBm) gives the coin-flip floor, BER = 0.5.
     """
     if responsivity <= 0:
         raise DomainError("responsivity must be > 0 A/W")
-    if noise_sigma <= 0:
-        raise DomainError("noise_sigma must be > 0 A")
     photocurrent = responsivity * dbm_to_watts(received_power)
-    q = photocurrent / noise_sigma
+    q = photocurrent / NOISE_SIGMA
     return BerEstimate(q_factor=q, ber=ber_from_q(q))
 
 

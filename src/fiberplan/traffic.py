@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Any, Mapping
 
-from .model import FRACTION, HORIZON_YEARS, POPULATION, RATE, DomainError, check_range, frozen
+from .model import DomainError, TrafficInput, frozen
 from .netfile import object_reader
 from .report import dumps
 
@@ -29,26 +29,6 @@ def round_half_toward_zero(x: float) -> int:
     if x >= 0:
         return int(math.ceil(x - 0.5))
     return int(math.floor(x + 0.5))
-
-
-@frozen
-class TrafficInput:
-    """Inputs of the subscriber derivation chain."""
-
-    population: int
-    cellular_penetration: float  # mobile subscriptions per inhabitant
-    operator_share: float  # fraction of mobile subscribers on the operator
-    lte_penetration: float  # fraction of operator subscribers on LTE
-    annual_growth: float  # compound yearly growth of the LTE base
-    horizon: int  # years projected beyond the base year
-
-    def __post_init__(self) -> None:
-        check_range("population", self.population, POPULATION)
-        check_range("cellular_penetration", self.cellular_penetration, RATE)
-        check_range("operator_share", self.operator_share, FRACTION)
-        check_range("lte_penetration", self.lte_penetration, FRACTION)
-        check_range("annual_growth", self.annual_growth, RATE)
-        check_range("horizon", self.horizon, HORIZON_YEARS, "years")
 
 
 @frozen
@@ -96,12 +76,12 @@ def forecast_subscribers(inputs: TrafficInput) -> TrafficForecast:
     )
 
 
-_read_traffic = object_reader(TrafficInput, "traffic")
+_read_traffic = object_reader(TrafficInput)
 
 
 def traffic_input_from_mapping(raw: Mapping[str, Any]) -> TrafficInput:
     """Build forecast inputs from a network file's ``traffic`` object: counts must be integers, rates numbers."""
-    return _read_traffic(raw)
+    return _read_traffic(raw, "traffic")
 
 
 def render_forecast_text(inputs: TrafficInput, forecast: TrafficForecast) -> str:

@@ -32,7 +32,7 @@ from fiberplan.power_budget import (
     splitter_loss,
 )
 from fiberplan.risetime import max_system_risetime, span_risetime_report
-from fiberplan.signal_chain import DEFAULT_NOISE_SIGMA, ber_from_q, estimate_ber, propagate
+from fiberplan.signal_chain import NOISE_SIGMA, ber_from_q, estimate_ber, propagate
 from fiberplan.standards import builtin_profiles, power_verdict
 from fiberplan.traffic import TrafficInput, forecast_subscribers, project_growth
 from conftest import TRANSCEIVER
@@ -206,7 +206,7 @@ def test_criterion_8_property_suite():
         for power in (-200.0, -90.0, -40.0, -10.0, 0.0, 12.0):
             assert 0.0 <= estimate_ber(power, responsivity=0.9).ber <= 0.5
         assert ber_from_q(6.0) == pytest.approx(9.87e-10, rel=0.05)
-        pinned = estimate_ber(10 * math.log10(6.0 * DEFAULT_NOISE_SIGMA / 0.9 * 1e3), responsivity=0.9)
+        pinned = estimate_ber(10 * math.log10(6.0 * NOISE_SIGMA / 0.9 * 1e3), responsivity=0.9)
         assert pinned.ber == pytest.approx(9.87e-10, rel=0.05)
 
         # (d) the -28 dBm end-point verdict flips exactly at the boundary
@@ -240,7 +240,7 @@ def test_criterion_9_plan_determinism(sleman_file):
 def test_criterion_10_end_point_ber():
     def body():
         # The paper's -26 dBm calculated end point and its average BER of 5e-4 (Q 3.23, BER 6.2e-4 here).
-        estimate = estimate_ber(-26.0, 0.9, DEFAULT_NOISE_SIGMA)
+        estimate = estimate_ber(-26.0, 0.9)
         assert 1e-4 <= estimate.ber <= 1e-3
 
     _report(10, "the -26 dBm end point gives a BER in [1e-4, 1e-3]", body)

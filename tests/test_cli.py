@@ -307,6 +307,11 @@ MALFORMED = [
     (None, ("forecast", "--population", "10000000000", "--cellular-penetration", "10", "--operator-share", "1",
             "--lte-penetration", "1", "--annual-growth", "10", "--horizon", "100"),
      "projected subscribers (annual_growth 10, horizon 100 years) over the cap of 100,000,000,000"),
+    # The traffic object is read at load, so every command refuses a bad one, not only forecast.
+    (_set(("traffic", "foo"), 1), ("validate",), "traffic: unknown key(s) 'foo'"),
+    (_set(("traffic", "foo"), 1), ("plan", *STANDARD), "traffic: unknown key(s) 'foo'"),
+    (_set(("traffic", "population"), "many"), ("trace",), "traffic.population: expected an integer, got 'many'"),
+    (_set(("traffic", "population"), "many"), ("validate",), "traffic.population: expected an integer, got 'many'"),
 ]
 
 

@@ -8,6 +8,7 @@ import ast
 import re
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -115,6 +116,8 @@ def test_the_root_gives_each_public_name_from_the_module_defining_it():
         obj = getattr(fiberplan, name)
         assert obj.__name__ == name and vars(sys.modules[obj.__module__])[name] is obj
     assert set(fiberplan.__all__) <= set(dir(fiberplan))
+    # The forecast module names the traffic inputs it reads; the plant reader checks them from model.
+    assert import_module("fiberplan.traffic").TrafficInput is fiberplan.TrafficInput
 
 
 def test_star_import_binds_every_public_name():
