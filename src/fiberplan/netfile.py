@@ -203,8 +203,8 @@ def _span(raw: Any, profiles: Mapping[str, FiberProfile], entries: list[Any]) ->
     # to raise the error or to accept what the test is too narrow for (an integer length).
     get = raw.get
     span_id = get("id")
-    if span_id.__class__ is not str:
-        span_id = _text(raw, "id", "span")
+    if span_id.__class__ is not str:  # no entry before it has this id, so index() finds this one
+        span_id = _text(raw, "id", f"spans[{entries.index(raw)}]")
     if not _SPAN_KEYS.issuperset(raw):
         _reject_unknown(raw, _SPAN_KEYS, f"span {span_id!r}")
 
@@ -283,13 +283,12 @@ def parse_network(doc: Mapping[str, Any]) -> NetworkDocument:
         head = _text(doc, "head", "")
 
     traffic = doc.get("traffic")
-    if traffic is not None:  # forecast checks the ranges
+    if traffic is not None:  # forecast checks the ranges; the document keeps its own copy of the typed values
         if not isinstance(traffic, dict):
             raise _field_error("", "traffic", "an object", traffic)
         _reject_unknown(traffic, frozenset(TrafficInput._fields), "traffic")
-        for name in TrafficInput._fields:
-            if name in traffic:
-                _FIELD_READERS[TrafficInput.__annotations__[name]](traffic, name, "traffic")
+        traffic = {name: _FIELD_READERS[TrafficInput.__annotations__[name]](traffic, name, "traffic")
+                   for name in TrafficInput._fields if name in traffic}
 
     spans_raw = doc.get("spans", _MISSING)
     if not isinstance(spans_raw, list):

@@ -29,7 +29,7 @@ from .power_budget import (
     required_input_power,
     span_summary,
 )
-from .report import BOOL, db, dumps, slots, spell, template
+from .report import BOOL, SLOT, db, dumps, row, spell
 from .risetime import RiseTimeReport, max_system_risetime, span_risetime_report
 from .standards import StandardProfile, Verdict, power_verdict, resolve_standard, risetime_verdict
 
@@ -134,7 +134,9 @@ def run_plan(
     )
 
 
-_VERDICT_TEXT = tuple(f"%-32s %10.{n}f %s %s %.{n}f %s  margin %+.{n}f  %s" for n in (2, 3))  # dBm, then ps
+# A verdict's decimals, indexed by v.unit == "ps": 2 for dBm (or any other unit), 3 for ps.
+_VERDICT_TEXT, _VERDICT_SLOTS = zip(*(
+    (f"%-32s %10.{n}f %s %s %.{n}f %s  margin %+.{n}f  %s", SLOT[n] * 3) for n in (2, 3)))  # value, threshold, margin
 
 
 def _fmt_verdict(v: Verdict) -> str:
@@ -143,18 +145,18 @@ def _fmt_verdict(v: Verdict) -> str:
     return _VERDICT_TEXT[v.unit == "ps"] % (v.quantity, v.value, v.unit, op, v.threshold, v.unit, v.margin, flag)
 
 
-_LOSS = tuple((key, 2) for key in ("connectors", "fiber", "splices", "splitters", "margin", "total"))
-_SPAN = ("id", "link", "length", "splices", ("loss", _LOSS), ("rise_time", (
-    *((key, 3) for key in ("ceiling", "dispersion", "tx", "rx", "total")), "pass")))
-_SPAN_JSON, _SPAN_SLOTS = "    " + template(_SPAN, 2), "%r\n" + slots(_SPAN)  # the length, then rounded numbers
-_LOSS_FIELDS = tuple(f"loss.{name}" for name in (*LossBreakdown._fields, "total"))
+# A loss breakdown's JSON key -> its LossBreakdown attribute (dB), in report order.
+_LOSS = {"connectors": "connector_total", "fiber": "fiber_total", "splices": "splice_total",
+         "splitters": "splitter_total", "margin": "margin", "total": "total"}
+_LOSS_FIELDS = tuple(f"loss.{name}" for name in _LOSS.values())
+_SPAN_JSON = row({**dict.fromkeys(("id", "link", "length", "splices")), "loss": dict.fromkeys(_LOSS),
+                  "rise_time": dict.fromkeys(("ceiling", "dispersion", "tx", "rx", "total", "pass"))})
 # The 12 numbers of a span row: its length, six losses (dB) and five rise times (ps).
+_SPAN_SLOTS = SLOT[None] + SLOT[2] * len(_LOSS) + SLOT[3] * 5
 _span_numbers = attrgetter("length", *_LOSS_FIELDS, *(f"rise.{name}" for name in (*RiseTimeReport._fields, "total")))
-_VERDICTS = tuple(("quantity", ("value", n), ("threshold", n), "unit", "direction", ("margin", n), "pass")
-                  for n in (2, 3))  # dBm, then ps
-_VERDICT_JSON, _VERDICT_SLOTS = "    " + template(_VERDICTS[0], 2), tuple(map(slots, _VERDICTS))
+_VERDICT_JSON = row(dict.fromkeys(("quantity", "value", "threshold", "unit", "direction", "margin", "pass")))
 _verdict_numbers = attrgetter("value", "threshold", "margin")
-_SPAN_TEXT, _span_text = "%-20s %8g" + " %6.2f" * 6, attrgetter("span_id", "length", *_LOSS_FIELDS)
+_SPAN_TEXT, _span_text = "%-20s %8g" + " %6.2f" * len(_LOSS), attrgetter("span_id", "length", *_LOSS_FIELDS)
 
 
 def render_plan_text(report: PlanReport) -> str:
@@ -229,8 +231,7 @@ def render_plan_json(report: PlanReport) -> str:
                      "rx_sensitivity": db(standard.rx_sensitivity)},
         "path": [],
         "spans": [],
-        "path_loss": {"connectors": db(p.connector_total), "fiber": db(p.fiber_total), "splices": db(p.splice_total),
-                      "splitters": db(p.splitter_total), "margin": db(p.margin), "total": db(p.total)},
+        "path_loss": {key: db(getattr(p, name)) for key, name in _LOSS.items()},
         "distribution_loss": db(report.distribution_loss),
         "planning_floor": db(report.planning_floor),
         "max_loss": db(report.max_loss),

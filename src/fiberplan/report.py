@@ -8,9 +8,10 @@ A JSON report is one dict, its keys next to their values, written by
 json.dumps(payload, indent=2) (:func:`dumps`). Any indent runs CPython's
 pure-Python encoder, slower than building a plan if it met a ring-sized table,
 so it only meets each report's fixed-size skeleton: the tables that grow with
-the plant stand in it as ``[]``, and their rows, formatted into %-templates
-laid out as json.dumps lays them out, are spliced in after. A table's numbers
-are spelled by :func:`spell` in one %-format: fixed-point digits, trimmed to
+the plant stand in it as ``[]``, and their rows are spliced in after. Each
+row is one %-format of a template json.dumps itself writes at import, from the
+row's keys (:func:`row`). A table's numbers are spelled by :func:`spell` in one
+%-format, of slots taken from :data:`SLOT`: fixed-point digits, trimmed to
 the shortest form json.dumps writes for round(x, n). A table with a value that
 is not a finite float below 1e12 takes the exact path instead, json.dumps of
 each rounded value.
@@ -32,7 +33,7 @@ def db(x: float) -> float:
 
 
 def spell(values: tuple[float, ...], slots: str) -> list[str]:
-    """How json.dumps spells each value, rounded as its slot in ``slots`` says (see :func:`slots`).
+    """How json.dumps spells each value, rounded as its slot in ``slots`` says (see :data:`SLOT`).
 
     One %-format writes every value: ``%r``, or ``%.nf`` and n - 1 NUL markers for a
     value rounded to n = 2 or 3 decimals. Dropping the zeros before a marker that
@@ -52,25 +53,16 @@ def spell(values: tuple[float, ...], slots: str) -> list[str]:
 BOOL = ("false", "true")
 
 
-def template(fields: tuple[Any, ...], depth: int = 0) -> str:
-    """An indent-2 JSON object at nesting ``depth`` with one ``%s`` slot per field.
+def row(keys: dict[str, Any]) -> str:
+    """The %-template of one table item: json.dumps(keys, indent=2) indented two levels, each null key a ``%s`` slot.
 
-    A field is a key, a ``(key, n)`` pair for a number rounded to n decimals, or
-    a ``(key, fields)`` pair for a nested object.
+    ``keys`` is ``dict.fromkeys(...)``, with a nested dict for a nested object.
     """
-    pad = "  " * (depth + 1)
-    lines = []
-    for key, spec in ((field, 0) if isinstance(field, str) else field for field in fields):
-        lines.append(f'{pad}"{key}": ' + (template(spec, depth + 1) if isinstance(spec, tuple) else "%s"))
-    return "{\n" + ",\n".join(lines) + "\n" + "  " * depth + "}"
+    return "    " + json.dumps(keys, indent=2).replace("\n", "\n    ").replace(": null", ": %s")
 
 
-def slots(fields: tuple[Any, ...]) -> str:
-    """The :func:`spell` slots of the rounded numbers among ``fields`` (see :func:`template`), in order."""
-    return "".join(
-        slots(spec) if isinstance(spec, tuple) else f"%.{spec}f" + "\0" * (spec - 1) + "\n"
-        for _, spec in (field for field in fields if not isinstance(field, str))
-    )
+SLOT = {None: "%r\n", 2: "%.2f\0\n", 3: "%.3f\0\0\n"}
+"""The :func:`spell` slot of a number, by the decimals it is rounded to (None: not rounded)."""
 
 
 def dumps(payload: dict[str, Any], **tables: list[str]) -> str:
@@ -102,7 +94,7 @@ def render_violations_text(violations: list[Violation]) -> str:
     return "\n".join(lines) + "\n"
 
 
-_VIOLATION_JSON = "    " + template(("element", "rule", "message"), 2)
+_VIOLATION_JSON = row(dict.fromkeys(Violation._fields))
 
 
 def render_violations_json(violations: list[Violation]) -> str:

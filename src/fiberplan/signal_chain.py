@@ -26,7 +26,7 @@ from typing import Any, Sequence
 from .model import DomainError, Network, Span, check_valid, frozen, resolve_path, resolved_splices
 from .netfile import NetworkDocument
 from .power_budget import Run, span_runs
-from .report import db, dumps, slots, spell, template
+from .report import SLOT, db, dumps, row, spell
 
 NOISE_SIGMA = 7e-7  # A; receiver noise current of the Gaussian model
 
@@ -207,14 +207,13 @@ def render_trace_text(trace: PowerTrace, ber: BerEstimate | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-_POINT = ("label", ("power", 2))
-_POINT_JSON, _POINT_SLOTS = "    " + template(_POINT, 2), slots(_POINT)
+_POINT_JSON = row(dict.fromkeys(("label", "power")))
 
 
 def render_trace_json(trace: PowerTrace, ber: BerEstimate | None = None) -> str:
     """The trace as JSON, byte for byte what json.dumps(indent=2) writes."""
     labels = {label: _json_str(label) for label in set(trace.labels)}  # a few distinct labels repeat
-    spelled = spell(trace.powers, _POINT_SLOTS * len(trace.powers))
+    spelled = spell(trace.powers, SLOT[2] * len(trace.powers))
     payload: dict[str, Any] = {"points": [], "final_power": db(trace.final_power)}
     if ber is not None:
         payload["ber"] = {"q_factor": round(ber.q_factor, 3), "ber": float(f"{ber.ber:.3e}")}

@@ -82,29 +82,13 @@ def builtin_profiles() -> dict[str, StandardProfile]:
     enforce.
     """
     profiles = [
-        StandardProfile(
-            name="gpon-downlink-olt",
-            bit_rate=10e9,
-            line_code=LineCode.NRZ,
-            rx_sensitivity=-21.0,
-            notes="ITU-T G.984.2 class downlink receiver; the planning floor for backbone exit power",
-        ),
-        StandardProfile(
-            name="gpon-onu-endpoint",
-            bit_rate=10e9,
-            line_code=LineCode.NRZ,
-            rx_sensitivity=-28.0,
-            notes="ITU-T G.984.2 class distribution end point (ONU) sensitivity",
-        ),
-        StandardProfile(
-            name="table2-receiver",
-            bit_rate=10e9,
-            line_code=LineCode.NRZ,
-            rx_sensitivity=-38.0,
-            notes="design-table receiver minimum sensitivity",
-        ),
+        ("gpon-downlink-olt", -21.0,
+         "ITU-T G.984.2 class downlink receiver; the planning floor for backbone exit power"),
+        ("gpon-onu-endpoint", -28.0, "ITU-T G.984.2 class distribution end point (ONU) sensitivity"),
+        ("table2-receiver", -38.0, "design-table receiver minimum sensitivity"),
     ]
-    return {p.name: p for p in profiles}
+    return {name: StandardProfile(name, 10e9, LineCode.NRZ, rx_sensitivity, notes)
+            for name, rx_sensitivity, notes in profiles}
 
 
 def resolve_standard(name: str, custom: Mapping[str, StandardProfile] | None = None) -> StandardProfile:

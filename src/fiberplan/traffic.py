@@ -103,16 +103,6 @@ def render_forecast_text(inputs: TrafficInput, forecast: TrafficForecast) -> str
 def render_forecast_json(inputs: TrafficInput, forecast: TrafficForecast) -> str:
     """The forecast as JSON, as json.dumps(indent=2) writes it."""
     return dumps({
-        "inputs": {
-            "population": inputs.population,
-            "cellular_penetration": inputs.cellular_penetration,
-            "operator_share": inputs.operator_share,
-            "lte_penetration": inputs.lte_penetration,
-            "annual_growth": inputs.annual_growth,
-            "horizon": inputs.horizon,
-        },
-        "mobile_subscribers": forecast.mobile_subscribers,
-        "operator_subscribers": forecast.operator_subscribers,
-        "lte_subscribers": forecast.lte_subscribers,
-        "projected_subscribers": forecast.projected_subscribers,
+        "inputs": {name: getattr(inputs, name) for name in TrafficInput._fields},
+        **{name: getattr(forecast, name) for name in TrafficForecast._fields},
     })

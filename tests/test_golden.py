@@ -6,7 +6,9 @@ tree plant is ``tests/golden/tree-network.json``: two 1x8 splitter stages, an
 EDFA on one feeder and one drop whose rise time fails. The ring plant is
 ``tests/golden/ring-network.json``: 12 nodes, two EDFA spans (one with two
 units), three identical 1x2 splitters beside a 1x4, a span with no connectors
-and no splices, and explicit splice counts beside drum-derived ones. A
+and no splices, and explicit splice counts beside drum-derived ones. The broken plant is
+``tests/golden/broken-network.json``: the Sleman ring without its closing span
+and with one span ending at an unknown node, so ``validate`` fails. A
 difference here means a report changed; update the file only when that change
 is intended.
 """
@@ -23,6 +25,7 @@ from fiberplan.data import sleman_path
 GOLDEN = Path(__file__).parent / "golden"
 TREE = GOLDEN / "tree-network.json"
 RING = GOLDEN / "ring-network.json"
+BROKEN = GOLDEN / "broken-network.json"
 PARTIAL = "seyegan,tempel,pakem"
 REVISIT = "seyegan,tempel,seyegan"  # one span crossed twice: one plan row, its losses counted twice
 NORTH, SOUTH = "olt,d0,d0.1", "olt,d1,d1.1"
@@ -53,6 +56,9 @@ PLANTS = {
         "plan-as-built": (["plan", *ONU, "--as-built"], 1),
         "trace-ber": (["trace", "--ber"], 0),
         "trace-ber-power": (["trace", "--ber", "--power", "3"], 0),
+    }),
+    "broken": (BROKEN, {
+        "validate": (["validate"], 1),
     }),
 }
 

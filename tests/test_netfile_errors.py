@@ -104,9 +104,9 @@ CASES = [
     ([(('spans', 0), 3)], NetworkFileError,
      'spans[0]: expected an object, got 3', 'spans: each entry must be an object'),
     ([(('spans', 0, 'id'), DROP)], NetworkFileError,
-     "span: missing required key 'id'"),
-    ([(('spans', 0, 'id'), 12)], NetworkFileError,
-     'span.id: expected a string, got 12'),
+     "spans[0]: missing required key 'id'", "span: missing required key 'id'"),
+    ([(('spans', 3, 'id'), 12)], NetworkFileError,
+     'spans[3].id: expected a string, got 12', 'span.id: expected a string, got 12'),
     ([(('spans', 1, 'lenght'), 9.0)], NetworkFileError,
      "span '02-tempel-pakem': unknown key(s) 'lenght'"),
     ([(('spans', 1, 'b'), 1), (('spans', 1, 'a'), 2)], NetworkFileError,
@@ -284,7 +284,7 @@ CASES = [
     ([(('spans', 0, 'splices'), 'AUTO')], NetworkFileError,
      "span '01-seyegan-tempel'.splices: expected an integer, got 'AUTO'"),
     ([(('spans', 0, 'id'), ['x'])], NetworkFileError,
-     "span.id: expected a string, got ['x']"),
+     "spans[0].id: expected a string, got ['x']", "span.id: expected a string, got ['x']"),
     ([(('nodes', 0, 'name'), ['x'])], NetworkFileError,
      "nodes[0].name: expected a string, got ['x']"),
     # traffic is read at load for every command; its ranges wait for forecast, whose flags may fill gaps
@@ -411,6 +411,12 @@ class TestTrafficBlock:
     def test_ranges_and_missing_keys_wait_for_the_forecast(self):
         doc = parse_network(edited([(("traffic",), {"population": -1, "horizon": 10**9})]))
         assert doc.traffic == {"population": -1, "horizon": 10**9}
+
+    def test_document_keeps_its_own_traffic(self):
+        raw = edited([])
+        doc = parse_network(raw)
+        raw["traffic"]["population"] += 1
+        assert doc.traffic == SLEMAN["traffic"]
 
     def test_integral_rates_are_accepted(self):
         inputs = traffic_input_from_mapping({**SLEMAN["traffic"], "cellular_penetration": 1})
