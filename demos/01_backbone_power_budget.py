@@ -7,12 +7,11 @@ at the distribution end point.
 
 from fiberplan import (
     amplifier_requirement,
-    combine_span_losses,
     load_network,
     max_allowed_loss,
     received_power,
     required_input_power,
-    ring_spans,
+    run_plan,
     span_summary,
 )
 from fiberplan.data import sleman_path
@@ -32,7 +31,7 @@ def main() -> None:
             f"+ splices {b.splice_total:.2f} + margin {b.margin:.2f} = {b.total:.2f} dB"
         )
 
-    ring = combine_span_losses([loss[span.id] for span in ring_spans(net)], net.losses.system_margin)
+    ring = run_plan(doc, "gpon-onu-endpoint").path  # the ring path crosses each span once
     print(f"\nWhole ring with the margin applied once: {ring.total:.2f} dB")
 
     # The ring must deliver enough power that the distribution leg still

@@ -40,7 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="fiberplan",
         description="Plan optical backbone and distribution links: budgets, forecasts, traces.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # With prog given, argparse builds no usage string on each parser build to find the sub-commands' prefix.
+    sub = parser.add_subparsers(dest="command", required=True, prog="fiberplan")
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text", help="report format")

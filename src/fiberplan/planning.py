@@ -13,9 +13,9 @@ models: trace in :mod:`fiberplan.signal_chain`, forecast in
 from __future__ import annotations
 
 import math
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _json_str
-from operator import attrgetter
+from operator import itemgetter
 
 from .model import check_valid, frozen, resolve_path
 from .netfile import NetworkDocument
@@ -23,27 +23,21 @@ from .power_budget import (
     AmplifierPlan,
     LossBreakdown,
     amplifier_requirement,
-    combine_span_losses,
+    check_losses,
     max_allowed_loss,
     received_power,
     required_input_power,
-    span_summary,
+    span_losses,
 )
 from .report import BOOL, SLOT, db, dumps, row, spell
-from .risetime import RiseTimeReport, max_system_risetime, span_risetime_report
+from .risetime import dispersion_risetime, max_system_risetime, total_risetime
 from .standards import StandardProfile, Verdict, power_verdict, resolve_standard, risetime_verdict
 
-
-@frozen
-class SpanResult:
-    """One span's loss and rise-time budgets inside a plan."""
-
-    span_id: str
-    link: str
-    length: float  # km
-    splices: int
-    loss: LossBreakdown
-    rise: RiseTimeReport
+# One span of a plan, as one flat row: 0 id, 1 link, 2 length (km), 3 splices; its loss as a
+# standalone path (dB): 4 connectors, 5 fiber, 6 splices, 7 splitters, 8 margin, 9 total; its
+# rise-time budget (ps): 10 ceiling, 11 dispersion, 12 tx, 13 rx, 14 total. The span passes
+# its rise-time verdict iff row[14] <= row[10].
+SpanRow = tuple[str, str, float, int, float, float, float, float, float, float, float, float, float, float, float]
 
 
 @frozen
@@ -52,7 +46,7 @@ class PlanReport:
 
     standard: StandardProfile
     path_nodes: tuple[str, ...]
-    spans: tuple[SpanResult, ...]  # sorted by span id
+    spans: tuple[SpanRow, ...]  # one row per distinct span, sorted by span id
     path: LossBreakdown  # margin applied once
     distribution_loss: float  # dB
     planning_floor: float  # dBm the path must deliver at its exit
@@ -62,11 +56,16 @@ class PlanReport:
     applied_gain: float  # dB counted toward the verdict
     as_built_power: float  # dBm with inventory amplifiers only
     received: float  # dBm with applied_gain
-    verdicts: tuple[Verdict, ...]  # received power, then the rise time of each row of spans, in order
+    power_verdict: Verdict  # the received power against the standard's sensitivity
+
+    @property
+    def verdicts(self) -> tuple[Verdict, ...]:
+        """The received-power verdict, then the rise-time verdict of each row, in order; built on each read."""
+        return (self.power_verdict, *(risetime_verdict(r[14], r[10], f"rise time {r[0]}") for r in self.spans))
 
     @property
     def overall_pass(self) -> bool:
-        return all(v.passed for v in self.verdicts)
+        return self.power_verdict.passed and all(r[14] <= r[10] for r in self.spans)
 
 
 def run_plan(
@@ -89,35 +88,36 @@ def run_plan(
 
     nodes, spans = resolve_path(network, path_spec)
     ceiling = max_system_risetime(profile.bit_rate, profile.line_code)
+    losses, transceiver, name = network.losses, network.transceiver, network.node_name
+    margin, tx, rx = losses.system_margin, transceiver.tx_rise_time, transceiver.rx_rise_time
 
-    results: dict[str, SpanResult] = {}
+    rows: dict[str, SpanRow] = {}
     for span in spans:
-        if span.id not in results:
-            loss, splices = span_summary(span, network.losses)
-            link = f"{network.node_name(span.from_node)} - {network.node_name(span.to_node)}"
-            rise = span_risetime_report(span, network.transceiver, ceiling)
-            # Positional, in field order: binding six keywords per row cost about a third of a row's construction.
-            results[span.id] = SpanResult(span.id, link, span.length, splices, loss, rise)
-    rows = tuple(results[span_id] for span_id in sorted(results))
+        if span.id not in rows:
+            connector, fiber, splice, splitter, splices = span_losses(span, losses)
+            check_losses(connector, fiber, splice, splitter, margin)
+            dispersion = dispersion_risetime(span.fiber.dispersion, transceiver.spectral_width, span.length)
+            rows[span.id] = (
+                span.id, f"{name(span.from_node)} - {name(span.to_node)}", span.length, splices,
+                connector, fiber, splice, splitter, margin, connector + fiber + splice + splitter + margin,
+                ceiling, dispersion, tx, rx, total_risetime(tx, rx, dispersion),
+            )
 
-    path = combine_span_losses([results[span.id].loss for span in spans], network.losses.system_margin)
-    planning_floor = required_input_power(network.transceiver.rx_sensitivity, doc.distribution_loss)
-    budget = max_allowed_loss(network.transceiver.tx_power, planning_floor)
+    # Each loss column summed exactly over the path's rows, in path order; the margin once.
+    path = LossBreakdown(*map(math.fsum, islice(zip(*[rows[span.id] for span in spans]), 4, 8)), margin)
+    planning_floor = required_input_power(transceiver.rx_sensitivity, doc.distribution_loss)
+    budget = max_allowed_loss(transceiver.tx_power, planning_floor)
     plan = amplifier_requirement(path.total, budget, doc.edfa_gain)
 
     inventory_gain = math.fsum(a.gain for span in spans for a in span.amplifiers)
     applied_gain = inventory_gain if as_built else max(inventory_gain, plan.total_gain)
-    as_built_power = received_power(
-        network.transceiver.tx_power, [path.total, doc.distribution_loss], [inventory_gain]
-    )
-    received = received_power(
-        network.transceiver.tx_power, [path.total, doc.distribution_loss], [applied_gain]
-    )
+    as_built_power = received_power(transceiver.tx_power, [path.total, doc.distribution_loss], [inventory_gain])
+    received = received_power(transceiver.tx_power, [path.total, doc.distribution_loss], [applied_gain])
 
     return PlanReport(
         standard=profile,
         path_nodes=tuple(nodes),
-        spans=rows,
+        spans=tuple(sorted(rows.values())),  # the ids differ, so only they are compared
         path=path,
         distribution_loss=doc.distribution_loss,
         planning_floor=planning_floor,
@@ -127,10 +127,7 @@ def run_plan(
         applied_gain=applied_gain,
         as_built_power=as_built_power,
         received=received,
-        verdicts=(
-            power_verdict(received, profile),
-            *(risetime_verdict(row.rise.total, ceiling, f"rise time {row.span_id}") for row in rows),
-        ),
+        power_verdict=power_verdict(received, profile),
     )
 
 
@@ -148,19 +145,19 @@ def _fmt_verdict(v: Verdict) -> str:
 # A loss breakdown's JSON key -> its LossBreakdown attribute (dB), in report order.
 _LOSS = {"connectors": "connector_total", "fiber": "fiber_total", "splices": "splice_total",
          "splitters": "splitter_total", "margin": "margin", "total": "total"}
-_LOSS_FIELDS = tuple(f"loss.{name}" for name in _LOSS.values())
 _SPAN_JSON = row({**dict.fromkeys(("id", "link", "length", "splices")), "loss": dict.fromkeys(_LOSS),
                   "rise_time": dict.fromkeys(("ceiling", "dispersion", "tx", "rx", "total", "pass"))})
 # The 12 numbers of a span row: its length, six losses (dB) and five rise times (ps).
-_SPAN_SLOTS = SLOT[None] + SLOT[2] * len(_LOSS) + SLOT[3] * 5
-_span_numbers = attrgetter("length", *_LOSS_FIELDS, *(f"rise.{name}" for name in (*RiseTimeReport._fields, "total")))
+_SPAN_SLOTS, _span_numbers = SLOT[None] + SLOT[2] * len(_LOSS) + SLOT[3] * 5, itemgetter(2, *range(4, 15))
 _VERDICT_JSON = row(dict.fromkeys(("quantity", "value", "threshold", "unit", "direction", "margin", "pass")))
-_verdict_numbers = attrgetter("value", "threshold", "margin")
-_SPAN_TEXT, _span_text = "%-20s %8g" + " %6.2f" * len(_LOSS), attrgetter("span_id", "length", *_LOSS_FIELDS)
+_RISE_JSON = _VERDICT_JSON % ("%s", "%s", "%s", '"ps"', '"max"', "%s", "%s")  # a row's rise-time verdict
+_SPAN_TEXT, _span_text = "%-20s %8g" + " %6.2f" * len(_LOSS), itemgetter(0, 2, *range(4, 10))
+# _VERDICT_TEXT of a row's rise-time verdict: "rise time " and an id padded to 22 fill the 32 columns of a quantity.
+_RISE_TEXT = "  rise time %-22s %10.3f ps <= %.3f ps  margin %+.3f  %s"
 
 
 def render_plan_text(report: PlanReport) -> str:
-    lines = []
+    lines, rows = [], report.spans
     lines.append(f"Plan for path: {' -> '.join(report.path_nodes)}")
     ceiling = max_system_risetime(report.standard.bit_rate, report.standard.line_code)
     lines.append(
@@ -172,14 +169,11 @@ def render_plan_text(report: PlanReport) -> str:
     lines.append(
         f"{'span':<20} {'km':>8} {'conn':>6} {'fiber':>6} {'splice':>6} {'split':>6} {'margin':>6} {'total':>6}"
     )
-    lines += map(_SPAN_TEXT.__mod__, map(_span_text, report.spans))
+    lines += map(_SPAN_TEXT.__mod__, map(_span_text, rows))
     lines.append("")
     lines.append("Rise-time budgets")
     lines.append(f"{'link':<24} {'rise time ps':>12} {'splices':>8}  verdict")
-    lines += [
-        "%-24s %12.3f %8d  %s" % (row.link, row.rise.total, row.splices, "pass" if row.rise.passed else "FAIL")
-        for row in report.spans
-    ]
+    lines += ["%-24s %12.3f %8d  %s" % (r[1], r[14], r[3], "pass" if r[14] <= r[10] else "FAIL") for r in rows]
     lines.append("")
     p = report.path
     lines.append(
@@ -204,7 +198,8 @@ def render_plan_text(report: PlanReport) -> str:
     )
     lines.append("")
     lines.append("Verdicts")
-    lines += ["  " + _fmt_verdict(v) for v in report.verdicts]
+    lines.append("  " + _fmt_verdict(report.power_verdict))
+    lines += [_RISE_TEXT % (r[0], r[14], r[10], r[10] - r[14], "PASS" if r[14] <= r[10] else "FAIL") for r in rows]
     lines.append("")
     lines.append(f"OVERALL: {'PASS' if report.overall_pass else 'FAIL'}")
     return "\n".join(lines) + "\n"
@@ -212,19 +207,22 @@ def render_plan_text(report: PlanReport) -> str:
 
 def render_plan_json(report: PlanReport) -> str:
     """The plan as JSON, byte for byte what json.dumps(indent=2) writes."""
-    standard, plan, spans, verdicts = report.standard, report.amplifier_plan, report.spans, report.verdicts
-    spelled = iter(spell(tuple(chain.from_iterable(map(_span_numbers, spans))), _SPAN_SLOTS * len(spans)))
-    span_items = [
-        _SPAN_JSON % (_json_str(row.span_id), _json_str(row.link), s[0], row.splices, *s[1:], BOOL[row.rise.passed])
-        for row, s in zip(spans, zip(*[spelled] * 12))
-    ]
-    verdict_slots = "".join([_VERDICT_SLOTS[v.unit == "ps"] for v in verdicts])
-    spelled = iter(spell(tuple(chain.from_iterable(map(_verdict_numbers, verdicts))), verdict_slots))
-    verdict_items = [
-        _VERDICT_JSON % (_json_str(v.quantity), value, threshold, _json_str(v.unit), _json_str(v.direction), margin,
-                         BOOL[v.passed])
-        for v, (value, threshold, margin) in zip(verdicts, zip(*[spelled] * 3))
-    ]
+    standard, plan, rows, power = report.standard, report.amplifier_plan, report.spans, report.power_verdict
+    # One spell: the power verdict's three figures, each row's 12 numbers, then each row's rise-time margin.
+    # A row's rise-time verdict spells its value and threshold as the row spells its total and ceiling.
+    spelled = spell(
+        (power.value, power.threshold, power.margin, *chain.from_iterable(map(_span_numbers, rows)),
+         *[r[10] - r[14] for r in rows]),
+        _VERDICT_SLOTS[power.unit == "ps"] + _SPAN_SLOTS * len(rows) + SLOT[3] * len(rows),
+    )
+    value, threshold, margin = spelled[:3]
+    verdict_items = [_VERDICT_JSON % (_json_str(power.quantity), value, threshold, _json_str(power.unit),
+                                      _json_str(power.direction), margin, BOOL[power.passed])]
+    span_items = []
+    for r, s, rise_margin in zip(rows, zip(*[islice(spelled, 3, None)] * 12), spelled[3 + 12 * len(rows):]):
+        flag = BOOL[r[14] <= r[10]]
+        span_items.append(_SPAN_JSON % (_json_str(r[0]), _json_str(r[1]), s[0], r[3], *s[1:], flag))
+        verdict_items.append(_RISE_JSON % (_json_str("rise time " + r[0]), s[11], s[7], rise_margin, flag))
     p = report.path
     return dumps({
         "standard": {"name": standard.name, "bit_rate": standard.bit_rate, "line_code": standard.line_code.value,

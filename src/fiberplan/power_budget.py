@@ -2,16 +2,16 @@
 
 Sign convention: losses are positive dB magnitudes throughout; received-power
 arithmetic subtracts them. :func:`span_runs` is the one description of what a
-span is made of, a label-free run table; :func:`span_summary` folds it into a
-span's loss, and a power trace follows it element by element. The system
-margin is a path-level allowance, so summing standalone span budgets over a
-multi-span path double-counts it; :func:`combine_span_losses` applies it once.
+span is made of, a label-free run table; :func:`span_losses` folds it into a
+span's loss figures, and a power trace follows it element by element. The
+system margin is a path-level allowance: a span's loss as a standalone path
+carries it, and a path's loss carries it once.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .model import Amplifier, ComponentLosses, DomainError, Span, Splitter, frozen, resolved_splices
 
@@ -30,15 +30,21 @@ class LossBreakdown:
     margin: float
 
     def __post_init__(self) -> None:
-        inf = math.inf  # one chain: each field in [0, inf), so a NaN fails it too
-        if not (inf > self.connector_total >= 0 <= self.fiber_total < inf > self.splice_total >= 0
-                <= self.splitter_total < inf > self.margin >= 0):
-            name = next(name for name in self._fields if not 0 <= getattr(self, name) < inf)
-            raise DomainError(f"loss breakdown: {name} must be a finite number >= 0 dB")
+        check_losses(*self._values(self))
 
     @property
     def total(self) -> float:
         return self.connector_total + self.fiber_total + self.splice_total + self.splitter_total + self.margin
+
+
+def check_losses(connector: float, fiber: float, splice: float, splitter: float, margin: float) -> None:
+    """Raise DomainError naming the first :class:`LossBreakdown` field, in field order, whose figure is not
+    a finite number >= 0 dB."""
+    inf = math.inf  # one chain: each figure in [0, inf), so a NaN fails it too
+    if not (inf > connector >= 0 <= fiber < inf > splice >= 0 <= splitter < inf > margin >= 0):
+        figures = (connector, fiber, splice, splitter, margin)
+        name = next(name for name, x in zip(LossBreakdown._fields, figures) if not 0 <= x < inf)
+        raise DomainError(f"loss breakdown: {name} must be a finite number >= 0 dB")
 
 
 @frozen
@@ -97,47 +103,27 @@ def span_runs(span: Span, losses: ComponentLosses) -> list[Run]:
     return runs
 
 
-def span_summary(span: Span, losses: ComponentLosses) -> tuple[LossBreakdown, int]:
-    """The :func:`span_runs` rows of a span folded by kind: its loss as a standalone path, and its splice count.
+def span_losses(span: Span, losses: ComponentLosses) -> tuple[float, float, float, float, int]:
+    """The :func:`span_runs` rows of a span folded by kind: its connector, fiber, splice and splitter
+    loss (dB), and its splice count.
 
     Each counted kind's loss is its unit loss times its total count, rounded once as
-    connector_loss * connectors is; the splitters are summed exactly one by one, the
-    amplifiers left out and the system margin added. The bounds of the span's and the
-    losses' fields keep every figure finite.
+    connector_loss * connectors is; the splitters are summed exactly one by one and the
+    amplifiers left out. The bounds of the span's and the losses' fields keep every figure
+    finite. Unchecked: a :class:`LossBreakdown` checks its figures, and a plan checks each
+    span's with :func:`check_losses`.
     """
-    connectors = fibers = splices = 0
-    splitters: list[float] = []
-    for kind, effect, count, _ in span_runs(span, losses):
-        if kind == "connector":
-            connector, connectors = effect, connectors + count
-        elif kind == "fiber":
-            fiber, fibers = effect, fibers + count
-        elif kind == "splice":
-            splice, splices = effect, splices + count
-        elif kind == "splitter":
-            splitters += [-effect] * count
-    loss = LossBreakdown(-connector * connectors, -fiber * fibers, -splice * splices, math.fsum(splitters),
-                         losses.system_margin)
-    return loss, splices
+    runs = span_runs(span, losses)  # entry connector, fiber, splices, devices, exit connectors
+    (_, connector, entry, _), (_, fiber, _, _), (_, splice, splices, _), *devices, (_, _, rest, _) = runs
+    splitters = [-effect for kind, effect, _, _ in devices if kind == "splitter"]
+    return -connector * (entry + rest), -fiber, -splice * splices, math.fsum(splitters), splices
 
 
-def combine_span_losses(parts: Sequence[LossBreakdown], system_margin: float) -> LossBreakdown:
-    """Path breakdown from the standalone breakdowns of its spans (see :func:`span_summary`), in path order.
-
-    Each mechanism is summed exactly; the margin is applied once (none for an
-    empty path), so the total is the sum of the standalone span totals minus
-    (spans - 1) duplicated margins.
-    """
-    try:
-        return LossBreakdown(
-            connector_total=math.fsum(p.connector_total for p in parts),
-            fiber_total=math.fsum(p.fiber_total for p in parts),
-            splice_total=math.fsum(p.splice_total for p in parts),
-            splitter_total=math.fsum(p.splitter_total for p in parts),
-            margin=system_margin if parts else 0.0,
-        )
-    except OverflowError:  # fsum of finite parts beyond the float range
-        raise DomainError("path loss beyond the float range") from None
+def span_summary(span: Span, losses: ComponentLosses) -> tuple[LossBreakdown, int]:
+    """A span's :func:`span_losses` as a :class:`LossBreakdown`, its loss as a standalone path with the
+    system margin added, and its splice count."""
+    *loss, splices = span_losses(span, losses)
+    return LossBreakdown(*loss, losses.system_margin), splices
 
 
 def max_allowed_loss(input_power: float, rx_sensitivity: float) -> float:

@@ -74,29 +74,33 @@ def risetime_verdict(total_rise: float, ceiling: float, quantity: str = "rise ti
     return Verdict(quantity, total_rise, ceiling, "ps", "max")
 
 
+# The shipped profiles, built once per process: a profile is immutable, and this dict is never handed out.
+_BUILTINS = {
+    name: StandardProfile(name, 10e9, LineCode.NRZ, rx_sensitivity, notes)
+    for name, rx_sensitivity, notes in (
+        ("gpon-downlink-olt", -21.0,
+         "ITU-T G.984.2 class downlink receiver; the planning floor for backbone exit power"),
+        ("gpon-onu-endpoint", -28.0, "ITU-T G.984.2 class distribution end point (ONU) sensitivity"),
+        ("table2-receiver", -38.0, "design-table receiver minimum sensitivity"),
+    )
+}
+
+
 def builtin_profiles() -> dict[str, StandardProfile]:
-    """The shipped compliance profiles, keyed by name.
+    """The shipped compliance profiles, keyed by name, in a new dict on each call.
 
     All three carry the 10 Gbps NRZ backbone signal, so they share the 70 ps
     rise-time ceiling; they differ in which receiver's sensitivity they
     enforce.
     """
-    profiles = [
-        ("gpon-downlink-olt", -21.0,
-         "ITU-T G.984.2 class downlink receiver; the planning floor for backbone exit power"),
-        ("gpon-onu-endpoint", -28.0, "ITU-T G.984.2 class distribution end point (ONU) sensitivity"),
-        ("table2-receiver", -38.0, "design-table receiver minimum sensitivity"),
-    ]
-    return {name: StandardProfile(name, 10e9, LineCode.NRZ, rx_sensitivity, notes)
-            for name, rx_sensitivity, notes in profiles}
+    return dict(_BUILTINS)
 
 
 def resolve_standard(name: str, custom: Mapping[str, StandardProfile] | None = None) -> StandardProfile:
     """Look up a profile by name, custom definitions first, then built-ins."""
     if custom and name in custom:
         return custom[name]
-    builtins = builtin_profiles()
-    if name in builtins:
-        return builtins[name]
-    known = sorted(set(builtins) | set(custom or {}))
+    if name in _BUILTINS:
+        return _BUILTINS[name]
+    known = sorted(set(_BUILTINS) | set(custom or {}))
     raise ConfigurationError(f"unknown standard profile {name!r}; known: {', '.join(known)}")

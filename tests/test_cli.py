@@ -170,6 +170,7 @@ def test_stamp_stays_out_of_the_report(sleman_file):
 def test_missing_required_flag_exits_two():
     result = run_cli("plan", "--standard", "gpon-onu-endpoint")
     assert result.returncode == 2
+    assert result.stderr.startswith("usage: fiberplan plan ")  # the sub-command's prog, however it is set
 
 
 # --- input errors end in exit 2 with one "error:" line (run in-process) ---

@@ -20,7 +20,7 @@ from fiberplan.data import sleman_path
 from fiberplan.model import Amplifier, AmplifierKind, ComponentLosses, Network, Span, Splitter, Violation
 from fiberplan.netfile import DEFAULT_EDFA_GAIN, NetworkDocument, load_network
 from fiberplan.planning import run_plan
-from fiberplan.risetime import RiseTimeReport
+from fiberplan.risetime import RiseTimeReport, span_risetime_report
 from fiberplan.signal_chain import PowerTrace, run_trace
 from fiberplan.standards import StandardProfile
 from fiberplan.traffic import forecast_subscribers, traffic_input_from_mapping
@@ -59,6 +59,7 @@ def _harvest() -> dict[type, object]:
         doc, report, trace, ber, inputs, forecast_subscribers(inputs),
         [a for span in doc.network.spans for a in span.amplifiers], Splitter(4),
         Violation("network", "no-nodes", "network has no nodes"),
+        span_risetime_report(doc.network.spans[0], doc.network.transceiver, 70.0),
     ]
     found: dict[type, object] = {}
 
@@ -82,7 +83,7 @@ SAMPLES = _harvest()
 
 
 def test_every_value_class_is_frozen_and_sampled():
-    assert len(VALUE_CLASSES) == 21
+    assert len(VALUE_CLASSES) == 20
     assert set(SAMPLES) == set(VALUE_CLASSES)
 
 

@@ -32,10 +32,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from fiberplan.data import sleman_path
 from fiberplan.model import ConfigurationError, DomainError, validate_network
 from fiberplan.netfile import NetworkDocument, NetworkFileError, parse_network
-from fiberplan.planning import PlanReport, SpanResult, render_plan_json, run_plan
-from fiberplan.power_budget import LossBreakdown
+from fiberplan.planning import PlanReport, render_plan_json, run_plan
 from fiberplan.report import render_violations_json, spell
-from fiberplan.risetime import RiseTimeReport
+from fiberplan.risetime import total_risetime
 from fiberplan.signal_chain import PowerTrace, render_trace_json, run_trace
 from fiberplan.standards import Verdict, builtin_profiles
 from fiberplan.traffic import TrafficInput, forecast_subscribers, render_forecast_json, traffic_input_from_mapping
@@ -94,21 +93,23 @@ def plan_to_dict(report) -> dict[str, Any]:
         "path": list(report.path_nodes),
         "spans": [
             {
-                "id": row.span_id,
-                "link": row.link,
-                "length": row.length,
-                "splices": row.splices,
-                "loss": _loss_dict(row.loss),
+                "id": span_id,
+                "link": link,
+                "length": length,
+                "splices": splices,
+                "loss": {"connectors": _db(connectors), "fiber": _db(fiber), "splices": _db(splice),
+                         "splitters": _db(splitters), "margin": _db(margin), "total": _db(loss)},
                 "rise_time": {
-                    "ceiling": _ps(row.rise.ceiling),
-                    "dispersion": _ps(row.rise.dispersion_component),
-                    "tx": _ps(row.rise.tx_component),
-                    "rx": _ps(row.rise.rx_component),
-                    "total": _ps(row.rise.total),
-                    "pass": row.rise.passed,
+                    "ceiling": _ps(ceiling),
+                    "dispersion": _ps(dispersion),
+                    "tx": _ps(tx),
+                    "rx": _ps(rx),
+                    "total": _ps(rise),
+                    "pass": rise <= ceiling,
                 },
             }
-            for row in report.spans
+            for (span_id, link, length, splices, connectors, fiber, splice, splitters, margin, loss,
+                 ceiling, dispersion, tx, rx, rise) in report.spans
         ],
         "path_loss": _loss_dict(report.path),
         "distribution_loss": _db(report.distribution_loss),
@@ -323,8 +324,9 @@ def test_writers_match_the_reference_encoder(plant):
 def test_fixtures_reach_the_cases_they_are_for():
     ring = parse_network(copy.deepcopy(RING))
     lab = run_plan(ring, 'lab "rz" \\ 5G', "ring", as_built=True)
-    assert not lab.overall_pass and not lab.verdicts[0].passed  # as built: too little gain
-    assert not run_plan(ring, ONU, "b,c").spans[0].rise.passed
+    assert not lab.overall_pass and not lab.power_verdict.passed  # as built: too little gain
+    row = run_plan(ring, ONU, "b,c").spans[0]
+    assert not row[14] <= row[10]  # its rise time fails
     assert '\\u00e9' in render_plan_json(lab) and '\\"Q\\"' in render_plan_json(lab)
 
 
@@ -335,7 +337,7 @@ def test_non_finite_plan_values_are_spelled_as_json_dumps_spells_them():
     fields = {name: getattr(report, name) for name in report._fields}
     deaf = Verdict("received power", 1e308, -1e308, "dBm", "min")
     huge = PlanReport(**{**fields, "max_loss": math.inf, "as_built_power": -math.inf, "distribution_loss": math.nan,
-                         "verdicts": (deaf, *report.verdicts[1:])})
+                         "power_verdict": deaf})
     ours = render_plan_json(huge)
     assert ours == to_json(plan_to_dict(huge))
     # without non-finite values the check above shows nothing
@@ -459,21 +461,29 @@ def test_traces_far_from_the_plant_match_the_reference(sleman_doc, power, with_b
         run_trace(sleman_doc, input_power=power, with_ber=True)
 
 
+def span_row(span_id: str, link: str, length: float, splices: int, loss: tuple, rise: tuple) -> tuple:
+    """A plan row from a span's five loss figures and its (ceiling, dispersion, tx, rx), totalled as a plan
+    totals them."""
+    connectors, fiber, splice, splitters, margin = loss
+    ceiling, dispersion, tx, rx = rise
+    return (span_id, link, length, splices, *loss, connectors + fiber + splice + splitters + margin,
+            *rise, total_risetime(tx, rx, dispersion))
+
+
 def test_rows_the_fixed_point_slots_cannot_spell_match_the_reference(sleman_doc):
-    """Ints, nan, inf and values at or beyond 1e12 in the value objects, which no plant file produces."""
+    """Ints, nan, inf and values at or beyond 1e12 in the rows and the verdict, which no plant file produces."""
     report = run_plan(sleman_doc, ONU)
     fields = {name: getattr(report, name) for name in report._fields}
     odd = (
-        SpanResult("s-int", "A - B", 7, 3, LossBreakdown(0, -0.0, 1, 2.5, 3), RiseTimeReport(70, 1, 0, 35)),
-        SpanResult("s-big", "B - C", 1e12, 3, LossBreakdown(1e12, 0.004, 0.005, 0.0, 3.0),
-                   RiseTimeReport(1e300, 1234567890123.4567, 0.0005, 35.0)),
-        SpanResult("s-nan", "C - D", math.nan, 3, report.spans[0].loss, RiseTimeReport(math.inf, math.nan, 0.0, 35.0)),
+        span_row("s-int", "A - B", 7, 3, (0, -0.0, 1, 2.5, 3), (70, 1, 0, 35)),
+        span_row("s-big", "B - C", 1e12, 3, (1e12, 0.004, 0.005, 0.0, 3.0), (1e300, 1234567890123.4567, 0.0005, 35.0)),
+        span_row("s-nan", "C - D", math.nan, 3, report.spans[0][4:9], (math.inf, math.nan, 0.0, 35.0)),
     )
     for row in odd:
-        for verdicts in (report.verdicts, (Verdict("received power", 1e12, -28.0, "dBm", "min"),),
-                         (Verdict("rise time", 69, 70, "ps", "max"), Verdict("rise", math.nan, -math.inf, "ps", "max"))):
-            strange = PlanReport(**{**fields, "spans": (*report.spans, row), "verdicts": verdicts})
-            assert render_plan_json(strange) == to_json(plan_to_dict(strange)), (row.span_id, verdicts)
+        for verdict in (report.power_verdict, Verdict("received power", 1e12, -28.0, "dBm", "min"),
+                        Verdict("rise time", 69, 70, "ps", "max"), Verdict("rise", math.nan, -math.inf, "ps", "max")):
+            strange = PlanReport(**{**fields, "spans": (*report.spans, row), "power_verdict": verdict})
+            assert render_plan_json(strange) == to_json(plan_to_dict(strange)), (row[0], verdict)
     trace = PowerTrace(("input", "x", "y"), (3, -0.0, 2.5))
     assert render_trace_json(trace) == to_json(trace_to_dict(trace))
 

@@ -1,13 +1,22 @@
 from __future__ import annotations
 
+import json
+import math
+import random
+
 import pytest
 
-from fiberplan import model, risetime, signal_chain
-from fiberplan.model import ConfigurationError, ValidationFailure, ring_spans
-from fiberplan.netfile import NetworkFileError, load_network
+from fiberplan import model, planning, signal_chain
+from fiberplan.data import sleman_path
+from fiberplan.model import ConfigurationError, DomainError, ValidationFailure, resolve_path, ring_spans
+from fiberplan.netfile import NetworkFileError, load_network, parse_network
 from fiberplan.planning import render_plan_json, render_plan_text, run_plan
+from fiberplan.power_budget import LossBreakdown
+from fiberplan.risetime import max_system_risetime, span_risetime_report
 from fiberplan.signal_chain import render_trace_text, run_trace
 from fiberplan.traffic import TrafficInput, forecast_subscribers, render_forecast_text, traffic_input_from_mapping
+
+from test_power_budget import rows_by_kind
 
 
 def strip_amplifiers(doc):
@@ -37,10 +46,10 @@ class TestRunPlan:
         # single-length worked value of -2.64 dBm
         assert report.received == pytest.approx(-2.64, abs=0.1)
         assert all(v.passed for v in report.verdicts)
-        rise_rows = [row.rise.total for row in report.spans]
+        rise_rows = [row[14] for row in report.spans]
         assert all(total < 70.0 for total in rise_rows)
-        assert [row.span_id for row in report.spans] == sorted(row.span_id for row in report.spans)
-        assert sum(row.splices for row in report.spans) == 46
+        assert [row[0] for row in report.spans] == sorted(row[0] for row in report.spans)
+        assert sum(row[3] for row in report.spans) == 46
 
     def test_planned_gain_covers_missing_inventory(self, write_network):
         report = run_plan(load_network(write_network(strip_amplifiers)), "gpon-onu-endpoint")
@@ -53,7 +62,7 @@ class TestRunPlan:
         assert not report.overall_pass
         assert report.received == pytest.approx(-42.64, abs=0.1)
         power = [v for v in report.verdicts if v.quantity == "received power"][0]
-        assert not power.passed
+        assert power is report.power_verdict and not power.passed
         assert all(v.passed for v in report.verdicts if v is not power)
 
     def test_empty_network_is_a_validation_failure(self, write_network):
@@ -70,7 +79,7 @@ class TestRunPlan:
 
     def test_partial_path(self, sleman_doc):
         report = run_plan(sleman_doc, "gpon-onu-endpoint", path_spec="seyegan,tempel,pakem")
-        assert [row.span_id for row in report.spans] == ["01-seyegan-tempel", "02-tempel-pakem"]
+        assert [row[0] for row in report.spans] == ["01-seyegan-tempel", "02-tempel-pakem"]
         assert report.path_nodes == ("seyegan", "tempel", "pakem")
 
     def test_custom_standard_from_file(self, write_network):
@@ -90,17 +99,17 @@ class TestRunPlan:
 
     def test_report_mentions_each_span_once(self, sleman_doc):
         report = run_plan(sleman_doc, "gpon-onu-endpoint")
-        ids = [row.span_id for row in report.spans]
+        ids = [row[0] for row in report.spans]
         assert len(ids) == len(set(ids)) == 7
 
     def test_each_span_row_totals_its_rise_time_once(self, sleman_doc, monkeypatch):
-        calls, real_total = [], risetime.total_risetime
+        calls, real_total = [], planning.total_risetime
 
         def counting_total(*components):
             calls.append(components)
             return real_total(*components)
 
-        monkeypatch.setattr(risetime, "total_risetime", counting_total)
+        monkeypatch.setattr(planning, "total_risetime", counting_total)
         report = run_plan(sleman_doc, "gpon-onu-endpoint")
         render_plan_text(report)
         render_plan_json(report)
@@ -132,13 +141,119 @@ class TestRunPlan:
         assert sum(label.startswith("fiber") for label in trace.labels) == path_spans
 
 
+def seeded_ring(seed: int) -> dict:
+    """A seeded ring of 3-12 nodes, or of 2 nodes joined by two parallel spans on every tenth seed.
+
+    Spans get 0-4 connectors, explicit or ``auto`` splices, and some carry 1-3 splitters or an EDFA.
+    """
+    rng = random.Random(seed)
+    doc = json.loads(sleman_path().read_text(encoding="utf-8"))
+    ids = [f"n{i}" for i in range(2 if seed % 10 == 0 else rng.randint(3, 12))]
+    doc["nodes"] = [{"id": node, "name": node.upper()} for node in ids]
+    doc["losses"]["splitter_excess_loss"] = rng.choice([0.0, 0.5])
+    doc["spans"] = []
+    for i, (a, b) in enumerate(zip(ids, ids[1:] + ids[:1])):
+        span = {"id": f"s{i:02d}", "from": a, "to": b, "length": round(rng.uniform(0.5, 40.0), 3),
+                "fiber": rng.choice(["g652-backbone", "g984-distribution"]),
+                "splices": rng.choice(["auto", rng.randint(0, 30)]), "connectors": rng.randint(0, 4)}
+        if rng.random() < 0.4:
+            span["splitters"] = [rng.choice([2, 4, 8, 16]) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.3:
+            span["amplifiers"] = [{"gain": 20.0, "kind": "edfa"}]
+        doc["spans"].append(span)
+    return doc
+
+
+def gpon_tree() -> dict:
+    """An OLT fanning out 8 ways over 3 levels (584 spans, 512 leaves), a 1x8 splitter on each span of
+    the first two levels, as the gpon-tree benchmark plant is laid out."""
+    rng = random.Random(8)
+    doc = json.loads(sleman_path().read_text(encoding="utf-8"))
+    doc.update(topology="tree", head="olt", nodes=[{"id": "olt", "name": "OLT"}], spans=[])
+    frontier = ["olt"]
+    for level in (1, 2, 3):
+        children = [f"{parent}.{k}" for parent in frontier for k in range(8)]
+        for child in children:
+            doc["nodes"].append({"id": child, "name": child.upper()})
+            doc["spans"].append({"id": f"f-{child}", "from": child.rpartition(".")[0], "to": child,
+                                 "length": round(rng.uniform(0.5, 4.0), 3), "fiber": "g984-distribution",
+                                 "splices": "auto", **({"splitters": [8]} if level < 3 else {})})
+        frontier = children
+    return doc
+
+
+def assert_rows_match_the_reference_fold(doc, path: str = "ring") -> None:
+    """Every figure of every row, bit for bit, against the reference fold of span_runs and the span's
+    rise-time report, and the path loss against the reference folds summed exactly in path order."""
+    net = doc.network
+    report = run_plan(doc, "gpon-onu-endpoint", path)
+    spans = resolve_path(net, path)[1]
+    by_id = {span.id: span for span in spans}
+    ceiling = max_system_risetime(report.standard.bit_rate, report.standard.line_code)
+    assert [row[0] for row in report.spans] == sorted(by_id)
+    for row in report.spans:
+        span = by_id[row[0]]
+        loss, _ = rows_by_kind(span, net.losses)
+        rise = span_risetime_report(span, net.transceiver, ceiling)
+        expected = (span.id, f"{net.node_name(span.from_node)} - {net.node_name(span.to_node)}", span.length,
+                    model.resolved_splices(span), loss.connector_total, loss.fiber_total, loss.splice_total,
+                    loss.splitter_total, loss.margin, loss.total, rise.ceiling, rise.dispersion_component,
+                    rise.tx_component, rise.rx_component, rise.total)
+        assert repr(row) == repr(expected)
+    parts = [rows_by_kind(span, net.losses)[0] for span in spans]
+    sums = (math.fsum(getattr(part, name) for part in parts) for name in LossBreakdown._fields[:4])
+    assert repr(report.path) == repr(LossBreakdown(*sums, net.losses.system_margin))
+
+
+class TestSpanRows:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_ring_rows_equal_the_reference_fold(self, seed):
+        doc = parse_network(seeded_ring(seed))
+        assert_rows_match_the_reference_fold(doc)
+        if len(doc.network.nodes) > 2:
+            assert_rows_match_the_reference_fold(doc, "n1,n0,n1,n2")  # a span crossed twice counts twice
+
+    def test_the_seeded_rings_reach_every_kind_of_span(self):
+        spans = [span for seed in range(40) for span in parse_network(seeded_ring(seed)).network.spans]
+        assert any(span.splitters for span in spans) and any(span.amplifiers for span in spans)
+        assert any(span.splices is None for span in spans) and any(span.splices is not None for span in spans)
+        assert len(parse_network(seeded_ring(0)).network.spans) == 2  # parallel spans
+
+    def test_tree_leaf_rows_equal_the_reference_fold(self):
+        raw = gpon_tree()
+        doc = parse_network(raw)
+        leaves = [node["id"] for node in raw["nodes"] if node["id"].count(".") == 3]
+        assert len(leaves) == 512
+        for leaf in leaves:
+            parts = leaf.split(".")  # olt.a.b.c lies under olt.a.b, under olt.a, under olt
+            assert_rows_match_the_reference_fold(doc, ",".join(".".join(parts[:k]) for k in (1, 2, 3, 4)))
+
+    def test_each_row_checks_its_loss_figures(self, sleman_doc, monkeypatch):
+        real = planning.span_losses
+
+        def nan_fiber(span, losses):
+            connector, _, *rest = real(span, losses)
+            return (connector, math.nan, *rest)
+
+        monkeypatch.setattr(planning, "span_losses", nan_fiber)
+        with pytest.raises(DomainError, match="^loss breakdown: fiber_total must be a finite number >= 0 dB$"):
+            run_plan(sleman_doc, "gpon-onu-endpoint")
+
+    def test_verdicts_are_derived_from_the_rows(self, sleman_doc):
+        report = run_plan(sleman_doc, "gpon-onu-endpoint", "seyegan,tempel,pakem")
+        power, *rise = report.verdicts
+        assert power is report.power_verdict
+        assert [(v.quantity, v.value, v.threshold, v.unit, v.direction) for v in rise] == [
+            (f"rise time {row[0]}", row[14], row[10], "ps", "max") for row in report.spans]
+
+
 class TestParallelSpans:
     def test_ring_plan_counts_both_spans(self, write_network):
         net_file = write_network(parallel_ring)
         assert [s.id for s in ring_spans(load_network(net_file).network)] == ["s1", "s2"]
         report = run_plan(load_network(net_file), "gpon-onu-endpoint")
         assert report.path_nodes == ("west", "east", "west")
-        assert [row.span_id for row in report.spans] == ["s1", "s2"]
+        assert [row[0] for row in report.spans] == ["s1", "s2"]
         assert report.path.fiber_total == pytest.approx(18.0)  # (10 + 50) km x 0.3 dB/km
         assert "+ fiber 18.00 +" in render_plan_text(report)
 

@@ -10,7 +10,6 @@ from fiberplan.power_budget import (
     AmplifierPlan,
     LossBreakdown,
     amplifier_requirement,
-    combine_span_losses,
     max_allowed_loss,
     received_power,
     required_input_power,
@@ -18,6 +17,7 @@ from fiberplan.power_budget import (
     span_summary,
     splitter_loss,
 )
+from fiberplan.planning import run_plan
 from fiberplan.signal_chain import propagate
 
 from conftest import LOSSES, make_span
@@ -333,22 +333,16 @@ class TestReceivedPower:
 
 
 class TestPathLoss:
-    def test_combined_loss_beyond_the_float_range_is_a_domain_error(self):
-        part = LossBreakdown(connector_total=1e308, fiber_total=0.0, splice_total=0.0, splitter_total=0.0, margin=0.0)
-        with pytest.raises(DomainError, match="^path loss beyond the float range$"):
-            combine_span_losses([part, part], 3.0)
-
     def test_margin_applied_once_across_the_ring(self, sleman_doc):
         net = sleman_doc.network
-        combined = combine_span_losses([span_summary(s, net.losses)[0] for s in net.spans], net.losses.system_margin)
+        combined = run_plan(sleman_doc, "gpon-onu-endpoint").path  # the ring crosses every span once
         per_span_sum = math.fsum(span_summary(s, net.losses)[0].total for s in net.spans)
         duplicated = (len(net.spans) - 1) * net.losses.system_margin
         assert combined.total == pytest.approx(per_span_sum - duplicated, abs=1e-9)
         assert combined.margin == net.losses.system_margin
 
     def test_breakdown_components_add_up(self, sleman_doc):
-        net = sleman_doc.network
-        combined = combine_span_losses([span_summary(s, net.losses)[0] for s in net.spans], net.losses.system_margin)
+        combined = run_plan(sleman_doc, "gpon-onu-endpoint").path
         assert combined.total == (
             combined.connector_total
             + combined.fiber_total

@@ -72,6 +72,25 @@ def test_trace_points_stay_small(tmp_path):
     assert held <= 60 * elements, f"{held / elements:.0f} bytes per element"
 
 
+def test_plan_rows_stay_small(tmp_path):
+    """Memory guard: a plan of the 1000-node ring holds about 225 bytes per span, one flat row each: a
+    15-slot tuple (160 bytes), its link name (56) and its slot in the report's tuple (8); the figures
+    come off the float free list the first plan fills. The bound leaves a fifth of that as headroom.
+    One nested value object per span (a LossBreakdown, a RiseTimeReport or a Verdict, 72-88 bytes
+    each) breaks it; the nested rows this layout replaced held 592 bytes per span."""
+    doc = load_network(write_ring(tmp_path, 1000))
+    run_plan(doc, "gpon-onu-endpoint")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = run_plan(doc, "gpon-onu-endpoint")
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(report.spans) == 1000
+    assert held <= 270 * len(report.spans), f"{held / len(report.spans):.0f} bytes per span"
+
+
 def best_of_three(fn, *args) -> float:
     times = []
     for _ in range(3):

@@ -24,7 +24,8 @@ from fiberplan.model import (
     ring_spans,
     spans_along,
 )
-from fiberplan.power_budget import combine_span_losses, received_power, span_runs, span_summary, splitter_loss
+from fiberplan.planning import run_plan
+from fiberplan.power_budget import received_power, span_runs, splitter_loss
 from fiberplan.signal_chain import (
     BerEstimate,
     MAX_TRACE_ELEMENTS,
@@ -348,7 +349,7 @@ class TestRouteChain:
     def test_full_ring_final_power_matches_budget_arithmetic(self, sleman_doc):
         net = sleman_doc.network
         trace = propagate(net.transceiver.tx_power, route_chain(net, ring_spans(net)))
-        path = combine_span_losses([span_summary(s, net.losses)[0] for s in net.spans], net.losses.system_margin)
+        path = run_plan(sleman_doc, "gpon-onu-endpoint").path
         expected = received_power(
             net.transceiver.tx_power,
             [path.total],

@@ -118,6 +118,19 @@ class TestResolution:
         resolved = resolve_standard("gpon-onu-endpoint", {"gpon-onu-endpoint": override})
         assert resolved.rx_sensitivity == -27.0
 
+    def test_editing_the_builtin_dict_leaves_resolution_alone(self):
+        profiles = builtin_profiles()
+        assert profiles is not builtin_profiles() and profiles == builtin_profiles()
+        custom = StandardProfile("table2-receiver", bit_rate=1e9, line_code=LineCode.RZ, rx_sensitivity=-10.0)
+        profiles["table2-receiver"] = custom
+        profiles["lab"] = custom
+        del profiles["gpon-onu-endpoint"]
+        assert resolve_standard("table2-receiver").rx_sensitivity == -38.0
+        assert resolve_standard("gpon-onu-endpoint").rx_sensitivity == -28.0
+        with pytest.raises(ConfigurationError, match="unknown standard profile 'lab'"):
+            resolve_standard("lab")
+        assert sorted(builtin_profiles()) == ["gpon-downlink-olt", "gpon-onu-endpoint", "table2-receiver"]
+
     def test_unknown_name_lists_known_profiles(self):
         with pytest.raises(ConfigurationError, match="gpon-onu-endpoint"):
             resolve_standard("nope")
