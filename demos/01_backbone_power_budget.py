@@ -1,19 +1,11 @@
 """Walk the backbone power budget of the bundled seven-node ring.
 
-Starts from the itemized per-span losses, derives the loss budget from the
-downstream requirements, sizes the EDFA chain, and checks the received power
-at the distribution end point.
+Starts from the itemized per-span losses, then reads from the ring's plan the
+loss budget derived from the downstream requirements, the EDFA chain sized to
+cover it, and the received power at the distribution end point.
 """
 
-from fiberplan import (
-    amplifier_requirement,
-    load_network,
-    max_allowed_loss,
-    received_power,
-    required_input_power,
-    run_plan,
-    span_summary,
-)
+from fiberplan import load_network, run_plan, span_summary
 from fiberplan.data import sleman_path
 
 
@@ -31,25 +23,22 @@ def main() -> None:
             f"+ splices {b.splice_total:.2f} + margin {b.margin:.2f} = {b.total:.2f} dB"
         )
 
-    ring = run_plan(doc, "gpon-onu-endpoint").path  # the ring path crosses each span once
-    print(f"\nWhole ring with the margin applied once: {ring.total:.2f} dB")
+    report = run_plan(doc, "gpon-onu-endpoint")  # the ring path crosses each span once
+    *_, ring_total = report.path  # connectors, fiber, splices, splitters, margin, total
+    print(f"\nWhole ring with the margin applied once: {ring_total:.2f} dB")
 
     # The ring must deliver enough power that the distribution leg still
     # reaches the downlink receiver.
-    floor = required_input_power(net.transceiver.rx_sensitivity, doc.distribution_loss)
-    budget = max_allowed_loss(net.transceiver.tx_power, floor)
+    floor, budget = report.planning_floor, report.max_loss
     print(f"Backbone exit floor: {net.transceiver.rx_sensitivity:.2f} dBm sensitivity "
           f"+ {doc.distribution_loss:.2f} dB distribution = {floor:.2f} dBm")
     print(f"Loss budget from a {net.transceiver.tx_power:.2f} dBm transmitter: {budget:.2f} dB")
 
-    plan = amplifier_requirement(ring.total, budget, doc.edfa_gain)
+    plan = report.amplifier_plan
     print(f"\nGain deficit {plan.gain_deficit:.2f} dB -> "
           f"{plan.edfa_count} EDFA(s) of {plan.unit_gain:.0f} dB = {plan.total_gain:.0f} dB")
 
-    end_point = received_power(
-        net.transceiver.tx_power, [ring.total, doc.distribution_loss], [plan.total_gain]
-    )
-    print(f"End-point power with the plan installed: {end_point:.2f} dBm "
+    print(f"End-point power with the plan installed: {report.received:.2f} dBm "
           f"(needs -28.00 dBm at the ONU)")
 
 

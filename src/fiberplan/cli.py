@@ -6,28 +6,22 @@ unknown names, bad flags). Reports never embed timestamps; ``--stamp`` emits
 one on stderr so stdout stays byte-comparable.
 
 A process compiles only the modules its command runs, since there may be no
-bytecode cache: ``validate`` and ``forecast`` load the plant reader, the
-validation and forecast code and :mod:`fiberplan.report`; ``plan`` imports
-:mod:`fiberplan.planning` and ``trace`` :mod:`fiberplan.signal_chain` only in
-their own branches, at call time.
+bytecode cache: every command loads the plant reader, the validation code and
+:mod:`fiberplan.report`; ``forecast`` imports :mod:`fiberplan.traffic`,
+``plan`` :mod:`fiberplan.planning` and ``trace`` :mod:`fiberplan.signal_chain`
+only in their own branches, at call time.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Mapping
+from typing import Any
 
-from .model import POWER_DBM, ConfigurationError, DomainError, ValidationFailure, check_range, validate_network
+from .model import POWER_DBM, ConfigurationError, DomainError, TrafficInput, ValidationFailure, check_range
+from .model import validate_network
 from .netfile import load_network
 from .report import render_violations_json, render_violations_text
-from .traffic import (
-    TrafficInput,
-    forecast_subscribers,
-    render_forecast_json,
-    render_forecast_text,
-    traffic_input_from_mapping,
-)
 
 # (field, argparse type) per TrafficInput field, in field order: counts parse as int, rates as float.
 _FORECAST_FLAGS = tuple(
@@ -87,17 +81,15 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _forecast_inputs(args: argparse.Namespace) -> TrafficInput:
+    from .traffic import traffic_input_from_mapping
+
     values: dict[str, Any] = {}
     if args.network:
         doc = load_network(args.network)
         if doc.traffic is None:
             raise ConfigurationError(f"{args.network}: no 'traffic' key to forecast from")
-        base: Mapping[str, Any] = doc.traffic
-        values.update(base)
-    for name, _ in _FORECAST_FLAGS:
-        flag_value = getattr(args, name)
-        if flag_value is not None:
-            values[name] = flag_value
+        values.update(doc.traffic)
+    values.update((name, getattr(args, name)) for name, _ in _FORECAST_FLAGS if getattr(args, name) is not None)
     missing = [name for name, _ in _FORECAST_FLAGS if name not in values]
     if missing:
         flags = ", ".join("--" + name.replace("_", "-") for name in missing)
@@ -120,6 +112,8 @@ def _run(args: argparse.Namespace) -> int:
         return 0 if report.overall_pass else 1
 
     if args.command == "forecast":
+        from .traffic import forecast_subscribers, render_forecast_json, render_forecast_text
+
         inputs = _forecast_inputs(args)
         forecast = forecast_subscribers(inputs)
         _emit(render_forecast_json(inputs, forecast) if as_json else render_forecast_text(inputs, forecast), args.out)

@@ -19,16 +19,8 @@ from operator import itemgetter
 
 from .model import check_valid, frozen, resolve_path
 from .netfile import NetworkDocument
-from .power_budget import (
-    AmplifierPlan,
-    LossBreakdown,
-    amplifier_requirement,
-    check_losses,
-    max_allowed_loss,
-    received_power,
-    required_input_power,
-    span_losses,
-)
+from .power_budget import AmplifierPlan, amplifier_requirement, check_losses, max_allowed_loss, path_losses
+from .power_budget import received_power, required_input_power, span_losses
 from .report import BOOL, SLOT, db, dumps, row, spell
 from .risetime import dispersion_risetime, max_system_risetime, total_risetime
 from .standards import StandardProfile, Verdict, power_verdict, resolve_standard, risetime_verdict
@@ -47,7 +39,7 @@ class PlanReport:
     standard: StandardProfile
     path_nodes: tuple[str, ...]
     spans: tuple[SpanRow, ...]  # one row per distinct span, sorted by span id
-    path: LossBreakdown  # margin applied once
+    path: tuple[float, ...]  # loss (dB) laid out as row[4:10], the margin once: the path_losses figures
     distribution_loss: float  # dB
     planning_floor: float  # dBm the path must deliver at its exit
     max_loss: float  # dB loss budget for the path
@@ -76,11 +68,13 @@ def run_plan(
 ) -> PlanReport:
     """Evaluate one path of a parsed network document against a named standard.
 
-    Amplifier sizing always follows from the path loss against the plant's
-    own loss budget. By default the sized gain is assumed installed when the
-    inventory falls short of it; ``as_built=True`` restricts the verdict to
-    amplifiers actually present in the span inventory. Raises
-    ValidationFailure if the network breaks a structural rule.
+    The path's loss figures and both received powers come from one fold of its spans' run tables
+    (:func:`fiberplan.power_budget.path_losses`): each is the exact sum of its elements, rounded
+    once, so the as-built power with no distribution leg is a trace's last point, bit for bit.
+    Amplifier sizing follows from the path loss against the plant's own loss budget. By default
+    the sized gain is assumed installed when the inventory falls short of it; ``as_built=True``
+    restricts the verdict to amplifiers present in the span inventory. Raises ValidationFailure
+    if the network breaks a structural rule.
     """
     network = doc.network
     check_valid(network)
@@ -92,9 +86,10 @@ def run_plan(
     margin, tx, rx = losses.system_margin, transceiver.tx_rise_time, transceiver.rx_rise_time
 
     rows: dict[str, SpanRow] = {}
+    legs = {}  # span id -> its part in the path fold
     for span in spans:
         if span.id not in rows:
-            connector, fiber, splice, splitter, splices = span_losses(span, losses)
+            connector, fiber, splice, splitter, splices, legs[span.id] = span_losses(span, losses)
             check_losses(connector, fiber, splice, splitter, margin)
             dispersion = dispersion_risetime(span.fiber.dispersion, transceiver.spectral_width, span.length)
             rows[span.id] = (
@@ -103,16 +98,17 @@ def run_plan(
                 ceiling, dispersion, tx, rx, total_risetime(tx, rx, dispersion),
             )
 
-    # Each loss column summed exactly over the path's rows, in path order; the margin once.
-    path = LossBreakdown(*map(math.fsum, islice(zip(*[rows[span.id] for span in spans]), 4, 8)), margin)
+    path, terms, gains = path_losses([legs[span.id] for span in spans], losses)
     planning_floor = required_input_power(transceiver.rx_sensitivity, doc.distribution_loss)
     budget = max_allowed_loss(transceiver.tx_power, planning_floor)
-    plan = amplifier_requirement(path.total, budget, doc.edfa_gain)
+    plan = amplifier_requirement(path[5], budget, doc.edfa_gain)
 
-    inventory_gain = math.fsum(a.gain for span in spans for a in span.amplifiers)
-    applied_gain = inventory_gain if as_built else max(inventory_gain, plan.total_gain)
-    as_built_power = received_power(transceiver.tx_power, [path.total, doc.distribution_loss], [inventory_gain])
-    received = received_power(transceiver.tx_power, [path.total, doc.distribution_loss], [applied_gain])
+    inventory_gain = math.fsum(gains)
+    planned = not as_built and plan.total_gain > inventory_gain  # the sized gain stands in for the inventory's
+    applied_gain = plan.total_gain if planned else inventory_gain
+    terms.append(doc.distribution_loss)
+    as_built_power = received_power(transceiver.tx_power, terms, gains)
+    received = received_power(transceiver.tx_power, terms, [applied_gain]) if planned else as_built_power
 
     return PlanReport(
         standard=profile,
@@ -142,9 +138,8 @@ def _fmt_verdict(v: Verdict) -> str:
     return _VERDICT_TEXT[v.unit == "ps"] % (v.quantity, v.value, v.unit, op, v.threshold, v.unit, v.margin, flag)
 
 
-# A loss breakdown's JSON key -> its LossBreakdown attribute (dB), in report order.
-_LOSS = {"connectors": "connector_total", "fiber": "fiber_total", "splices": "splice_total",
-         "splitters": "splitter_total", "margin": "margin", "total": "total"}
+# The JSON keys of a loss (dB), in the order of row[4:10] and of a report's path.
+_LOSS = ("connectors", "fiber", "splices", "splitters", "margin", "total")
 _SPAN_JSON = row({**dict.fromkeys(("id", "link", "length", "splices")), "loss": dict.fromkeys(_LOSS),
                   "rise_time": dict.fromkeys(("ceiling", "dispersion", "tx", "rx", "total", "pass"))})
 # The 12 numbers of a span row: its length, six losses (dB) and five rise times (ps).
@@ -160,10 +155,8 @@ def render_plan_text(report: PlanReport) -> str:
     lines, rows = [], report.spans
     lines.append(f"Plan for path: {' -> '.join(report.path_nodes)}")
     ceiling = max_system_risetime(report.standard.bit_rate, report.standard.line_code)
-    lines.append(
-        f"Standard: {report.standard.name} "
-        f"(sensitivity {report.standard.rx_sensitivity:.2f} dBm, rise-time ceiling {ceiling:.3f} ps)"
-    )
+    lines.append(f"Standard: {report.standard.name} (sensitivity {report.standard.rx_sensitivity:.2f} dBm,"
+                 f" rise-time ceiling {ceiling:.3f} ps)")
     lines.append("")
     lines.append("Span loss budgets (dB, each span as a standalone path)")
     lines.append(
@@ -175,27 +168,18 @@ def render_plan_text(report: PlanReport) -> str:
     lines.append(f"{'link':<24} {'rise time ps':>12} {'splices':>8}  verdict")
     lines += ["%-24s %12.3f %8d  %s" % (r[1], r[14], r[3], "pass" if r[14] <= r[10] else "FAIL") for r in rows]
     lines.append("")
-    p = report.path
-    lines.append(
-        "Path loss (margin once): "
-        f"connectors {p.connector_total:.2f} + fiber {p.fiber_total:.2f} + splices {p.splice_total:.2f}"
-        f" + splitters {p.splitter_total:.2f} + margin {p.margin:.2f} = {p.total:.2f} dB"
-    )
+    lines.append("Path loss (margin once): connectors %.2f + fiber %.2f + splices %.2f + splitters %.2f"
+                 " + margin %.2f = %.2f dB" % report.path)
     lines.append(
         f"Loss budget: floor {report.planning_floor:.2f} dBm "
         f"(planning sensitivity {report.planning_floor - report.distribution_loss:.2f}"
         f" + distribution {report.distribution_loss:.2f}), max loss {report.max_loss:.2f} dB"
     )
     plan = report.amplifier_plan
-    lines.append(
-        f"Amplifier plan: deficit {plan.gain_deficit:.2f} dB -> "
-        f"{plan.edfa_count} x {plan.unit_gain:.2f} dB EDFA = {plan.total_gain:.2f} dB"
-    )
-    lines.append(
-        f"Received power: {report.received:.2f} dBm "
-        f"(as built {report.as_built_power:.2f} dBm, inventory gain {report.inventory_gain:.2f} dB,"
-        f" applied gain {report.applied_gain:.2f} dB)"
-    )
+    lines.append(f"Amplifier plan: deficit {plan.gain_deficit:.2f} dB -> {plan.edfa_count} x {plan.unit_gain:.2f} dB"
+                 f" EDFA = {plan.total_gain:.2f} dB")
+    lines.append(f"Received power: {report.received:.2f} dBm (as built {report.as_built_power:.2f} dBm,"
+                 f" inventory gain {report.inventory_gain:.2f} dB, applied gain {report.applied_gain:.2f} dB)")
     lines.append("")
     lines.append("Verdicts")
     lines.append("  " + _fmt_verdict(report.power_verdict))
@@ -223,13 +207,12 @@ def render_plan_json(report: PlanReport) -> str:
         flag = BOOL[r[14] <= r[10]]
         span_items.append(_SPAN_JSON % (_json_str(r[0]), _json_str(r[1]), s[0], r[3], *s[1:], flag))
         verdict_items.append(_RISE_JSON % (_json_str("rise time " + r[0]), s[11], s[7], rise_margin, flag))
-    p = report.path
     return dumps({
         "standard": {"name": standard.name, "bit_rate": standard.bit_rate, "line_code": standard.line_code.value,
                      "rx_sensitivity": db(standard.rx_sensitivity)},
         "path": [],
         "spans": [],
-        "path_loss": {key: db(getattr(p, name)) for key, name in _LOSS.items()},
+        "path_loss": dict(zip(_LOSS, map(db, report.path))),
         "distribution_loss": db(report.distribution_loss),
         "planning_floor": db(report.planning_floor),
         "max_loss": db(report.max_loss),

@@ -2,26 +2,27 @@
 
 Sign convention: losses are positive dB magnitudes throughout; received-power
 arithmetic subtracts them. :func:`span_runs` is the one description of what a
-span is made of, a label-free run table; :func:`span_losses` folds it into a
-span's loss figures, and a power trace follows it element by element. The
-system margin is a path-level allowance: a span's loss as a standalone path
-carries it, and a path's loss carries it once.
+span is made of, a label-free run table: :func:`span_losses` and
+:func:`path_losses` fold it into a span's and a path's loss figures, and a power
+trace follows it element by element. The system margin is a path-level
+allowance: a span's loss as a standalone path carries it, a path's loss once.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .model import Amplifier, ComponentLosses, DomainError, Span, Splitter, frozen, resolved_splices
 
 # (kind, signed dB effect of one element, count, part); route_chain's margin row carries the margin as its part
 Run = tuple[str, float, int, Span | Splitter | Amplifier | float | None]
+Leg = tuple[int, int, float, Sequence[Run]]  # connector and splice counts, fiber loss, device rows: a span in a path fold
 
 
 @frozen
 class LossBreakdown:
-    """Per-mechanism dB totals for a span or path; ``total`` is their sum."""
+    """Per-mechanism dB totals of a span as a standalone path; ``total`` adds them."""
 
     connector_total: float
     fiber_total: float
@@ -103,27 +104,51 @@ def span_runs(span: Span, losses: ComponentLosses) -> list[Run]:
     return runs
 
 
-def span_losses(span: Span, losses: ComponentLosses) -> tuple[float, float, float, float, int]:
+def span_losses(span: Span, losses: ComponentLosses) -> tuple[float, float, float, float, int, Leg]:
     """The :func:`span_runs` rows of a span folded by kind: its connector, fiber, splice and splitter
-    loss (dB), and its splice count.
+    loss (dB) and its splice count; then its :data:`Leg` of a path fold.
 
-    Each counted kind's loss is its unit loss times its total count, rounded once as
-    connector_loss * connectors is; the splitters are summed exactly one by one and the
-    amplifiers left out. The bounds of the span's and the losses' fields keep every figure
-    finite. Unchecked: a :class:`LossBreakdown` checks its figures, and a plan checks each
-    span's with :func:`check_losses`.
+    Each kind's loss is the exact sum of its elements, rounded once (connector_loss * connectors);
+    the amplifiers are left out. The fields' bounds keep every figure finite, but unchecked: a
+    :class:`LossBreakdown` checks its figures, a plan each span's with :func:`check_losses`.
     """
     runs = span_runs(span, losses)  # entry connector, fiber, splices, devices, exit connectors
     (_, connector, entry, _), (_, fiber, _, _), (_, splice, splices, _), *devices, (_, _, rest, _) = runs
-    splitters = [-effect for kind, effect, _, _ in devices if kind == "splitter"]
-    return -connector * (entry + rest), -fiber, -splice * splices, math.fsum(splitters), splices
+    splitters = [-effect for kind, effect, _, _ in devices if kind == "splitter"] if devices else ()
+    leg = (entry + rest, splices, -fiber, devices or ())  # an empty list would outlive the call for nothing
+    return -connector * (entry + rest), -fiber, -splice * splices, math.fsum(splitters), splices, leg
 
 
 def span_summary(span: Span, losses: ComponentLosses) -> tuple[LossBreakdown, int]:
-    """A span's :func:`span_losses` as a :class:`LossBreakdown`, its loss as a standalone path with the
-    system margin added, and its splice count."""
-    *loss, splices = span_losses(span, losses)
+    """A span's loss as a standalone path, margin added, as a :class:`LossBreakdown`; and its splice count."""
+    *loss, splices, _ = span_losses(span, losses)
     return LossBreakdown(*loss, losses.system_margin), splices
+
+
+def _exact_product(unit: float, count: int) -> tuple[float, float]:
+    """unit * count as two floats whose sum it is exactly: the product rounded once, and what rounding dropped."""
+    product = unit * count
+    (n, d), (p, q) = unit.as_integer_ratio(), product.as_integer_ratio()
+    return product, (n * count * q - p * d) / (d * q)  # int / int rounds correctly, here exactly
+
+
+def path_losses(legs: list[Leg], losses: ComponentLosses) -> tuple[tuple[float, ...], list[float], list[float]]:
+    """One fold of the :data:`Leg` of each span of a path, in path order (a span crossed twice counts twice).
+
+    Returns the path's loss (dB) as connectors, fiber, splices, splitters, the margin once and the total,
+    each the exact sum of its elements rounded once; its loss terms, whose exact sum is that total, so that
+    :func:`received_power` over them and the gains is the path's exact end power; and the gains. A joint
+    kind's elements share the plant's unit loss, so their sum is one product, carried as two floats.
+    """
+    connectors, splices, fibers, rows = zip(*legs)
+    devices = [run for runs in rows if runs for run in runs]  # most spans hold none
+    splitters = [-effect for kind, effect, _, _ in devices if kind == "splitter"]
+    gains = [effect for kind, effect, _, _ in devices if kind == "amplifier"]
+    connector = _exact_product(losses.connector_loss, sum(connectors))
+    splice = _exact_product(losses.splice_loss, sum(splices))
+    fsum, margin = math.fsum, losses.system_margin
+    terms = [*fibers, *splitters, margin, *connector, *splice]
+    return (fsum(connector), fsum(fibers), fsum(splice), fsum(splitters), margin, fsum(terms)), terms, gains
 
 
 def max_allowed_loss(input_power: float, rx_sensitivity: float) -> float:
@@ -155,10 +180,10 @@ def amplifier_requirement(actual_loss: float, max_loss: float, unit_gain: float)
 def received_power(tx_power: float, losses: Iterable[float], gains: Iterable[float] = ()) -> float:
     """End-of-path power: transmit power minus all losses plus all gains.
 
-    Summed with compensated (exact) accumulation so the result does not
-    depend on the order losses and gains are listed in.
+    Their exact sum, rounded once (``math.fsum``), so it does not depend on the order they are
+    listed in; over a path's element terms (:func:`path_losses`) it is the path's exact end power.
     """
     try:
-        return math.fsum([tx_power, *(-loss for loss in losses), *gains])
+        return math.fsum([tx_power, *[-loss for loss in losses], *gains])
     except OverflowError:  # fsum of finite terms beyond the float range
         raise DomainError("received power beyond the float range") from None

@@ -1,11 +1,11 @@
 """Analytic signal chain: power traces over run tables and a Q-factor BER model.
 
 :func:`route_chain` lists a path as the run tables of its spans (the
-:func:`fiberplan.power_budget.span_runs` rows a plan folds into span losses)
+:func:`fiberplan.power_budget.span_runs` rows a plan folds into its loss figures)
 and one margin row; :func:`propagate` expands the rows into one trace point per
-element and formats the only labels. The final point agrees exactly with
-:func:`fiberplan.power_budget.received_power` over the same losses and gains;
-the fold sums exactly in integers, so the agreement is bit-for-bit, not approximate.
+element and formats the only labels. Each point is the exact sum of the elements
+so far, rounded once, the rule a plan sums a path by: with no distribution leg,
+the last point is the plan's as-built received power, bit for bit.
 
 The BER model is a plain Gaussian decision model: photocurrent over one fixed
 receiver noise sigma (:data:`NOISE_SIGMA`) gives a Q factor, and
@@ -80,14 +80,12 @@ def propagate(input_power: float, runs: Sequence[Run]) -> PowerTrace:
 
     The first point is the injected power; a row of ``count`` elements appends ``count``
     points under its kind, or under a label made from its part if it has one. Each later
-    point is the correctly rounded exact sum of the injected power and all element effects
-    so far, so the final point equals received_power over the same losses and gains
-    regardless of element order. Every finite float is an integer over a power of two, so
-    scaled by the largest denominator the running sums are exact integers, each divided
-    back once. The result is bit-identical to ``math.fsum`` over each prefix wherever that
-    returns, and exact where it raises a false intermediate overflow on a prefix whose sum
-    is finite. Raises DomainError on a non-finite input power or row effect, and names the
-    first element whose exact running sum rounds beyond the float range.
+    point is the exact sum of the injected power and the element effects so far, rounded
+    once: every finite float is an integer over a power of two, so scaled by the largest
+    denominator the running sums are exact integers, each divided back once. That is
+    ``math.fsum`` over each prefix, bit for bit, and exact where fsum raises a false
+    intermediate overflow. Raises DomainError on a non-finite input power or row effect,
+    and names the first element whose exact running sum rounds beyond the float range.
     """
     if not math.isfinite(input_power):
         raise DomainError(f"input power must be a finite dBm value, got {input_power!r}")

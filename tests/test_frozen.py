@@ -20,6 +20,7 @@ from fiberplan.data import sleman_path
 from fiberplan.model import Amplifier, AmplifierKind, ComponentLosses, Network, Span, Splitter, Violation
 from fiberplan.netfile import DEFAULT_EDFA_GAIN, NetworkDocument, load_network
 from fiberplan.planning import run_plan
+from fiberplan.power_budget import span_summary
 from fiberplan.risetime import RiseTimeReport, span_risetime_report
 from fiberplan.signal_chain import PowerTrace, run_trace
 from fiberplan.standards import StandardProfile
@@ -60,6 +61,7 @@ def _harvest() -> dict[type, object]:
         [a for span in doc.network.spans for a in span.amplifiers], Splitter(4),
         Violation("network", "no-nodes", "network has no nodes"),
         span_risetime_report(doc.network.spans[0], doc.network.transceiver, 70.0),
+        span_summary(doc.network.spans[0], doc.network.losses),
     ]
     found: dict[type, object] = {}
 
@@ -187,11 +189,11 @@ def test_importing_the_cli_loads_no_code_generation_modules():
     assert result.stdout.strip() == ""
 
 
-VALIDATE_MODULES = ("cli", "model", "netfile", "report", "standards", "traffic")
+VALIDATE_MODULES = ("cli", "model", "netfile", "report", "standards")
 LOADED = {  # command: its flags, and the submodules its process loads
     "import": ("", ()),
     "validate": ("", VALIDATE_MODULES),
-    "forecast": ("", VALIDATE_MODULES),
+    "forecast": ("", (*VALIDATE_MODULES, "traffic")),
     "plan": ("--standard gpon-onu-endpoint", (*VALIDATE_MODULES, "power_budget", "risetime", "planning")),
     "trace": ("--ber", (*VALIDATE_MODULES, "power_budget", "signal_chain")),
 }
@@ -200,7 +202,7 @@ LOADED = {  # command: its flags, and the submodules its process loads
 @pytest.mark.parametrize("command", LOADED)
 def test_a_process_loads_only_the_modules_its_command_runs(command):
     """Start-up guard: with no bytecode cache each module a process loads is compiled first, so
-    ``import fiberplan`` loads no submodule, and only ``plan`` and ``trace`` load their own code."""
+    ``import fiberplan`` loads no submodule, and only ``forecast``, ``plan`` and ``trace`` load their own code."""
     flags, modules = LOADED[command]
     run = "" if command == "import" else "import fiberplan.cli; fiberplan.cli.main(sys.argv[1:]); "
     code = f"import sys, fiberplan; {run}print(*(m for m in sys.modules if m.partition('.')[0] == 'fiberplan'))"

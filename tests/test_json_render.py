@@ -71,14 +71,14 @@ def _verdict_dict(v) -> dict[str, Any]:
     }
 
 
-def _loss_dict(b) -> dict[str, float]:
+def _loss_dict(connectors, fiber, splices, splitters, margin, total) -> dict[str, float]:
     return {
-        "connectors": _db(b.connector_total),
-        "fiber": _db(b.fiber_total),
-        "splices": _db(b.splice_total),
-        "splitters": _db(b.splitter_total),
-        "margin": _db(b.margin),
-        "total": _db(b.total),
+        "connectors": _db(connectors),
+        "fiber": _db(fiber),
+        "splices": _db(splices),
+        "splitters": _db(splitters),
+        "margin": _db(margin),
+        "total": _db(total),
     }
 
 
@@ -111,7 +111,7 @@ def plan_to_dict(report) -> dict[str, Any]:
             for (span_id, link, length, splices, connectors, fiber, splice, splitters, margin, loss,
                  ceiling, dispersion, tx, rx, rise) in report.spans
         ],
-        "path_loss": _loss_dict(report.path),
+        "path_loss": _loss_dict(*report.path),
         "distribution_loss": _db(report.distribution_loss),
         "planning_floor": _db(report.planning_floor),
         "max_loss": _db(report.max_loss),

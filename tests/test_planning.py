@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,12 +12,11 @@ from fiberplan.data import sleman_path
 from fiberplan.model import ConfigurationError, DomainError, ValidationFailure, resolve_path, ring_spans
 from fiberplan.netfile import NetworkFileError, load_network, parse_network
 from fiberplan.planning import render_plan_json, render_plan_text, run_plan
-from fiberplan.power_budget import LossBreakdown
 from fiberplan.risetime import max_system_risetime, span_risetime_report
 from fiberplan.signal_chain import render_trace_text, run_trace
 from fiberplan.traffic import TrafficInput, forecast_subscribers, render_forecast_text, traffic_input_from_mapping
 
-from test_power_budget import rows_by_kind
+from test_power_budget import exact_path_losses, rows_by_kind
 
 
 def strip_amplifiers(doc):
@@ -184,7 +184,8 @@ def gpon_tree() -> dict:
 
 def assert_rows_match_the_reference_fold(doc, path: str = "ring") -> None:
     """Every figure of every row, bit for bit, against the reference fold of span_runs and the span's
-    rise-time report, and the path loss against the reference folds summed exactly in path order."""
+    rise-time report; each path figure and both received powers against the exact Fraction sum of the
+    path's rows, rounded once; and, with no distribution leg, the as-built power against the trace's end."""
     net = doc.network
     report = run_plan(doc, "gpon-onu-endpoint", path)
     spans = resolve_path(net, path)[1]
@@ -200,15 +201,20 @@ def assert_rows_match_the_reference_fold(doc, path: str = "ring") -> None:
                     loss.splitter_total, loss.margin, loss.total, rise.ceiling, rise.dispersion_component,
                     rise.tx_component, rise.rx_component, rise.total)
         assert repr(row) == repr(expected)
-    parts = [rows_by_kind(span, net.losses)[0] for span in spans]
-    sums = (math.fsum(getattr(part, name) for part in parts) for name in LossBreakdown._fields[:4])
-    assert repr(report.path) == repr(LossBreakdown(*sums, net.losses.system_margin))
+    exact, gains = exact_path_losses(spans, net.losses)
+    assert repr(report.path) == repr(tuple(map(float, exact)))
+    end = Fraction(net.transceiver.tx_power) - exact[5] - Fraction(doc.distribution_loss)
+    assert report.as_built_power == float(end + gains)
+    planned = report.applied_gain != report.inventory_gain  # the sized gain, one figure, stands in for the inventory
+    assert report.received == float(end + (Fraction(report.applied_gain) if planned else gains))
+    if doc.distribution_loss == 0:
+        assert report.as_built_power == run_trace(doc, path)[0].final_power
 
 
 class TestSpanRows:
     @pytest.mark.parametrize("seed", range(40))
     def test_ring_rows_equal_the_reference_fold(self, seed):
-        doc = parse_network(seeded_ring(seed))
+        doc = parse_network({**seeded_ring(seed), "distribution_loss": 0.0})
         assert_rows_match_the_reference_fold(doc)
         if len(doc.network.nodes) > 2:
             assert_rows_match_the_reference_fold(doc, "n1,n0,n1,n2")  # a span crossed twice counts twice
@@ -218,10 +224,13 @@ class TestSpanRows:
         assert any(span.splitters for span in spans) and any(span.amplifiers for span in spans)
         assert any(span.splices is None for span in spans) and any(span.splices is not None for span in spans)
         assert len(parse_network(seeded_ring(0)).network.spans) == 2  # parallel spans
+        reports = [run_plan(parse_network({**seeded_ring(seed), "distribution_loss": 0.0}), "gpon-onu-endpoint")
+                   for seed in range(40)]
+        assert {r.applied_gain != r.inventory_gain for r in reports} == {True, False}  # sized gain applied, or not
 
     def test_tree_leaf_rows_equal_the_reference_fold(self):
         raw = gpon_tree()
-        doc = parse_network(raw)
+        doc = parse_network({**raw, "distribution_loss": 0.0})
         leaves = [node["id"] for node in raw["nodes"] if node["id"].count(".") == 3]
         assert len(leaves) == 512
         for leaf in leaves:
@@ -254,7 +263,7 @@ class TestParallelSpans:
         report = run_plan(load_network(net_file), "gpon-onu-endpoint")
         assert report.path_nodes == ("west", "east", "west")
         assert [row[0] for row in report.spans] == ["s1", "s2"]
-        assert report.path.fiber_total == pytest.approx(18.0)  # (10 + 50) km x 0.3 dB/km
+        assert report.path[1] == pytest.approx(18.0)  # the fiber: (10 + 50) km x 0.3 dB/km
         assert "+ fiber 18.00 +" in render_plan_text(report)
 
     def test_ring_trace_crosses_both_spans(self, write_network):
@@ -275,13 +284,14 @@ class TestRunTrace:
         assert ber is not None
         assert 0.0 <= ber.ber <= 0.5
 
-    def test_ring_trace_ends_at_plan_power(self, sleman_doc):
-        report = run_plan(sleman_doc, "gpon-onu-endpoint", as_built=True)
-        trace, _ = run_trace(sleman_doc, "ring")
-        # the trace has no distribution leg, so add it back
-        assert trace.final_power - report.distribution_loss == pytest.approx(
-            report.as_built_power, abs=1e-9
-        )
+    def test_ring_trace_ends_at_plan_power(self, write_network):
+        def no_distribution_leg(doc):  # the trace has none, so the plan's end power is the same exact sum
+            doc["distribution_loss"] = 0.0
+
+        doc = load_network(write_network(no_distribution_leg))
+        report = run_plan(doc, "gpon-onu-endpoint", as_built=True)
+        trace, _ = run_trace(doc, "ring")
+        assert trace.final_power == report.as_built_power == report.received
 
     def test_render_trace(self, sleman_doc):
         trace, ber = run_trace(sleman_doc, "seyegan,tempel", with_ber=True)

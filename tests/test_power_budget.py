@@ -1,11 +1,21 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from fiberplan.model import Amplifier, ComponentLosses, DomainError, FiberProfile, Span, Splitter, resolved_splices
+from fiberplan.model import (
+    Amplifier,
+    ComponentLosses,
+    DomainError,
+    FiberProfile,
+    Span,
+    Splitter,
+    resolved_splices,
+    ring_spans,
+)
 from fiberplan.power_budget import (
     AmplifierPlan,
     LossBreakdown,
@@ -183,6 +193,21 @@ def rows_by_kind(span: Span, losses: ComponentLosses) -> tuple[LossBreakdown, fl
     return LossBreakdown(*totals, math.fsum(splitters), losses.system_margin), sum(row[2] for row in rows)
 
 
+def exact_path_losses(spans: list[Span], losses: ComponentLosses) -> tuple[list[Fraction], Fraction]:
+    """Reference: a path's loss as exact sums of its spans' span_runs rows, in Fractions: connectors,
+    fiber, splices, splitters, the margin once, and the total; then the exact sum of its amplifier gains."""
+    kinds = {"connector": Fraction(0), "fiber": Fraction(0), "splice": Fraction(0), "splitter": Fraction(0)}
+    gains = Fraction(0)
+    for span in spans:
+        for kind, effect, count, _ in span_runs(span, losses):
+            if kind == "amplifier":
+                gains += Fraction(effect) * count
+            else:
+                kinds[kind] -= Fraction(effect) * count
+    margin = Fraction(losses.system_margin)
+    return [*kinds.values(), margin, sum(kinds.values()) + margin], gains
+
+
 @st.composite
 def small_spans(draw):
     unit = st.floats(min_value=0.0, max_value=10.0)
@@ -335,21 +360,17 @@ class TestReceivedPower:
 class TestPathLoss:
     def test_margin_applied_once_across_the_ring(self, sleman_doc):
         net = sleman_doc.network
-        combined = run_plan(sleman_doc, "gpon-onu-endpoint").path  # the ring crosses every span once
+        *_, margin, total = run_plan(sleman_doc, "gpon-onu-endpoint").path  # the ring crosses every span once
         per_span_sum = math.fsum(span_summary(s, net.losses)[0].total for s in net.spans)
         duplicated = (len(net.spans) - 1) * net.losses.system_margin
-        assert combined.total == pytest.approx(per_span_sum - duplicated, abs=1e-9)
-        assert combined.margin == net.losses.system_margin
+        assert total == pytest.approx(per_span_sum - duplicated, abs=1e-9)
+        assert margin == net.losses.system_margin
 
     def test_breakdown_components_add_up(self, sleman_doc):
-        combined = run_plan(sleman_doc, "gpon-onu-endpoint").path
-        assert combined.total == (
-            combined.connector_total
-            + combined.fiber_total
-            + combined.splice_total
-            + combined.splitter_total
-            + combined.margin
-        )
+        """Each figure of the path, its total too, is the exact sum of the elements it counts, rounded once."""
+        net = sleman_doc.network
+        exact, _ = exact_path_losses(ring_spans(net), net.losses)
+        assert run_plan(sleman_doc, "gpon-onu-endpoint").path == tuple(map(float, exact))
 
     def test_amplifiers_do_not_affect_loss(self, sleman_doc):
         net = sleman_doc.network

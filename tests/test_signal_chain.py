@@ -349,10 +349,10 @@ class TestRouteChain:
     def test_full_ring_final_power_matches_budget_arithmetic(self, sleman_doc):
         net = sleman_doc.network
         trace = propagate(net.transceiver.tx_power, route_chain(net, ring_spans(net)))
-        path = run_plan(sleman_doc, "gpon-onu-endpoint").path
+        *_, total = run_plan(sleman_doc, "gpon-onu-endpoint").path
         expected = received_power(
             net.transceiver.tx_power,
-            [path.total],
+            [total],
             [a.gain for s in net.spans for a in s.amplifiers],
         )
         assert trace.final_power == pytest.approx(expected, abs=1e-9)

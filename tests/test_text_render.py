@@ -72,11 +72,11 @@ def reference_plan_text(report: PlanReport) -> str:
         flag = "pass" if rise <= ceiling else "FAIL"
         lines.append(f"{link:<24} {rise:>12.3f} {splices:>8d}  {flag}")
     lines.append("")
-    p = report.path
+    connectors, fiber, splices, splitters, margin, total = report.path
     lines.append(
         "Path loss (margin once): "
-        f"connectors {p.connector_total:.2f} + fiber {p.fiber_total:.2f} + splices {p.splice_total:.2f}"
-        f" + splitters {p.splitter_total:.2f} + margin {p.margin:.2f} = {p.total:.2f} dB"
+        f"connectors {connectors:.2f} + fiber {fiber:.2f} + splices {splices:.2f}"
+        f" + splitters {splitters:.2f} + margin {margin:.2f} = {total:.2f} dB"
     )
     lines.append(
         f"Loss budget: floor {report.planning_floor:.2f} dBm "
