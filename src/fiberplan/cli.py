@@ -9,13 +9,15 @@ A process compiles only the modules its command runs, since there may be no
 bytecode cache: every command loads the plant reader, the validation code and
 :mod:`fiberplan.report`; ``forecast`` imports :mod:`fiberplan.traffic`,
 ``plan`` :mod:`fiberplan.planning` and ``trace`` :mod:`fiberplan.signal_chain`
-only in their own branches, at call time.
+only in their own branches, at call time. The argument parser is built once per
+process, so a caller that runs :func:`main` many times pays for it once.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from typing import Any
 
 from .model import POWER_DBM, ConfigurationError, DomainError, TrafficInput, ValidationFailure, check_range
@@ -29,6 +31,7 @@ _FORECAST_FLAGS = tuple(
 )
 
 
+@cache  # parsing leaves the parser as it was, and help reads its width when it is printed
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fiberplan",

@@ -37,14 +37,17 @@ def frozen(cls: _C) -> _C:
     attribute of the same name is the field's default (``_defaults``, by name).
     The new class's ``__slots__`` are the fields, then any names the class body
     lists in its own ``__slots__`` for state that is not a field; instances
-    have no ``__dict__``. The generated
-    ``__init__`` takes the fields positionally or by keyword, stores each one
-    through its slot and then calls ``__post_init__`` if the class has one;
-    that method checks the values and may normalize a field, or fill a
-    non-field slot, with ``object.__setattr__``. Instances compare (only with
-    their own class), hash and print by their fields, as a frozen dataclass
-    does, and copy and pickle by being rebuilt from them; assigning or deleting
-    any attribute raises :class:`FrozenInstanceError`.
+    have no ``__dict__``. The generated ``__new__`` takes the fields
+    positionally or by keyword. It makes the instance as one of a hidden twin
+    class with the same slots and no ``__setattr__`` of its own, stores each
+    field with a plain attribute store, moves the instance to the new class
+    (the layouts are equal, so ``__class__`` may be assigned) and then calls
+    ``__post_init__`` if the class has one; that method checks the values and
+    may normalize a field, or fill a non-field slot, with
+    ``object.__setattr__``. Instances compare (only with their own class),
+    hash and print by their fields, as a frozen dataclass does, and copy and
+    pickle by being rebuilt from them; assigning or deleting any attribute
+    raises :class:`FrozenInstanceError`.
     """
     body = dict(vars(cls))
     names = tuple(body.get("__annotations__", ()))
@@ -65,19 +68,16 @@ def frozen(cls: _C) -> _C:
         __setattr__=_frozen_setattr,
         __delattr__=_frozen_delattr,
     )
-    cls = type(cls)(cls.__name__, cls.__bases__, body)
-
+    twin = type(cls)(cls.__name__, cls.__bases__, {"__slots__": names + extra})
     params = "".join(f", {n}=_defaults[{n!r}]" if n in defaults else f", {n}" for n in names)
-    lines = [f"    _set{i}(self, {n})" for i, n in enumerate(names)]
-    if hasattr(cls, "__post_init__"):
+    lines = ["    self = _twin()", *(f"    self.{n} = {n}" for n in names), "    self.__class__ = cls"]
+    if "__post_init__" in body:
         lines.append("    self.__post_init__()")
-    namespace: dict[str, Any] = {"_defaults": defaults, "__name__": cls.__module__}
-    namespace.update((f"_set{i}", vars(cls)[n].__set__) for i, n in enumerate(names))
-    exec(f"def __init__(self{params}):\n" + "\n".join(lines or ["    pass"]), namespace)
-    init = namespace["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    cls.__init__ = init
-    return cls
+    namespace: dict[str, Any] = {"_defaults": defaults, "_twin": twin, "__name__": cls.__module__}
+    exec(f"def __new__(cls{params}):\n" + "\n".join(lines) + "\n    return self", namespace)
+    body["__new__"] = new = namespace["__new__"]
+    new.__qualname__ = f"{cls.__qualname__}.__new__"
+    return type(cls)(cls.__name__, cls.__bases__, body)
 
 
 def _frozen_eq(self: Any, other: Any) -> Any:

@@ -90,7 +90,7 @@ def propagate(input_power: float, runs: Sequence[Run]) -> PowerTrace:
     if not math.isfinite(input_power):
         raise DomainError(f"input power must be a finite dBm value, got {input_power!r}")
     try:  # each distinct effect once: all joints of a kind, and equal devices, share one
-        ratios = {delta: delta.as_integer_ratio() for _, delta, _, _ in runs}
+        ratios = {delta: delta.as_integer_ratio() for delta in {row[1] for row in runs}}
     except (OverflowError, ValueError):  # what as_integer_ratio raises on an infinity and on a NaN
         kind, delta, _, part = next(row for row in runs if not math.isfinite(row[1]))
         label = kind if part is None else _label(kind, part)
@@ -197,12 +197,12 @@ def render_trace_text(trace: PowerTrace, ber: BerEstimate | None = None) -> str:
     distinct = set(trace.labels)  # a few distinct labels repeat
     width = max(map(len, distinct))
     padded = {label: f"{label:<{width}}" for label in distinct}
-    lines = list(map("%s  %9.2f dBm".__mod__, zip(map(padded.__getitem__, trace.labels), trace.powers)))
+    cells: list[Any] = [None, None] * len(trace.powers)  # label, power, label, power, ...
+    cells[::2], cells[1::2] = map(padded.__getitem__, trace.labels), trace.powers
+    text = "%s  %9.2f dBm\n" * len(trace.powers) % tuple(cells)
     if ber is not None:
-        lines.append("")
-        lines.append(f"Q factor at end point: {ber.q_factor:.3f}")
-        lines.append(f"BER estimate: {ber.ber:.3e}")
-    return "\n".join(lines) + "\n"
+        text += f"\nQ factor at end point: {ber.q_factor:.3f}\nBER estimate: {ber.ber:.3e}\n"
+    return text
 
 
 _POINT_JSON = row(dict.fromkeys(("label", "power")))

@@ -3,10 +3,12 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from fiberplan.cli import main
+from fiberplan.cli import _build_parser, main
+from fiberplan.data import sleman_path
 
 
 def run_cli(*args: str):
@@ -171,6 +173,51 @@ def test_missing_required_flag_exits_two():
     result = run_cli("plan", "--standard", "gpon-onu-endpoint")
     assert result.returncode == 2
     assert result.stderr.startswith("usage: fiberplan plan ")  # the sub-command's prog, however it is set
+
+
+# --- the parser is built once per process; in-process calls share it ---
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_the_parser_is_built_once_per_process():
+    assert _build_parser() is _build_parser()
+
+
+def test_repeated_in_process_calls_keep_no_state(capsys):
+    """Each flag an earlier call set is back at its default in the next call."""
+    network = ("--network", str(sleman_path()), "--standard", "gpon-onu-endpoint")
+    calls = [
+        (["--format", "json", "--as-built"], "sleman-plan-as-built.json"),
+        (["--format", "json", "--path", "seyegan,tempel,pakem"], "sleman-plan-partial.json"),
+        ([], "sleman-plan.txt"),
+    ]
+    for flags, golden in calls * 2:
+        assert main(["plan", *network, *flags]) == 0
+        assert capsys.readouterr().out.encode() == (GOLDEN / golden).read_bytes(), (flags, golden)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--help"], 0), (["plan", "--help"], 0), (["plan", "--standard", "gpon-onu-endpoint"], 2)],
+    ids=["help", "plan-help", "usage-error"],
+)
+def test_help_and_usage_errors_match_a_fresh_process_at_any_width(capsys, monkeypatch, argv, code):
+    """The shared parser lays help out at the width COLUMNS gives when it prints, as a fresh one does."""
+    assert main(["validate", "--network", str(sleman_path())]) == 0
+    capsys.readouterr()
+    texts = set()
+    for columns in ("60", "140"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        captured = capsys.readouterr()
+        fresh = run_cli(*argv)
+        assert fresh.returncode == code
+        assert (captured.out, captured.err) == (fresh.stdout, fresh.stderr)
+        texts.add(captured.out + captured.err)
+    assert len(texts) == 2
 
 
 # --- input errors end in exit 2 with one "error:" line (run in-process) ---

@@ -17,7 +17,7 @@ from importlib import import_module
 import pytest
 
 from fiberplan.data import sleman_path
-from fiberplan.model import Amplifier, AmplifierKind, ComponentLosses, Network, Span, Splitter, Violation
+from fiberplan.model import Amplifier, AmplifierKind, ComponentLosses, DomainError, Network, Span, Splitter, Violation
 from fiberplan.netfile import DEFAULT_EDFA_GAIN, NetworkDocument, load_network
 from fiberplan.planning import run_plan
 from fiberplan.power_budget import span_summary
@@ -156,6 +156,28 @@ NON_FIELD_SLOTS = {Network: ("_names",), RiseTimeReport: ("total",)}
 def test_fields_live_in_slots(cls):
     assert cls.__slots__ == cls._fields + NON_FIELD_SLOTS.get(cls, ())
     assert not hasattr(SAMPLES[cls], "__dict__")
+
+
+@pytest.mark.parametrize("cls", VALUE_CLASSES, ids=lambda cls: cls.__qualname__)
+def test_every_construction_path_gives_an_instance_of_the_class_itself(cls):
+    """Instances are built as a hidden twin and then moved to the class: none may stay a twin."""
+    obj = SAMPLES[cls]
+    names = cls._fields
+    values = [getattr(obj, name) for name in names]
+    required = {name: getattr(obj, name) for name in names if name not in DEFAULTS.get(cls, {})}
+    made = (
+        cls(*values), cls(**dict(zip(names, values))), cls(**required),
+        copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj)),
+    )
+    assert cls.__mro__ == (cls, object)
+    assert [type(value) for value in made] == [cls] * len(made)
+
+
+def test_a_failing_post_init_raises_its_own_error():
+    with pytest.raises(DomainError, match="^span 's1': from_node and to_node must differ$"):
+        Span("s1", "a", "a", 5.0, BACKBONE_FIBER)
+    with pytest.raises(DomainError, match=r"^splitter ratio must be a power of two in \[2, 1024\], got 3$"):
+        Splitter(ratio=3)
 
 
 def test_values_differing_in_one_field_are_unequal():
