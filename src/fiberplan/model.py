@@ -286,7 +286,9 @@ class Network:
     transceiver: TransceiverProfile
     head: str | None = None
 
-    __slots__ = ("_names",)  # node id -> name; not a field, so left out of repr, equality and hashing
+    # Not fields, so left out of repr, equality, hashing, copies and pickles: node id -> name, and
+    # the violations check_valid found (None until it runs).
+    __slots__ = ("_names", "_violations")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(self.nodes))
@@ -295,6 +297,7 @@ class Network:
         for node in self.nodes:
             names.setdefault(node.id, node.name)  # the first listing of a duplicated id wins
         object.__setattr__(self, "_names", names)
+        object.__setattr__(self, "_violations", None)
 
     def node_name(self, node_id: str) -> str:
         return self._names.get(node_id, node_id)
@@ -369,51 +372,60 @@ def validate_network(net: Network) -> list[Violation]:
 
     Returns the full list of violations, sorted by element id then rule name,
     so that a valid network yields an empty list. Validation is pure: the same
-    network always produces the same list. It is linear in the nodes and spans:
-    one pass over the spans counts degrees and joins components by union-find
-    with path halving.
+    network always produces the same list. One linear pass over the spans
+    joins components by union-find with path halving, linking the root of each
+    span's ``to`` end under the root of its ``from`` end: a tree listed head
+    first (a GPON plant, OLT first) or leaf first, a chain and a ring listed in
+    walk order each find a root in one or two steps. Degrees are counted on
+    rings only, and span ids are walked for repeats only when their set is short.
+    :func:`check_valid` keeps the result on the network, so a plant is checked once.
     """
     violations: list[Violation] = []
-    known = net._names
+    known, nodes, spans = net._names, net.nodes, net.spans
     if not known:
         violations.append(Violation("network", "no-nodes", "network has no nodes"))
-    if len(known) != len(net.nodes):  # some id repeats
-        seen_nodes: set[str] = set()
-        for node in net.nodes:
-            if node.id in seen_nodes:
+    if len(known) != len(nodes):  # some id repeats
+        seen: set[str] = set()
+        for node in nodes:
+            if node.id in seen:
                 violations.append(Violation(f"node:{node.id}", "duplicate-id", "node id appears more than once"))
-            seen_nodes.add(node.id)
+            seen.add(node.id)
+    if len({span.id for span in spans}) != len(spans):
+        seen = set()
+        for span in spans:
+            if span.id in seen:
+                violations.append(Violation(f"span:{span.id}", "duplicate-id", "span id appears more than once"))
+            seen.add(span.id)
 
-    degree = dict.fromkeys(known, 0)
+    ring = net.topology is Topology.RING
+    degree = dict.fromkeys(known, 0) if ring else {}
     parent = {n: n for n in known}  # union-find forest over the node ids
     components, edges, has_cycle = len(known), 0, False
-    seen_spans: set[str] = set()
-    for span in net.spans:
-        if span.id in seen_spans:
-            violations.append(Violation(f"span:{span.id}", "duplicate-id", "span id appears more than once"))
-        seen_spans.add(span.id)
+    for span in spans:
         a, b = span.from_node, span.to_node
-        if a in known and b in known:
-            degree[a] += 1
-            degree[b] += 1
-            edges += 1
-            while parent[a] != a:  # find both roots, pointing each node passed at its grandparent
-                parent[a] = a = parent[parent[a]]
-            while parent[b] != b:
-                parent[b] = b = parent[parent[b]]
-            if a == b:
-                has_cycle = True
-            else:
-                parent[a] = b
-                components -= 1
-        else:
-            for node_id in (a, b):
+        try:  # find both roots, pointing each node passed at its grandparent
+            while a != (up := parent[a]):
+                parent[a] = a = parent[up]
+            while b != (up := parent[b]):
+                parent[b] = b = parent[up]
+        except KeyError:  # an end names no node
+            for node_id in (span.from_node, span.to_node):
                 if node_id not in known:
                     violations.append(
                         Violation(f"span:{span.id}", "unresolved-node", f"references unknown node {node_id!r}")
                     )
+            continue
+        if ring:
+            degree[span.from_node] += 1
+            degree[span.to_node] += 1
+            edges += 1
+        if a == b:
+            has_cycle = True
+        else:
+            parent[b] = a
+            components -= 1
 
-    if net.topology is Topology.RING:
+    if ring:
         for node_id, count in degree.items():
             if count != 2:
                 violations.append(
@@ -439,10 +451,18 @@ def validate_network(net: Network) -> list[Violation]:
 
 
 def check_valid(net: Network) -> None:
-    """Raise ValidationFailure if the network breaks a structural rule of :func:`validate_network`."""
-    violations = validate_network(net)
+    """Raise ValidationFailure if the network breaks a structural rule of :func:`validate_network`.
+
+    A network is immutable, so the first call keeps its violations in a slot that is not a field
+    and later calls read them: plans and traces of one parsed plant validate it once. Each
+    failing call raises a new ValidationFailure over an equal list.
+    """
+    violations = net._violations
+    if violations is None:
+        violations = tuple(validate_network(net))
+        object.__setattr__(net, "_violations", violations)
     if violations:
-        raise ValidationFailure(violations)
+        raise ValidationFailure(list(violations))
 
 
 def ring_spans(net: Network) -> tuple[Span, ...]:

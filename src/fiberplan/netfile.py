@@ -32,6 +32,7 @@ required key 'tx_power'``).
 from __future__ import annotations
 
 import json
+from collections import abc
 from enum import Enum
 from math import inf
 from pathlib import Path
@@ -51,17 +52,51 @@ class NetworkFileError(ConfigurationError):
     """The document cannot be parsed or does not satisfy the schema."""
 
 
+class _FrozenMap(abc.Mapping):
+    """A read-only mapping that hashes by its items and equals any mapping with the same items."""
+
+    __slots__ = ("_items",)
+
+    def __init__(self, items: Mapping[str, Any]):
+        self._items = dict(items)
+
+    def __getitem__(self, key: str) -> Any:
+        return self._items[key]
+
+    def __iter__(self) -> Any:
+        return iter(self._items)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._items.items()))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__name__}({self._items!r})"
+
+    def __reduce__(self) -> tuple[type, tuple[dict[str, Any]]]:  # copy and pickle by rebuilding, as a value class does
+        return self.__class__, (self._items,)
+
+
 @frozen
 class NetworkDocument:
-    """Everything a network file carries beyond the Network itself."""
+    """Everything a network file carries beyond the Network itself.
+
+    A value, as a Network is: ``standards`` and ``traffic`` are held as read-only
+    mappings (a copy of what was passed), so two parses of one file are equal and hash alike.
+    """
 
     network: Network
-    standards: dict[str, StandardProfile]  # custom compliance profiles by name
+    standards: Mapping[str, StandardProfile]  # custom compliance profiles by name
     traffic: Mapping[str, Any] | None = None
     distribution_loss: float = 0.0
     edfa_gain: float = DEFAULT_EDFA_GAIN
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "standards", _FrozenMap(self.standards))
+        if self.traffic is not None:
+            object.__setattr__(self, "traffic", _FrozenMap(self.traffic))
         check_range("distribution_loss", self.distribution_loss, LOSS_DB, "dB")
         check_range("edfa_gain", self.edfa_gain, GAIN_DB, "dB")
 

@@ -13,6 +13,7 @@ forecast as text or JSON.
 from __future__ import annotations
 
 import math
+from collections import abc
 from typing import Any, Mapping
 
 from .model import DomainError, TrafficInput, frozen
@@ -81,7 +82,7 @@ _read_traffic = object_reader(TrafficInput)
 
 def traffic_input_from_mapping(raw: Mapping[str, Any]) -> TrafficInput:
     """Build forecast inputs from a network file's ``traffic`` object: counts must be integers, rates numbers."""
-    return _read_traffic(raw, "traffic")
+    return _read_traffic(dict(raw) if isinstance(raw, abc.Mapping) else raw, "traffic")
 
 
 def render_forecast_text(inputs: TrafficInput, forecast: TrafficForecast) -> str:

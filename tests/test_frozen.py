@@ -17,7 +17,10 @@ from importlib import import_module
 import pytest
 
 from fiberplan.data import sleman_path
-from fiberplan.model import Amplifier, AmplifierKind, ComponentLosses, DomainError, Network, Span, Splitter, Violation
+from fiberplan.model import (
+    Amplifier, AmplifierKind, ComponentLosses, DomainError, Network, Span, Splitter, ValidationFailure, Violation,
+    check_valid, validate_network,
+)
 from fiberplan.netfile import DEFAULT_EDFA_GAIN, NetworkDocument, load_network
 from fiberplan.planning import run_plan
 from fiberplan.power_budget import span_summary
@@ -149,7 +152,7 @@ def test_copy_and_pickle_give_an_equal_value(cls):
             assert twin.node_name("seyegan") == "Seyegan"
 
 
-NON_FIELD_SLOTS = {Network: ("_names",), RiseTimeReport: ("total",)}
+NON_FIELD_SLOTS = {Network: ("_names", "_violations"), RiseTimeReport: ("total",)}
 
 
 @pytest.mark.parametrize("cls", VALUE_CLASSES, ids=lambda cls: cls.__qualname__)
@@ -198,6 +201,22 @@ def test_network_names_stay_out_of_repr_and_equality(sleman_doc):
     assert "_names" not in repr(network)
     twin = Network(*(getattr(network, name) for name in Network._fields))
     assert twin == network and hash(twin) == hash(network)
+
+
+def test_the_kept_check_stays_out_of_equality_hashing_repr_and_copies(write_network):
+    """check_valid keeps a network's violations in a slot that no value operation sees: a copy or a
+    pickle is rebuilt from the fields and checks afresh."""
+    for path in (sleman_path(), write_network(lambda raw: raw["spans"].pop())):
+        checked, fresh = load_network(path).network, load_network(path).network
+        violations = validate_network(checked)
+        try:
+            check_valid(checked)
+        except ValidationFailure:
+            pass
+        assert checked._violations == tuple(violations) and fresh._violations is None
+        assert checked == fresh and hash(checked) == hash(fresh) and repr(checked) == repr(fresh)
+        for twin in (copy.copy(checked), copy.deepcopy(checked), pickle.loads(pickle.dumps(checked))):
+            assert twin == checked and repr(twin) == repr(checked) and twin._violations is None
 
 
 def test_importing_the_cli_loads_no_code_generation_modules():

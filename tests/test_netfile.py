@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from fiberplan.model import LineCode, Topology
-from fiberplan.netfile import NetworkFileError, load_network
+from fiberplan.netfile import NetworkDocument, NetworkFileError, load_network, parse_network
 
 
 def test_bundled_plan_loads(sleman_doc):
@@ -107,3 +109,27 @@ def test_numbers_must_be_numbers(write_network):
     path = write_network(lambda doc: doc["transceiver"].update({"tx_power": "9"}))
     with pytest.raises(NetworkFileError, match="tx_power"):
         load_network(path)
+
+
+def test_a_document_is_a_value(write_network):
+    def add_standard(doc):
+        doc["standards"] = {"lab-rz": {"bit_rate": 2.5e9, "line_code": "rz", "rx_sensitivity": -30.0}}
+
+    path = write_network(add_standard)
+    doc, again = load_network(path), load_network(path)
+    assert doc == again and hash(doc) == hash(again) and doc is not again
+    with pytest.raises(TypeError):
+        doc.traffic["population"] = 1
+    with pytest.raises(TypeError):
+        doc.standards["lab-rz"] = None
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    assert doc.traffic == raw["traffic"] and list(doc.standards) == ["lab-rz"]
+    assert doc != parse_network({**raw, "traffic": {**raw["traffic"], "horizon": 6}})
+
+
+def test_a_document_keeps_its_own_copy_of_a_callers_mappings(sleman_doc):
+    standards, traffic = dict(sleman_doc.standards), dict(sleman_doc.traffic)
+    doc = NetworkDocument(sleman_doc.network, standards, traffic, sleman_doc.distribution_loss, sleman_doc.edfa_gain)
+    standards["x"], traffic["population"] = None, -1
+    assert doc == sleman_doc and hash(doc) == hash(sleman_doc)
+    assert doc.standards == {} and doc.traffic["population"] == 850221

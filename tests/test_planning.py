@@ -300,6 +300,54 @@ class TestRunTrace:
         assert "BER estimate" in text
 
 
+def count_validations(monkeypatch) -> list:
+    """The networks model.validate_network is called on from here on."""
+    calls, real = [], model.validate_network
+
+    def counted(net):
+        calls.append(net)
+        return real(net)
+
+    monkeypatch.setattr(model, "validate_network", counted)
+    return calls
+
+
+class TestKeptCheck:
+    """check_valid keeps a network's violations, so one parsed plant is validated once."""
+
+    def test_a_sweep_over_every_leaf_validates_the_plant_once(self, monkeypatch):
+        raw = gpon_tree()
+        doc = parse_network(raw)
+        leaves = [node["id"] for node in raw["nodes"] if node["id"].count(".") == 3]
+        calls = count_validations(monkeypatch)
+        for leaf in leaves:
+            parts = leaf.split(".")
+            run_plan(doc, "gpon-onu-endpoint", ",".join(".".join(parts[:k]) for k in (1, 2, 3, 4)))
+        assert len(leaves) == 512
+        assert calls == [doc.network]
+
+    def test_a_plan_then_a_trace_validate_once(self, sleman_doc, monkeypatch):
+        calls = count_validations(monkeypatch)
+        run_plan(sleman_doc, "gpon-onu-endpoint")
+        run_trace(sleman_doc, "seyegan,tempel", with_ber=True)
+        assert calls == [sleman_doc.network]
+
+    def test_an_invalid_network_raises_the_same_failure_on_every_call(self, write_network, monkeypatch):
+        doc = load_network(write_network(lambda raw: raw["spans"].pop()))
+        calls = count_validations(monkeypatch)
+        failures = []
+        for run in (lambda: run_plan(doc, "gpon-onu-endpoint"), lambda: run_trace(doc), lambda: run_plan(doc, "x")):
+            with pytest.raises(ValidationFailure) as caught:
+                run()
+            failures.append(caught.value)
+        assert len(calls) == 1
+        first = failures[0]
+        assert first.violations and first.violations == model.validate_network(doc.network)
+        for failure in failures[1:]:
+            assert failure is not first and failure.violations is not first.violations
+            assert (str(failure), failure.violations) == (str(first), first.violations)
+
+
 class TestForecastHelpers:
     def test_forecast_from_assembled_inputs(self):
         inputs = TrafficInput(850221, 1.5, 0.42, 0.2, 0.051, 5)

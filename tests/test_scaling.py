@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 import time
 import tracemalloc
+from functools import partial
 
 import pytest
 
@@ -39,16 +41,26 @@ def write_ring(tmp_path, n: int, seed: int = 1):
     return out
 
 
-def write_star(tmp_path, n: int):
-    """A tree of n 1-4 km spans, all from the head: the worst case for union-find without path compression."""
+def write_tree(tmp_path, n: int, fanout: int = 8, leaf_first: bool = False):
+    """A tree of n 1-4 km spans joining node i to its parent, node (i - 1) // fanout: fanout 8 is the
+    gpon-tree benchmark's shape and fanout 1 a chain. The spans are listed head first, each after the
+    span into its parent, as a GPON plant is written, or leaf first, in the reverse order."""
     doc = json.loads(sleman_path().read_text(encoding="utf-8"))
     ids = [f"n{i:05d}" for i in range(n + 1)]
     doc.update(topology="tree", head=ids[0], nodes=[{"id": node} for node in ids])
-    doc["spans"] = [{"id": f"s{i:05d}", "from": ids[0], "to": leaf, "length": 1.0 + i % 4, "fiber": "g652-backbone"}
-                    for i, leaf in enumerate(ids[1:])]
-    out = tmp_path / f"star{n}.json"
+    doc["spans"] = [{"id": f"s{i:05d}", "from": ids[(i - 1) // fanout], "to": ids[i], "length": 1.0 + i % 4,
+                     "fiber": "g652-backbone"} for i in range(1, n + 1)]
+    if leaf_first:
+        doc["spans"].reverse()
+    out = tmp_path / f"tree{n}-{fanout}{'-leaf-first' * leaf_first}.json"
     out.write_text(json.dumps(doc), encoding="utf-8")
     return out
+
+
+def write_star(tmp_path, n: int):
+    """A tree of n 1-4 km spans, all from the head: quadratic for union-find that links the root of a
+    span's ``from`` end under the root of its ``to`` end without path compression."""
+    return write_tree(tmp_path, n, fanout=n)
 
 
 def test_trace_points_stay_small(tmp_path):
@@ -72,21 +84,38 @@ def test_trace_points_stay_small(tmp_path):
     assert held <= 60 * elements, f"{held / elements:.0f} bytes per element"
 
 
+def held_bytes(root: object, beside: object) -> int:
+    """Bytes of the distinct objects reachable from ``root`` and not from ``beside``, by sys.getsizeof,
+    walking tuples, lists and value-class fields. Numbers are left out: every layout holds the same figures."""
+    seen: set[int] = set()
+
+    def reach(obj: object) -> list:
+        found, stack = [], [obj]
+        while stack:
+            obj = stack.pop()
+            if isinstance(obj, (int, float)) or id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            found.append(obj)
+            if isinstance(obj, (tuple, list)):
+                stack.extend(obj)
+            elif "_fields" in vars(type(obj)):
+                stack.extend(getattr(obj, name) for name in obj._fields)
+        return found
+
+    reach(beside)
+    return sum(map(sys.getsizeof, reach(root)))
+
+
 def test_plan_rows_stay_small(tmp_path):
-    """Memory guard: a plan of the 1000-node ring holds about 225 bytes per span, one flat row each: a
-    15-slot tuple (160 bytes), its link name (56) and its slot in the report's tuple (8); the figures
-    come off the float free list the first plan fills. The bound leaves a fifth of that as headroom.
-    One nested value object per span (a LossBreakdown, a RiseTimeReport or a Verdict, 72-88 bytes
-    each) breaks it; the nested rows this layout replaced held 592 bytes per span."""
+    """Memory guard: a plan of the 1000-node ring holds about 240 bytes per span, one flat row each: a
+    15-slot tuple (160 bytes), its link name (64), and its slots in the report's tuples of rows and of
+    path nodes (8 each); the node and span ids are the plant's own. The bound leaves an eighth of that as
+    headroom. One nested value object per span (a LossBreakdown, a RiseTimeReport or a Verdict, 72-88
+    bytes each) breaks it; the nested rows this layout replaced held 592 bytes per span."""
     doc = load_network(write_ring(tmp_path, 1000))
-    run_plan(doc, "gpon-onu-endpoint")
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        report = run_plan(doc, "gpon-onu-endpoint")
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+    report = run_plan(doc, "gpon-onu-endpoint")
+    held = held_bytes(report, doc)
     assert len(report.spans) == 1000
     assert held <= 270 * len(report.spans), f"{held / len(report.spans):.0f} bytes per span"
 
@@ -127,8 +156,13 @@ def _load_and_validate(path) -> None:
     assert validate_network(load_network(path).network) == []
 
 
-@pytest.mark.parametrize("write", [write_star, write_ring], ids=["star", "ring"])
+@pytest.mark.parametrize(
+    "write",
+    [write_star, write_ring, write_tree, partial(write_tree, leaf_first=True), partial(write_tree, fanout=1)],
+    ids=["star", "ring", "tree-head-first", "tree-leaf-first", "chain"],
+)
 def test_load_and_validate_scale_linearly(tmp_path, write):
+    """Each listing order the union rule meets: a root found in one or two steps keeps validation linear."""
     small, large = write(tmp_path, 250), write(tmp_path, 1000)
     _load_and_validate(small)  # warm caches and lazy imports before timing
     ratio = best_of_three(_load_and_validate, large) / best_of_three(_load_and_validate, small)
