@@ -293,10 +293,8 @@ class Network:
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "spans", tuple(self.spans))
-        names: dict[str, str] = {}
-        for node in self.nodes:
-            names.setdefault(node.id, node.name)  # the first listing of a duplicated id wins
-        object.__setattr__(self, "_names", names)
+        ids, names = map(attrgetter("id"), self.nodes[::-1]), map(attrgetter("name"), self.nodes[::-1])
+        object.__setattr__(self, "_names", dict(zip(ids, names)))  # read backwards: an id's first listing wins
         object.__setattr__(self, "_violations", None)
 
     def node_name(self, node_id: str) -> str:
@@ -399,7 +397,7 @@ def validate_network(net: Network) -> list[Violation]:
 
     ring = net.topology is Topology.RING
     degree = dict.fromkeys(known, 0) if ring else {}
-    parent = {n: n for n in known}  # union-find forest over the node ids
+    parent = dict(zip(known, known))  # union-find forest over the node ids
     components, edges, has_cycle = len(known), 0, False
     for span in spans:
         a, b = span.from_node, span.to_node

@@ -22,6 +22,11 @@ constants in :mod:`fiberplan.model`; README "Network file format" tables them
 with their units). ``traffic`` is read at load too; its ranges are checked by
 ``forecast``, whose flags may give the keys a file leaves out.
 
+Nodes, spans and their amplifiers and splitters are read in one loop each: a
+value's type is tested inline, and its class's ``__new__``, bound once per
+parse, checks its range. The field readers (:func:`_devices` for devices) run
+only on a failed test, to spell the fault or accept a value like an integer gain.
+
 Every shape fault is spelled one way, by :func:`_field_error`: a wrong value
 (``span 's1'.length: expected a number, got '10'``), a wrong object or
 top-level key (``spans[3]: expected an object, got 3``, ``topology: expected
@@ -109,6 +114,9 @@ _TOP_KEYS = frozenset({
 })
 _NODE_KEYS = frozenset({"id", "name"})
 _SPAN_KEYS = frozenset({"id", "from", "to", "length", "fiber", "connectors", "splices", "amplifiers", "splitters"})
+_AMPLIFIER_KEYS = frozenset(Amplifier._fields)
+# An amplifier's kind by its value; an absent one (_MISSING) is the field's default.
+_AMPLIFIER_KINDS = {kind.value: kind for kind in AmplifierKind} | {_MISSING: Amplifier._defaults["kind"]}
 
 # Each field reader does the lookup, the default, the type check and (for numbers) the finiteness
 # check in one call. ``where`` names the object read, e.g. "span 's1'"; "" is the top level.
@@ -212,16 +220,18 @@ def _profiles(raw: Any, key: str, read: Callable[..., _V]) -> dict[str, _V]:
 
 
 def _devices(raw: Any, span_id: str, key: str, build: Callable[[Any, str], _V]) -> tuple[_V, ...]:
-    """Each entry of a span's ``key`` list, built by ``build``; a range error names the entry."""
+    """Each entry of a span's ``key`` list, built by ``build`` unnamed; one that fails is read again, named."""
     if not isinstance(raw, (list, tuple)):
         raise _field_error(f"span {span_id!r}", key, "a list", raw)
     out = []
     for i, item in enumerate(raw):
-        where = f"span {span_id!r}.{key}[{i}]"
         try:
-            out.append(build(item, where))
+            out.append(build(item, ""))
         except DomainError as exc:
-            raise NetworkFileError(f"{where}: {exc}") from exc
+            raise NetworkFileError(f"span {span_id!r}.{key}[{i}]: {exc}") from exc
+        except NetworkFileError:  # a shape fault: the entry read again, named, raises it spelled in full
+            build(item, f"span {span_id!r}.{key}[{i}]")
+            raise
     return tuple(out)
 
 
@@ -231,59 +241,81 @@ def _splitter(ratio: Any, where: str) -> Splitter:
     return Splitter(ratio)
 
 
-def _span(raw: Any, profiles: Mapping[str, FiberProfile], entries: list[Any]) -> Span:
-    if not isinstance(raw, dict):  # every entry before it is an object, so index() finds this one
-        raise _field_error("", f"spans[{entries.index(raw)}]", "an object", raw)
-    # Each field is read and type-tested inline; its reader is called only when that test fails,
-    # to raise the error or to accept what the test is too narrow for (an integer length).
-    get = raw.get
-    span_id = get("id")
-    if span_id.__class__ is not str:  # no entry before it has this id, so index() finds this one
-        span_id = _text(raw, "id", f"spans[{entries.index(raw)}]")
-    if not _SPAN_KEYS.issuperset(raw):
-        _reject_unknown(raw, _SPAN_KEYS, f"span {span_id!r}")
+def _spans(raw: list[Any], profiles: Mapping[str, FiberProfile]) -> tuple[Span, ...]:
+    new_span, new_amplifier, new_splitter = Span.__new__, Amplifier.__new__, Splitter.__new__
+    out = []
+    for i, body in enumerate(raw):
+        if not isinstance(body, dict):
+            raise _field_error("", f"spans[{i}]", "an object", body)
+        get = body.get
+        span_id = get("id")
+        if span_id.__class__ is not str:
+            span_id = _text(body, "id", f"spans[{i}]")
+        if not _SPAN_KEYS.issuperset(body):
+            _reject_unknown(body, _SPAN_KEYS, f"span {span_id!r}")
 
-    fiber_name = get("fiber")
-    if fiber_name.__class__ is not str:  # before the lookup: a list is no dict key
-        fiber_name = _text(raw, "fiber", f"span {span_id!r}")
-    fiber = profiles.get(fiber_name)
-    if fiber is None:
-        raise NetworkFileError(f"span {span_id!r}: unknown fiber profile {fiber_name!r}")
+        fiber_name = get("fiber")
+        if fiber_name.__class__ is not str:  # before the lookup: a list is no dict key
+            fiber_name = _text(body, "fiber", f"span {span_id!r}")
+        fiber = profiles.get(fiber_name)
+        if fiber is None:
+            raise NetworkFileError(f"span {span_id!r}: unknown fiber profile {fiber_name!r}")
 
-    splices = get("splices", "auto")
-    if splices == "auto":
-        splices = None
-    elif splices.__class__ is not int:
-        splices = _count(raw, "splices", f"span {span_id!r}")
-    # Most spans list neither amplifiers nor splitters: their default () skips the type test and the loop.
-    amplifiers = get("amplifiers", ())
-    if amplifiers.__class__ is not tuple or amplifiers:
-        amplifiers = _devices(amplifiers, span_id, "amplifiers", _read_amplifier)
-    splitters = get("splitters", ())
-    if splitters.__class__ is not tuple or splitters:
-        splitters = _devices(splitters, span_id, "splitters", _splitter)
+        splices = get("splices", "auto")
+        if splices == "auto":
+            splices = None
+        elif splices.__class__ is not int:
+            splices = _count(body, "splices", f"span {span_id!r}")
+        # Most spans list neither amplifiers nor splitters: their default () skips the type test and the
+        # loop. An entry that fails a test, or whose constructor raises, sends its list to _devices.
+        amplifiers = get("amplifiers", ())
+        if amplifiers.__class__ is not tuple or amplifiers:
+            built = []
+            if amplifiers.__class__ is list:
+                try:
+                    for item in amplifiers:  # an entry that fails a test is left out
+                        if item.__class__ is dict and _AMPLIFIER_KEYS.issuperset(item):
+                            gain, kind = item.get("gain"), _AMPLIFIER_KINDS.get(item.get("kind", _MISSING))
+                            if gain.__class__ is float and kind is not None:
+                                built.append(new_amplifier(Amplifier, gain, kind))
+                except (DomainError, TypeError):  # a gain out of its range; a kind that is no dict key
+                    pass
+            if amplifiers.__class__ is not list or len(built) < len(amplifiers):
+                built = _devices(amplifiers, span_id, "amplifiers", _read_amplifier)
+            amplifiers = tuple(built)
+        splitters = get("splitters", ())
+        if splitters.__class__ is not tuple or splitters:
+            built = None
+            if splitters.__class__ is list:
+                try:  # Splitter tests a ratio's type as well as its value
+                    built = tuple([new_splitter(Splitter, ratio) for ratio in splitters])
+                except DomainError:
+                    pass
+            splitters = _devices(splitters, span_id, "splitters", _splitter) if built is None else built
 
-    from_node = get("from")
-    if from_node.__class__ is not str:
-        from_node = _text(raw, "from", f"span {span_id!r}")
-    to_node = get("to")
-    if to_node.__class__ is not str:
-        to_node = _text(raw, "to", f"span {span_id!r}")
-    length = get("length")
-    if length.__class__ is not float or not -inf < length < inf:
-        length = _number(raw, "length", f"span {span_id!r}")
-    connectors = get("connectors", 2)
-    if connectors.__class__ is not int:
-        connectors = _count(raw, "connectors", f"span {span_id!r}", 2)
-    # Positional, in field order: binding nine keywords made reading a span about 20% slower.
-    return Span(span_id, from_node, to_node, length, fiber, connectors, splices, amplifiers, splitters)
+        from_node = get("from")
+        if from_node.__class__ is not str:
+            from_node = _text(body, "from", f"span {span_id!r}")
+        to_node = get("to")
+        if to_node.__class__ is not str:
+            to_node = _text(body, "to", f"span {span_id!r}")
+        length = get("length")
+        if length.__class__ is not float or not -inf < length < inf:
+            length = _number(body, "length", f"span {span_id!r}")
+        connectors = get("connectors", 2)
+        if connectors.__class__ is not int:
+            connectors = _count(body, "connectors", f"span {span_id!r}", 2)
+        # Positional, in field order: binding nine keywords made reading a span about 20% slower.
+        out.append(new_span(Span, span_id, from_node, to_node, length, fiber, connectors, splices, amplifiers, splitters))
+    return tuple(out)
 
 
 def _nodes(raw: Any) -> tuple[Node, ...]:
     if not isinstance(raw, list):
         raise _field_error("", "nodes", "a list", raw)
+    new_node = Node.__new__
     out = []
-    for i, body in enumerate(raw):  # read inline as in _span, the readers only on a failed test
+    for i, body in enumerate(raw):
         if not isinstance(body, dict):
             raise _field_error("", f"nodes[{i}]", "an object", body)
         if not _NODE_KEYS.issuperset(body):
@@ -294,7 +326,7 @@ def _nodes(raw: Any) -> tuple[Node, ...]:
         name = body.get("name", node_id)
         if name.__class__ is not str:
             name = _text(body, "name", f"nodes[{i}]", node_id)
-        out.append(Node(node_id, name))
+        out.append(new_node(Node, node_id, name))
     return tuple(out)
 
 
@@ -333,7 +365,7 @@ def parse_network(doc: Mapping[str, Any]) -> NetworkDocument:
         profiles = _profiles(doc.get("fiber_profiles", _MISSING), "fiber_profiles", _read_fiber)
         network = Network(
             nodes=nodes,
-            spans=tuple([_span(raw, profiles, spans_raw) for raw in spans_raw]),
+            spans=_spans(spans_raw, profiles),
             topology=topology,
             losses=_read_losses(doc.get("losses", _MISSING), "losses"),
             transceiver=_read_transceiver(doc.get("transceiver", _MISSING), "transceiver"),

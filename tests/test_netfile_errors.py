@@ -22,7 +22,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fiberplan.data import sleman_path
-from fiberplan.netfile import NetworkFileError, load_network, parse_network
+from fiberplan.model import Amplifier, AmplifierKind
+from fiberplan.netfile import NetworkFileError, _devices, _read_amplifier, _splitter, load_network, parse_network
 from fiberplan.traffic import traffic_input_from_mapping
 
 SLEMAN = json.loads(sleman_path().read_text(encoding="utf-8"))
@@ -299,6 +300,29 @@ CASES = [
     # a library caller's document may hold keys JSON cannot: unknown keys of mixed types sort by their text
     ([(('nodes', 0, 3), 1), (('nodes', 0, 'label'), 'L')], NetworkFileError,
      "nodes[0]: unknown key(s) 3, 'label'"),
+    # device entries, read inline on the common path and by the field readers when a test fails
+    ([(('spans', 1, 'amplifiers', 0, 'gain'), math.nan)], NetworkFileError,
+     "span '02-tempel-pakem'.amplifiers[0].gain: expected a finite number, got nan"),
+    ([(('spans', 1, 'amplifiers', 0, 'gain'), True)], NetworkFileError,
+     "span '02-tempel-pakem'.amplifiers[0].gain: expected a number, got True"),
+    ([(('spans', 1, 'amplifiers', 0, 'gain'), 100.5)], NetworkFileError,
+     "span '02-tempel-pakem'.amplifiers[0]: amplifier gain must be in [0.01, 100] dB, got 100.5"),
+    ([(('spans', 1, 'amplifiers'), [{'gain': 20.0, 'kind': 'edfa'}, {'gain': 20.0, 'kind': 'raman'}])], NetworkFileError,
+     "span '02-tempel-pakem'.amplifiers[1].kind: expected 'edfa', got 'raman'"),
+    ([(('spans', 1, 'amplifiers'), [{'gain': 20.0}, {'gain': '20'}])], NetworkFileError,
+     "span '02-tempel-pakem'.amplifiers[1].gain: expected a number, got '20'"),
+    ([(('spans', 1, 'amplifiers'), {'gain': 20.0, 'kind': 'edfa'})], NetworkFileError,
+     "span '02-tempel-pakem'.amplifiers: expected a list, got {'gain': 20.0, 'kind': 'edfa'}"),
+    ([(('spans', 0, 'splitters'), {'ratio': 8})], NetworkFileError,
+     "span '01-seyegan-tempel'.splitters: expected a list, got {'ratio': 8}"),
+    ([(('spans', 0, 'splitters'), [1])], NetworkFileError,
+     "span '01-seyegan-tempel'.splitters[0]: splitter ratio must be a power of two in [2, 1024], got 1"),
+    ([(('spans', 0, 'splitters'), [2048])], NetworkFileError,
+     "span '01-seyegan-tempel'.splitters[0]: splitter ratio must be a power of two in [2, 1024], got 2048"),
+    ([(('spans', 0, 'splitters'), [4.0])], NetworkFileError,
+     "span '01-seyegan-tempel'.splitters[0]: expected an integer, got 4.0"),
+    ([(('nodes',), [{'id': 'seyegan', 'name': 'Seyegan'}, {'id': 'seyegan', 'name': 'Seyegan'}, 5])], NetworkFileError,
+     'nodes[2]: expected an object, got 5'),
 ]
 
 
@@ -353,6 +377,11 @@ def test_non_finite_numbers_and_wrong_containers_are_file_errors(edits, message)
     with pytest.raises(NetworkFileError) as info:
         parse_network(edited(edits))
     assert str(info.value) == message
+
+
+def test_amplifier_without_a_kind_is_an_edfa():
+    doc = parse_network(edited([(AMP + ("kind",), DROP)]))
+    assert doc.network.spans[1].amplifiers == (Amplifier(20.0, AmplifierKind.EDFA),)
 
 
 def test_integral_numbers_still_read_as_floats():
@@ -504,3 +533,66 @@ def test_junk_is_an_input_error_never_a_crash(edits):
         parse_network(_apply_loosely(edits))
     except NetworkFileError as exc:
         assert MESSAGE_FORMS.fullmatch(str(exc)), str(exc)
+
+
+# --- property: device entries read inline match the field readers, value for value and fault for fault
+
+GAINS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=0.01, max_value=100.0),
+    st.integers(min_value=-5, max_value=200),
+    st.booleans(),
+    st.sampled_from(["20", ""]),
+)
+KINDS = st.one_of(
+    st.sampled_from(["edfa", "EDFA", "raman", "", AmplifierKind.EDFA]),
+    st.text(max_size=4),
+    st.integers(),
+    st.none(),
+    st.booleans(),
+    st.just([]),
+)
+AMPLIFIERS = st.one_of(
+    st.fixed_dictionaries({}, optional={"gain": GAINS, "kind": KINDS, "colour": st.just("red")}),
+    st.integers(max_value=3),
+    st.none(),
+)
+RATIOS = st.one_of(
+    st.sampled_from([2**k for k in range(12)]),
+    st.integers(min_value=-3, max_value=3000),
+    st.booleans(),
+    st.floats(min_value=1.0, max_value=2048.0),
+    st.sampled_from(["8", None]),
+)
+
+
+def _listed(entries):
+    """A list of ``entries``, or (as a library caller may pass) a tuple."""
+    return st.one_of(st.lists(entries, max_size=3), st.lists(entries, min_size=1, max_size=2).map(tuple))
+
+
+def _one_span(amplifiers, splitters) -> dict:
+    span = {"id": "s", "from": "a", "to": "b", "length": 10.0, "fiber": "g652-backbone",
+            "amplifiers": amplifiers, "splitters": splitters}
+    return {key: SLEMAN[key] for key in ("fiber_profiles", "transceiver", "losses")} | {
+        "topology": "tree", "nodes": [{"id": "a"}, {"id": "b"}], "spans": [span]}
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(_listed(AMPLIFIERS), _listed(RATIOS))
+@example([{"gain": 20}], [8])
+@example([{"gain": 20.0, "kind": AmplifierKind.EDFA}], (8,))
+@example([{"gain": 20.0}, {"gain": 20.0, "kind": "raman"}], [])
+@example([], [8, 4.0])
+@example([{"gain": math.nan}], [])
+def test_devices_read_inline_match_the_field_readers(amplifiers, splitters):
+    try:
+        want = (_devices(amplifiers, "s", "amplifiers", _read_amplifier), _devices(splitters, "s", "splitters", _splitter))
+    except NetworkFileError as exc:
+        with pytest.raises(NetworkFileError) as info:
+            parse_network(_one_span(amplifiers, splitters))
+        assert str(info.value) == str(exc)
+    else:
+        span = parse_network(_one_span(amplifiers, splitters)).network.spans[0]
+        got = (span.amplifiers, span.splitters)
+        assert got == want and repr(got) == repr(want)  # repr tells an integer gain from its float

@@ -18,13 +18,13 @@ import pytest
 
 from fiberplan.data import sleman_path
 from fiberplan.model import ring_spans, validate_network
-from fiberplan.netfile import load_network
+from fiberplan.netfile import load_network, parse_network
 from fiberplan.planning import render_plan_json, render_plan_text, run_plan
 from fiberplan.signal_chain import propagate, render_trace_json, render_trace_text, route_chain, run_trace
 
 
-def write_ring(tmp_path, n: int, seed: int = 1):
-    """A seeded n-node ring of 5-14 km spans, every tenth span with a 20 dB EDFA."""
+def write_ring(tmp_path, n: int, seed: int = 1, amplifier_every: int = 10):
+    """A seeded n-node ring of 5-14 km spans, every tenth (or ``amplifier_every``-th) span with a 20 dB EDFA."""
     rng = random.Random(seed)
     doc = json.loads(sleman_path().read_text(encoding="utf-8"))
     ids = [f"n{i:05d}" for i in range(n)]
@@ -33,7 +33,7 @@ def write_ring(tmp_path, n: int, seed: int = 1):
     for i, (a, b) in enumerate(zip(ids, ids[1:] + ids[:1])):
         span = {"id": f"s{i:05d}", "from": a, "to": b, "length": round(rng.uniform(5.0, 14.0), 3),
                 "fiber": "g652-backbone", "splices": "auto"}
-        if i % 10 == 0:
+        if i % amplifier_every == 0:
             span["amplifiers"] = [{"gain": 20.0, "kind": "edfa"}]
         doc["spans"].append(span)
     out = tmp_path / f"ring{n}.json"
@@ -41,15 +41,19 @@ def write_ring(tmp_path, n: int, seed: int = 1):
     return out
 
 
-def write_tree(tmp_path, n: int, fanout: int = 8, leaf_first: bool = False):
+def write_tree(tmp_path, n: int, fanout: int = 8, leaf_first: bool = False, splitters: bool = False):
     """A tree of n 1-4 km spans joining node i to its parent, node (i - 1) // fanout: fanout 8 is the
     gpon-tree benchmark's shape and fanout 1 a chain. The spans are listed head first, each after the
-    span into its parent, as a GPON plant is written, or leaf first, in the reverse order."""
+    span into its parent, as a GPON plant is written, or leaf first, in the reverse order. With
+    ``splitters``, every span carries a 1x8 splitter."""
     doc = json.loads(sleman_path().read_text(encoding="utf-8"))
     ids = [f"n{i:05d}" for i in range(n + 1)]
     doc.update(topology="tree", head=ids[0], nodes=[{"id": node} for node in ids])
     doc["spans"] = [{"id": f"s{i:05d}", "from": ids[(i - 1) // fanout], "to": ids[i], "length": 1.0 + i % 4,
                      "fiber": "g652-backbone"} for i in range(1, n + 1)]
+    if splitters:
+        for span in doc["spans"]:
+            span["splitters"] = [8]
     if leaf_first:
         doc["spans"].reverse()
     out = tmp_path / f"tree{n}-{fanout}{'-leaf-first' * leaf_first}.json"
@@ -158,16 +162,33 @@ def _load_and_validate(path) -> None:
 
 @pytest.mark.parametrize(
     "write",
-    [write_star, write_ring, write_tree, partial(write_tree, leaf_first=True), partial(write_tree, fanout=1)],
-    ids=["star", "ring", "tree-head-first", "tree-leaf-first", "chain"],
+    [write_star, write_ring, write_tree, partial(write_tree, leaf_first=True), partial(write_tree, fanout=1),
+     partial(write_ring, amplifier_every=1), partial(write_tree, splitters=True)],
+    ids=["star", "ring", "tree-head-first", "tree-leaf-first", "chain", "ring-amplified", "tree-split"],
 )
 def test_load_and_validate_scale_linearly(tmp_path, write):
-    """Each listing order the union rule meets: a root found in one or two steps keeps validation linear."""
+    """Each listing order the union rule meets: a root found in one or two steps keeps validation linear.
+    A ring with an amplifier and a tree with a splitter on every span keep device reading linear too."""
     small, large = write(tmp_path, 250), write(tmp_path, 1000)
     _load_and_validate(small)  # warm caches and lazy imports before timing
     ratio = best_of_three(_load_and_validate, large) / best_of_three(_load_and_validate, small)
     assert ratio < 8, f"4x the spans took {ratio:.1f}x the time"
 
+
+class _Id(str):
+    """A str subclass, as numpy.str_ is: a library caller's ids may be one."""
+
+
+def test_parse_scales_linearly_with_str_subclass_ids(tmp_path):
+    """Such an id fails the inline type test and is read by the field reader, which must not find the
+    entry's index by scanning the span list before it (quadratic: 4x the spans took 12x the time)."""
+    small, large = (json.loads(write_ring(tmp_path, n).read_text(encoding="utf-8")) for n in (250, 1000))
+    for doc in (small, large):
+        for span in doc["spans"]:
+            span["id"] = _Id(span["id"])
+    parse_network(small)
+    ratio = best_of_three(parse_network, large) / best_of_three(parse_network, small)
+    assert ratio < 8, f"4x the spans took {ratio:.1f}x the time"
 
 
 def _plan(doc) -> tuple:
