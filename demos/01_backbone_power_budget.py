@@ -1,29 +1,28 @@
 """Walk the backbone power budget of the bundled seven-node ring.
 
-Starts from the itemized per-span losses, then reads from the ring's plan the
-loss budget derived from the downstream requirements, the EDFA chain sized to
-cover it, and the received power at the distribution end point.
+Starts from the itemized per-span losses, the rows of the ring's plan, then
+reads from the same plan the loss budget derived from the downstream
+requirements, the EDFA chain sized to cover it, and the received power at the
+distribution end point.
 """
 
-from fiberplan import load_network, run_plan, span_summary
+from fiberplan import load_network, run_plan
 from fiberplan.data import sleman_path
 
 
 def main() -> None:
     doc = load_network(sleman_path())
     net = doc.network
+    report = run_plan(doc, "gpon-onu-endpoint")  # the ring path crosses each span once
 
     print("Per-span losses (each treated as a standalone path):")
-    loss = {span.id: span_summary(span, net.losses)[0] for span in net.spans}
-    for span in sorted(net.spans, key=lambda s: s.id):
-        b = loss[span.id]
+    for span_id, _, length, _, connectors, fiber, splices, _, margin, total, *_ in report.spans:  # by span id
         print(
-            f"  {span.id:<20} {span.length:>7.3f} km  "
-            f"connectors {b.connector_total:.2f} + fiber {b.fiber_total:.2f} "
-            f"+ splices {b.splice_total:.2f} + margin {b.margin:.2f} = {b.total:.2f} dB"
+            f"  {span_id:<20} {length:>7.3f} km  "
+            f"connectors {connectors:.2f} + fiber {fiber:.2f} "
+            f"+ splices {splices:.2f} + margin {margin:.2f} = {total:.2f} dB"
         )
 
-    report = run_plan(doc, "gpon-onu-endpoint")  # the ring path crosses each span once
     *_, ring_total = report.path  # connectors, fiber, splices, splitters, margin, total
     print(f"\nWhole ring with the margin applied once: {ring_total:.2f} dB")
 

@@ -18,10 +18,10 @@ _EXPORTS = {
         " Network Node Span Splitter Topology TrafficInput TransceiverProfile ValidationFailure Violation"
         " resolved_splices ring_spans spans_along splice_count validate_network",
         "netfile": "NetworkDocument NetworkFileError load_network parse_network",
-        "planning": "PlanReport run_plan",
-        "power_budget": "AmplifierPlan LossBreakdown amplifier_requirement max_allowed_loss received_power"
-        " required_input_power span_losses span_runs span_summary splitter_loss",
-        "risetime": "RiseTimeReport dispersion_risetime max_system_risetime span_risetime_report total_risetime",
+        "planning": "PlanReport run_plan span_row",
+        "power_budget": "AmplifierPlan amplifier_requirement max_allowed_loss received_power required_input_power"
+        " span_losses span_runs splitter_loss",
+        "risetime": "dispersion_risetime max_system_risetime total_risetime",
         "signal_chain": "BerEstimate PowerTrace ber_from_q estimate_ber propagate route_chain run_trace",
         "standards": "StandardProfile Verdict builtin_profiles power_verdict resolve_standard risetime_verdict",
         "traffic": "TrafficForecast forecast_subscribers project_growth round_half_toward_zero",

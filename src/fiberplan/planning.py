@@ -17,9 +17,9 @@ from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import itemgetter
 
-from .model import check_valid, frozen, resolve_path
+from .model import Network, Span, check_valid, frozen, resolve_path
 from .netfile import NetworkDocument
-from .power_budget import AmplifierPlan, amplifier_requirement, check_losses, max_allowed_loss, path_losses
+from .power_budget import AmplifierPlan, Leg, amplifier_requirement, check_losses, max_allowed_loss, path_losses
 from .power_budget import received_power, required_input_power, span_losses
 from .report import BOOL, SLOT, db, dumps, row, spell
 from .risetime import dispersion_risetime, max_system_risetime, total_risetime
@@ -28,7 +28,7 @@ from .standards import StandardProfile, Verdict, power_verdict, resolve_standard
 # One span of a plan, as one flat row: 0 id, 1 link, 2 length (km), 3 splices; its loss as a
 # standalone path (dB): 4 connectors, 5 fiber, 6 splices, 7 splitters, 8 margin, 9 total; its
 # rise-time budget (ps): 10 ceiling, 11 dispersion, 12 tx, 13 rx, 14 total. The span passes
-# its rise-time verdict iff row[14] <= row[10].
+# its rise-time verdict iff row[14] <= row[10]. span_row builds it.
 SpanRow = tuple[str, str, float, int, float, float, float, float, float, float, float, float, float, float, float]
 
 
@@ -60,6 +60,22 @@ class PlanReport:
         return self.power_verdict.passed and all(r[14] <= r[10] for r in self.spans)
 
 
+def span_row(span: Span, network: Network, ceiling: float) -> tuple[SpanRow, Leg]:
+    """A span of ``network`` as its plan row against a rise-time ``ceiling`` (ps), and its :data:`Leg` of a
+    path fold: its run table folded once (:func:`span_losses`), the five loss figures checked by
+    :func:`check_losses` (DomainError), the margin added and the total the sum of the five."""
+    losses, transceiver, name = network.losses, network.transceiver, network.node_name
+    connector, fiber, splice, splitter, splices, leg = span_losses(span, losses)
+    margin, tx, rx = losses.system_margin, transceiver.tx_rise_time, transceiver.rx_rise_time
+    check_losses(connector, fiber, splice, splitter, margin)
+    dispersion = dispersion_risetime(span.fiber.dispersion, transceiver.spectral_width, span.length)
+    return (
+        span.id, f"{name(span.from_node)} - {name(span.to_node)}", span.length, splices,
+        connector, fiber, splice, splitter, margin, connector + fiber + splice + splitter + margin,
+        ceiling, dispersion, tx, rx, total_risetime(tx, rx, dispersion),
+    ), leg
+
+
 def run_plan(
     doc: NetworkDocument,
     standard: str,
@@ -82,23 +98,11 @@ def run_plan(
 
     nodes, spans = resolve_path(network, path_spec)
     ceiling = max_system_risetime(profile.bit_rate, profile.line_code)
-    losses, transceiver, name = network.losses, network.transceiver, network.node_name
-    margin, tx, rx = losses.system_margin, transceiver.tx_rise_time, transceiver.rx_rise_time
+    losses, transceiver = network.losses, network.transceiver
+    distinct = {span.id: span for span in spans}  # a span crossed twice is built once
+    built = {key: span_row(span, network, ceiling) for key, span in distinct.items()}  # id -> its row and leg
 
-    rows: dict[str, SpanRow] = {}
-    legs = {}  # span id -> its part in the path fold
-    for span in spans:
-        if span.id not in rows:
-            connector, fiber, splice, splitter, splices, legs[span.id] = span_losses(span, losses)
-            check_losses(connector, fiber, splice, splitter, margin)
-            dispersion = dispersion_risetime(span.fiber.dispersion, transceiver.spectral_width, span.length)
-            rows[span.id] = (
-                span.id, f"{name(span.from_node)} - {name(span.to_node)}", span.length, splices,
-                connector, fiber, splice, splitter, margin, connector + fiber + splice + splitter + margin,
-                ceiling, dispersion, tx, rx, total_risetime(tx, rx, dispersion),
-            )
-
-    path, terms, gains = path_losses([legs[span.id] for span in spans], losses)
+    path, terms, gains = path_losses([built[span.id][1] for span in spans], losses)
     planning_floor = required_input_power(transceiver.rx_sensitivity, doc.distribution_loss)
     budget = max_allowed_loss(transceiver.tx_power, planning_floor)
     plan = amplifier_requirement(path[5], budget, doc.edfa_gain)
@@ -113,7 +117,7 @@ def run_plan(
     return PlanReport(
         standard=profile,
         path_nodes=tuple(nodes),
-        spans=tuple(sorted(rows.values())),  # the ids differ, so only they are compared
+        spans=tuple(sorted(row for row, _ in built.values())),  # the ids differ, so only they are compared
         path=path,
         distribution_loss=doc.distribution_loss,
         planning_floor=planning_floor,

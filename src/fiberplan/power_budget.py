@@ -20,31 +20,16 @@ Run = tuple[str, float, int, Span | Splitter | Amplifier | float | None]
 Leg = tuple[int, int, float, Sequence[Run]]  # connector and splice counts, fiber loss, device rows: a span in a path fold
 
 
-@frozen
-class LossBreakdown:
-    """Per-mechanism dB totals of a span as a standalone path; ``total`` adds them."""
-
-    connector_total: float
-    fiber_total: float
-    splice_total: float
-    splitter_total: float
-    margin: float
-
-    def __post_init__(self) -> None:
-        check_losses(*self._values(self))
-
-    @property
-    def total(self) -> float:
-        return self.connector_total + self.fiber_total + self.splice_total + self.splitter_total + self.margin
+# What check_losses calls the loss figures of a span as a standalone path, in argument order.
+_LOSS_FIGURES = ("connector_total", "fiber_total", "splice_total", "splitter_total", "margin")
 
 
 def check_losses(connector: float, fiber: float, splice: float, splitter: float, margin: float) -> None:
-    """Raise DomainError naming the first :class:`LossBreakdown` field, in field order, whose figure is not
-    a finite number >= 0 dB."""
+    """Raise DomainError naming the first figure, in argument order, that is not a finite number >= 0 dB."""
     inf = math.inf  # one chain: each figure in [0, inf), so a NaN fails it too
     if not (inf > connector >= 0 <= fiber < inf > splice >= 0 <= splitter < inf > margin >= 0):
         figures = (connector, fiber, splice, splitter, margin)
-        name = next(name for name, x in zip(LossBreakdown._fields, figures) if not 0 <= x < inf)
+        name = next(name for name, x in zip(_LOSS_FIGURES, figures) if not 0 <= x < inf)
         raise DomainError(f"loss breakdown: {name} must be a finite number >= 0 dB")
 
 
@@ -109,20 +94,14 @@ def span_losses(span: Span, losses: ComponentLosses) -> tuple[float, float, floa
     loss (dB) and its splice count; then its :data:`Leg` of a path fold.
 
     Each kind's loss is the exact sum of its elements, rounded once (connector_loss * connectors);
-    the amplifiers are left out. The fields' bounds keep every figure finite, but unchecked: a
-    :class:`LossBreakdown` checks its figures, a plan each span's with :func:`check_losses`.
+    the amplifiers are left out. The fields' bounds keep every figure finite, but unchecked: a plan
+    checks each span's with :func:`check_losses` (:func:`fiberplan.planning.span_row`).
     """
     runs = span_runs(span, losses)  # entry connector, fiber, splices, devices, exit connectors
     (_, connector, entry, _), (_, fiber, _, _), (_, splice, splices, _), *devices, (_, _, rest, _) = runs
     splitters = [-effect for kind, effect, _, _ in devices if kind == "splitter"] if devices else ()
     leg = (entry + rest, splices, -fiber, devices or ())  # an empty list would outlive the call for nothing
     return -connector * (entry + rest), -fiber, -splice * splices, math.fsum(splitters), splices, leg
-
-
-def span_summary(span: Span, losses: ComponentLosses) -> tuple[LossBreakdown, int]:
-    """A span's loss as a standalone path, margin added, as a :class:`LossBreakdown`; and its splice count."""
-    *loss, splices, _ = span_losses(span, losses)
-    return LossBreakdown(*loss, losses.system_margin), splices
 
 
 def _exact_product(unit: float, count: int) -> tuple[float, float]:

@@ -3,39 +3,19 @@
 The total system rise time is the root-sum-square of the transmitter,
 receiver, and chromatic-dispersion contributions; it must stay below a fixed
 fraction of the bit period (0.7 for NRZ, 0.35 for RZ). Modal dispersion and
-amplifier contributions are omitted: this models single-mode plant.
+amplifier contributions are omitted: this models single-mode plant. A plan
+holds each span's budget in its row (:func:`fiberplan.planning.span_row`).
 """
 
 from __future__ import annotations
 
 import math
 
-from .model import DomainError, LineCode, Span, TransceiverProfile, frozen
+from .model import DomainError, LineCode
 
 PS_PER_SECOND = 1e12
 
 _CEILING_FRACTION = {LineCode.NRZ: 0.7, LineCode.RZ: 0.35}
-
-
-@frozen
-class RiseTimeReport:
-    """One span's rise-time budget against the system ceiling."""
-
-    ceiling: float  # ps, maximum tolerable total
-    dispersion_component: float  # ps
-    tx_component: float  # ps
-    rx_component: float  # ps
-
-    __slots__ = ("total",)  # ps, root-sum-square of the three components; derived, so not a field
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "total", total_risetime(self.tx_component, self.rx_component, self.dispersion_component)
-        )
-
-    @property
-    def passed(self) -> bool:
-        return self.total <= self.ceiling
 
 
 def max_system_risetime(bit_rate: float, line_code: LineCode) -> float:
@@ -69,8 +49,3 @@ def total_risetime(tx_rise: float, rx_rise: float, dispersion_rise: float) -> fl
         )
     return total
 
-
-def span_risetime_report(span: Span, transceiver: TransceiverProfile, ceiling: float) -> RiseTimeReport:
-    """One span's rise-time budget against ``ceiling`` (ps), as :func:`max_system_risetime` gives it."""
-    dispersion = dispersion_risetime(span.fiber.dispersion, transceiver.spectral_width, span.length)
-    return RiseTimeReport(ceiling, dispersion, transceiver.tx_rise_time, transceiver.rx_rise_time)

@@ -8,6 +8,7 @@ import pytest
 from fiberplan.data import sleman_path
 from fiberplan.model import ComponentLosses, FiberProfile, Network, Node, Span, Topology, TransceiverProfile
 from fiberplan.netfile import load_network
+from fiberplan.planning import span_row
 
 BACKBONE_FIBER = FiberProfile(name="test-fiber", attenuation=0.3, dispersion=3.5, drum_length=3.0)
 
@@ -25,6 +26,12 @@ LOSSES = ComponentLosses(connector_loss=0.3, splice_loss=0.05, system_margin=3.0
 
 def make_span(span_id: str, a: str, b: str, length: float = 5.0, **kwargs) -> Span:
     return Span(id=span_id, from_node=a, to_node=b, length=length, fiber=BACKBONE_FIBER, **kwargs)
+
+
+def plan_row(span: Span, losses: ComponentLosses = LOSSES, ceiling: float = 70.0) -> tuple:
+    """The span's plan row (``span_row``) in a one-span network of ``losses`` and TRANSCEIVER."""
+    network = Network(nodes=(), spans=(span,), topology=Topology.RING, losses=losses, transceiver=TRANSCEIVER)
+    return span_row(span, network, ceiling)[0]
 
 
 def make_ring(node_ids: list[str], lengths: list[float] | None = None) -> Network:

@@ -19,19 +19,21 @@ from fiberplan.model import (
     ComponentLosses,
     FiberProfile,
     LineCode,
+    Network,
     Span,
     Splitter,
+    Topology,
     resolved_splices,
 )
+from fiberplan.planning import run_plan, span_row
 from fiberplan.power_budget import (
     amplifier_requirement,
     max_allowed_loss,
     received_power,
     required_input_power,
-    span_summary,
     splitter_loss,
 )
-from fiberplan.risetime import max_system_risetime, span_risetime_report
+from fiberplan.risetime import max_system_risetime
 from fiberplan.signal_chain import NOISE_SIGMA, ber_from_q, estimate_ber, propagate
 from fiberplan.standards import builtin_profiles, power_verdict
 from fiberplan.traffic import TrafficInput, forecast_subscribers, project_growth
@@ -64,7 +66,9 @@ def test_criterion_1_backbone_span_loss():
         span = Span(id="backbone", from_node="a", to_node="b", length=84.9,
                     fiber=fiber, connectors=14, splices=46)
         losses = ComponentLosses(connector_loss=0.3, splice_loss=0.05, system_margin=3.0)
-        assert span_summary(span, losses)[0].total == pytest.approx(34.97, abs=0.005)
+        network = Network(nodes=(), spans=(span,), topology=Topology.RING, losses=losses, transceiver=TRANSCEIVER)
+        row, _ = span_row(span, network, 70.0)
+        assert row[9] == pytest.approx(34.97, abs=0.005)  # the span's loss as a standalone path
 
     _report(1, "backbone span loss totals 34.97 dB", body)
 
@@ -111,8 +115,8 @@ def test_criterion_5_ring_risetimes_and_splices(sleman_doc):
         for span_id, target_ps, target_splices in TARGET_TABLE:
             span = spans[span_id]
             assert span.length == round(inverted_length(target_ps), 3)
-            report = span_risetime_report(span, net.transceiver, ceiling)
-            assert report.total == pytest.approx(target_ps, abs=0.01)
+            row, _ = span_row(span, net, ceiling)
+            assert row[14] == pytest.approx(target_ps, abs=0.01)  # the span's total rise time
             assert resolved_splices(span) == target_splices
             lengths.append(span.length)
             splices.append(resolved_splices(span))
@@ -125,11 +129,10 @@ def test_criterion_5_ring_risetimes_and_splices(sleman_doc):
 def test_criterion_6_ceiling_and_feasibility(sleman_doc):
     def body():
         assert max_system_risetime(10e9, LineCode.NRZ) == 70.0
-        net = sleman_doc.network
-        profile = builtin_profiles()["gpon-onu-endpoint"]
-        ceiling = max_system_risetime(profile.bit_rate, profile.line_code)
-        for span in net.spans:
-            assert span_risetime_report(span, net.transceiver, ceiling).passed
+        rows = run_plan(sleman_doc, "gpon-onu-endpoint").spans  # the ring: one row per link
+        assert len(rows) == len(sleman_doc.network.spans) == 7
+        for row in rows:
+            assert row[10] == 70.0 and row[14] <= row[10]  # the link's rise time against the ceiling
 
     _report(6, "70 ps NRZ ceiling holds and every ring link passes it", body)
 

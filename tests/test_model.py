@@ -29,7 +29,7 @@ from fiberplan.model import (
     validate_network,
 )
 from fiberplan.netfile import NetworkDocument
-from fiberplan.power_budget import AmplifierPlan, LossBreakdown
+from fiberplan.power_budget import AmplifierPlan, check_losses
 from fiberplan.signal_chain import BerEstimate
 from fiberplan.standards import StandardProfile
 from fiberplan.traffic import TrafficInput
@@ -104,7 +104,6 @@ VALID = {
     ComponentLosses: dict(connector_loss=0.3, splice_loss=0.05, system_margin=3.0, splitter_excess_loss=0.5),
     Amplifier: dict(gain=20.0),
     Span: dict(id="s", from_node="a", to_node="b", length=5.0, fiber=BACKBONE_FIBER, connectors=2, splices=4),
-    LossBreakdown: dict(connector_total=0.6, fiber_total=3.0, splice_total=0.25, splitter_total=0.0, margin=3.0),
     AmplifierPlan: dict(gain_deficit=5.0, unit_gain=20.0),
     StandardProfile: dict(name="lab", bit_rate=1e9, line_code=LineCode.NRZ, rx_sensitivity=-30.0),
     TrafficInput: dict(
@@ -122,7 +121,6 @@ CHECKED = [
     (ComponentLosses, "system_margin"), (ComponentLosses, "splitter_excess_loss"),
     (Amplifier, "gain"),
     (Span, "length"), (Span, "connectors"), (Span, "splices"),
-    (LossBreakdown, "connector_total"), (LossBreakdown, "margin"),
     (AmplifierPlan, "unit_gain"),
     (StandardProfile, "bit_rate"), (StandardProfile, "rx_sensitivity"),
     (TrafficInput, "population"), (TrafficInput, "cellular_penetration"), (TrafficInput, "operator_share"),
@@ -141,6 +139,21 @@ def test_valid_arguments_construct(cls):
 def test_nan_fails_the_domain_check(cls, field):
     with pytest.raises(DomainError):
         cls(**{**VALID[cls], field: math.nan})
+
+
+LOSS_FIGURES = ("connector_total", "fiber_total", "splice_total", "splitter_total", "margin")
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.01, math.inf])
+@pytest.mark.parametrize("index", range(5), ids=LOSS_FIGURES)
+def test_check_losses_names_the_first_bad_figure(index, bad):
+    """A plan row's five loss figures are checked in order: the first one that is not a finite number
+    >= 0 dB is named, whatever follows it."""
+    fine, text = [0.6, 3.0, 0.25, 0.0, 3.0], f"loss breakdown: {LOSS_FIGURES[index]} must be a finite number >= 0 dB"
+    check_losses(*fine)
+    for after in (fine[index + 1:], [math.nan] * (4 - index)):  # the figures after it fine, or bad too
+        with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+            check_losses(*fine[:index], bad, *after)
 
 
 # Every field with a physical range: (class, field, range, whether the low end itself is excluded).

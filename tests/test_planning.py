@@ -12,7 +12,7 @@ from fiberplan.data import sleman_path
 from fiberplan.model import ConfigurationError, DomainError, ValidationFailure, resolve_path, ring_spans
 from fiberplan.netfile import NetworkFileError, load_network, parse_network
 from fiberplan.planning import render_plan_json, render_plan_text, run_plan
-from fiberplan.risetime import max_system_risetime, span_risetime_report
+from fiberplan.risetime import dispersion_risetime, max_system_risetime, total_risetime
 from fiberplan.signal_chain import render_trace_text, run_trace
 from fiberplan.traffic import TrafficInput, forecast_subscribers, render_forecast_text, traffic_input_from_mapping
 
@@ -184,22 +184,23 @@ def gpon_tree() -> dict:
 
 def assert_rows_match_the_reference_fold(doc, path: str = "ring") -> None:
     """Every figure of every row, bit for bit, against the reference fold of span_runs and the span's
-    rise-time report; each path figure and both received powers against the exact Fraction sum of the
-    path's rows, rounded once; and, with no distribution leg, the as-built power against the trace's end."""
+    rise-time budget from dispersion_risetime and total_risetime; each path figure and both received powers
+    against the exact Fraction sum of the path's rows, rounded once; and, with no distribution leg, the
+    as-built power against the trace's end."""
     net = doc.network
     report = run_plan(doc, "gpon-onu-endpoint", path)
     spans = resolve_path(net, path)[1]
     by_id = {span.id: span for span in spans}
     ceiling = max_system_risetime(report.standard.bit_rate, report.standard.line_code)
     assert [row[0] for row in report.spans] == sorted(by_id)
+    tx, rx = net.transceiver.tx_rise_time, net.transceiver.rx_rise_time
     for row in report.spans:
         span = by_id[row[0]]
         loss, _ = rows_by_kind(span, net.losses)
-        rise = span_risetime_report(span, net.transceiver, ceiling)
+        dispersion = dispersion_risetime(span.fiber.dispersion, net.transceiver.spectral_width, span.length)
         expected = (span.id, f"{net.node_name(span.from_node)} - {net.node_name(span.to_node)}", span.length,
-                    model.resolved_splices(span), loss.connector_total, loss.fiber_total, loss.splice_total,
-                    loss.splitter_total, loss.margin, loss.total, rise.ceiling, rise.dispersion_component,
-                    rise.tx_component, rise.rx_component, rise.total)
+                    model.resolved_splices(span), *loss, ceiling, dispersion, tx, rx,
+                    total_risetime(tx, rx, dispersion))
         assert repr(row) == repr(expected)
     exact, gains = exact_path_losses(spans, net.losses)
     assert repr(report.path) == repr(tuple(map(float, exact)))
@@ -247,6 +248,20 @@ class TestSpanRows:
         monkeypatch.setattr(planning, "span_losses", nan_fiber)
         with pytest.raises(DomainError, match="^loss breakdown: fiber_total must be a finite number >= 0 dB$"):
             run_plan(sleman_doc, "gpon-onu-endpoint")
+
+    @pytest.mark.parametrize("path, rows", [("ring", 7), ("seyegan,tempel,seyegan,tempel", 1)])
+    def test_every_row_is_built_by_span_row(self, sleman_doc, monkeypatch, path, rows):
+        calls, real = [], planning.span_row
+
+        def counting_row(span, network, ceiling):
+            calls.append(span.id)
+            return real(span, network, ceiling)
+
+        expected = run_plan(sleman_doc, "gpon-onu-endpoint", path)
+        monkeypatch.setattr(planning, "span_row", counting_row)
+        report = run_plan(sleman_doc, "gpon-onu-endpoint", path)
+        assert report == expected
+        assert sorted(calls) == [row[0] for row in report.spans] and len(calls) == rows
 
     def test_verdicts_are_derived_from_the_rows(self, sleman_doc):
         report = run_plan(sleman_doc, "gpon-onu-endpoint", "seyegan,tempel,pakem")

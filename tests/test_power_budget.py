@@ -18,19 +18,18 @@ from fiberplan.model import (
 )
 from fiberplan.power_budget import (
     AmplifierPlan,
-    LossBreakdown,
     amplifier_requirement,
+    check_losses,
     max_allowed_loss,
     received_power,
     required_input_power,
     span_runs,
-    span_summary,
     splitter_loss,
 )
 from fiberplan.planning import run_plan
 from fiberplan.signal_chain import propagate
 
-from conftest import LOSSES, make_span
+from conftest import LOSSES, make_span, plan_row
 
 loss_values = st.floats(min_value=0.0, max_value=60.0)
 
@@ -43,17 +42,17 @@ def backbone_worked_span():
 class TestSpanLoss:
     def test_backbone_worked_example(self):
         losses = ComponentLosses(connector_loss=0.3, splice_loss=0.05, system_margin=3.0)
-        breakdown = span_summary(backbone_worked_span(), losses)[0]
-        assert breakdown.connector_total == pytest.approx(4.2)
-        assert breakdown.fiber_total == pytest.approx(25.47)
-        assert breakdown.splice_total == pytest.approx(2.3)
-        assert breakdown.margin == 3.0
-        assert breakdown.total == pytest.approx(34.97, abs=0.005)
+        connector, fiber, splice, _, margin, total = plan_row(backbone_worked_span(), losses)[4:10]
+        assert connector == pytest.approx(4.2)
+        assert fiber == pytest.approx(25.47)
+        assert splice == pytest.approx(2.3)
+        assert margin == 3.0
+        assert total == pytest.approx(34.97, abs=0.005)
 
     def test_vanishing_span_loses_nothing(self):
         losses = ComponentLosses(connector_loss=0.3, splice_loss=0.05, system_margin=0.0)
         span = make_span("tiny", "a", "b", length=1e-12, connectors=0, splices=0)
-        assert span_summary(span, losses)[0].total == pytest.approx(0.0, abs=1e-9)
+        assert plan_row(span, losses)[9] == pytest.approx(0.0, abs=1e-9)
 
     def test_four_term_hand_sum(self):
         # independent oracle: accumulate the itemized contributions one by one
@@ -66,45 +65,50 @@ class TestSpanLoss:
         fiber = FiberProfile(name="d02", attenuation=0.2, dispersion=3.5, drum_length=3.0)
         span = Span(id="d", from_node="a", to_node="b", length=3.0, fiber=fiber, connectors=2, splices=3)
         losses = ComponentLosses(connector_loss=0.3, splice_loss=0.05, system_margin=1.0)
-        assert span_summary(span, losses)[0].total == pytest.approx(expected, abs=1e-12)
+        assert plan_row(span, losses)[9] == pytest.approx(expected, abs=1e-12)
 
     def test_auto_splices_follow_drum_length(self):
         losses = ComponentLosses(connector_loss=0.0, splice_loss=1.0, system_margin=0.0)
         span = make_span("auto", "a", "b", length=8.4)  # drum 3 km -> 5 splices
-        assert span_summary(span, losses)[0].splice_total == pytest.approx(5.0)
+        assert plan_row(span, losses)[6] == pytest.approx(5.0)
 
     def test_breakdown_identity_enforced(self):
-        parts = dict(connector_total=1.0, fiber_total=1.0, splice_total=1.0, splitter_total=0.0, margin=1.0)
-        assert LossBreakdown(**parts).total == 4.0
-        with pytest.raises(TypeError):  # the total is derived, so a contradicting one cannot be given
-            LossBreakdown(**parts, total=5.0)
+        span = make_span("s", "a", "b", connectors=3, splices=4, splitters=(Splitter(4),))
+        connector, fiber, splice, splitter, margin, total = plan_row(span)[4:10]
+        assert total == connector + fiber + splice + splitter + margin  # the row's five figures, in column order
 
-    @pytest.mark.parametrize("field", LossBreakdown._fields)
+    @pytest.mark.parametrize("field", ["connector_total", "fiber_total", "splice_total", "splitter_total", "margin"])
     @pytest.mark.parametrize("bad", [-1e-300, math.nan, math.inf])
     def test_breakdown_names_the_field_out_of_range(self, field, bad):
         parts = dict(connector_total=1.0, fiber_total=2.0, splice_total=0.0, splitter_total=-0.0, margin=3.0)
-        LossBreakdown(**parts)  # 0 and -0.0 are in range
+        check_losses(*parts.values())  # 0 and -0.0 are in range
         with pytest.raises(DomainError, match=f"^loss breakdown: {field} must be a finite number >= 0 dB$"):
-            LossBreakdown(**{**parts, field: bad})
+            check_losses(*{**parts, field: bad}.values())
         with pytest.raises(DomainError, match="^loss breakdown: connector_total "):  # the first bad field is named
-            LossBreakdown(**{**parts, field: bad, "connector_total": math.nan})
+            check_losses(*{**parts, field: bad, "connector_total": math.nan}.values())
 
     @given(ratios=st.lists(st.sampled_from([2, 4, 8, 16]), min_size=0, max_size=6))
     def test_splitter_order_does_not_change_the_total(self, ratios):
         losses = ComponentLosses(connector_loss=0.3, splice_loss=0.05, system_margin=3.0)
         forward = make_span("f", "a", "b", length=5.0, splitters=tuple(Splitter(r) for r in ratios))
         backward = make_span("f", "a", "b", length=5.0, splitters=tuple(Splitter(r) for r in reversed(ratios)))
-        assert span_summary(forward, losses)[0].total == span_summary(backward, losses)[0].total
+        assert plan_row(forward, losses)[9] == plan_row(backward, losses)[9]
 
 
-def product_span_loss(span: Span, losses: ComponentLosses) -> LossBreakdown:
-    """Reference: the span loss as unit loss x count per kind, splitters summed exactly."""
-    return LossBreakdown(
-        connector_total=losses.connector_loss * span.connectors,
-        fiber_total=span.fiber.attenuation * span.length,
-        splice_total=losses.splice_loss * resolved_splices(span),
-        splitter_total=math.fsum(splitter_loss(s, losses.splitter_excess_loss) for s in span.splitters),
-        margin=losses.system_margin,
+def with_total(*figures: float) -> tuple[float, ...]:
+    """Five loss figures, then their total as a row adds them: in column order."""
+    connector, fiber, splice, splitter, margin = figures
+    return (*figures, connector + fiber + splice + splitter + margin)
+
+
+def product_span_loss(span: Span, losses: ComponentLosses) -> tuple[float, ...]:
+    """Reference: the span loss as unit loss x count per kind, splitters summed exactly; laid out as row[4:10]."""
+    return with_total(
+        losses.connector_loss * span.connectors,
+        span.fiber.attenuation * span.length,
+        losses.splice_loss * resolved_splices(span),
+        math.fsum(splitter_loss(s, losses.splitter_excess_loss) for s in span.splitters),
+        losses.system_margin,
     )
 
 
@@ -157,12 +161,12 @@ class TestSpanRuns:
         assert [(kind, count) for kind, _, count, _ in span_runs(span, LOSSES)] == [
             ("connector", 0), ("fiber", 1), ("splice", 0), ("connector", 0),
         ]
-        assert repr(span_summary(span, LOSSES)[0].connector_total) == "0.0"
+        assert repr(plan_row(span)[4]) == "0.0"
 
     @given(case=spans_and_losses())
     def test_span_loss_equals_the_product_formulas(self, case):
         span, losses = case
-        assert repr(span_summary(span, losses)[0]) == repr(product_span_loss(span, losses))
+        assert repr(plan_row(span, losses)[4:10]) == repr(product_span_loss(span, losses))
 
     def test_identical_splitters_are_not_summed_as_a_product_beside_another(self):
         # fsum([l, l, l, m]) is not fsum([l * 3, m]) in general; this pair differs.
@@ -171,11 +175,11 @@ class TestSpanRuns:
         span = make_span("s", "a", "b", splitters=(Splitter(4),) * 3 + (Splitter(2),))
         same, other = splitter_loss(Splitter(4), 0.1), splitter_loss(Splitter(2), 0.1)
         assert math.fsum([same] * 3 + [other]) != math.fsum([same * 3, other])
-        assert span_summary(span, losses)[0].splitter_total == math.fsum([same] * 3 + [other])
+        assert plan_row(span, losses)[7] == math.fsum([same] * 3 + [other])
 
 
-def rows_by_kind(span: Span, losses: ComponentLosses) -> tuple[LossBreakdown, float]:
-    """Reference: the span_runs rows summed by kind, and their element count.
+def rows_by_kind(span: Span, losses: ComponentLosses) -> tuple[tuple[float, ...], int]:
+    """Reference: the span_runs rows summed by kind, laid out as row[4:10], and their element count.
 
     Each kind's total is its unit loss times its total count, rounded once; the
     splitters are summed with fsum, the amplifiers left out.
@@ -190,7 +194,7 @@ def rows_by_kind(span: Span, losses: ComponentLosses) -> tuple[LossBreakdown, fl
         elif kind != "amplifier":
             units[kind], counts[kind] = -effect, counts[kind] + count
     totals = [units[kind] * counts[kind] for kind in ("connector", "fiber", "splice")]
-    return LossBreakdown(*totals, math.fsum(splitters), losses.system_margin), sum(row[2] for row in rows)
+    return with_total(*totals, math.fsum(splitters), losses.system_margin), sum(row[2] for row in rows)
 
 
 def exact_path_losses(spans: list[Span], losses: ComponentLosses) -> tuple[list[Fraction], Fraction]:
@@ -229,16 +233,16 @@ class TestSpanSummary:
     @given(case=small_spans())
     def test_one_model_behind_the_summary_and_the_rows(self, case):
         span, losses = case
-        loss, splices = span_summary(span, losses)
+        row = plan_row(span, losses)
         reference, count = rows_by_kind(span, losses)
-        assert repr(loss) == repr(reference)
-        assert splices == resolved_splices(span)
-        assert count == span.connectors + 1 + splices + len(span.splitters) + len(span.amplifiers)
+        assert repr(row[4:10]) == repr(reference)
+        assert row[3] == resolved_splices(span)
+        assert count == span.connectors + 1 + row[3] + len(span.splitters) + len(span.amplifiers)
 
     def test_counts_by_hand(self):
         span = make_span("s", "a", "b", connectors=3, splitters=(Splitter(4),), amplifiers=(Amplifier(17.0),))
         # 5 km over 3 km drums: 4 splices; 3 connectors + fiber + 4 splices + splitter + amplifier
-        assert span_summary(span, LOSSES)[1] == 4
+        assert plan_row(span)[3] == 4
         assert sum(count for _, _, count, _ in span_runs(span, LOSSES)) == 10
 
 
@@ -360,8 +364,10 @@ class TestReceivedPower:
 class TestPathLoss:
     def test_margin_applied_once_across_the_ring(self, sleman_doc):
         net = sleman_doc.network
-        *_, margin, total = run_plan(sleman_doc, "gpon-onu-endpoint").path  # the ring crosses every span once
-        per_span_sum = math.fsum(span_summary(s, net.losses)[0].total for s in net.spans)
+        report = run_plan(sleman_doc, "gpon-onu-endpoint")
+        *_, margin, total = report.path  # the ring crosses every span once
+        per_span_sum = math.fsum(row[9] for row in report.spans)
+        assert len(report.spans) == len(net.spans)
         duplicated = (len(net.spans) - 1) * net.losses.system_margin
         assert total == pytest.approx(per_span_sum - duplicated, abs=1e-9)
         assert margin == net.losses.system_margin
@@ -382,4 +388,4 @@ class TestPathLoss:
             length=span.length, fiber=span.fiber, connectors=span.connectors,
             splices=span.splices,
         )
-        assert span_summary(span, net.losses)[0] == span_summary(stripped, net.losses)[0]
+        assert plan_row(span, net.losses) == plan_row(stripped, net.losses)

@@ -6,15 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fiberplan.model import DomainError, FiberProfile, LineCode, Span
-from fiberplan.risetime import (
-    RiseTimeReport,
-    dispersion_risetime,
-    max_system_risetime,
-    span_risetime_report,
-    total_risetime,
-)
+from fiberplan.risetime import dispersion_risetime, max_system_risetime, total_risetime
 
-from conftest import TRANSCEIVER, make_span
+from conftest import make_span, plan_row
 
 DISPERSION_FREE_FLOOR = math.sqrt(60.0**2 + 35.0**2)  # sqrt(4825), shared by every backbone link
 
@@ -75,30 +69,35 @@ class TestTotalRisetime:
         assert total_risetime(a, b + bump, 0.0) > total_risetime(a, b, 0.0)
 
 
+def rise_columns(span: Span, ceiling: float) -> tuple[float, ...]:
+    """The rise-time columns of the span's plan row (ps): ceiling, dispersion, tx, rx, total."""
+    return plan_row(span, ceiling=ceiling)[10:15]
+
+
 class TestSpanReport:
     CEILING = max_system_risetime(10e9, LineCode.NRZ)
 
     def test_first_backbone_link(self):
         span = make_span("01", "a", "b", length=10.094)
-        report = span_risetime_report(span, TRANSCEIVER, self.CEILING)
-        assert report.total == pytest.approx(69.552, abs=0.01)
-        assert report.ceiling == 70.0
-        assert report.passed
+        ceiling, *_, total = rise_columns(span, self.CEILING)
+        assert total == pytest.approx(69.552, abs=0.01)
+        assert ceiling == 70.0
+        assert total <= ceiling
 
     def test_dispersion_free_fiber_sits_on_the_floor(self):
         flat = FiberProfile(name="flat", attenuation=0.3, dispersion=0.0, drum_length=3.0)
         span = Span(id="02", from_node="a", to_node="b", length=42.0, fiber=flat)
-        report = span_risetime_report(span, TRANSCEIVER, self.CEILING)
-        assert report.dispersion_component == 0.0
-        assert report.total == DISPERSION_FREE_FLOOR
-        assert report.passed
+        ceiling, dispersion, _, _, total = rise_columns(span, self.CEILING)
+        assert dispersion == 0.0
+        assert total == DISPERSION_FREE_FLOOR
+        assert total <= ceiling
 
     def test_hundred_km_fails_the_ceiling(self):
         span = make_span("03", "a", "b", length=100.0)
-        report = span_risetime_report(span, TRANSCEIVER, self.CEILING)
-        assert report.dispersion_component == pytest.approx(35.0)
-        assert report.total == pytest.approx(77.78, abs=0.01)
-        assert not report.passed
+        ceiling, dispersion, _, _, total = rise_columns(span, self.CEILING)
+        assert dispersion == pytest.approx(35.0)
+        assert total == pytest.approx(77.78, abs=0.01)
+        assert not total <= ceiling
 
     @given(
         short=st.floats(min_value=0.1, max_value=100.0),
@@ -107,24 +106,24 @@ class TestSpanReport:
     def test_monotone_in_span_length(self, short, stretch):
         near = make_span("x", "a", "b", length=short)
         far = make_span("x", "a", "b", length=short + stretch)
-        total_near = span_risetime_report(near, TRANSCEIVER, self.CEILING).total
-        total_far = span_risetime_report(far, TRANSCEIVER, self.CEILING).total
+        total_near = rise_columns(near, self.CEILING)[4]
+        total_far = rise_columns(far, self.CEILING)[4]
         assert total_far > total_near
 
 
 class TestReportInvariants:
     def test_total_must_be_root_sum_square(self):
-        report = RiseTimeReport(ceiling=70.0, dispersion_component=5.0, tx_component=60.0, rx_component=35.0)
-        assert report.total == math.sqrt(60.0**2 + 35.0**2 + 5.0**2)
-        with pytest.raises(TypeError):  # the total is derived, so a contradicting one cannot be given
-            RiseTimeReport(70.0, 5.0, 60.0, 35.0, total=100.0, passed=False)
+        five = FiberProfile(name="five", attenuation=0.3, dispersion=5.0, drum_length=3.0)  # 5 ps over 10 km
+        span = Span(id="s", from_node="a", to_node="b", length=10.0, fiber=five)
+        assert rise_columns(span, 70.0) == (70.0, 5.0, 60.0, 35.0, math.sqrt(60.0**2 + 35.0**2 + 5.0**2))
 
     def test_pass_flag_must_match_comparison(self):
-        at_ceiling = RiseTimeReport(
-            ceiling=DISPERSION_FREE_FLOOR, dispersion_component=0.0, tx_component=60.0, rx_component=35.0,
-        )
-        assert at_ceiling.total == DISPERSION_FREE_FLOOR and at_ceiling.passed
-        assert not RiseTimeReport(69.0, 0.0, 60.0, 35.0).passed
+        flat = FiberProfile(name="flat", attenuation=0.3, dispersion=0.0, drum_length=3.0)
+        span = Span(id="s", from_node="a", to_node="b", length=42.0, fiber=flat)
+        ceiling, *_, total = rise_columns(span, DISPERSION_FREE_FLOOR)
+        assert total == DISPERSION_FREE_FLOOR and total <= ceiling  # at the ceiling passes
+        ceiling, *_, total = rise_columns(span, 69.0)
+        assert not total <= ceiling
 
     def test_total_beyond_the_float_range_names_the_span(self):
         # A span that long is refused where it is built; total_risetime still guards raw floats.

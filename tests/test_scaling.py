@@ -115,8 +115,8 @@ def test_plan_rows_stay_small(tmp_path):
     """Memory guard: a plan of the 1000-node ring holds about 240 bytes per span, one flat row each: a
     15-slot tuple (160 bytes), its link name (64), and its slots in the report's tuples of rows and of
     path nodes (8 each); the node and span ids are the plant's own. The bound leaves an eighth of that as
-    headroom. One nested value object per span (a LossBreakdown, a RiseTimeReport or a Verdict, 72-88
-    bytes each) breaks it; the nested rows this layout replaced held 592 bytes per span."""
+    headroom. One nested value object per span (a frozen value of four or five fields, or a Verdict,
+    72-88 bytes each) breaks it; the nested rows this layout replaced held 592 bytes per span."""
     doc = load_network(write_ring(tmp_path, 1000))
     report = run_plan(doc, "gpon-onu-endpoint")
     held = held_bytes(report, doc)
