@@ -467,11 +467,11 @@ def ring_spans(net: Network) -> tuple[Span, ...]:
     """Spans walking the full cycle from the first node, closing span last.
 
     At the first node the walk leaves by a span listed from that node, lowest
-    span id first; after that each node has one unused span left. A 7-node
-    ring yields its 7 spans; a 2-node ring of parallel spans yields both.
-    Structure is not re-validated here: a network whose spans do not form a
-    single closed cycle through every node raises ConfigurationError. Linear
-    in the spans: each step looks only at the current node's spans.
+    span id first; after that it leaves each node of the cycle by the other of
+    its two spans. A 7-node ring yields its 7 spans; a 2-node ring of parallel
+    spans yields both. Structure is not re-validated here: a node with other
+    than two spans, or a walk back at the first node early, raises
+    ConfigurationError. Linear in the spans.
     """
     if net.topology is not Topology.RING:
         raise ConfigurationError("ring traversal requested on a non-ring network")
@@ -484,24 +484,20 @@ def ring_spans(net: Network) -> tuple[Span, ...]:
     if not known or len(net.nodes) != known or len(incident) != known or len(net.spans) != known:
         raise ConfigurationError(not_a_cycle)
 
-    start = current = net.nodes[0].id
-    visited = {start}
-    used: set[int] = set()
-    walk: list[Span] = []
-    for _ in net.spans:
-        span = None
-        for option in incident[current]:  # usually two, one of them the span walked in on
-            if id(option) not in used and (
-                span is None or (option.from_node != current, option.id) < (span.from_node != current, span.id)
-            ):
-                span = option
-        if span is None:
+    start = net.nodes[0].id
+    span = min(incident[start], key=lambda s: (s.from_node != start, s.id), default=None)
+    if span is None:
+        raise ConfigurationError(not_a_cycle)
+    walk = [span]
+    current = span.to_node if span.from_node == start else span.from_node
+    for _ in range(known - 1):
+        pair = incident[current]
+        if current == start or len(pair) != 2 or pair[0] is pair[1]:  # one span listed twice is not two
             raise ConfigurationError(not_a_cycle)
-        used.add(id(span))
+        span = pair[1] if pair[0] is span else pair[0]
         walk.append(span)
         current = span.to_node if span.from_node == current else span.from_node
-        visited.add(current)
-    if current != start or len(visited) != len(incident):
+    if current != start:
         raise ConfigurationError(not_a_cycle)
     return tuple(walk)
 

@@ -21,7 +21,7 @@ from .model import Network, Span, check_valid, frozen, resolve_path
 from .netfile import NetworkDocument
 from .power_budget import AmplifierPlan, Leg, amplifier_requirement, check_losses, max_allowed_loss, path_losses
 from .power_budget import received_power, required_input_power, span_losses
-from .report import BOOL, SLOT, db, dumps, row, spell
+from .report import BOOL, SLOT, db, dumps, row, skeleton, spell
 from .risetime import dispersion_risetime, max_system_risetime, total_risetime
 from .standards import StandardProfile, Verdict, power_verdict, resolve_standard, risetime_verdict
 
@@ -150,6 +150,18 @@ _SPAN_JSON = row({**dict.fromkeys(("id", "link", "length", "splices")), "loss": 
 _SPAN_SLOTS, _span_numbers = SLOT[None] + SLOT[2] * len(_LOSS) + SLOT[3] * 5, itemgetter(2, *range(4, 15))
 _VERDICT_JSON = row(dict.fromkeys(("quantity", "value", "threshold", "unit", "direction", "margin", "pass")))
 _RISE_JSON = _VERDICT_JSON % ("%s", "%s", "%s", '"ps"', '"max"', "%s", "%s")  # a row's rise-time verdict
+_PLAN_JSON = skeleton({
+    "standard": dict.fromkeys(("name", "bit_rate", "line_code", "rx_sensitivity")),
+    "path": [],
+    "spans": [],
+    "path_loss": dict.fromkeys(_LOSS),
+    **dict.fromkeys(("distribution_loss", "planning_floor", "max_loss")),
+    "amplifier_plan": dict.fromkeys(("gain_deficit", "unit_gain", "edfa_count", "total_gain")),
+    **dict.fromkeys(("inventory_gain", "applied_gain")),
+    "received_power": dict.fromkeys(("effective", "as_built")),
+    "verdicts": [],
+    "overall_pass": None,
+})
 _SPAN_TEXT, _span_text = "%-20s %8g" + " %6.2f" * len(_LOSS), itemgetter(0, 2, *range(4, 10))
 # _VERDICT_TEXT of a row's rise-time verdict: "rise time " and an id padded to 22 fill the 32 columns of a quantity.
 _RISE_TEXT = "  rise time %-22s %10.3f ps <= %.3f ps  margin %+.3f  %s"
@@ -211,20 +223,10 @@ def render_plan_json(report: PlanReport) -> str:
         flag = BOOL[r[14] <= r[10]]
         span_items.append(_SPAN_JSON % (_json_str(r[0]), _json_str(r[1]), s[0], r[3], *s[1:], flag))
         verdict_items.append(_RISE_JSON % (_json_str("rise time " + r[0]), s[11], s[7], rise_margin, flag))
-    return dumps({
-        "standard": {"name": standard.name, "bit_rate": standard.bit_rate, "line_code": standard.line_code.value,
-                     "rx_sensitivity": db(standard.rx_sensitivity)},
-        "path": [],
-        "spans": [],
-        "path_loss": dict(zip(_LOSS, map(db, report.path))),
-        "distribution_loss": db(report.distribution_loss),
-        "planning_floor": db(report.planning_floor),
-        "max_loss": db(report.max_loss),
-        "amplifier_plan": {"gain_deficit": db(plan.gain_deficit), "unit_gain": db(plan.unit_gain),
-                           "edfa_count": plan.edfa_count, "total_gain": db(plan.total_gain)},
-        "inventory_gain": db(report.inventory_gain),
-        "applied_gain": db(report.applied_gain),
-        "received_power": {"effective": db(report.received), "as_built": db(report.as_built_power)},
-        "verdicts": [],
-        "overall_pass": report.overall_pass,
-    }, path=["    " + _json_str(node) for node in report.path_nodes], spans=span_items, verdicts=verdict_items)
+    return dumps(_PLAN_JSON, (
+        standard.name, standard.bit_rate, standard.line_code.value, db(standard.rx_sensitivity),
+        *map(db, report.path), db(report.distribution_loss), db(report.planning_floor), db(report.max_loss),
+        db(plan.gain_deficit), db(plan.unit_gain), plan.edfa_count, db(plan.total_gain),
+        db(report.inventory_gain), db(report.applied_gain), db(report.received), db(report.as_built_power),
+        report.overall_pass,
+    ), path=["    " + _json_str(node) for node in report.path_nodes], spans=span_items, verdicts=verdict_items)

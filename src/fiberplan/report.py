@@ -4,17 +4,16 @@ dB and dBm print with two decimals, rise times with three, counts as
 integers; the same precision is applied to JSON payloads. Each row of a
 ring-sized table is one C-level %-format of the template for its kind.
 
-A JSON report is one dict, its keys next to their values, written by
-json.dumps(payload, indent=2) (:func:`dumps`). Any indent runs CPython's
-pure-Python encoder, slower than building a plan if it met a ring-sized table,
-so it only meets each report's fixed-size skeleton: the tables that grow with
-the plant stand in it as ``[]``, and their rows are spliced in after. Each
-row is one %-format of a template json.dumps itself writes at import, from the
-row's keys (:func:`row`). A table's numbers are spelled by :func:`spell` in one
-%-format, of slots taken from :data:`SLOT`: fixed-point digits, trimmed to
-the shortest form json.dumps writes for round(x, n). A table with a value that
-is not a finite float below 1e12 takes the exact path instead, json.dumps of
-each rounded value.
+A JSON report is a skeleton json.dumps(keys, indent=2) writes at import
+(:func:`skeleton`), filled by :func:`dumps` with each value as json.dumps spells
+it: an indent runs CPython's pure-Python encoder, too slow for a ring-sized table,
+whose closures form a cycle only the garbage collector frees. The tables that
+grow with the plant stand in a skeleton as ``[]``, and their rows are spliced in
+after, each one %-format of a template written at import too (:func:`row`).
+A table's numbers are spelled by :func:`spell` in one %-format, of slots taken
+from :data:`SLOT`: fixed-point digits, trimmed to the shortest form json.dumps
+writes for round(x, n). A table with a value that is not a finite float below
+1e12 takes the exact path instead, json.dumps of each rounded value.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Any
+from typing import Any, Sequence
 
 from .model import Violation
 
@@ -53,30 +52,31 @@ def spell(values: tuple[float, ...], slots: str) -> list[str]:
 BOOL = ("false", "true")
 
 
-def row(keys: dict[str, Any]) -> str:
-    """The %-template of one table item: json.dumps(keys, indent=2) indented two levels, each null key a ``%s`` slot.
+def skeleton(keys: dict[str, Any]) -> str:
+    """A report's %-template: json.dumps(keys, indent=2), each null value a ``%s`` slot, each ``[]`` a table."""
+    return json.dumps(keys, indent=2).replace(": null", ": %s")
 
-    ``keys`` is ``dict.fromkeys(...)``, with a nested dict for a nested object.
-    """
-    return "    " + json.dumps(keys, indent=2).replace("\n", "\n    ").replace(": null", ": %s")
+
+def row(keys: dict[str, Any]) -> str:
+    """The %-template of one table item: :func:`skeleton` indented two levels."""
+    return "    " + skeleton(keys).replace("\n", "\n    ")
 
 
 SLOT = {None: "%r\n", 2: "%.2f\0\n", 3: "%.3f\0\0\n"}
 """The :func:`spell` slot of a number, by the decimals it is rounded to (None: not rounded)."""
 
 
-def dumps(payload: dict[str, Any], **tables: list[str]) -> str:
-    """json.dumps(payload, indent=2) and a newline, where each top-level key named in
-    ``tables`` holds that table's encoded items, each indented two levels, in place of
-    the ``[]`` it holds in ``payload``.
+def dumps(template: str, values: Sequence[Any], **tables: list[str]) -> str:
+    """json.dumps(payload, indent=2) and a newline, for the payload whose :func:`skeleton` is ``template``:
+    each slot holds json.dumps of its value (a string, number, bool or None), and each top-level key
+    named in ``tables``, in the template's order, holds that table's items, indented two levels.
 
     ``\n  "key": []`` can only start that top-level key: json.dumps escapes both the
     newline and the quote inside strings, and writes a nested key deeper. The items are
     copied once, by the final join; a table's first and last items take its brackets.
     """
-    rows, rest = [""], json.dumps(payload, indent=2)
-    for key in payload:
-        items = tables.get(key)
+    rows, rest = [""], template % tuple(map(json.dumps, values))
+    for key, items in tables.items():
         if items:
             head, rest = rest.split(f'\n  "{key}": []')
             rows[-1] += f'{head}\n  "{key}": [\n{items[0]}'
@@ -95,9 +95,10 @@ def render_violations_text(violations: list[Violation]) -> str:
 
 
 _VIOLATION_JSON = row(dict.fromkeys(Violation._fields))
+_VALIDATE_JSON = skeleton({"valid": None, "violations": []})
 
 
 def render_violations_json(violations: list[Violation]) -> str:
     """The validation result as JSON, byte for byte what json.dumps(indent=2) writes."""
     items = [_VIOLATION_JSON % (_json_str(v.element), _json_str(v.rule), _json_str(v.message)) for v in violations]
-    return dumps({"valid": not violations, "violations": []}, violations=items)
+    return dumps(_VALIDATE_JSON, (not violations,), violations=items)

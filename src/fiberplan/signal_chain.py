@@ -1,11 +1,12 @@
 """Analytic signal chain: power traces over run tables and a Q-factor BER model.
 
-:func:`route_chain` lists a path as the run tables of its spans (the
+:func:`route_chain` lists a path, in one pass, as the run tables of its spans (the
 :func:`fiberplan.power_budget.span_runs` rows a plan folds into its loss figures)
 and one margin row; :func:`propagate` expands the rows into one trace point per
 element and formats the only labels. Each point is the exact sum of the elements
-so far, rounded once, the rule a plan sums a path by: with no distribution leg,
-the last point is the plan's as-built received power, bit for bit.
+so far, in integers over one power-of-two scale, rounded once: the rule a plan sums
+a path by, so with no distribution leg the last point is the plan's as-built
+received power, bit for bit.
 
 The BER model is a plain Gaussian decision model: photocurrent over one fixed
 receiver noise sigma (:data:`NOISE_SIGMA`) gives a Q factor, and
@@ -19,14 +20,14 @@ network document, and ``render_trace_*`` report it as text or JSON.
 from __future__ import annotations
 
 import math
-from itertools import accumulate
+from itertools import accumulate, islice
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Any, Sequence
 
 from .model import DomainError, Network, Span, check_valid, frozen, resolve_path, resolved_splices
 from .netfile import NetworkDocument
 from .power_budget import Run, span_runs
-from .report import SLOT, db, dumps, row, spell
+from .report import SLOT, db, dumps, row, skeleton, spell
 
 NOISE_SIGMA = 7e-7  # A; receiver noise current of the Gaussian model
 
@@ -81,8 +82,9 @@ def propagate(input_power: float, runs: Sequence[Run]) -> PowerTrace:
     The first point is the injected power; a row of ``count`` elements appends ``count``
     points under its kind, or under a label made from its part if it has one. Each later
     point is the exact sum of the injected power and the element effects so far, rounded
-    once: every finite float is an integer over a power of two, so scaled by the largest
-    denominator the running sums are exact integers, each divided back once. That is
+    once: every finite float is an integer over a power of two, so shifted to the largest
+    denominator, 2**k, the running sums are exact integers, each converted once: float()
+    times 2**-k while k <= 1022, else (or past float()'s range) divided by 2**k. That is
     ``math.fsum`` over each prefix, bit for bit, and exact where fsum raises a false
     intermediate overflow. Raises DomainError on a non-finite input power or row effect,
     and names the first element whose exact running sum rounds beyond the float range.
@@ -96,20 +98,29 @@ def propagate(input_power: float, runs: Sequence[Run]) -> PowerTrace:
         label = kind if part is None else _label(kind, part)
         raise DomainError(f"chain element {label!r} has a non-finite effect ({delta!r} dB)") from None
     top, bottom = input_power.as_integer_ratio()
-    scale = max([bottom, *(d for _, d in ratios.values())])
-    step = {delta: n * (scale // d) for delta, (n, d) in ratios.items()}
+    k = max([bottom, *(d for _, d in ratios.values())]).bit_length() - 1  # each denominator is 2**(bit_length - 1)
+    step = {delta: n << (k - d.bit_length() + 1) for delta, (n, d) in ratios.items()}
     labels = ["input"]
     steps: list[int] = []
     for kind, delta, count, part in runs:
-        labels += [kind if part is None else _label(kind, part)] * count
-        steps += [step[delta]] * count
-    sums = accumulate(steps, initial=top * (scale // bottom))
-    next(sums)  # the injected power itself, kept as given (a -0.0 stays -0.0)
-    powers = [input_power]
-    try:
-        powers += map(scale.__rtruediv__, sums)  # int / int rounds correctly
-    except OverflowError:  # extend kept the points before the one that left the float range
-        raise DomainError(f"power after {labels[len(powers)]!r} is beyond the float range") from None
+        label = kind if part is None else _label(kind, part)
+        if count == 1:
+            labels.append(label)
+            steps.append(step[delta])
+        else:
+            labels += [label] * count
+            steps += [step[delta]] * count
+    start = top << (k - bottom.bit_length() + 1)
+    powers = [input_power]  # the injected power itself, kept as given (a -0.0 stays -0.0)
+    scaled = k <= 1022  # float(sum), correctly rounded, times 2**-k is then exact: a nonzero point is normal
+    while len(powers) <= len(steps):  # at most twice: scaled, then exact from the first point not written
+        sums = accumulate(islice(steps, len(powers), None), initial=sum(steps[:len(powers)], start))
+        try:
+            powers += map((2.0**-k).__mul__, map(float, sums)) if scaled else map((1 << k).__rtruediv__, sums)
+        except OverflowError:  # extend kept the points before the sum it could not convert
+            if not scaled:  # int / int rounds correctly, and raises only past the float range
+                raise DomainError(f"power after {labels[len(powers)]!r} is beyond the float range") from None
+            scaled = False
     return PowerTrace(labels, powers)
 
 
@@ -150,24 +161,23 @@ def route_chain(network: Network, spans: Sequence[Span]) -> list[Run]:
 
     ``spans`` is the path in order, as given by :func:`fiberplan.model.spans_along`
     for a node path or :func:`fiberplan.model.ring_spans` for the whole ring.
-    The rows' counts are the path's elements; raises DomainError naming the span
-    at which the path passes :data:`MAX_TRACE_ELEMENTS`, before any label is formatted.
+    The rows' counts are the path's elements; past :data:`MAX_TRACE_ELEMENTS`, a second
+    pass raises DomainError naming the span at which the path passes it, before any label is formatted.
     """
     losses, margin = network.losses, network.losses.system_margin
-    runs: list[Run] = []
-    elements = int(margin > 0)
-    for span in spans:
-        rows = span_runs(span, losses)
-        elements += sum([count for _, _, count, _ in rows])
-        if elements > MAX_TRACE_ELEMENTS:
-            raise DomainError(
-                f"span {span.id!r}: too many joints to trace: {resolved_splices(span):.3g} splices"
-                f" (length {span.length:g} km), {span.connectors:.3g} connectors;"
-                f" the path would hold {elements:.6g} elements, over the cap of {MAX_TRACE_ELEMENTS}"
-            )
-        runs += rows
+    runs = [run for span in spans for run in span_runs(span, losses)]
     if margin > 0:
         runs.append(("margin", -margin, 1, margin))
+    if sum([count for _, _, count, _ in runs]) > MAX_TRACE_ELEMENTS:
+        elements = int(margin > 0)
+        for span in spans:
+            elements += sum([count for _, _, count, _ in span_runs(span, losses)])
+            if elements > MAX_TRACE_ELEMENTS:
+                raise DomainError(
+                    f"span {span.id!r}: too many joints to trace: {resolved_splices(span):.3g} splices"
+                    f" (length {span.length:g} km), {span.connectors:.3g} connectors;"
+                    f" the path would hold {elements:.6g} elements, over the cap of {MAX_TRACE_ELEMENTS}"
+                )
     return runs
 
 
@@ -206,13 +216,16 @@ def render_trace_text(trace: PowerTrace, ber: BerEstimate | None = None) -> str:
 
 
 _POINT_JSON = row(dict.fromkeys(("label", "power")))
+_TRACE_JSON = [skeleton({"points": [], "final_power": None, **ber})  # without, then with the BER
+               for ber in ({}, {"ber": dict.fromkeys(("q_factor", "ber"))})]
 
 
 def render_trace_json(trace: PowerTrace, ber: BerEstimate | None = None) -> str:
     """The trace as JSON, byte for byte what json.dumps(indent=2) writes."""
     labels = {label: _json_str(label) for label in set(trace.labels)}  # a few distinct labels repeat
     spelled = spell(trace.powers, SLOT[2] * len(trace.powers))
-    payload: dict[str, Any] = {"points": [], "final_power": db(trace.final_power)}
+    values = [db(trace.final_power)]
     if ber is not None:
-        payload["ber"] = {"q_factor": round(ber.q_factor, 3), "ber": float(f"{ber.ber:.3e}")}
-    return dumps(payload, points=list(map(_POINT_JSON.__mod__, zip(map(labels.__getitem__, trace.labels), spelled))))
+        values += round(ber.q_factor, 3), float(f"{ber.ber:.3e}")
+    return dumps(_TRACE_JSON[ber is not None], values,
+                 points=list(map(_POINT_JSON.__mod__, zip(map(labels.__getitem__, trace.labels), spelled))))

@@ -18,7 +18,7 @@ from typing import Any, Mapping
 
 from .model import DomainError, TrafficInput, frozen
 from .netfile import object_reader
-from .report import dumps
+from .report import dumps, skeleton
 
 MAX_PROJECTED_SUBSCRIBERS = 10**11
 """Most subscribers :func:`project_growth` may project: the largest LTE base the input ranges allow
@@ -101,9 +101,10 @@ def render_forecast_text(inputs: TrafficInput, forecast: TrafficForecast) -> str
     return "\n".join(lines) + "\n"
 
 
+_FORECAST_JSON = skeleton({"inputs": dict.fromkeys(TrafficInput._fields), **dict.fromkeys(TrafficForecast._fields)})
+
+
 def render_forecast_json(inputs: TrafficInput, forecast: TrafficForecast) -> str:
     """The forecast as JSON, as json.dumps(indent=2) writes it."""
-    return dumps({
-        "inputs": {name: getattr(inputs, name) for name in TrafficInput._fields},
-        **{name: getattr(forecast, name) for name in TrafficForecast._fields},
-    })
+    values = [getattr(inputs, name) for name in TrafficInput._fields]
+    return dumps(_FORECAST_JSON, values + [getattr(forecast, name) for name in TrafficForecast._fields])

@@ -1,4 +1,5 @@
-"""Byte-for-byte golden reports on the bundled Sleman ring, a small GPON tree and a seeded ring.
+"""Byte-for-byte golden reports on the bundled Sleman ring, a small GPON tree and a 12-node ring,
+and the digests of a seeded 1,000-node ring's reports.
 
 Each report file under ``tests/golden/`` is the stdout of one command, text
 and JSON, recorded before a refactor that must not change any report. The
@@ -15,12 +16,15 @@ is intended.
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
 import pytest
 
 from fiberplan.cli import main
 from fiberplan.data import sleman_path
+
+from test_scaling import write_ring
 
 GOLDEN = Path(__file__).parent / "golden"
 TREE = GOLDEN / "tree-network.json"
@@ -86,3 +90,25 @@ def test_report_bytes_match_the_golden(capsysbinary, plant, name, fmt, args, rc)
     assert main(golden_argv(plant, fmt, args)) == rc
     out = capsysbinary.readouterr().out
     assert out == golden_file(plant, name, fmt).read_bytes()
+
+
+# A seeded 1,000-node ring (test_scaling.write_ring, seed 1): every 10th span holds an EDFA.
+# The sha256 of each report's bytes pins its ring-sized tables, 0.2-0.7 MB each.
+BIG_RING = {
+    ("plan", "text"): "ac08f3db7ad2cef885f3c7efaa8bf97dc3ea39f2cec3ad6d137ccdb3cbac1d2f",
+    ("plan", "json"): "98b4aa0d30e3808981048e8fe752b32e879925e28103dc89a4f8b226f8de9caf",
+    ("trace-ber", "text"): "525e62babdb4790c4c59c15e40ff2b5a03aeaf279e376f3603d2644cc710ddd5",
+    ("trace-ber", "json"): "2b540810caa8db80746a2d781af3e4442f45ec6926e2885b7642a950df1c740d",
+}
+
+
+@pytest.fixture(scope="module")
+def big_ring(tmp_path_factory):
+    return write_ring(tmp_path_factory.mktemp("big-ring"), 1000, seed=1)
+
+
+@pytest.mark.parametrize("name, fmt", list(BIG_RING), ids=[f"{name}-{fmt}" for name, fmt in BIG_RING])
+def test_thousand_node_ring_reports_match_their_digests(capsysbinary, big_ring, name, fmt):
+    args = ["plan", *ONU] if name == "plan" else ["trace", "--ber"]
+    assert main([*args, "--network", str(big_ring), "--format", fmt]) == 0
+    assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == BIG_RING[name, fmt]

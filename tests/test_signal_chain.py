@@ -254,6 +254,32 @@ class TestPropagateIsExact:
                     propagate(power, runs)
 
 
+class TestPropagateExactFallback:
+    """Two cases the shifted fold cannot convert by one float() and a power-of-two scale; both take
+    the exact division, and each point is still the exact prefix sum, rounded once."""
+
+    @staticmethod
+    def expected(power, runs):
+        exact, points = Fraction(power), [power]
+        for effect in effects(runs):
+            exact += Fraction(effect)
+            points.append(float(exact))
+        return points
+
+    def test_an_effect_over_two_to_the_1074(self):
+        runs = [CONNECTOR, ("amplifier", 5e-324, 3, None), SPLICE, ("amplifier", -5e-324, 1, None)]
+        trace = propagate(-3.1, runs)
+        assert bits(trace.powers) == bits(self.expected(-3.1, runs))
+
+    def test_a_finite_point_whose_scaled_sum_leaves_the_float_range(self):
+        runs = [("amplifier", 2.0**-60, 3, None), ("splice", -1e300, 1, None)]
+        with pytest.raises(OverflowError):
+            float((1e308).as_integer_ratio()[0] << 60)  # the sum the shifted fold would convert
+        trace = propagate(1e308, runs)
+        assert bits(trace.powers) == bits(self.expected(1e308, runs))
+        assert trace.powers[1] == 1e308  # finite: 1e308 + 2**-60 rounds back to 1e308
+
+
 class TestElementGain:
     """One row's effect is what one element of its kind does to the power."""
 
@@ -400,5 +426,25 @@ class TestRouteChain:
 
         monkeypatch.setattr(signal_chain, "_label", recording_label)
         with pytest.raises(DomainError, match="^span 's2': too many joints to trace"):
+            route_chain(net, net.spans)
+        assert labelled == []
+
+    def test_a_path_over_the_cap_at_its_middle_span_names_that_span(self, monkeypatch):
+        spans = (make_span("s1", "a", "b", splices=10), make_span("s2", "b", "c", splices=MAX_TRACE_ELEMENTS),
+                 make_span("s3", "c", "a", splices=10))
+        net = Network(nodes=(Node("a", "A"), Node("b", "B"), Node("c", "C")), spans=spans, topology=Topology.RING,
+                      losses=LOSSES, transceiver=TRANSCEIVER)
+        labelled, real_label = [], signal_chain._label
+
+        def recording_label(kind, part):
+            labelled.append(kind)
+            return real_label(kind, part)
+
+        monkeypatch.setattr(signal_chain, "_label", recording_label)
+        # The margin, then 2 connectors, the fiber run and 10 splices, then 2 connectors, the fiber run
+        # and the cap's splices: the path passes the cap in s2, by 17 elements.
+        with pytest.raises(DomainError, match=r"^span 's2': too many joints to trace: 2e\+05 splices \(length 5 km\),"
+                                              r" 2 connectors; the path would hold 200017 elements,"
+                                              r" over the cap of 200000$"):
             route_chain(net, net.spans)
         assert labelled == []
