@@ -220,18 +220,16 @@ def _profiles(raw: Any, key: str, read: Callable[..., _V]) -> dict[str, _V]:
 
 
 def _devices(raw: Any, span_id: str, key: str, build: Callable[[Any, str], _V]) -> tuple[_V, ...]:
-    """Each entry of a span's ``key`` list, built by ``build`` unnamed; one that fails is read again, named."""
+    """Each entry of a span's ``key`` list, built once by ``build`` under its name."""
     if not isinstance(raw, (list, tuple)):
         raise _field_error(f"span {span_id!r}", key, "a list", raw)
     out = []
     for i, item in enumerate(raw):
+        where = f"span {span_id!r}.{key}[{i}]"
         try:
-            out.append(build(item, ""))
-        except DomainError as exc:
-            raise NetworkFileError(f"span {span_id!r}.{key}[{i}]: {exc}") from exc
-        except NetworkFileError:  # a shape fault: the entry read again, named, raises it spelled in full
-            build(item, f"span {span_id!r}.{key}[{i}]")
-            raise
+            out.append(build(item, where))
+        except DomainError as exc:  # a range fault, which the value class spells without a name
+            raise NetworkFileError(f"{where}: {exc}") from exc
     return tuple(out)
 
 

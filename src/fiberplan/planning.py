@@ -13,28 +13,27 @@ models: trace in :mod:`fiberplan.signal_chain`, forecast in
 from __future__ import annotations
 
 import math
-from itertools import chain, islice
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
-from operator import itemgetter
+from operator import add, attrgetter, itemgetter
 
 from .model import Network, Span, check_valid, frozen, resolve_path
 from .netfile import NetworkDocument
-from .power_budget import AmplifierPlan, Leg, amplifier_requirement, check_losses, max_allowed_loss, path_losses
+from .power_budget import AmplifierPlan, Leg, amplifier_requirement, max_allowed_loss, path_losses
 from .power_budget import received_power, required_input_power, span_losses
 from .report import BOOL, SLOT, db, dumps, row, skeleton, spell
 from .risetime import dispersion_risetime, max_system_risetime, total_risetime
-from .standards import StandardProfile, Verdict, power_verdict, resolve_standard, risetime_verdict
+from .standards import StandardProfile, Verdict, power_verdict, resolve_standard
 
 # One span of a plan, as one flat row: 0 id, 1 link, 2 length (km), 3 splices; its loss as a
 # standalone path (dB): 4 connectors, 5 fiber, 6 splices, 7 splitters, 8 margin, 9 total; its
-# rise-time budget (ps): 10 ceiling, 11 dispersion, 12 tx, 13 rx, 14 total. The span passes
-# its rise-time verdict iff row[14] <= row[10]. span_row builds it.
+# rise-time budget (ps): 10 ceiling, 11 dispersion, 12 tx, 13 rx, 14 total. span_row builds it.
 SpanRow = tuple[str, str, float, int, float, float, float, float, float, float, float, float, float, float, float]
 
 
 @frozen
 class PlanReport:
-    """Everything the plan command reports for one path under one standard."""
+    """Everything the plan command reports for one path under one standard: its inputs, not what they judge."""
 
     standard: StandardProfile
     path_nodes: tuple[str, ...]
@@ -48,26 +47,38 @@ class PlanReport:
     applied_gain: float  # dB counted toward the verdict
     as_built_power: float  # dBm with inventory amplifiers only
     received: float  # dBm with applied_gain
-    power_verdict: Verdict  # the received power against the standard's sensitivity
 
     @property
     def verdicts(self) -> tuple[Verdict, ...]:
-        """The received-power verdict, then the rise-time verdict of each row, in order; built on each read."""
-        return (self.power_verdict, *(risetime_verdict(r[14], r[10], f"rise time {r[0]}") for r in self.spans))
+        """Each row of :func:`verdict_table` as a :class:`Verdict`, in order; built on each read."""
+        return tuple(Verdict(*row[:5]) for row in verdict_table(self))
+
+    @property
+    def power_verdict(self) -> Verdict:
+        """The received power against the standard's sensitivity: the first verdict."""
+        return self.verdicts[0]
 
     @property
     def overall_pass(self) -> bool:
-        return self.power_verdict.passed and all(r[14] <= r[10] for r in self.spans)
+        return all(map(_passed, verdict_table(self)))
+
+
+def verdict_table(report: PlanReport) -> list[tuple[str, float, float, str, str, float, bool]]:
+    """A plan's verdicts as flat rows in the key order of a JSON verdict item, (quantity, value, threshold,
+    unit, direction, margin, pass): the received power against the standard's sensitivity (its Verdict's
+    fields, margin and pass), then each span row's rise time against its ceiling, in row order, judged once
+    here by :class:`Verdict`'s rule: pass is compared directly, not by the sign of the margin (inf - inf is NaN)."""
+    return [_verdict_row(power_verdict(report.received, report.standard)),
+            *[("rise time " + r[0], r[14], r[10], "ps", "max", r[10] - r[14], r[14] <= r[10]) for r in report.spans]]
 
 
 def span_row(span: Span, network: Network, ceiling: float) -> tuple[SpanRow, Leg]:
     """A span of ``network`` as its plan row against a rise-time ``ceiling`` (ps), and its :data:`Leg` of a
-    path fold: its run table folded once (:func:`span_losses`), the five loss figures checked by
-    :func:`check_losses` (DomainError), the margin added and the total the sum of the five."""
+    path fold: its run table folded once (:func:`span_losses`), the margin added and the total the sum of
+    the five loss figures. The fields' bounds keep each figure finite and >= 0 dB, so none is checked."""
     losses, transceiver, name = network.losses, network.transceiver, network.node_name
     connector, fiber, splice, splitter, splices, leg = span_losses(span, losses)
     margin, tx, rx = losses.system_margin, transceiver.tx_rise_time, transceiver.rx_rise_time
-    check_losses(connector, fiber, splice, splitter, margin)
     dispersion = dispersion_risetime(span.fiber.dispersion, transceiver.spectral_width, span.length)
     return (
         span.id, f"{name(span.from_node)} - {name(span.to_node)}", span.length, splices,
@@ -127,29 +138,27 @@ def run_plan(
         applied_gain=applied_gain,
         as_built_power=as_built_power,
         received=received,
-        power_verdict=power_verdict(received, profile),
     )
 
 
-# A verdict's decimals, indexed by v.unit == "ps": 2 for dBm (or any other unit), 3 for ps.
+# A verdict row's line and the spell slots of its value, threshold and margin, indexed by unit == "ps":
+# 2 decimals for dBm (or any other unit), 3 for ps.
 _VERDICT_TEXT, _VERDICT_SLOTS = zip(*(
-    (f"%-32s %10.{n}f %s %s %.{n}f %s  margin %+.{n}f  %s", SLOT[n] * 3) for n in (2, 3)))  # value, threshold, margin
-
-
-def _fmt_verdict(v: Verdict) -> str:
-    op = ">=" if v.direction == "min" else "<="
-    flag = "PASS" if v.passed else "FAIL"
-    return _VERDICT_TEXT[v.unit == "ps"] % (v.quantity, v.value, v.unit, op, v.threshold, v.unit, v.margin, flag)
+    (f"  %-32s %10.{n}f %s %s %.{n}f %s  margin %+.{n}f  %s", SLOT[n] * 3) for n in (2, 3)))
+_OP, _FLAG = {"min": ">=", "max": "<="}, ("FAIL", "PASS")
+_figures, _passed = itemgetter(1, 2, 5), itemgetter(6)  # a verdict row's value, threshold and margin; its pass
+_verdict_row = attrgetter(*Verdict._fields, "margin", "passed")  # a Verdict as a verdict_table row
 
 
 # The JSON keys of a loss (dB), in the order of row[4:10] and of a report's path.
 _LOSS = ("connectors", "fiber", "splices", "splitters", "margin", "total")
 _SPAN_JSON = row({**dict.fromkeys(("id", "link", "length", "splices")), "loss": dict.fromkeys(_LOSS),
                   "rise_time": dict.fromkeys(("ceiling", "dispersion", "tx", "rx", "total", "pass"))})
-# The 12 numbers of a span row: its length, six losses (dB) and five rise times (ps).
-_SPAN_SLOTS, _span_numbers = SLOT[None] + SLOT[2] * len(_LOSS) + SLOT[3] * 5, itemgetter(2, *range(4, 15))
+# The 13 numbers of a span row and its rise-time verdict row, end to end: the span's length, six losses (dB),
+# five rise times (ps), then the verdict's margin (ps); the verdict's value and threshold are 11 and 7 of them.
+_SPAN_SLOTS, _span_numbers = SLOT[None] + SLOT[2] * len(_LOSS) + SLOT[3] * 6, itemgetter(2, *range(4, 15), 20)
+_rise_figures = itemgetter(11, 7, 12)
 _VERDICT_JSON = row(dict.fromkeys(("quantity", "value", "threshold", "unit", "direction", "margin", "pass")))
-_RISE_JSON = _VERDICT_JSON % ("%s", "%s", "%s", '"ps"', '"max"', "%s", "%s")  # a row's rise-time verdict
 _PLAN_JSON = skeleton({
     "standard": dict.fromkeys(("name", "bit_rate", "line_code", "rx_sensitivity")),
     "path": [],
@@ -163,12 +172,10 @@ _PLAN_JSON = skeleton({
     "overall_pass": None,
 })
 _SPAN_TEXT, _span_text = "%-20s %8g" + " %6.2f" * len(_LOSS), itemgetter(0, 2, *range(4, 10))
-# _VERDICT_TEXT of a row's rise-time verdict: "rise time " and an id padded to 22 fill the 32 columns of a quantity.
-_RISE_TEXT = "  rise time %-22s %10.3f ps <= %.3f ps  margin %+.3f  %s"
 
 
 def render_plan_text(report: PlanReport) -> str:
-    lines, rows = [], report.spans
+    lines, rows, table = [], report.spans, verdict_table(report)
     lines.append(f"Plan for path: {' -> '.join(report.path_nodes)}")
     ceiling = max_system_risetime(report.standard.bit_rate, report.standard.line_code)
     lines.append(f"Standard: {report.standard.name} (sensitivity {report.standard.rx_sensitivity:.2f} dBm,"
@@ -182,7 +189,7 @@ def render_plan_text(report: PlanReport) -> str:
     lines.append("")
     lines.append("Rise-time budgets")
     lines.append(f"{'link':<24} {'rise time ps':>12} {'splices':>8}  verdict")
-    lines += ["%-24s %12.3f %8d  %s" % (r[1], r[14], r[3], "pass" if r[14] <= r[10] else "FAIL") for r in rows]
+    lines += ["%-24s %12.3f %8d  %s" % (r[1], r[14], r[3], ("FAIL", "pass")[v[6]]) for r, v in zip(rows, table[1:])]
     lines.append("")
     lines.append("Path loss (margin once): connectors %.2f + fiber %.2f + splices %.2f + splitters %.2f"
                  " + margin %.2f = %.2f dB" % report.path)
@@ -198,35 +205,32 @@ def render_plan_text(report: PlanReport) -> str:
                  f" inventory gain {report.inventory_gain:.2f} dB, applied gain {report.applied_gain:.2f} dB)")
     lines.append("")
     lines.append("Verdicts")
-    lines.append("  " + _fmt_verdict(report.power_verdict))
-    lines += [_RISE_TEXT % (r[0], r[14], r[10], r[10] - r[14], "PASS" if r[14] <= r[10] else "FAIL") for r in rows]
+    lines += [_VERDICT_TEXT[unit == "ps"] % (quantity, value, unit, _OP[way], threshold, unit, margin, _FLAG[passed])
+              for quantity, value, threshold, unit, way, margin, passed in table]
     lines.append("")
-    lines.append(f"OVERALL: {'PASS' if report.overall_pass else 'FAIL'}")
+    lines.append(f"OVERALL: {_FLAG[all(map(_passed, table))]}")
     return "\n".join(lines) + "\n"
 
 
 def render_plan_json(report: PlanReport) -> str:
     """The plan as JSON, byte for byte what json.dumps(indent=2) writes."""
-    standard, plan, rows, power = report.standard, report.amplifier_plan, report.spans, report.power_verdict
-    # One spell: the power verdict's three figures, each row's 12 numbers, then each row's rise-time margin.
-    # A row's rise-time verdict spells its value and threshold as the row spells its total and ceiling.
-    spelled = spell(
-        (power.value, power.threshold, power.margin, *chain.from_iterable(map(_span_numbers, rows)),
-         *[r[10] - r[14] for r in rows]),
-        _VERDICT_SLOTS[power.unit == "ps"] + _SPAN_SLOTS * len(rows) + SLOT[3] * len(rows),
-    )
-    value, threshold, margin = spelled[:3]
-    verdict_items = [_VERDICT_JSON % (_json_str(power.quantity), value, threshold, _json_str(power.unit),
-                                      _json_str(power.direction), margin, BOOL[power.passed])]
-    span_items = []
-    for r, s, rise_margin in zip(rows, zip(*[islice(spelled, 3, None)] * 12), spelled[3 + 12 * len(rows):]):
-        flag = BOOL[r[14] <= r[10]]
-        span_items.append(_SPAN_JSON % (_json_str(r[0]), _json_str(r[1]), s[0], r[3], *s[1:], flag))
-        verdict_items.append(_RISE_JSON % (_json_str("rise time " + r[0]), s[11], s[7], rise_margin, flag))
+    standard, plan, rows, table = report.standard, report.amplifier_plan, report.spans, verdict_table(report)
+    power, *rise = table
+    # One spell: the power verdict's value, threshold and margin, then each span row's 13 numbers, so a rise-time
+    # verdict's value and threshold are spelled once, as its row's total and ceiling.
+    spelled = iter(spell((*_figures(power), *chain.from_iterable(map(_span_numbers, map(add, rows, rise)))),
+                         _VERDICT_SLOTS[power[3] == "ps"] + _SPAN_SLOTS * len(rows)))
+    figures = [(next(spelled), next(spelled), next(spelled))]
+    numbers = [*zip(*[spelled] * 13)]
+    span_items = [_SPAN_JSON % (_json_str(r[0]), _json_str(r[1]), s[0], r[3], *s[1:12], BOOL[v[6]])
+                  for r, v, s in zip(rows, rise, numbers)]
+    figures += map(_rise_figures, numbers)
+    verdict_items = [_VERDICT_JSON % (_json_str(q), value, threshold, _json_str(unit), _json_str(way), margin, BOOL[p])
+                     for (q, _, _, unit, way, _, p), (value, threshold, margin) in zip(table, figures)]
     return dumps(_PLAN_JSON, (
         standard.name, standard.bit_rate, standard.line_code.value, db(standard.rx_sensitivity),
         *map(db, report.path), db(report.distribution_loss), db(report.planning_floor), db(report.max_loss),
         db(plan.gain_deficit), db(plan.unit_gain), plan.edfa_count, db(plan.total_gain),
         db(report.inventory_gain), db(report.applied_gain), db(report.received), db(report.as_built_power),
-        report.overall_pass,
+        all(map(_passed, table)),
     ), path=["    " + _json_str(node) for node in report.path_nodes], spans=span_items, verdicts=verdict_items)

@@ -20,19 +20,6 @@ Run = tuple[str, float, int, Span | Splitter | Amplifier | float | None]
 Leg = tuple[int, int, float, Sequence[Run]]  # connector and splice counts, fiber loss, device rows: a span in a path fold
 
 
-# What check_losses calls the loss figures of a span as a standalone path, in argument order.
-_LOSS_FIGURES = ("connector_total", "fiber_total", "splice_total", "splitter_total", "margin")
-
-
-def check_losses(connector: float, fiber: float, splice: float, splitter: float, margin: float) -> None:
-    """Raise DomainError naming the first figure, in argument order, that is not a finite number >= 0 dB."""
-    inf = math.inf  # one chain: each figure in [0, inf), so a NaN fails it too
-    if not (inf > connector >= 0 <= fiber < inf > splice >= 0 <= splitter < inf > margin >= 0):
-        figures = (connector, fiber, splice, splitter, margin)
-        name = next(name for name, x in zip(_LOSS_FIGURES, figures) if not 0 <= x < inf)
-        raise DomainError(f"loss breakdown: {name} must be a finite number >= 0 dB")
-
-
 @frozen
 class AmplifierPlan:
     """How much gain a path is short by and how many units cover it."""
@@ -94,8 +81,7 @@ def span_losses(span: Span, losses: ComponentLosses) -> tuple[float, float, floa
     loss (dB) and its splice count; then its :data:`Leg` of a path fold.
 
     Each kind's loss is the exact sum of its elements, rounded once (connector_loss * connectors);
-    the amplifiers are left out. The fields' bounds keep every figure finite, but unchecked: a plan
-    checks each span's with :func:`check_losses` (:func:`fiberplan.planning.span_row`).
+    the amplifiers are left out. The fields' bounds keep every figure finite and >= 0 dB, so none is checked.
     """
     runs = span_runs(span, losses)  # entry connector, fiber, splices, devices, exit connectors
     (_, connector, entry, _), (_, fiber, _, _), (_, splice, splices, _), *devices, (_, _, rest, _) = runs

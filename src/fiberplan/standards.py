@@ -64,16 +64,6 @@ def power_verdict(received: float, profile: StandardProfile) -> Verdict:
     return Verdict("received power", received, profile.rx_sensitivity, "dBm", "min")
 
 
-def risetime_verdict(total_rise: float, ceiling: float, quantity: str = "rise time") -> Verdict:
-    """Judge a total system rise time (ps) against a ceiling (ps).
-
-    The ceiling follows from a profile's bit rate and line code through
-    :func:`fiberplan.risetime.max_system_risetime`; for a 10 Gbps NRZ system
-    it is 70 ps.
-    """
-    return Verdict(quantity, total_rise, ceiling, "ps", "max")
-
-
 # The shipped profiles, built once per process: a profile is immutable, and this dict is never handed out.
 _BUILTINS = {
     name: StandardProfile(name, 10e9, LineCode.NRZ, rx_sensitivity, notes)

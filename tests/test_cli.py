@@ -399,3 +399,8 @@ def test_out_into_a_missing_directory_exits_two(capsys, sleman_file, tmp_path):
     argv = ("plan", "--network", str(sleman_file), *STANDARD, "--out", str(target))
     assert_one_error_line(capsys, argv, f"--out {target}: No such file or directory")
 
+
+@pytest.mark.parametrize("command, spec", [(("plan", *STANDARD), "seyegan"), (("trace",), ",")], ids=["plan", "trace"])
+def test_a_path_spec_of_fewer_than_two_node_ids_exits_two(capsys, sleman_file, command, spec):
+    assert main([command[0], "--network", str(sleman_file), *command[1:], "--path", spec]) == 2
+    assert capsys.readouterr() == ("", f"error: path spec {spec!r} needs 'ring' or at least two node ids\n")

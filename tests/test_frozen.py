@@ -58,7 +58,7 @@ def _harvest() -> dict[type, object]:
     trace, ber = run_trace(doc, with_ber=True)
     inputs = traffic_input_from_mapping(doc.traffic)
     roots = [
-        doc, report, trace, ber, inputs, forecast_subscribers(inputs),
+        doc, report, report.verdicts, trace, ber, inputs, forecast_subscribers(inputs),
         [a for span in doc.network.spans for a in span.amplifiers], Splitter(4),
         Violation("network", "no-nodes", "network has no nodes"),
         span_row(doc.network.spans[0], doc.network, 70.0),

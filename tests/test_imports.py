@@ -111,7 +111,7 @@ def test_each_module_imports_on_its_own(path):
 
 
 def test_the_root_gives_each_public_name_from_the_module_defining_it():
-    assert len(fiberplan.__all__) == 56
+    assert len(fiberplan.__all__) == 55
     for name in fiberplan.__all__:
         obj = getattr(fiberplan, name)
         assert obj.__name__ == name and vars(sys.modules[obj.__module__])[name] is obj

@@ -36,7 +36,7 @@ from fiberplan.planning import PlanReport, render_plan_json, run_plan
 from fiberplan.report import render_violations_json, spell
 from fiberplan.risetime import total_risetime
 from fiberplan.signal_chain import PowerTrace, render_trace_json, run_trace
-from fiberplan.standards import Verdict, builtin_profiles
+from fiberplan.standards import builtin_profiles
 from fiberplan.traffic import TrafficInput, forecast_subscribers, render_forecast_json, traffic_input_from_mapping
 
 from test_cli_fuzz import documents
@@ -335,9 +335,10 @@ def test_non_finite_plan_values_are_spelled_as_json_dumps_spells_them():
         parse_network(copy.deepcopy(HUGE))  # no plant file reaches them
     report = run_plan(parse_network(copy.deepcopy(SLEMAN)), ONU)
     fields = {name: getattr(report, name) for name in report._fields}
-    deaf = Verdict("received power", 1e308, -1e308, "dBm", "min")
+    deaf = copy.copy(report.standard)
+    object.__setattr__(deaf, "rx_sensitivity", -1e308)  # past the profile's bound: its margin is inf
     huge = PlanReport(**{**fields, "max_loss": math.inf, "as_built_power": -math.inf, "distribution_loss": math.nan,
-                         "power_verdict": deaf})
+                         "standard": deaf, "received": 1e308})
     ours = render_plan_json(huge)
     assert ours == to_json(plan_to_dict(huge))
     # without non-finite values the check above shows nothing
@@ -460,19 +461,21 @@ def span_row(span_id: str, link: str, length: float, splices: int, loss: tuple, 
 
 
 def test_rows_the_fixed_point_slots_cannot_spell_match_the_reference(sleman_doc):
-    """Ints, nan, inf and values at or beyond 1e12 in the rows and the verdict, which no plant file produces."""
+    """Ints, nan, inf and values at or beyond 1e12 in the rows and the received power, which no plant file
+    produces."""
     report = run_plan(sleman_doc, ONU)
     fields = {name: getattr(report, name) for name in report._fields}
     odd = (
         span_row("s-int", "A - B", 7, 3, (0, -0.0, 1, 2.5, 3), (70, 1, 0, 35)),
         span_row("s-big", "B - C", 1e12, 3, (1e12, 0.004, 0.005, 0.0, 3.0), (1e300, 1234567890123.4567, 0.0005, 35.0)),
         span_row("s-nan", "C - D", math.nan, 3, report.spans[0][4:9], (math.inf, math.nan, 0.0, 35.0)),
+        ("s-int-rise", "D - E", 1.0, 0, *report.spans[0][4:10], 70, 0.0, 0.0, 0.0, 69),
+        ("s-nan-rise", "E - F", 1.0, 0, *report.spans[0][4:10], -math.inf, 0.0, 0.0, 0.0, math.nan),
     )
     for row in odd:
-        for verdict in (report.power_verdict, Verdict("received power", 1e12, -28.0, "dBm", "min"),
-                        Verdict("rise time", 69, 70, "ps", "max"), Verdict("rise", math.nan, -math.inf, "ps", "max")):
-            strange = PlanReport(**{**fields, "spans": (*report.spans, row), "power_verdict": verdict})
-            assert render_plan_json(strange) == to_json(plan_to_dict(strange)), (row[0], verdict)
+        for received in (report.received, 1e12):  # against the standard's -28.0 dBm
+            strange = PlanReport(**{**fields, "spans": (*report.spans, row), "received": received})
+            assert render_plan_json(strange) == to_json(plan_to_dict(strange)), (row[0], received)
     trace = PowerTrace(("input", "x", "y"), (3, -0.0, 2.5))
     assert render_trace_json(trace) == to_json(trace_to_dict(trace))
 

@@ -29,7 +29,7 @@ from fiberplan.model import (
     validate_network,
 )
 from fiberplan.netfile import NetworkDocument
-from fiberplan.power_budget import AmplifierPlan, check_losses
+from fiberplan.power_budget import AmplifierPlan
 from fiberplan.signal_chain import BerEstimate
 from fiberplan.standards import StandardProfile
 from fiberplan.traffic import TrafficInput
@@ -139,21 +139,6 @@ def test_valid_arguments_construct(cls):
 def test_nan_fails_the_domain_check(cls, field):
     with pytest.raises(DomainError):
         cls(**{**VALID[cls], field: math.nan})
-
-
-LOSS_FIGURES = ("connector_total", "fiber_total", "splice_total", "splitter_total", "margin")
-
-
-@pytest.mark.parametrize("bad", [math.nan, -0.01, math.inf])
-@pytest.mark.parametrize("index", range(5), ids=LOSS_FIGURES)
-def test_check_losses_names_the_first_bad_figure(index, bad):
-    """A plan row's five loss figures are checked in order: the first one that is not a finite number
-    >= 0 dB is named, whatever follows it."""
-    fine, text = [0.6, 3.0, 0.25, 0.0, 3.0], f"loss breakdown: {LOSS_FIGURES[index]} must be a finite number >= 0 dB"
-    check_losses(*fine)
-    for after in (fine[index + 1:], [math.nan] * (4 - index)):  # the figures after it fine, or bad too
-        with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
-            check_losses(*fine[:index], bad, *after)
 
 
 # Every field with a physical range: (class, field, range, whether the low end itself is excluded).
@@ -653,3 +638,13 @@ def test_a_plant_without_nodes_matches_the_reference(topology):
     assert validate_network(net) == _reference_validate_network(net)
     assert _outcome(ring_spans, net) == _outcome(_reference_ring_spans, net)
     assert _outcome(spans_along, net, ["a", "b"]) == _outcome(_reference_spans_along, net, ["a", "b"])
+
+
+def test_a_ring_whose_first_node_has_no_span_matches_the_reference():
+    """Nodes a, b and c, three spans between b and c: the node, span and end counts agree, so only the
+    first node's empty span list shows that the spans form no ring through it."""
+    net = Network(nodes=(Node("a", "A"), Node("b", "B"), Node("c", "C")),
+                  spans=tuple(make_span(span_id, "b", "c") for span_id in "pqr"),
+                  topology=Topology.RING, losses=LOSSES, transceiver=TRANSCEIVER)
+    not_a_cycle = "network is not a valid ring: spans do not form a single closed cycle"
+    assert _outcome(ring_spans, net) == _outcome(_reference_ring_spans, net) == not_a_cycle

@@ -9,9 +9,9 @@ import pytest
 
 from fiberplan import model, planning, signal_chain
 from fiberplan.data import sleman_path
-from fiberplan.model import ConfigurationError, DomainError, ValidationFailure, resolve_path, ring_spans
+from fiberplan.model import ConfigurationError, ValidationFailure, resolve_path, ring_spans
 from fiberplan.netfile import NetworkFileError, load_network, parse_network
-from fiberplan.planning import render_plan_json, render_plan_text, run_plan
+from fiberplan.planning import PlanReport, render_plan_json, render_plan_text, run_plan, verdict_table
 from fiberplan.risetime import dispersion_risetime, max_system_risetime, total_risetime
 from fiberplan.signal_chain import render_trace_text, run_trace
 from fiberplan.traffic import TrafficInput, forecast_subscribers, render_forecast_text, traffic_input_from_mapping
@@ -61,9 +61,9 @@ class TestRunPlan:
         report = run_plan(load_network(write_network(strip_amplifiers)), "gpon-onu-endpoint", as_built=True)
         assert not report.overall_pass
         assert report.received == pytest.approx(-42.64, abs=0.1)
-        power = [v for v in report.verdicts if v.quantity == "received power"][0]
-        assert power is report.power_verdict and not power.passed
-        assert all(v.passed for v in report.verdicts if v is not power)
+        power, *rise = report.verdicts  # each read builds new verdicts, so the power one is taken by position
+        assert power.quantity == "received power" and power == report.power_verdict and not power.passed
+        assert all(v.passed for v in rise)
 
     def test_empty_network_is_a_validation_failure(self, write_network):
         def empty(doc):
@@ -238,17 +238,6 @@ class TestSpanRows:
             parts = leaf.split(".")  # olt.a.b.c lies under olt.a.b, under olt.a, under olt
             assert_rows_match_the_reference_fold(doc, ",".join(".".join(parts[:k]) for k in (1, 2, 3, 4)))
 
-    def test_each_row_checks_its_loss_figures(self, sleman_doc, monkeypatch):
-        real = planning.span_losses
-
-        def nan_fiber(span, losses):
-            connector, _, *rest = real(span, losses)
-            return (connector, math.nan, *rest)
-
-        monkeypatch.setattr(planning, "span_losses", nan_fiber)
-        with pytest.raises(DomainError, match="^loss breakdown: fiber_total must be a finite number >= 0 dB$"):
-            run_plan(sleman_doc, "gpon-onu-endpoint")
-
     @pytest.mark.parametrize("path, rows", [("ring", 7), ("seyegan,tempel,seyegan,tempel", 1)])
     def test_every_row_is_built_by_span_row(self, sleman_doc, monkeypatch, path, rows):
         calls, real = [], planning.span_row
@@ -266,9 +255,28 @@ class TestSpanRows:
     def test_verdicts_are_derived_from_the_rows(self, sleman_doc):
         report = run_plan(sleman_doc, "gpon-onu-endpoint", "seyegan,tempel,pakem")
         power, *rise = report.verdicts
-        assert power is report.power_verdict
+        assert power == report.power_verdict
         assert [(v.quantity, v.value, v.threshold, v.unit, v.direction) for v in rise] == [
             (f"rise time {row[0]}", row[14], row[10], "ps", "max") for row in report.spans]
+
+    @pytest.mark.parametrize("received", [-28.0, -28.01, math.inf, math.nan])
+    def test_each_table_row_judges_as_its_verdict(self, sleman_doc, received):
+        """Margin and pass, taken once per table row, follow Verdict's rule: at the threshold, between
+        infinities (a NaN margin that passes) and against NaN."""
+        report = run_plan(sleman_doc, "gpon-onu-endpoint")
+        fields = {name: getattr(report, name) for name in report._fields}
+        budgets = [(70.0, 70.0), (70.0, 70.5), (math.inf, math.inf), (70.0, math.nan)]  # (ceiling, total) ps
+        odd = [(f"s-{i}", "X - Y", 1.0, 0, *report.spans[0][4:10], ceiling, 0.0, 0.0, 0.0, total)
+               for i, (ceiling, total) in enumerate(budgets)]
+        strange = PlanReport(**{**fields, "spans": (*report.spans, *odd), "received": received})
+        table = verdict_table(strange)
+        assert [row[:5] for row in table] == [(v.quantity, v.value, v.threshold, v.unit, v.direction)
+                                              for v in strange.verdicts]
+        for row, verdict in zip(table, strange.verdicts):
+            assert row[6] is verdict.passed
+            assert row[5] == verdict.margin or math.isnan(row[5]) and math.isnan(verdict.margin)
+        assert [row[6] for row in table[-4:]] == [True, False, True, False]
+        assert strange.overall_pass is all(row[6] for row in table)
 
 
 class TestParallelSpans:

@@ -19,7 +19,6 @@ from fiberplan.model import (
 from fiberplan.power_budget import (
     AmplifierPlan,
     amplifier_requirement,
-    check_losses,
     max_allowed_loss,
     received_power,
     required_input_power,
@@ -76,16 +75,6 @@ class TestSpanLoss:
         span = make_span("s", "a", "b", connectors=3, splices=4, splitters=(Splitter(4),))
         connector, fiber, splice, splitter, margin, total = plan_row(span)[4:10]
         assert total == connector + fiber + splice + splitter + margin  # the row's five figures, in column order
-
-    @pytest.mark.parametrize("field", ["connector_total", "fiber_total", "splice_total", "splitter_total", "margin"])
-    @pytest.mark.parametrize("bad", [-1e-300, math.nan, math.inf])
-    def test_breakdown_names_the_field_out_of_range(self, field, bad):
-        parts = dict(connector_total=1.0, fiber_total=2.0, splice_total=0.0, splitter_total=-0.0, margin=3.0)
-        check_losses(*parts.values())  # 0 and -0.0 are in range
-        with pytest.raises(DomainError, match=f"^loss breakdown: {field} must be a finite number >= 0 dB$"):
-            check_losses(*{**parts, field: bad}.values())
-        with pytest.raises(DomainError, match="^loss breakdown: connector_total "):  # the first bad field is named
-            check_losses(*{**parts, field: bad, "connector_total": math.nan}.values())
 
     @given(ratios=st.lists(st.sampled_from([2, 4, 8, 16]), min_size=0, max_size=6))
     def test_splitter_order_does_not_change_the_total(self, ratios):

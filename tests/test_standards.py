@@ -14,7 +14,6 @@ from fiberplan.standards import (
     builtin_profiles,
     power_verdict,
     resolve_standard,
-    risetime_verdict,
 )
 
 GPON_ONU = builtin_profiles()["gpon-onu-endpoint"]
@@ -63,25 +62,30 @@ class TestPowerVerdict:
         assert power_verdict(x, GPON_ONU).margin <= power_verdict(y, GPON_ONU).margin
 
 
+def rise_verdict(total: float) -> Verdict:
+    """A total rise time (ps) against the 10 Gbps NRZ ceiling, as a plan's verdict table judges a span row."""
+    return Verdict("rise time", total, BACKBONE_CEILING, "ps", "max")
+
+
 class TestRisetimeVerdict:
     def test_backbone_link_passes(self):
-        v = risetime_verdict(69.552, BACKBONE_CEILING)
+        v = rise_verdict(69.552)
         assert v.passed
         assert v.threshold == 70.0
         assert v.margin == pytest.approx(0.448, abs=1e-9)
 
     def test_boundary_counts_as_pass(self):
-        v = risetime_verdict(70.0, BACKBONE_CEILING)
+        v = rise_verdict(70.0)
         assert v.passed
         assert v.margin == 0.0
 
     def test_above_ceiling_fails(self):
-        assert not risetime_verdict(71.0, BACKBONE_CEILING).passed
+        assert not rise_verdict(71.0).passed
 
 
 @given(value=finite_dbm)
 def test_verdict_is_self_consistent(value):
-    for verdict in (power_verdict(value, GPON_ONU), risetime_verdict(abs(value) + 1.0, BACKBONE_CEILING)):
+    for verdict in (power_verdict(value, GPON_ONU), rise_verdict(abs(value) + 1.0)):
         if verdict.direction == "min":
             recomputed = verdict.value >= verdict.threshold
         else:

@@ -176,19 +176,17 @@ def test_traces_far_from_the_plant_match_the_reference(sleman_doc, power):
 
 
 def test_values_outside_the_plant_domain_print_as_before(sleman_doc):
-    """nan, inf, -0.0 and ints in the rows and the verdict, which no plant file produces, and a span id
-    too long for the verdict column."""
+    """nan, inf, -0.0 and ints in the rows and the received power, which no plant file produces, and a
+    span id too long for the verdict column."""
     report = run_plan(sleman_doc, ONU)
     fields = {name: getattr(report, name) for name in report._fields}
     odd = (span_row("s-odd", "A - B", 7, 3, (0, -0.0, 1, 2.5, 3), (math.inf, math.nan, 0, 35)),
            span_row("s-int-and-an-id-past-22-columns", "B - C", 7, 3, (0, 1, 1, 0, 3), (70, 1, 0, 35)),
-           ("s-inf", "C - D", 1.0, 0, *report.spans[0][4:10], math.inf, 0.0, 0.0, 0.0, -math.inf))
-    verdicts = (Verdict("received power", math.nan, -28, "dBm", "min"), Verdict("rise time s-odd", 69, 70, "ps", "max"),
-                Verdict("rise time", -math.inf, math.inf, "ps", "max"))
-    for verdict in verdicts:
-        strange = PlanReport(**{**fields, "spans": (*report.spans, *odd), "power_verdict": verdict,
-                                "max_loss": math.inf})
-        assert render_plan_text(strange) == reference_plan_text(strange), verdict
+           ("s-inf", "C - D", 1.0, 0, *report.spans[0][4:10], math.inf, 0.0, 0.0, 0.0, -math.inf),
+           ("s-int-rise", "D - E", 1.0, 0, *report.spans[0][4:10], 70, 0.0, 0.0, 0.0, 69))
+    for received in (math.nan, report.received):
+        strange = PlanReport(**{**fields, "spans": (*report.spans, *odd), "received": received, "max_loss": math.inf})
+        assert render_plan_text(strange) == reference_plan_text(strange), received
     trace = PowerTrace(("input", "x"), (3, -0.0))
     assert render_trace_text(trace) == reference_trace_text(trace)
 
