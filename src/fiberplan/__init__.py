@@ -20,7 +20,7 @@ _EXPORTS = {
         "netfile": "NetworkDocument NetworkFileError load_network parse_network",
         "planning": "PlanReport run_plan span_row",
         "power_budget": "AmplifierPlan amplifier_requirement max_allowed_loss received_power required_input_power"
-        " span_losses span_runs splitter_loss",
+        " span_runs splitter_loss",
         "risetime": "dispersion_risetime max_system_risetime total_risetime",
         "signal_chain": "BerEstimate PowerTrace ber_from_q estimate_ber propagate route_chain run_trace",
         "standards": "StandardProfile Verdict builtin_profiles power_verdict resolve_standard",

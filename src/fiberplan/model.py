@@ -36,18 +36,18 @@ def frozen(cls: _C) -> _C:
     The fields are the class's own annotations, in order (``_fields``); a class
     attribute of the same name is the field's default (``_defaults``, by name).
     The new class's ``__slots__`` are the fields, then any names the class body
-    lists in its own ``__slots__`` for state that is not a field; instances
-    have no ``__dict__``. The generated ``__new__`` takes the fields
-    positionally or by keyword. It makes the instance as one of a hidden twin
-    class with the same slots and no ``__setattr__`` of its own, stores each
-    field with a plain attribute store, moves the instance to the new class
-    (the layouts are equal, so ``__class__`` may be assigned) and then calls
-    ``__post_init__`` if the class has one; that method checks the values and
-    may normalize a field, or fill a non-field slot, with
-    ``object.__setattr__``. Instances compare (only with their own class),
-    hash and print by their fields, as a frozen dataclass does, and copy and
-    pickle by being rebuilt from them; assigning or deleting any attribute
-    raises :class:`FrozenInstanceError`.
+    lists in its own ``__slots__`` for state that is not a field (None in a new
+    instance); instances have no ``__dict__``. The generated ``__new__`` takes
+    the fields positionally or by keyword. It makes the instance as one of a
+    hidden twin class with the same slots and no ``__setattr__`` of its own,
+    stores each field with a plain attribute store, moves the instance to the
+    new class (the layouts are equal, so ``__class__`` may be assigned) and
+    then calls ``__post_init__`` if the class has one; that method checks the
+    values and may normalize a field, or fill a non-field slot, with
+    ``object.__setattr__``. Instances compare (only with their own class), hash
+    and print by their fields, as a frozen dataclass does, and copy and pickle
+    by being rebuilt from them; assigning or deleting any attribute raises
+    :class:`FrozenInstanceError`.
     """
     body = dict(vars(cls))
     names = tuple(body.get("__annotations__", ()))
@@ -70,7 +70,8 @@ def frozen(cls: _C) -> _C:
     )
     twin = type(cls)(cls.__name__, cls.__bases__, {"__slots__": names + extra})
     params = "".join(f", {n}=_defaults[{n!r}]" if n in defaults else f", {n}" for n in names)
-    lines = ["    self = _twin()", *(f"    self.{n} = {n}" for n in names), "    self.__class__ = cls"]
+    lines = ["    self = _twin()", *(f"    self.{n} = {n}" for n in names), *(f"    self.{n} = None" for n in extra)]
+    lines.append("    self.__class__ = cls")
     if "__post_init__" in body:
         lines.append("    self.__post_init__()")
     namespace: dict[str, Any] = {"_defaults": defaults, "_twin": twin, "__name__": cls.__module__}
@@ -295,7 +296,6 @@ class Network:
         object.__setattr__(self, "spans", tuple(self.spans))
         ids, names = map(attrgetter("id"), self.nodes[::-1]), map(attrgetter("name"), self.nodes[::-1])
         object.__setattr__(self, "_names", dict(zip(ids, names)))  # read backwards: an id's first listing wins
-        object.__setattr__(self, "_violations", None)
 
     def node_name(self, node_id: str) -> str:
         return self._names.get(node_id, node_id)
@@ -476,12 +476,12 @@ def ring_spans(net: Network) -> tuple[Span, ...]:
     if net.topology is not Topology.RING:
         raise ConfigurationError("ring traversal requested on a non-ring network")
     incident: dict[str, list[Span]] = {n.id: [] for n in net.nodes}
-    known = len(incident)  # below the node count when node ids repeat
+    known, strays = len(incident), []  # below the node count when node ids repeat; the spans' unknown ends
     for span in net.spans:
-        incident.setdefault(span.from_node, []).append(span)
-        incident.setdefault(span.to_node, []).append(span)
+        incident.get(span.from_node, strays).append(span)
+        incident.get(span.to_node, strays).append(span)
     not_a_cycle = "network is not a valid ring: spans do not form a single closed cycle"
-    if not known or len(net.nodes) != known or len(incident) != known or len(net.spans) != known:
+    if not known or strays or len(net.nodes) != known or len(net.spans) != known:
         raise ConfigurationError(not_a_cycle)
 
     start = net.nodes[0].id

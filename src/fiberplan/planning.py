@@ -20,7 +20,7 @@ from operator import add, attrgetter, itemgetter
 from .model import Network, Span, check_valid, frozen, resolve_path
 from .netfile import NetworkDocument
 from .power_budget import AmplifierPlan, Leg, amplifier_requirement, max_allowed_loss, path_losses
-from .power_budget import received_power, required_input_power, span_losses
+from .power_budget import received_power, required_input_power, span_runs
 from .report import BOOL, SLOT, db, dumps, row, skeleton, spell
 from .risetime import dispersion_risetime, max_system_risetime, total_risetime
 from .standards import StandardProfile, Verdict, power_verdict, resolve_standard
@@ -48,6 +48,9 @@ class PlanReport:
     as_built_power: float  # dBm with inventory amplifiers only
     received: float  # dBm with applied_gain
 
+    # Not a field, so no value operation sees it: the report's verdict_table, None until first read.
+    __slots__ = ("_table",)
+
     @property
     def verdicts(self) -> tuple[Verdict, ...]:
         """Each row of :func:`verdict_table` as a :class:`Verdict`, in order; built on each read."""
@@ -63,28 +66,40 @@ class PlanReport:
         return all(map(_passed, verdict_table(self)))
 
 
-def verdict_table(report: PlanReport) -> list[tuple[str, float, float, str, str, float, bool]]:
+def verdict_table(report: PlanReport) -> tuple[tuple[str, float, float, str, str, float, bool], ...]:
     """A plan's verdicts as flat rows in the key order of a JSON verdict item, (quantity, value, threshold,
     unit, direction, margin, pass): the received power against the standard's sensitivity (its Verdict's
     fields, margin and pass), then each span row's rise time against its ceiling, in row order, judged once
-    here by :class:`Verdict`'s rule: pass is compared directly, not by the sign of the margin (inf - inf is NaN)."""
-    return [_verdict_row(power_verdict(report.received, report.standard)),
-            *[("rise time " + r[0], r[14], r[10], "ps", "max", r[10] - r[14], r[14] <= r[10]) for r in report.spans]]
+    here by :class:`Verdict`'s rule: pass is compared directly, not by the sign of the margin (inf - inf is NaN).
+
+    The first call keeps the table in the report, so a plan command judges once for its renderer and exit code."""
+    table = report._table
+    if table is None:
+        table = (_verdict_row(power_verdict(report.received, report.standard)), *[
+            ("rise time " + r[0], r[14], r[10], "ps", "max", r[10] - r[14], r[14] <= r[10]) for r in report.spans])
+        object.__setattr__(report, "_table", table)
+    return table
 
 
 def span_row(span: Span, network: Network, ceiling: float) -> tuple[SpanRow, Leg]:
-    """A span of ``network`` as its plan row against a rise-time ``ceiling`` (ps), and its :data:`Leg` of a
-    path fold: its run table folded once (:func:`span_losses`), the margin added and the total the sum of
-    the five loss figures. The fields' bounds keep each figure finite and >= 0 dB, so none is checked."""
-    losses, transceiver, name = network.losses, network.transceiver, network.node_name
-    connector, fiber, splice, splitter, splices, leg = span_losses(span, losses)
+    """A span of ``network`` as its plan row against a rise-time ``ceiling`` (ps), and its :data:`Leg` of a path
+    fold: its :func:`~fiberplan.power_budget.span_runs` folded by kind (a joint kind's loss rounded once, as
+    connector_loss * connectors; the splitters' fsummed; the amplifiers left out), the margin added and the total the
+    sum of the five. The fields' bounds keep each figure finite and >= 0 dB, so none is checked."""
+    losses, transceiver, names = network.losses, network.transceiver, network._names
+    (_, connector, entry, _), (_, fiber, _, _), (_, splice, splices, _), *devices, (_, _, rest, _) = span_runs(
+        span, losses)
+    connectors, fiber, splice = entry + rest, -fiber, -splice * splices
+    connector = -connector * connectors
+    splitter = math.fsum([-effect for kind, effect, _, _ in devices if kind == "splitter"]) if devices else 0.0
     margin, tx, rx = losses.system_margin, transceiver.tx_rise_time, transceiver.rx_rise_time
     dispersion = dispersion_risetime(span.fiber.dispersion, transceiver.spectral_width, span.length)
+    a, b = span.from_node, span.to_node
     return (
-        span.id, f"{name(span.from_node)} - {name(span.to_node)}", span.length, splices,
+        span.id, f"{names.get(a, a)} - {names.get(b, b)}", span.length, splices,
         connector, fiber, splice, splitter, margin, connector + fiber + splice + splitter + margin,
         ceiling, dispersion, tx, rx, total_risetime(tx, rx, dispersion),
-    ), leg
+    ), (connectors, splices, fiber, devices or ())  # an empty list would outlive the call for nothing
 
 
 def run_plan(
@@ -128,7 +143,7 @@ def run_plan(
     return PlanReport(
         standard=profile,
         path_nodes=tuple(nodes),
-        spans=tuple(sorted(row for row, _ in built.values())),  # the ids differ, so only they are compared
+        spans=tuple(sorted([row for row, _ in built.values()])),  # the ids differ, so only they are compared
         path=path,
         distribution_loss=doc.distribution_loss,
         planning_floor=planning_floor,
@@ -146,6 +161,7 @@ def run_plan(
 _VERDICT_TEXT, _VERDICT_SLOTS = zip(*(
     (f"  %-32s %10.{n}f %s %s %.{n}f %s  margin %+.{n}f  %s", SLOT[n] * 3) for n in (2, 3)))
 _OP, _FLAG = {"min": ">=", "max": "<="}, ("FAIL", "PASS")
+_RISE_TEXT = "  %-32s %10.3f ps <= %.3f ps  margin %+.3f  %s"  # the ps line of a "max" verdict
 _figures, _passed = itemgetter(1, 2, 5), itemgetter(6)  # a verdict row's value, threshold and margin; its pass
 _verdict_row = attrgetter(*Verdict._fields, "margin", "passed")  # a Verdict as a verdict_table row
 
@@ -175,41 +191,33 @@ _SPAN_TEXT, _span_text = "%-20s %8g" + " %6.2f" * len(_LOSS), itemgetter(0, 2, *
 
 
 def render_plan_text(report: PlanReport) -> str:
-    lines, rows, table = [], report.spans, verdict_table(report)
-    lines.append(f"Plan for path: {' -> '.join(report.path_nodes)}")
-    ceiling = max_system_risetime(report.standard.bit_rate, report.standard.line_code)
-    lines.append(f"Standard: {report.standard.name} (sensitivity {report.standard.rx_sensitivity:.2f} dBm,"
-                 f" rise-time ceiling {ceiling:.3f} ps)")
-    lines.append("")
-    lines.append("Span loss budgets (dB, each span as a standalone path)")
-    lines.append(
-        f"{'span':<20} {'km':>8} {'conn':>6} {'fiber':>6} {'splice':>6} {'split':>6} {'margin':>6} {'total':>6}"
-    )
-    lines += map(_SPAN_TEXT.__mod__, map(_span_text, rows))
-    lines.append("")
-    lines.append("Rise-time budgets")
-    lines.append(f"{'link':<24} {'rise time ps':>12} {'splices':>8}  verdict")
-    lines += ["%-24s %12.3f %8d  %s" % (r[1], r[14], r[3], ("FAIL", "pass")[v[6]]) for r, v in zip(rows, table[1:])]
-    lines.append("")
-    lines.append("Path loss (margin once): connectors %.2f + fiber %.2f + splices %.2f + splitters %.2f"
-                 " + margin %.2f = %.2f dB" % report.path)
-    lines.append(
-        f"Loss budget: floor {report.planning_floor:.2f} dBm "
-        f"(planning sensitivity {report.planning_floor - report.distribution_loss:.2f}"
-        f" + distribution {report.distribution_loss:.2f}), max loss {report.max_loss:.2f} dB"
-    )
-    plan = report.amplifier_plan
-    lines.append(f"Amplifier plan: deficit {plan.gain_deficit:.2f} dB -> {plan.edfa_count} x {plan.unit_gain:.2f} dB"
-                 f" EDFA = {plan.total_gain:.2f} dB")
-    lines.append(f"Received power: {report.received:.2f} dBm (as built {report.as_built_power:.2f} dBm,"
-                 f" inventory gain {report.inventory_gain:.2f} dB, applied gain {report.applied_gain:.2f} dB)")
-    lines.append("")
-    lines.append("Verdicts")
-    lines += [_VERDICT_TEXT[unit == "ps"] % (quantity, value, unit, _OP[way], threshold, unit, margin, _FLAG[passed])
-              for quantity, value, threshold, unit, way, margin, passed in table]
-    lines.append("")
-    lines.append(f"OVERALL: {_FLAG[all(map(_passed, table))]}")
-    return "\n".join(lines) + "\n"
+    rows, table, standard, plan = report.spans, verdict_table(report), report.standard, report.amplifier_plan
+    ceiling = max_system_risetime(standard.bit_rate, standard.line_code)
+    quantity, value, threshold, unit, way, margin, passed = table[0]
+    return "\n".join([
+        f"Plan for path: {' -> '.join(report.path_nodes)}",
+        f"Standard: {standard.name} (sensitivity {standard.rx_sensitivity:.2f} dBm,"
+        f" rise-time ceiling {ceiling:.3f} ps)",
+        "", "Span loss budgets (dB, each span as a standalone path)",
+        f"{'span':<20} {'km':>8} {'conn':>6} {'fiber':>6} {'splice':>6} {'split':>6} {'margin':>6} {'total':>6}",
+        *map(_SPAN_TEXT.__mod__, map(_span_text, rows)),
+        "", "Rise-time budgets", f"{'link':<24} {'rise time ps':>12} {'splices':>8}  verdict",
+        *["%-24s %12.3f %8d  %s" % (r[1], r[14], r[3], ("FAIL", "pass")[v[6]]) for r, v in zip(rows, table[1:])],
+        "", "Path loss (margin once): connectors %.2f + fiber %.2f + splices %.2f + splitters %.2f"
+        " + margin %.2f = %.2f dB" % report.path,
+        f"Loss budget: floor {report.planning_floor:.2f} dBm (planning sensitivity"
+        f" {report.planning_floor - report.distribution_loss:.2f} + distribution {report.distribution_loss:.2f}),"
+        f" max loss {report.max_loss:.2f} dB",
+        f"Amplifier plan: deficit {plan.gain_deficit:.2f} dB -> {plan.edfa_count} x {plan.unit_gain:.2f} dB"
+        f" EDFA = {plan.total_gain:.2f} dB",
+        f"Received power: {report.received:.2f} dBm (as built {report.as_built_power:.2f} dBm,"
+        f" inventory gain {report.inventory_gain:.2f} dB, applied gain {report.applied_gain:.2f} dB)",
+        "", "Verdicts",
+        _VERDICT_TEXT[unit == "ps"] % (quantity, value, unit, _OP[way], threshold, unit, margin, _FLAG[passed]),
+        *[_RISE_TEXT % (quantity, value, threshold, margin, _FLAG[passed])  # verdict_table's rise-time rows
+          for quantity, value, threshold, _, _, margin, passed in table[1:]],
+        "", f"OVERALL: {_FLAG[all(map(_passed, table))]}", "",
+    ])
 
 
 def render_plan_json(report: PlanReport) -> str:

@@ -2,10 +2,11 @@
 
 Sign convention: losses are positive dB magnitudes throughout; received-power
 arithmetic subtracts them. :func:`span_runs` is the one description of what a
-span is made of, a label-free run table: :func:`span_losses` and
-:func:`path_losses` fold it into a span's and a path's loss figures, and a power
-trace follows it element by element. The system margin is a path-level
-allowance: a span's loss as a standalone path carries it, a path's loss once.
+span is made of, a label-free run table: a plan row folds it into a span's loss
+figures (:func:`fiberplan.planning.span_row`), :func:`path_losses` folds the rows'
+legs into a path's, and a power trace follows it element by element. The system
+margin is a path-level allowance: a span's loss as a standalone path carries it,
+a path's loss once.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .model import Amplifier, ComponentLosses, DomainError, Span, Splitter, frozen, resolved_splices
+from . import model
+from .model import Amplifier, ComponentLosses, DomainError, Span, Splitter, frozen
 
 # (kind, signed dB effect of one element, count, part); route_chain's margin row carries the margin as its part
 Run = tuple[str, float, int, Span | Splitter | Amplifier | float | None]
@@ -62,32 +64,22 @@ def span_runs(span: Span, losses: ComponentLosses) -> list[Run]:
     negative effect and a count may be 0. ``part`` is what a trace label is made from: the
     span for the fiber row, the device for a splitter or amplifier row, None for the joints.
     """
-    connector, entry = -losses.connector_loss, min(span.connectors, 1)
+    connector, connectors, splices = -losses.connector_loss, span.connectors, span.splices
+    if splices is None:  # model.resolved_splices, without its call
+        splices = model.splice_count(span.length, span.fiber.drum_length)
+    entry = 1 if connectors else 0  # a count is >= 0
     runs: list[Run] = [
         ("connector", connector, entry, None),
         ("fiber", -(span.fiber.attenuation * span.length), 1, span),
-        ("splice", -losses.splice_loss, resolved_splices(span), None),
+        ("splice", -losses.splice_loss, splices, None),
     ]
-    for s in span.splitters:
-        runs.append(("splitter", -splitter_loss(s, losses.splitter_excess_loss), 1, s))
-    for a in span.amplifiers:
-        runs.append(("amplifier", a.gain, 1, a))
-    runs.append(("connector", connector, span.connectors - entry, None))
+    if span.splitters or span.amplifiers:  # most spans hold no device
+        for s in span.splitters:
+            runs.append(("splitter", -splitter_loss(s, losses.splitter_excess_loss), 1, s))
+        for a in span.amplifiers:
+            runs.append(("amplifier", a.gain, 1, a))
+    runs.append(("connector", connector, connectors - entry, None))
     return runs
-
-
-def span_losses(span: Span, losses: ComponentLosses) -> tuple[float, float, float, float, int, Leg]:
-    """The :func:`span_runs` rows of a span folded by kind: its connector, fiber, splice and splitter
-    loss (dB) and its splice count; then its :data:`Leg` of a path fold.
-
-    Each kind's loss is the exact sum of its elements, rounded once (connector_loss * connectors);
-    the amplifiers are left out. The fields' bounds keep every figure finite and >= 0 dB, so none is checked.
-    """
-    runs = span_runs(span, losses)  # entry connector, fiber, splices, devices, exit connectors
-    (_, connector, entry, _), (_, fiber, _, _), (_, splice, splices, _), *devices, (_, _, rest, _) = runs
-    splitters = [-effect for kind, effect, _, _ in devices if kind == "splitter"] if devices else ()
-    leg = (entry + rest, splices, -fiber, devices or ())  # an empty list would outlive the call for nothing
-    return -connector * (entry + rest), -fiber, -splice * splices, math.fsum(splitters), splices, leg
 
 
 def _exact_product(unit: float, count: int) -> tuple[float, float]:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from fiberplan import planning
 from fiberplan.cli import _build_parser, main
 from fiberplan.data import sleman_path
 
@@ -182,6 +183,21 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def test_the_parser_is_built_once_per_process():
     assert _build_parser() is _build_parser()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_plan_command_judges_its_report_once(capsys, monkeypatch, fmt):
+    """The renderer and the exit code read one kept verdict table, so the received power is judged once."""
+    calls, real = [], planning.power_verdict
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(planning, "power_verdict", counting)
+    assert main(["plan", "--network", str(sleman_path()), "--standard", "gpon-onu-endpoint", "--format", fmt]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_repeated_in_process_calls_keep_no_state(capsys):

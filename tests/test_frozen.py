@@ -22,7 +22,7 @@ from fiberplan.model import (
     check_valid, validate_network,
 )
 from fiberplan.netfile import DEFAULT_EDFA_GAIN, NetworkDocument, load_network
-from fiberplan.planning import run_plan, span_row
+from fiberplan.planning import PlanReport, run_plan, span_row, verdict_table
 from fiberplan.signal_chain import PowerTrace, run_trace
 from fiberplan.standards import StandardProfile
 from fiberplan.traffic import forecast_subscribers, traffic_input_from_mapping
@@ -149,7 +149,7 @@ def test_copy_and_pickle_give_an_equal_value(cls):
             assert twin.node_name("seyegan") == "Seyegan"
 
 
-NON_FIELD_SLOTS = {Network: ("_names", "_violations")}
+NON_FIELD_SLOTS = {Network: ("_names", "_violations"), PlanReport: ("_table",)}
 
 
 @pytest.mark.parametrize("cls", VALUE_CLASSES, ids=lambda cls: cls.__qualname__)
@@ -214,6 +214,18 @@ def test_the_kept_check_stays_out_of_equality_hashing_repr_and_copies(write_netw
         assert checked == fresh and hash(checked) == hash(fresh) and repr(checked) == repr(fresh)
         for twin in (copy.copy(checked), copy.deepcopy(checked), pickle.loads(pickle.dumps(checked))):
             assert twin == checked and repr(twin) == repr(checked) and twin._violations is None
+
+
+def test_the_kept_verdict_table_stays_out_of_equality_hashing_repr_and_copies():
+    """verdict_table keeps a report's table in a slot that no value operation sees: a copy or a pickle is
+    rebuilt from the fields and judges afresh, to an equal table."""
+    doc = load_network(sleman_path())
+    judged, fresh = run_plan(doc, "gpon-onu-endpoint"), run_plan(doc, "gpon-onu-endpoint")
+    table = verdict_table(judged)
+    assert verdict_table(judged) is judged._table is table and fresh._table is None
+    assert judged == fresh and hash(judged) == hash(fresh) and repr(judged) == repr(fresh)
+    for twin in (copy.copy(judged), copy.deepcopy(judged), pickle.loads(pickle.dumps(judged))):
+        assert twin == judged and twin._table is None and verdict_table(twin) == table
 
 
 def test_importing_the_cli_loads_no_code_generation_modules():

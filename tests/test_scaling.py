@@ -127,6 +127,28 @@ def test_plan_rows_stay_small(tmp_path):
     assert held <= 270 * len(report.spans), f"{held / len(report.spans):.0f} bytes per span"
 
 
+def test_a_ring_plan_makes_few_python_calls_per_span(tmp_path):
+    """Noise-free speed guard: most of a plan row's time is Python call overhead, so count the Python-level
+    calls a plan of the 1000-node ring makes (``sys.setprofile`` "call" events). A span costs span_row,
+    span_runs, splice_count and the two rise-time functions, about 5.1 calls per span with the plan's own,
+    so two more call layers per span break the bound."""
+    doc = load_network(write_ring(tmp_path, 1000))
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        report = run_plan(doc, "gpon-onu-endpoint")
+    finally:
+        sys.setprofile(previous)
+    assert len(report.spans) == 1000
+    assert calls <= 7 * len(report.spans), f"{calls / len(report.spans):.2f} calls per span"
+
+
 def best_of_three(fn, *args) -> float:
     times = []
     for _ in range(3):
