@@ -4,18 +4,18 @@ A plan couples the power side (itemized path loss, loss budget derived from
 the plant's own receiver sensitivity plus the distribution leg, amplifier
 sizing) with the rise-time side (per-span budgets against the standard's
 ceiling) and renders both as deterministic text or JSON, spelled by
-:mod:`fiberplan.report`. Reports carry no timestamps, so identical inputs
-produce identical bytes. The other commands' reports live with their own
-models: trace in :mod:`fiberplan.signal_chain`, forecast in
-:mod:`fiberplan.traffic`, validate in :mod:`fiberplan.report`.
+:mod:`fiberplan.report`; the JSON spells a column every span row shares once per
+report. Reports carry no timestamps, so identical inputs produce identical bytes.
+The other commands' reports live with their own models: trace in
+:mod:`fiberplan.signal_chain`, forecast in :mod:`fiberplan.traffic`, validate in :mod:`fiberplan.report`.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _json_str
-from operator import add, attrgetter, itemgetter
+from operator import attrgetter, is_, itemgetter
 
 from .model import Network, Span, check_valid, frozen, resolve_path
 from .netfile import NetworkDocument
@@ -58,8 +58,8 @@ class PlanReport:
 
     @property
     def power_verdict(self) -> Verdict:
-        """The received power against the standard's sensitivity: the first verdict."""
-        return self.verdicts[0]
+        """The received power against the standard's sensitivity: the first verdict, built without the table."""
+        return power_verdict(self.received, self.standard)
 
     @property
     def overall_pass(self) -> bool:
@@ -164,17 +164,16 @@ _OP, _FLAG = {"min": ">=", "max": "<="}, ("FAIL", "PASS")
 _RISE_TEXT = "  %-32s %10.3f ps <= %.3f ps  margin %+.3f  %s"  # the ps line of a "max" verdict
 _figures, _passed = itemgetter(1, 2, 5), itemgetter(6)  # a verdict row's value, threshold and margin; its pass
 _verdict_row = attrgetter(*Verdict._fields, "margin", "passed")  # a Verdict as a verdict_table row
+_unquoted = itemgetter(slice(1, None))  # a JSON string without its opening quote
 
 
 # The JSON keys of a loss (dB), in the order of row[4:10] and of a report's path.
 _LOSS = ("connectors", "fiber", "splices", "splitters", "margin", "total")
 _SPAN_JSON = row({**dict.fromkeys(("id", "link", "length", "splices")), "loss": dict.fromkeys(_LOSS),
                   "rise_time": dict.fromkeys(("ceiling", "dispersion", "tx", "rx", "total", "pass"))})
-# The 13 numbers of a span row and its rise-time verdict row, end to end: the span's length, six losses (dB),
-# five rise times (ps), then the verdict's margin (ps); the verdict's value and threshold are 11 and 7 of them.
-_SPAN_SLOTS, _span_numbers = SLOT[None] + SLOT[2] * len(_LOSS) + SLOT[3] * 6, itemgetter(2, *range(4, 15), 20)
-_rise_figures = itemgetter(11, 7, 12)
 _VERDICT_JSON = row(dict.fromkeys(("quantity", "value", "threshold", "unit", "direction", "margin", "pass")))
+# The spell slot of each spelled column of a span row: its length, six losses (dB) and five rise times (ps).
+_SPELLED = {2: SLOT[None], **dict.fromkeys(range(4, 10), SLOT[2]), **dict.fromkeys(range(10, 15), SLOT[3])}
 _PLAN_JSON = skeleton({
     "standard": dict.fromkeys(("name", "bit_rate", "line_code", "rx_sensitivity")),
     "path": [],
@@ -221,20 +220,36 @@ def render_plan_text(report: PlanReport) -> str:
 
 
 def render_plan_json(report: PlanReport) -> str:
-    """The plan as JSON, byte for byte what json.dumps(indent=2) writes."""
+    """The plan as JSON, byte for byte what json.dumps(indent=2) writes.
+
+    A spelled column that holds the identical object in every span row (on a run_plan report: the margin, the
+    ceiling and both transceiver rise times) is spelled once per report, into its span-item and rise-verdict
+    templates. Identity, not ==: -0.0 == 0.0 and 3 == 3.0, but each pair spells apart."""
     standard, plan, rows, table = report.standard, report.amplifier_plan, report.spans, verdict_table(report)
-    power, *rise = table
-    # One spell: the power verdict's value, threshold and margin, then each span row's 13 numbers, so a rise-time
-    # verdict's value and threshold are spelled once, as its row's total and ceiling.
-    spelled = iter(spell((*_figures(power), *chain.from_iterable(map(_span_numbers, map(add, rows, rise)))),
-                         _VERDICT_SLOTS[power[3] == "ps"] + _SPAN_SLOTS * len(rows)))
-    figures = [(next(spelled), next(spelled), next(spelled))]
-    numbers = [*zip(*[spelled] * 13)]
-    span_items = [_SPAN_JSON % (_json_str(r[0]), _json_str(r[1]), s[0], r[3], *s[1:12], BOOL[v[6]])
-                  for r, v, s in zip(rows, rise, numbers)]
-    figures += map(_rise_figures, numbers)
-    verdict_items = [_VERDICT_JSON % (_json_str(q), value, threshold, _json_str(unit), _json_str(way), margin, BOOL[p])
-                     for (q, _, _, unit, way, _, p), (value, threshold, margin) in zip(table, figures)]
+    power, n, columns = table[0], len(rows), [*zip(*rows)] or [()] * 15
+    shared = [c for c in _SPELLED if n and all(map(is_, columns[c], repeat(columns[c][0])))]
+    own = [c for c in _SPELLED if c not in shared]
+    # One spell: the power verdict's value, threshold and margin, each shared column once, each other column row
+    # by row, then each rise-time verdict's margin (its value and threshold are its row's total and ceiling).
+    spelled = spell(
+        (*_figures(power), *[columns[c][0] for c in shared], *chain.from_iterable([columns[c] for c in own]),
+         *map(itemgetter(5), table[1:])),
+        "".join([_VERDICT_SLOTS[power[3] == "ps"], *map(_SPELLED.get, shared), *[_SPELLED[c] * n for c in own],
+                 SLOT[3] * n]))
+    # Slot c of a span item holds row[c], slot 15 its pass. This report's template, a %-format of the item's,
+    # holds a shared column's text; the other slots stay %s and are filled row by row, column by column.
+    texts, at = dict(zip(shared, spelled[3:])), 3 + len(shared)
+    fills = [texts.get(c, "%s") for c in range(16)]
+    ids, passes = [*map(_json_str, columns[0])], [BOOL[p] for p in map(_passed, table[1:])]
+    cells = {0: ids, 1: map(_json_str, columns[1]), 3: columns[3], 15: passes}
+    for c in own:
+        cells[c], at = spelled[at:at + n], at + n
+    span_items = [*map((_SPAN_JSON % (*fills,)).__mod__, zip(*map(cells.get, sorted(cells))))]
+    # verdict_table writes each rise-time verdict in ps, "max", quantity "rise time " + id: escaped as the id was.
+    rise = _VERDICT_JSON % ('"rise time %s', fills[14], fills[10], '"ps"', '"max"', "%s", "%s")
+    verdict_items = [
+        _VERDICT_JSON % (_json_str(power[0]), *spelled[:2], *map(_json_str, power[3:5]), spelled[2], BOOL[power[6]]),
+        *map(rise.__mod__, zip(map(_unquoted, ids), *[cells[c] for c in (14, 10) if c in cells], spelled[at:], passes))]
     return dumps(_PLAN_JSON, (
         standard.name, standard.bit_rate, standard.line_code.value, db(standard.rx_sensitivity),
         *map(db, report.path), db(report.distribution_loss), db(report.planning_floor), db(report.max_loss),

@@ -4,16 +4,16 @@ dB and dBm print with two decimals, rise times with three, counts as
 integers; the same precision is applied to JSON payloads. Each row of a
 ring-sized table is one C-level %-format of the template for its kind.
 
-A JSON report is a skeleton json.dumps(keys, indent=2) writes at import
-(:func:`skeleton`), filled by :func:`dumps` with each value as json.dumps spells
-it: an indent runs CPython's pure-Python encoder, too slow for a ring-sized table,
-whose closures form a cycle only the garbage collector frees. The tables that
-grow with the plant stand in a skeleton as ``[]``, and their rows are spliced in
-after, each one %-format of a template written at import too (:func:`row`).
-A table's numbers are spelled by :func:`spell` in one %-format, of slots taken
-from :data:`SLOT`: fixed-point digits, trimmed to the shortest form json.dumps
-writes for round(x, n). A table with a value that is not a finite float below
-1e12 takes the exact path instead, json.dumps of each rounded value.
+A JSON report is a skeleton json.dumps(keys, indent=2) writes at import (:func:`skeleton`), filled by
+:func:`dumps` with each value as json.dumps spells it: an indent runs CPython's pure-Python encoder, too
+slow for a ring-sized table, whose closures form a cycle only the garbage collector frees. The tables that
+grow with the plant stand in a skeleton as ``[]``, and their rows are spliced in after, each one %-format
+of a template written at import too (:func:`row`). A table's numbers are spelled by :func:`spell` in one
+%-format, of slots taken from :data:`SLOT`: fixed-point digits, trimmed to the shortest form json.dumps
+writes for round(x, n). A table with a value that is not a finite float below 1e12 takes the exact path
+instead, json.dumps of each rounded value. A column that holds the same object in every row of a plan's
+span table is spelled once per report, into that report's row template
+(:func:`fiberplan.planning.render_plan_json`).
 """
 
 from __future__ import annotations

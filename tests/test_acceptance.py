@@ -25,6 +25,7 @@ from fiberplan.model import (
     Topology,
     resolved_splices,
 )
+from fiberplan.netfile import load_network
 from fiberplan.planning import run_plan, span_row
 from fiberplan.power_budget import (
     amplifier_requirement,
@@ -34,10 +35,11 @@ from fiberplan.power_budget import (
     splitter_loss,
 )
 from fiberplan.risetime import max_system_risetime
-from fiberplan.signal_chain import NOISE_SIGMA, ber_from_q, estimate_ber, propagate
+from fiberplan.signal_chain import NOISE_SIGMA, ber_from_q, estimate_ber, propagate, run_trace
 from fiberplan.standards import builtin_profiles, power_verdict
 from fiberplan.traffic import TrafficInput, forecast_subscribers, project_growth
 from conftest import TRANSCEIVER
+from test_golden import UNAMPLIFIED
 
 # Per-link rise-time targets (ps) and splice counts the ring fixture must hit.
 TARGET_TABLE = [
@@ -248,3 +250,15 @@ def test_criterion_10_end_point_ber():
 
     _report(10, "the -26 dBm end point gives a BER in [1e-4, 1e-3]", body)
 
+
+
+def test_criterion_11_unamplified_end_point_ber():
+    def body():
+        # The Sleman ring without its two inventory EDFAs: tx 9 dBm less the 34.92 dB path loss reaches the
+        # paper's -26 dBm end point, and the BER there is the order of its 5e-4 backbone average.
+        trace, estimate = run_trace(load_network(UNAMPLIFIED), with_ber=True)
+        assert round(trace.final_power, 2) == -25.92
+        assert round(estimate.q_factor, 3) == 3.287
+        assert 1e-4 <= estimate.ber <= 1e-3
+
+    _report(11, "the unamplified Sleman ring ends at -25.92 dBm, Q 3.287, BER in [1e-4, 1e-3]", body)

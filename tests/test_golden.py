@@ -9,7 +9,9 @@ EDFA on one feeder and one drop whose rise time fails. The ring plant is
 units), three identical 1x2 splitters beside a 1x4, a span with no connectors
 and no splices, and explicit splice counts beside drum-derived ones. The broken plant is
 ``tests/golden/broken-network.json``: the Sleman ring without its closing span
-and with one span ending at an unknown node, so ``validate`` fails. A
+and with one span ending at an unknown node, so ``validate`` fails. The unamplified plant is
+``tests/golden/sleman-unamplified-network.json``: the Sleman ring without its two inventory EDFAs, whose
+trace ends at -25.92 dBm (acceptance criterion 11). A
 difference here means a report changed; update the file only when that change
 is intended.
 """
@@ -30,6 +32,7 @@ GOLDEN = Path(__file__).parent / "golden"
 TREE = GOLDEN / "tree-network.json"
 RING = GOLDEN / "ring-network.json"
 BROKEN = GOLDEN / "broken-network.json"
+UNAMPLIFIED = GOLDEN / "sleman-unamplified-network.json"
 PARTIAL = "seyegan,tempel,pakem"
 REVISIT = "seyegan,tempel,seyegan"  # one span crossed twice: one plan row, its losses counted twice
 NORTH, SOUTH = "olt,d0,d0.1", "olt,d1,d1.1"
@@ -63,6 +66,9 @@ PLANTS = {
     }),
     "broken": (BROKEN, {
         "validate": (["validate"], 1),
+    }),
+    "sleman-unamplified": (UNAMPLIFIED, {
+        "trace-ber": (["trace", "--ber"], 0),
     }),
 }
 

@@ -14,7 +14,9 @@ mutated Sleman documents. Further cases reach the exact path behind the
 fixed-point spelling (traces injected at 1e300 dBm, rows holding ints, nan, inf
 or values beyond 1e12) or sit at its edge (-0.0 losses, powers near 1e9 and
 1e11), and a Hypothesis property checks the fixed-point spelling itself against
-``repr(round(x, n))``.
+``repr(round(x, n))``. A plan spells a column once when every span row holds
+the same object in it, so further plans hold rows that share every such column,
+none, or a -0.0 margin beside rows whose 0.0 margin is one object.
 """
 
 from __future__ import annotations
@@ -217,6 +219,10 @@ HUGE["standards"] = {"deaf": {"bit_rate": 1e9, "line_code": "nrz", "rx_sensitivi
 # A -0.0 connector loss: every span's connector total is -0.0, which json.dumps writes as -0.0.
 NEGATIVE_ZERO = copy.deepcopy(SLEMAN)
 NEGATIVE_ZERO["losses"]["connector_loss"] = -0.0
+
+# A 0.0 dB system margin, the value a hand-built -0.0 margin equals.
+ZERO_MARGIN = copy.deepcopy(SLEMAN)
+ZERO_MARGIN["losses"]["system_margin"] = 0.0
 
 # Lengths json.dumps writes unrounded, with more digits than any rounded field and in exponent form.
 FINE_LENGTHS = copy.deepcopy(SLEMAN)
@@ -462,7 +468,7 @@ def span_row(span_id: str, link: str, length: float, splices: int, loss: tuple, 
 
 def test_rows_the_fixed_point_slots_cannot_spell_match_the_reference(sleman_doc):
     """Ints, nan, inf and values at or beyond 1e12 in the rows and the received power, which no plant file
-    produces."""
+    produces, and a -0.0 margin beside rows whose 0.0 margin is one shared object."""
     report = run_plan(sleman_doc, ONU)
     fields = {name: getattr(report, name) for name in report._fields}
     odd = (
@@ -476,8 +482,30 @@ def test_rows_the_fixed_point_slots_cannot_spell_match_the_reference(sleman_doc)
         for received in (report.received, 1e12):  # against the standard's -28.0 dBm
             strange = PlanReport(**{**fields, "spans": (*report.spans, row), "received": received})
             assert render_plan_json(strange) == to_json(plan_to_dict(strange)), (row[0], received)
+    # Every row of a 0.0 dB margin plan holds the one 0.0 object; a -0.0 margin equals it but spells apart.
+    zero = run_plan(parse_network(ZERO_MARGIN), ONU)
+    first = zero.spans[0]
+    signed = span_row("s-minus-zero", "F - G", 1.0, 0, (*first[4:8], -0.0), first[10:14])
+    assert all(r[8] is first[8] == 0.0 == signed[8] for r in zero.spans)
+    strange = PlanReport(**{**{name: getattr(zero, name) for name in zero._fields}, "spans": (*zero.spans, signed)})
+    assert render_plan_json(strange) == to_json(plan_to_dict(strange))
     trace = PowerTrace(("input", "x", "y"), (3, -0.0, 2.5))
     assert render_trace_json(trace) == to_json(trace_to_dict(trace))
+
+
+def test_reports_sharing_every_column_or_none_match_the_reference(sleman_doc):
+    """A column every row holds the same object in is spelled once: with no rows none is, with one row or
+    repeated rows every spelled column is, and rows built apart share none."""
+    report = run_plan(sleman_doc, ONU)
+    fields = {name: getattr(report, name) for name in report._fields}
+    first = report.spans[0]
+    # The first row's figures again, each a new float object.
+    apart = tuple((f"s{i}", first[1], float(repr(first[2])), first[3], *[float(repr(x)) for x in first[4:]])
+                  for i in range(3))
+    assert apart[0][8] == apart[1][8] and apart[0][8] is not apart[1][8]
+    for spans in ((), report.spans[:1], (first,) * 3, apart):
+        strange = PlanReport(**{**fields, "spans": spans})
+        assert render_plan_json(strange) == to_json(plan_to_dict(strange)), len(spans)
 
 
 def _slot(n: int) -> str:

@@ -259,6 +259,12 @@ class TestSpanRows:
         assert [(v.quantity, v.value, v.threshold, v.unit, v.direction) for v in rise] == [
             (f"rise time {row[0]}", row[14], row[10], "ps", "max") for row in report.spans]
 
+    def test_the_power_verdict_is_built_without_the_table(self, sleman_doc):
+        report = run_plan(sleman_doc, "gpon-onu-endpoint")
+        power = report.power_verdict
+        assert report._table is None
+        assert power == report.verdicts[0] and power.quantity == "received power"
+
     @pytest.mark.parametrize("received", [-28.0, -28.01, math.inf, math.nan])
     def test_each_table_row_judges_as_its_verdict(self, sleman_doc, received):
         """Margin and pass, taken once per table row, follow Verdict's rule: at the threshold, between

@@ -19,9 +19,10 @@ import pytest
 
 from fiberplan.data import sleman_path
 from fiberplan.model import Violation, ring_spans, validate_network
+from fiberplan import planning
 from fiberplan.netfile import load_network, parse_network
 from fiberplan.planning import render_plan_json, render_plan_text, run_plan
-from fiberplan.report import render_violations_json
+from fiberplan.report import render_violations_json, spell
 from fiberplan.signal_chain import propagate, render_trace_json, render_trace_text, route_chain, run_trace
 from fiberplan.traffic import forecast_subscribers, render_forecast_json, traffic_input_from_mapping
 
@@ -93,7 +94,8 @@ def test_trace_points_stay_small(tmp_path):
 
 def held_bytes(root: object, beside: object) -> int:
     """Bytes of the distinct objects reachable from ``root`` and not from ``beside``, by sys.getsizeof,
-    walking tuples, lists and value-class fields. Numbers are left out: every layout holds the same figures."""
+    walking tuples, lists and value-class slots, non-field ones too. Numbers are left out: every layout holds
+    the same figures."""
     seen: set[int] = set()
 
     def reach(obj: object) -> list:
@@ -107,7 +109,7 @@ def held_bytes(root: object, beside: object) -> int:
             if isinstance(obj, (tuple, list)):
                 stack.extend(obj)
             elif "_fields" in vars(type(obj)):
-                stack.extend(getattr(obj, name) for name in obj._fields)
+                stack.extend(getattr(obj, name) for name in type(obj).__slots__)
         return found
 
     reach(beside)
@@ -115,16 +117,19 @@ def held_bytes(root: object, beside: object) -> int:
 
 
 def test_plan_rows_stay_small(tmp_path):
-    """Memory guard: a plan of the 1000-node ring holds about 240 bytes per span, one flat row each: a
-    15-slot tuple (160 bytes), its link name (64), and its slots in the report's tuples of rows and of
-    path nodes (8 each); the node and span ids are the plant's own. The bound leaves an eighth of that as
-    headroom. One nested value object per span (a frozen value of four or five fields, or a Verdict,
-    72-88 bytes each) breaks it; the nested rows this layout replaced held 592 bytes per span."""
+    """Memory guard: a rendered plan of the 1000-node ring holds about 410 bytes per span. Its flat row holds
+    240: a 15-slot tuple (160 bytes), its link name (64), and its slots in the report's tuples of rows and of
+    path nodes (8 each); the node and span ids are the plant's own. The verdict table the report keeps once
+    rendered holds 169: a 7-slot tuple (96), its "rise time <id>" quantity (65) and its slot in the
+    table (8). The bound leaves an eighth of that as headroom. One nested value object per span (a frozen
+    value of four or five fields, or a Verdict, 72-88 bytes each) breaks it; the nested rows the flat row
+    replaced held 592 bytes per span."""
     doc = load_network(write_ring(tmp_path, 1000))
     report = run_plan(doc, "gpon-onu-endpoint")
+    render_plan_text(report)
     held = held_bytes(report, doc)
     assert len(report.spans) == 1000
-    assert held <= 270 * len(report.spans), f"{held / len(report.spans):.0f} bytes per span"
+    assert held <= 461 * len(report.spans), f"{held / len(report.spans):.0f} bytes per span"
 
 
 def test_a_ring_plan_makes_few_python_calls_per_span(tmp_path):
@@ -147,6 +152,27 @@ def test_a_ring_plan_makes_few_python_calls_per_span(tmp_path):
         sys.setprofile(previous)
     assert len(report.spans) == 1000
     assert calls <= 7 * len(report.spans), f"{calls / len(report.spans):.2f} calls per span"
+
+
+def test_a_json_ring_plan_spells_few_values_per_span(tmp_path, monkeypatch):
+    """Noise-free speed guard: spelling a number is most of a JSON plan's time, so count the values the JSON
+    plan of the 1000-node ring spells. A span spells 9: its length, five losses, its dispersion and total rise
+    time, and its verdict's margin. Its margin, ceiling and transceiver rise times are the same objects in every
+    row, spelled once per report with the power verdict's three figures: 7 more (13 per span spelled each
+    column of each row)."""
+    report = run_plan(load_network(write_ring(tmp_path, 1000)), "gpon-onu-endpoint")
+    spelled = 0
+
+    def count(values, slots):
+        nonlocal spelled
+        spelled += len(values)
+        return spell(values, slots)
+
+    monkeypatch.setattr(planning, "spell", count)
+    render_plan_json(report)
+    spans = len(report.spans)
+    assert spans == 1000
+    assert spelled <= 9 * spans + 7, f"{spelled} values spelled"
 
 
 def best_of_three(fn, *args) -> float:
