@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import cache
-from typing import Any
 
 from .model import POWER_DBM, ConfigurationError, DomainError, TrafficInput, ValidationFailure, check_range
 from .model import validate_network
@@ -86,7 +85,7 @@ def _emit(text: str, out: str | None) -> None:
 def _forecast_inputs(args: argparse.Namespace) -> TrafficInput:
     from .traffic import traffic_input_from_mapping
 
-    values: dict[str, Any] = {}
+    values: dict[str, object] = {}
     if args.network:
         doc = load_network(args.network)
         if doc.traffic is None:

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from collections.abc import Sequence
 from operator import attrgetter
-from typing import Any, Sequence, TypeVar
 
 
 class DomainError(ValueError):
@@ -27,10 +27,8 @@ class FrozenInstanceError(AttributeError):
     """An attempt to assign or delete an attribute of a frozen value."""
 
 
-_C = TypeVar("_C", bound=type)
 
-
-def frozen(cls: _C) -> _C:
+def frozen(cls: type) -> type:
     """Rebuild ``cls`` as an immutable, slotted value class over its annotated fields.
 
     The fields are the class's own annotations, in order (``_fields``); a class
@@ -74,37 +72,37 @@ def frozen(cls: _C) -> _C:
     lines.append("    self.__class__ = cls")
     if "__post_init__" in body:
         lines.append("    self.__post_init__()")
-    namespace: dict[str, Any] = {"_defaults": defaults, "_twin": twin, "__name__": cls.__module__}
+    namespace: dict[str, object] = {"_defaults": defaults, "_twin": twin, "__name__": cls.__module__}
     exec(f"def __new__(cls{params}):\n" + "\n".join(lines) + "\n    return self", namespace)
     body["__new__"] = new = namespace["__new__"]
     new.__qualname__ = f"{cls.__qualname__}.__new__"
     return type(cls)(cls.__name__, cls.__bases__, body)
 
 
-def _frozen_eq(self: Any, other: Any) -> Any:
+def _frozen_eq(self: object, other: object) -> object:
     if other.__class__ is self.__class__:
         return self._values(self) == self._values(other)
     return NotImplemented
 
 
-def _frozen_hash(self: Any) -> int:
+def _frozen_hash(self: object) -> int:
     return hash(self._values(self))
 
 
-def _frozen_repr(self: Any) -> str:
+def _frozen_repr(self: object) -> str:
     fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
     return f"{self.__class__.__qualname__}({fields})"
 
 
-def _frozen_reduce(self: Any) -> tuple[type, tuple[Any, ...]]:
+def _frozen_reduce(self: object) -> tuple[type, tuple[object, ...]]:
     return self.__class__, tuple(getattr(self, name) for name in self._fields)
 
 
-def _frozen_setattr(self: Any, name: str, value: Any) -> None:
+def _frozen_setattr(self: object, name: str, value: object) -> None:
     raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
-def _frozen_delattr(self: Any, name: str) -> None:
+def _frozen_delattr(self: object, name: str) -> None:
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
@@ -147,7 +145,7 @@ FRACTION = (0.0, 1.0)  # operator share and LTE penetration, parts of a whole
 HORIZON_YEARS = (0, 100)
 
 
-def check_range(what: str, value: Any, domain: tuple[float, float], unit: str = "", above: bool = False) -> None:
+def check_range(what: str, value: object, domain: tuple[float, float], unit: str = "", above: bool = False) -> None:
     """Raise a DomainError naming ``what``, ``domain`` and ``value`` unless the value lies in the domain.
 
     ``above``: the low end itself is excluded. NaN lies in no domain. The value

@@ -37,12 +37,11 @@ required key 'tx_power'``).
 from __future__ import annotations
 
 import json
+import os
 from collections import abc
 from enum import Enum
 from math import inf
-from pathlib import Path
 from sys import float_info
-from typing import Any, Callable, Mapping, Sequence, TypeVar
 
 from .model import (
     GAIN_DB, LOSS_DB, Amplifier, AmplifierKind, ComponentLosses, ConfigurationError, DomainError, FiberProfile,
@@ -62,13 +61,13 @@ class _FrozenMap(abc.Mapping):
 
     __slots__ = ("_items",)
 
-    def __init__(self, items: Mapping[str, Any]):
+    def __init__(self, items: abc.Mapping[str, object]):
         self._items = dict(items)
 
-    def __getitem__(self, key: str) -> Any:
+    def __getitem__(self, key: str) -> object:
         return self._items[key]
 
-    def __iter__(self) -> Any:
+    def __iter__(self) -> object:
         return iter(self._items)
 
     def __len__(self) -> int:
@@ -80,7 +79,7 @@ class _FrozenMap(abc.Mapping):
     def __repr__(self) -> str:
         return f"{self.__class__.__name__}({self._items!r})"
 
-    def __reduce__(self) -> tuple[type, tuple[dict[str, Any]]]:  # copy and pickle by rebuilding, as a value class does
+    def __reduce__(self) -> tuple[type, tuple[dict[str, object]]]:  # copy and pickle by rebuilding, as a value class does
         return self.__class__, (self._items,)
 
 
@@ -93,8 +92,8 @@ class NetworkDocument:
     """
 
     network: Network
-    standards: Mapping[str, StandardProfile]  # custom compliance profiles by name
-    traffic: Mapping[str, Any] | None = None
+    standards: abc.Mapping[str, StandardProfile]  # custom compliance profiles by name
+    traffic: abc.Mapping[str, object] | None = None
     distribution_loss: float = 0.0
     edfa_gain: float = DEFAULT_EDFA_GAIN
 
@@ -106,7 +105,7 @@ class NetworkDocument:
         check_range("edfa_gain", self.edfa_gain, GAIN_DB, "dB")
 
 
-_MISSING: Any = object()  # default of the field readers: the key is required
+_MISSING = object()  # default of the field readers: the key is required
 
 _TOP_KEYS = frozenset({
     "nodes", "spans", "topology", "fiber_profiles", "transceiver", "losses",
@@ -122,20 +121,20 @@ _AMPLIFIER_KINDS = {kind.value: kind for kind in AmplifierKind} | {_MISSING: Amp
 # check in one call. ``where`` names the object read, e.g. "span 's1'"; "" is the top level.
 
 
-def _field_error(where: str, key: str, expected: str, value: Any) -> NetworkFileError:
+def _field_error(where: str, key: str, expected: str, value: object) -> NetworkFileError:
     """A shape fault in the one grammar; a wrong object is a top-level key: ``_field_error("", where, ...)``."""
     if value is _MISSING:
         return NetworkFileError(f"{where or 'top level'}: missing required key {key!r}")
     return NetworkFileError(f"{f'{where}.{key}' if where else key}: expected {expected}, got {value!r}")
 
 
-def _reject_unknown(obj: Mapping[str, Any], allowed: frozenset[str], where: str) -> None:
+def _reject_unknown(obj: abc.Mapping[str, object], allowed: frozenset[str], where: str) -> None:
     if not allowed.issuperset(obj):
         unknown = ", ".join(map(repr, sorted(obj.keys() - allowed, key=str)))  # a library caller may pass any key
         raise NetworkFileError(f"{where}: unknown key(s) {unknown}")
 
 
-def _number(obj: Mapping[str, Any], key: str, where: str, default: Any = _MISSING) -> float:
+def _number(obj: abc.Mapping[str, object], key: str, where: str, default: object = _MISSING) -> float:
     value = obj.get(key, default)
     if isinstance(value, (float, int)) and not isinstance(value, bool):
         if abs(value) <= float_info.max:  # exact for an integer of any size; false for NaN
@@ -144,25 +143,25 @@ def _number(obj: Mapping[str, Any], key: str, where: str, default: Any = _MISSIN
     raise _field_error(where, key, "a number", value)
 
 
-def _count(obj: Mapping[str, Any], key: str, where: str, default: Any = _MISSING) -> int:
+def _count(obj: abc.Mapping[str, object], key: str, where: str, default: object = _MISSING) -> int:
     value = obj.get(key, default)
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise _field_error(where, key, "an integer", value)
 
 
-def _text(obj: Mapping[str, Any], key: str, where: str, default: Any = _MISSING) -> str:
+def _text(obj: abc.Mapping[str, object], key: str, where: str, default: object = _MISSING) -> str:
     value = obj.get(key, default)
     if isinstance(value, str):
         return value
     raise _field_error(where, key, "a string", value)
 
 
-def _choice(enum: type[Enum]) -> Callable[..., Any]:
+def _choice(enum: type[Enum]) -> abc.Callable[..., object]:
     """The field reader of ``enum``: a value naming no member, a string or not, is a shape fault."""
     expected = " or ".join(repr(member.value) for member in enum)
 
-    def read(obj: Mapping[str, Any], key: str, where: str, default: Any = _MISSING) -> Any:
+    def read(obj: abc.Mapping[str, object], key: str, where: str, default: object = _MISSING) -> object:
         value = obj.get(key, default)
         try:
             return enum(value)
@@ -178,10 +177,8 @@ _FIELD_READERS = {
     "AmplifierKind": _choice(AmplifierKind), "LineCode": _choice(LineCode), "Topology": _choice(Topology),
 }
 
-_V = TypeVar("_V")
 
-
-def object_reader(cls: type[_V], given: tuple[str, ...] = (), first: Sequence[str] = ()) -> Callable[..., _V]:
+def object_reader(cls: type, given: tuple[str, ...] = (), first: abc.Sequence[str] = ()) -> abc.Callable[..., object]:
     """A function building ``cls`` from a JSON object whose keys are its fields less ``given``.
 
     Each field is read by the reader for its annotation, ``first`` first and the
@@ -192,7 +189,7 @@ def object_reader(cls: type[_V], given: tuple[str, ...] = (), first: Sequence[st
     order = [*first, *(name for name in cls._fields if name in keys and name not in first)]
     readers = [(name, _FIELD_READERS[cls.__annotations__[name]], cls._defaults.get(name, _MISSING)) for name in order]
 
-    def read(raw: Any, where: str, **values: Any) -> _V:
+    def read(raw: object, where: str, **values: object) -> object:
         if not isinstance(raw, dict):
             raise _field_error("", where, "an object", raw)
         _reject_unknown(raw, keys, where)
@@ -212,14 +209,14 @@ _read_amplifier = object_reader(Amplifier, first=("kind",))
 _read_standard = object_reader(StandardProfile, given=("name",), first=("line_code",))
 
 
-def _profiles(raw: Any, key: str, read: Callable[..., _V]) -> dict[str, _V]:
+def _profiles(raw: object, key: str, read: abc.Callable[..., object]) -> dict[str, object]:
     """A map of profile names to objects, each built by ``read`` under its name."""
     if not isinstance(raw, dict):
         raise _field_error("", key, "an object", raw)
     return {name: read(body, f"{key}[{name!r}]", name=name) for name, body in raw.items()}
 
 
-def _devices(raw: Any, span_id: str, key: str, build: Callable[[Any, str], _V]) -> tuple[_V, ...]:
+def _devices(raw: object, span_id: str, key: str, build: abc.Callable[[object, str], object]) -> tuple[object, ...]:
     """Each entry of a span's ``key`` list, built once by ``build`` under its name."""
     if not isinstance(raw, (list, tuple)):
         raise _field_error(f"span {span_id!r}", key, "a list", raw)
@@ -233,13 +230,13 @@ def _devices(raw: Any, span_id: str, key: str, build: Callable[[Any, str], _V]) 
     return tuple(out)
 
 
-def _splitter(ratio: Any, where: str) -> Splitter:
+def _splitter(ratio: object, where: str) -> Splitter:
     if isinstance(ratio, bool) or not isinstance(ratio, int):
         raise _field_error("", where, "an integer", ratio)
     return Splitter(ratio)
 
 
-def _spans(raw: list[Any], profiles: Mapping[str, FiberProfile]) -> tuple[Span, ...]:
+def _spans(raw: list[object], profiles: abc.Mapping[str, FiberProfile]) -> tuple[Span, ...]:
     new_span, new_amplifier, new_splitter = Span.__new__, Amplifier.__new__, Splitter.__new__
     out = []
     for i, body in enumerate(raw):
@@ -308,7 +305,7 @@ def _spans(raw: list[Any], profiles: Mapping[str, FiberProfile]) -> tuple[Span, 
     return tuple(out)
 
 
-def _nodes(raw: Any) -> tuple[Node, ...]:
+def _nodes(raw: object) -> tuple[Node, ...]:
     if not isinstance(raw, list):
         raise _field_error("", "nodes", "a list", raw)
     new_node = Node.__new__
@@ -328,7 +325,7 @@ def _nodes(raw: Any) -> tuple[Node, ...]:
     return tuple(out)
 
 
-def parse_network(doc: Mapping[str, Any]) -> NetworkDocument:
+def parse_network(doc: abc.Mapping[str, object]) -> NetworkDocument:
     """Build a NetworkDocument from an already-decoded JSON object.
 
     Domain-invariant failures (negative lengths, zero attenuation, a value
@@ -380,15 +377,18 @@ def parse_network(doc: Mapping[str, Any]) -> NetworkDocument:
         raise NetworkFileError(str(exc)) from exc
 
 
-def load_network(path: str | Path) -> NetworkDocument:
-    """Read and parse a network description file.
+def load_network(path: str | os.PathLike[str]) -> NetworkDocument:
+    """Read and parse the network description file at ``path``, a ``str`` or ``os.PathLike`` (else TypeError).
 
-    Malformed JSON raises NetworkFileError carrying the line and column of
-    the syntax error; schema problems name the offending element.
+    Error lines name the path as given. Malformed JSON raises NetworkFileError carrying
+    the line and column of the syntax error; schema problems name the offending element.
     """
-    path = Path(path)
+    path = os.fspath(path)
+    if not isinstance(path, str):
+        raise TypeError(f"load_network() takes a str or os.PathLike path, not {type(path).__name__}")
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
     except OSError as exc:
         raise NetworkFileError(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:

@@ -12,7 +12,7 @@ a path's loss once.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from . import model
 from .model import Amplifier, ComponentLosses, DomainError, Span, Splitter, frozen

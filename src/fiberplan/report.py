@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Any, Sequence
 
 from .model import Violation
 
@@ -52,12 +52,12 @@ def spell(values: tuple[float, ...], slots: str) -> list[str]:
 BOOL = ("false", "true")
 
 
-def skeleton(keys: dict[str, Any]) -> str:
+def skeleton(keys: dict[str, object]) -> str:
     """A report's %-template: json.dumps(keys, indent=2), each null value a ``%s`` slot, each ``[]`` a table."""
     return json.dumps(keys, indent=2).replace(": null", ": %s")
 
 
-def row(keys: dict[str, Any]) -> str:
+def row(keys: dict[str, object]) -> str:
     """The %-template of one table item: :func:`skeleton` indented two levels."""
     return "    " + skeleton(keys).replace("\n", "\n    ")
 
@@ -66,7 +66,7 @@ SLOT = {None: "%r\n", 2: "%.2f\0\n", 3: "%.3f\0\0\n"}
 """The :func:`spell` slot of a number, by the decimals it is rounded to (None: not rounded)."""
 
 
-def dumps(template: str, values: Sequence[Any], **tables: list[str]) -> str:
+def dumps(template: str, values: Sequence[object], **tables: list[str]) -> str:
     """json.dumps(payload, indent=2) and a newline, for the payload whose :func:`skeleton` is ``template``:
     each slot holds json.dumps of its value (a string, number, bool or None), and each top-level key
     named in ``tables``, in the template's order, holds that table's items, indented two levels.

@@ -20,9 +20,9 @@ network document, and ``render_trace_*`` report it as text or JSON.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from itertools import accumulate, islice
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Any, Sequence
 
 from .model import DomainError, Network, Span, check_valid, frozen, resolve_path, resolved_splices
 from .netfile import NetworkDocument
@@ -39,7 +39,7 @@ keeps about 50 bytes per element, mostly a label reference and a float in two fl
 
 @frozen
 class PowerTrace:
-    """Ordered power readouts as two columns: the injected level, then one point per element."""
+    """Ordered power readouts as two columns of one length: the injected level, then one point per element."""
 
     labels: tuple[str, ...]
     powers: tuple[float, ...]  # dBm
@@ -47,6 +47,8 @@ class PowerTrace:
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "powers", tuple(self.powers))
+        if not len(self.labels) == len(self.powers) >= 1:
+            raise DomainError(f"a trace needs n >= 1 labels and n powers, not {len(self.labels)} and {len(self.powers)}")
 
     @property
     def final_power(self) -> float:
@@ -65,7 +67,7 @@ class BerEstimate:
             raise DomainError("ber must lie in [0, 0.5]")
 
 
-def _label(kind: str, part: Any) -> str:
+def _label(kind: str, part: object) -> str:
     """The trace label of a run row that carries a part."""
     if kind == "fiber":
         return f"fiber {part.length:g} km ({part.fiber.name})"
@@ -207,7 +209,7 @@ def render_trace_text(trace: PowerTrace, ber: BerEstimate | None = None) -> str:
     distinct = set(trace.labels)  # a few distinct labels repeat
     width = max(map(len, distinct))
     padded = {label: f"{label:<{width}}" for label in distinct}
-    cells: list[Any] = [None, None] * len(trace.powers)  # label, power, label, power, ...
+    cells: list[object] = [None, None] * len(trace.powers)  # label, power, label, power, ...
     cells[::2], cells[1::2] = map(padded.__getitem__, trace.labels), trace.powers
     text = "%s  %9.2f dBm\n" * len(trace.powers) % tuple(cells)
     if ber is not None:

@@ -9,7 +9,7 @@ rise time.
 
 from __future__ import annotations
 
-from typing import Literal, Mapping
+from collections.abc import Mapping
 
 from .model import BIT_RATE_BPS, POWER_DBM, ConfigurationError, LineCode, check_range, frozen
 
@@ -43,7 +43,7 @@ class Verdict:
     value: float
     threshold: float
     unit: str
-    direction: Literal["min", "max"]
+    direction: str
 
     @property
     def passed(self) -> bool:

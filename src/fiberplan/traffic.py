@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from collections import abc
-from typing import Any, Mapping
 
 from .model import DomainError, TrafficInput, frozen
 from .netfile import object_reader
@@ -80,7 +79,7 @@ def forecast_subscribers(inputs: TrafficInput) -> TrafficForecast:
 _read_traffic = object_reader(TrafficInput)
 
 
-def traffic_input_from_mapping(raw: Mapping[str, Any]) -> TrafficInput:
+def traffic_input_from_mapping(raw: abc.Mapping[str, object]) -> TrafficInput:
     """Build forecast inputs from a network file's ``traffic`` object: counts must be integers, rates numbers."""
     return _read_traffic(dict(raw) if isinstance(raw, abc.Mapping) else raw, "traffic")
 

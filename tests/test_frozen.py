@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import os
 import pickle
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from importlib import import_module
 
 import pytest
 
+import fiberplan
 from fiberplan.data import sleman_path
 from fiberplan.model import (
     Amplifier, AmplifierKind, ComponentLosses, DomainError, Network, Span, Splitter, ValidationFailure, Violation,
@@ -267,3 +269,20 @@ def test_a_process_loads_only_the_modules_its_command_runs(command):
     count, *names = result.stdout.splitlines()[-1].split()
     assert set(names) == {"fiberplan", *(f"fiberplan.{m}" for m in modules)}
     assert int(count) == classes
+
+
+MAX_MODULES = {"validate": 80, "forecast": 81, "plan": 83, "trace": 82}  # 79, 80, 82 and 81 when written
+
+
+@pytest.mark.parametrize("command", MAX_MODULES)
+def test_a_command_process_imports_neither_typing_nor_pathlib(command):
+    """Start-up guard: in a clean interpreter (``-S``: no site hooks) ``typing`` and ``pathlib`` (with the
+    ``urllib.parse`` and ``ipaddress`` it pulls in) cost several ms of every process and serve only
+    annotations and a file read, so no module a command loads imports them."""
+    code = "import sys, fiberplan.cli; fiberplan.cli.main(sys.argv[1:]); print(len(sys.modules), *sorted(sys.modules))"
+    argv = [command, "--network", str(sleman_path()), *LOADED[command][0].split()]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(fiberplan.__file__))}  # -S adds no site dir
+    result = subprocess.run([sys.executable, "-S", "-c", code, *argv], capture_output=True, text=True, env=env)
+    count, *names = result.stdout.splitlines()[-1].split()
+    assert result.returncode == 0 and not {"typing", "pathlib"} & set(names)
+    assert int(count) <= MAX_MODULES[command]

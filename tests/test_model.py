@@ -380,6 +380,8 @@ class TestPathResolution:
             (["a", "a", "b"], [("ab", "a", "b"), ("bc", "b", "c"), ("ca", "c", "a")]),  # duplicate id, unknown c
             # a triangle and a pendant: the walk uses every span but ends at d, not back at a
             (["a", "b", "c", "d"], [("ab", "a", "b"), ("bc", "b", "c"), ("ca", "c", "a"), ("ad", "a", "d")]),
+            # the counts match and no end is a stray, but the first node has no span to start the walk from
+            (["a", "b", "c"], [("bc1", "b", "c"), ("bc2", "b", "c"), ("bc3", "c", "b")]),
         ],
     )
     def test_ring_walk_rejects_what_is_not_one_cycle(self, nodes, spans):

@@ -397,6 +397,19 @@ def test_non_utf8_file_is_a_file_error(tmp_path):
         load_network(bad)
 
 
+@pytest.mark.parametrize("path", [3, b"sleman.json"])
+def test_a_path_that_is_not_text_is_a_type_error(path):
+    """An int is never read as a file descriptor."""
+    with pytest.raises(TypeError, match="os.PathLike"):
+        load_network(path)
+
+
+def test_a_missing_file_is_named_as_given(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(NetworkFileError, match=r"^\./missing\.json: No such file or directory$"):
+        load_network("./missing.json")
+
+
 def test_deeply_nested_json_is_a_file_error(tmp_path):
     deep = tmp_path / "deep.json"
     deep.write_text('{"notes": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")

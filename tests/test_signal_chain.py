@@ -30,6 +30,7 @@ from fiberplan.signal_chain import (
     BerEstimate,
     MAX_TRACE_ELEMENTS,
     NOISE_SIGMA,
+    PowerTrace,
     ber_from_q,
     dbm_to_watts,
     estimate_ber,
@@ -89,6 +90,12 @@ class TestPropagate:
                     splitters=(Splitter(4),))
         trace = propagate(10.0, span_runs(span, LOSSES))
         assert trace.final_power == pytest.approx(3.579, abs=0.001)
+
+    @pytest.mark.parametrize("labels, powers", [(("input", "fiber"), (1.0,)), (("input",), (1.0, 2.0)), ((), ())])
+    def test_a_trace_needs_one_label_per_power_and_a_point(self, labels, powers):
+        """Unequal columns would render JSON with a missing value, and no points would break both renderers."""
+        with pytest.raises(DomainError, match=f"not {len(labels)} and {len(powers)}$"):
+            PowerTrace(labels, powers)
 
     def test_one_point_per_element(self):
         trace = propagate(0.0, [CONNECTOR, ("splice", -0.05, 2, None), margin(1.0), margin(2.0, 0)])
