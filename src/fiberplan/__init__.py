@@ -23,7 +23,7 @@ _EXPORTS = {
         " span_runs splitter_loss",
         "risetime": "dispersion_risetime max_system_risetime total_risetime",
         "signal_chain": "BerEstimate PowerTrace ber_from_q estimate_ber propagate route_chain run_trace",
-        "standards": "StandardProfile Verdict builtin_profiles power_verdict resolve_standard",
+        "standards": "StandardProfile builtin_profiles power_verdict resolve_standard",
         "traffic": "TrafficForecast forecast_subscribers project_growth round_half_toward_zero",
     }.items()
     for name in names.split()

@@ -72,14 +72,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ConfigurationError(f"--out {out}: {exc.strerror or exc}") from exc
-    else:
+    if out is None:
         sys.stdout.write(text)
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:  # an empty path is named as ''
+        raise ConfigurationError(f"--out {out or repr(out)}: {exc.strerror or exc}") from exc
 
 
 def _forecast_inputs(args: argparse.Namespace) -> TrafficInput:

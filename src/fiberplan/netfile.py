@@ -380,7 +380,7 @@ def parse_network(doc: abc.Mapping[str, object]) -> NetworkDocument:
 def load_network(path: str | os.PathLike[str]) -> NetworkDocument:
     """Read and parse the network description file at ``path``, a ``str`` or ``os.PathLike`` (else TypeError).
 
-    Error lines name the path as given. Malformed JSON raises NetworkFileError carrying
+    Error lines name the path as given, an empty one as ``''``. Malformed JSON raises NetworkFileError carrying
     the line and column of the syntax error; schema problems name the offending element.
     """
     path = os.fspath(path)
@@ -390,7 +390,7 @@ def load_network(path: str | os.PathLike[str]) -> NetworkDocument:
         with open(path, encoding="utf-8") as file:
             text = file.read()
     except OSError as exc:
-        raise NetworkFileError(f"{path}: {exc.strerror or exc}") from exc
+        raise NetworkFileError(f"{path or repr(path)}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise NetworkFileError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     try:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _json_str
-from operator import attrgetter, is_, itemgetter
+from operator import is_, itemgetter
 
 from .model import Network, Span, check_valid, frozen, resolve_path
 from .netfile import NetworkDocument
@@ -23,7 +23,7 @@ from .power_budget import AmplifierPlan, Leg, amplifier_requirement, max_allowed
 from .power_budget import received_power, required_input_power, span_runs
 from .report import BOOL, SLOT, db, dumps, row, skeleton, spell
 from .risetime import dispersion_risetime, max_system_risetime, total_risetime
-from .standards import StandardProfile, Verdict, power_verdict, resolve_standard
+from .standards import StandardProfile, VerdictRow, power_verdict, resolve_standard
 
 # One span of a plan, as one flat row: 0 id, 1 link, 2 length (km), 3 splices; its loss as a
 # standalone path (dB): 4 connectors, 5 fiber, 6 splices, 7 splitters, 8 margin, 9 total; its
@@ -52,30 +52,20 @@ class PlanReport:
     __slots__ = ("_table",)
 
     @property
-    def verdicts(self) -> tuple[Verdict, ...]:
-        """Each row of :func:`verdict_table` as a :class:`Verdict`, in order; built on each read."""
-        return tuple(Verdict(*row[:5]) for row in verdict_table(self))
-
-    @property
-    def power_verdict(self) -> Verdict:
-        """The received power against the standard's sensitivity: the first verdict, built without the table."""
-        return power_verdict(self.received, self.standard)
-
-    @property
     def overall_pass(self) -> bool:
         return all(map(_passed, verdict_table(self)))
 
 
-def verdict_table(report: PlanReport) -> tuple[tuple[str, float, float, str, str, float, bool], ...]:
-    """A plan's verdicts as flat rows in the key order of a JSON verdict item, (quantity, value, threshold,
-    unit, direction, margin, pass): the received power against the standard's sensitivity (its Verdict's
-    fields, margin and pass), then each span row's rise time against its ceiling, in row order, judged once
-    here by :class:`Verdict`'s rule: pass is compared directly, not by the sign of the margin (inf - inf is NaN).
+def verdict_table(report: PlanReport) -> tuple[VerdictRow, ...]:
+    """A plan's verdicts as :data:`~fiberplan.standards.VerdictRow` rows, in the key order of a JSON verdict
+    item: the received power against the standard's sensitivity (:func:`~fiberplan.standards.power_verdict`),
+    then each span row's rise time against its ceiling, in row order, direction "max": the margin is
+    ceiling - total, and pass is compared directly, not by the margin's sign (inf - inf is NaN).
 
     The first call keeps the table in the report, so a plan command judges once for its renderer and exit code."""
     table = report._table
     if table is None:
-        table = (_verdict_row(power_verdict(report.received, report.standard)), *[
+        table = (power_verdict(report.received, report.standard), *[
             ("rise time " + r[0], r[14], r[10], "ps", "max", r[10] - r[14], r[14] <= r[10]) for r in report.spans])
         object.__setattr__(report, "_table", table)
     return table
@@ -163,7 +153,6 @@ _VERDICT_TEXT, _VERDICT_SLOTS = zip(*(
 _OP, _FLAG = {"min": ">=", "max": "<="}, ("FAIL", "PASS")
 _RISE_TEXT = "  %-32s %10.3f ps <= %.3f ps  margin %+.3f  %s"  # the ps line of a "max" verdict
 _figures, _passed = itemgetter(1, 2, 5), itemgetter(6)  # a verdict row's value, threshold and margin; its pass
-_verdict_row = attrgetter(*Verdict._fields, "margin", "passed")  # a Verdict as a verdict_table row
 _unquoted = itemgetter(slice(1, None))  # a JSON string without its opening quote
 
 

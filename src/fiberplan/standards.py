@@ -1,10 +1,12 @@
-"""Named compliance profiles and the pass/fail verdicts rendered against them.
+"""Named compliance profiles and the received-power verdict judged against them.
 
 Three receiver-sensitivity thresholds ship as built-in profiles because they
 apply to different link segments; the caller must pick the one that matches
-the receiver being judged. Equality counts as a pass: sensitivity is defined
-as the minimum acceptable power, and a ceiling as the maximum acceptable
-rise time.
+the receiver being judged. A verdict is a flat row, :data:`VerdictRow`: the
+received power's is built here, a plan's rise-time rows in
+:func:`fiberplan.planning.verdict_table`. Equality counts as a pass:
+sensitivity is defined as the minimum acceptable power, and a ceiling as the
+maximum acceptable rise time.
 """
 
 from __future__ import annotations
@@ -29,39 +31,15 @@ class StandardProfile:
         check_range(f"standard {self.name!r}: rx_sensitivity", self.rx_sensitivity, POWER_DBM, "dBm")
 
 
-@frozen
-class Verdict:
-    """One measured quantity judged against one threshold.
-
-    ``direction`` records which way the comparison runs: ``"min"`` means the
-    value must reach the threshold (received power), ``"max"`` means it must
-    stay below it (rise time). ``margin`` is positive iff the verdict passes
-    with room to spare, zero exactly at the threshold.
-    """
-
-    quantity: str
-    value: float
-    threshold: float
-    unit: str
-    direction: str
-
-    @property
-    def passed(self) -> bool:
-        # Compared directly, not by the sign of the margin: inf - inf is NaN.
-        if self.direction == "min":
-            return self.value >= self.threshold
-        return self.value <= self.threshold
-
-    @property
-    def margin(self) -> float:
-        if self.direction == "min":
-            return self.value - self.threshold
-        return self.threshold - self.value
+# A verdict, as one row of a plan's verdict table: (quantity, value, threshold, unit, direction, margin, pass).
+VerdictRow = tuple[str, float, float, str, str, float, bool]
 
 
-def power_verdict(received: float, profile: StandardProfile) -> Verdict:
-    """Judge a received power (dBm) against the profile's sensitivity floor."""
-    return Verdict("received power", received, profile.rx_sensitivity, "dBm", "min")
+def power_verdict(received: float, profile: StandardProfile) -> VerdictRow:
+    """A received power (dBm) judged against the profile's sensitivity floor, direction "min": the margin is
+    received - sensitivity, and pass is compared directly, not by the margin's sign (inf - inf is NaN)."""
+    sensitivity = profile.rx_sensitivity
+    return "received power", received, sensitivity, "dBm", "min", received - sensitivity, received >= sensitivity
 
 
 # The shipped profiles, built once per process: a profile is immutable, and this dict is never handed out.

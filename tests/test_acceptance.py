@@ -216,11 +216,11 @@ def test_criterion_8_property_suite():
 
         # (d) the -28 dBm end-point verdict flips exactly at the boundary
         profile = builtin_profiles()["gpon-onu-endpoint"]
-        assert power_verdict(-28.0, profile).passed
-        assert not power_verdict(-28.0 - 1e-9, profile).passed
+        assert power_verdict(-28.0, profile)[6]  # a verdict row's pass
+        assert not power_verdict(-28.0 - 1e-9, profile)[6]
         for _ in range(500):
             power = rng.uniform(-40.0, -16.0)
-            assert power_verdict(power, profile).passed == (power >= -28.0)
+            assert power_verdict(power, profile)[6] == (power >= -28.0)
 
     _report(8, "desk-scale property suite replaces simulator outputs", body)
 

@@ -416,6 +416,12 @@ def test_out_into_a_missing_directory_exits_two(capsys, sleman_file, tmp_path):
     assert_one_error_line(capsys, argv, f"--out {target}: No such file or directory")
 
 
+def test_an_empty_out_path_exits_two_and_writes_no_report(capsys, sleman_file):
+    """An empty --out names no file: it is an input error, not a request for stdout."""
+    assert main(["plan", "--network", str(sleman_file), *STANDARD, "--out", ""]) == 2
+    assert capsys.readouterr() == ("", "error: --out '': No such file or directory\n")
+
+
 @pytest.mark.parametrize("command, spec", [(("plan", *STANDARD), "seyegan"), (("trace",), ",")], ids=["plan", "trace"])
 def test_a_path_spec_of_fewer_than_two_node_ids_exits_two(capsys, sleman_file, command, spec):
     assert main([command[0], "--network", str(sleman_file), *command[1:], "--path", spec]) == 2

@@ -405,9 +405,11 @@ def test_a_path_that_is_not_text_is_a_type_error(path):
 
 
 def test_a_missing_file_is_named_as_given(tmp_path, monkeypatch):
+    """A path is named as given; an empty one, which would name nothing, as ''."""
     monkeypatch.chdir(tmp_path)
-    with pytest.raises(NetworkFileError, match=r"^\./missing\.json: No such file or directory$"):
-        load_network("./missing.json")
+    for path, named in (("./missing.json", r"\./missing\.json"), ("", "''")):
+        with pytest.raises(NetworkFileError, match=rf"^{named}: No such file or directory$"):
+            load_network(path)
 
 
 def test_deeply_nested_json_is_a_file_error(tmp_path):

@@ -14,6 +14,7 @@ from fiberplan.netfile import NetworkFileError, load_network, parse_network
 from fiberplan.planning import PlanReport, render_plan_json, render_plan_text, run_plan, verdict_table
 from fiberplan.risetime import dispersion_risetime, max_system_risetime, total_risetime
 from fiberplan.signal_chain import render_trace_text, run_trace
+from fiberplan.standards import power_verdict
 from fiberplan.traffic import TrafficInput, forecast_subscribers, render_forecast_text, traffic_input_from_mapping
 
 from test_power_budget import exact_path_losses, rows_by_kind
@@ -45,7 +46,7 @@ class TestRunPlan:
         # nominal 85 km plant, so the exit power lands ~0.05 dB above the
         # single-length worked value of -2.64 dBm
         assert report.received == pytest.approx(-2.64, abs=0.1)
-        assert all(v.passed for v in report.verdicts)
+        assert all(row[6] for row in verdict_table(report))
         rise_rows = [row[14] for row in report.spans]
         assert all(total < 70.0 for total in rise_rows)
         assert [row[0] for row in report.spans] == sorted(row[0] for row in report.spans)
@@ -61,9 +62,10 @@ class TestRunPlan:
         report = run_plan(load_network(write_network(strip_amplifiers)), "gpon-onu-endpoint", as_built=True)
         assert not report.overall_pass
         assert report.received == pytest.approx(-42.64, abs=0.1)
-        power, *rise = report.verdicts  # each read builds new verdicts, so the power one is taken by position
-        assert power.quantity == "received power" and power == report.power_verdict and not power.passed
-        assert all(v.passed for v in rise)
+        power, *rise = verdict_table(report)
+        assert power == power_verdict(report.received, report.standard) and power[0] == "received power"
+        assert power[6] is False
+        assert all(row[6] for row in rise)
 
     def test_empty_network_is_a_validation_failure(self, write_network):
         def empty(doc):
@@ -254,20 +256,21 @@ class TestSpanRows:
 
     def test_verdicts_are_derived_from_the_rows(self, sleman_doc):
         report = run_plan(sleman_doc, "gpon-onu-endpoint", "seyegan,tempel,pakem")
-        power, *rise = report.verdicts
-        assert power == report.power_verdict
-        assert [(v.quantity, v.value, v.threshold, v.unit, v.direction) for v in rise] == [
+        power, *rise = verdict_table(report)
+        assert power == power_verdict(report.received, report.standard)
+        assert [row[:5] for row in rise] == [
             (f"rise time {row[0]}", row[14], row[10], "ps", "max") for row in report.spans]
 
     def test_the_power_verdict_is_built_without_the_table(self, sleman_doc):
+        """The received power's row needs only the report's received power and standard."""
         report = run_plan(sleman_doc, "gpon-onu-endpoint")
-        power = report.power_verdict
+        power = power_verdict(report.received, report.standard)
         assert report._table is None
-        assert power == report.verdicts[0] and power.quantity == "received power"
+        assert power == verdict_table(report)[0] and power[0] == "received power"
 
     @pytest.mark.parametrize("received", [-28.0, -28.01, math.inf, math.nan])
     def test_each_table_row_judges_as_its_verdict(self, sleman_doc, received):
-        """Margin and pass, taken once per table row, follow Verdict's rule: at the threshold, between
+        """Margin and pass, taken once per table row, follow its direction's rule: at the threshold, between
         infinities (a NaN margin that passes) and against NaN."""
         report = run_plan(sleman_doc, "gpon-onu-endpoint")
         fields = {name: getattr(report, name) for name in report._fields}
@@ -276,11 +279,11 @@ class TestSpanRows:
                for i, (ceiling, total) in enumerate(budgets)]
         strange = PlanReport(**{**fields, "spans": (*report.spans, *odd), "received": received})
         table = verdict_table(strange)
-        assert [row[:5] for row in table] == [(v.quantity, v.value, v.threshold, v.unit, v.direction)
-                                              for v in strange.verdicts]
-        for row, verdict in zip(table, strange.verdicts):
-            assert row[6] is verdict.passed
-            assert row[5] == verdict.margin or math.isnan(row[5]) and math.isnan(verdict.margin)
+        assert [row[4] for row in table] == ["min", *["max"] * len(strange.spans)]
+        for _, value, threshold, _, direction, margin, passed in table:
+            wanted = value - threshold if direction == "min" else threshold - value
+            assert passed is (value >= threshold if direction == "min" else value <= threshold)
+            assert margin == wanted or math.isnan(margin) and math.isnan(wanted)
         assert [row[6] for row in table[-4:]] == [True, False, True, False]
         assert strange.overall_pass is all(row[6] for row in table)
 

@@ -122,7 +122,7 @@ def test_plan_rows_stay_small(tmp_path):
     path nodes (8 each); the node and span ids are the plant's own. The verdict table the report keeps once
     rendered holds 169: a 7-slot tuple (96), its "rise time <id>" quantity (65) and its slot in the
     table (8). The bound leaves an eighth of that as headroom. One nested value object per span (a frozen
-    value of four or five fields, or a Verdict, 72-88 bytes each) breaks it; the nested rows the flat row
+    value of four or five fields, 72-88 bytes each) breaks it; the nested rows the flat row
     replaced held 592 bytes per span."""
     doc = load_network(write_ring(tmp_path, 1000))
     report = run_plan(doc, "gpon-onu-endpoint")

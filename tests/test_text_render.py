@@ -22,10 +22,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fiberplan.model import ConfigurationError, DomainError
 from fiberplan.netfile import load_network, parse_network
-from fiberplan.planning import PlanReport, render_plan_text, run_plan
+from fiberplan.planning import PlanReport, render_plan_text, run_plan, verdict_table
 from fiberplan.risetime import max_system_risetime
 from fiberplan.signal_chain import BerEstimate, PowerTrace, render_trace_text, run_trace
-from fiberplan.standards import Verdict, builtin_profiles
+from fiberplan.standards import builtin_profiles
 
 from test_cli_fuzz import documents
 from test_json_render import ONU, SLEMAN, TREE, _leaf_paths, span_row
@@ -37,13 +37,23 @@ RING = json.loads((Path(__file__).parent / "golden" / "ring-network.json").read_
 # --- reference: the f-string writers the templates replaced ----------------------
 
 
-def _fmt_verdict(v: Verdict) -> str:
-    digits = 3 if v.unit == "ps" else 2
-    op = ">=" if v.direction == "min" else "<="
-    flag = "PASS" if v.passed else "FAIL"
+def _judge(row: tuple) -> tuple[float, bool]:
+    """A verdict row's margin and pass, worked out here from its value, threshold and direction."""
+    _, value, threshold, _, direction, _, _ = row
+    if direction == "min":
+        return value - threshold, value >= threshold
+    return threshold - value, value <= threshold
+
+
+def _fmt_verdict(row: tuple) -> str:
+    quantity, value, threshold, unit, direction, _, _ = row
+    margin, passed = _judge(row)
+    digits = 3 if unit == "ps" else 2
+    op = ">=" if direction == "min" else "<="
+    flag = "PASS" if passed else "FAIL"
     return (
-        f"{v.quantity:<32} {v.value:>10.{digits}f} {v.unit} {op} "
-        f"{v.threshold:.{digits}f} {v.unit}  margin {v.margin:+.{digits}f}  {flag}"
+        f"{quantity:<32} {value:>10.{digits}f} {unit} {op} "
+        f"{threshold:.{digits}f} {unit}  margin {margin:+.{digits}f}  {flag}"
     )
 
 
@@ -95,10 +105,11 @@ def reference_plan_text(report: PlanReport) -> str:
     )
     lines.append("")
     lines.append("Verdicts")
-    for v in report.verdicts:
-        lines.append("  " + _fmt_verdict(v))
+    table = verdict_table(report)
+    for row in table:
+        lines.append("  " + _fmt_verdict(row))
     lines.append("")
-    lines.append(f"OVERALL: {'PASS' if report.overall_pass else 'FAIL'}")
+    lines.append(f"OVERALL: {'PASS' if all(_judge(row)[1] for row in table) else 'FAIL'}")
     return "\n".join(lines) + "\n"
 
 
